@@ -21,7 +21,7 @@ from .errors import (BelowMinGradient, BoundsError, DegenerateConfiguration,
                      RankDeficient, RankOneDegenerate, RotationExplainsFlow,
                      SingularSystem, SolverDegeneracy, TooFewObservations,
                      UnderDetermined)
-from .events import (Event, TimeSurface, build_time_surface,
+from .events import (Event, EventArray, TimeSurface, build_time_surface,
                      parse_event_stream, read_events)
 from .extraction import (ExtractionConfig, ExtractionStats, FlowRecord,
                          PlaneFit, extract_normal_flows, fit_local_plane,

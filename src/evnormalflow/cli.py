@@ -246,7 +246,7 @@ def cmd_extract(args, resolved):
     polarity = {"joint": None, "pos": 1, "neg": -1}[args.polarity]
     surface = build_time_surface(events, t_ref, cfg.temporal_window,
                                  (intr.height, intr.width), polarity=polarity)
-    records, stats = extract_normal_flows(surface, intr, cfg, n_jobs=args.jobs)
+    records, stats = extract_normal_flows(surface, intr, cfg)
     _atomic_write_via(args.output, lambda tmp: write_flows_csv(tmp, records))
     stats_path = args.stats or f"{args.output}.stats.json"
     _atomic_write_json(stats_path, {
@@ -489,7 +489,6 @@ def build_parser():
     p.add("--max-flow", type=float, default=1e4)
     p.add("--min-gradient", type=float, default=1e-4)
     p.add("--polarity", choices=["joint", "pos", "neg"], default="joint")
-    p.add("--jobs", type=int, default=1)
     p.add("--seed", type=int)
 
     p = _Sub(sub.add_parser("solve", help="flows CSV -> model fit JSON"))

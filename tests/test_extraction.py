@@ -133,17 +133,39 @@ def test_extract_repetitive_texture_rejected():
     assert stats.emitted <= 0.2 * stats.candidates
 
 
-def test_extract_deterministic_across_jobs():
+def test_extract_deterministic_and_bitwise_equal_to_single_pixel_fits():
     edges = [MovingEdge(point=(5.0, 0.0), direction=(0.0, 1.0),
                         velocity=(80.0, 0.0)),
              MovingEdge(point=(0.0, 3.0), direction=(1.0, 0.0),
                         velocity=(0.0, 60.0))]
     surface = surface_from_edges(edges, (INTR.height, INTR.width), window=0.5)
     cfg = ExtractionConfig(temporal_window=0.5, seed=5)
-    serial, s1 = extract_normal_flows(surface, INTR, cfg, n_jobs=1)
-    parallel, s2 = extract_normal_flows(surface, INTR, cfg, n_jobs=4)
-    assert serial == parallel
-    assert s1.to_dict() == s2.to_dict()
+    first, s1 = extract_normal_flows(surface, INTR, cfg)
+    second, s2 = extract_normal_flows(surface, INTR, cfg)
+    assert first == second and s1.to_dict() == s2.to_dict()
+    assert s1.emitted == len(first) > 100
+    # Every record is the single-pixel fit of its pixel, bit for bit.
+    for r in first:
+        fit = fit_local_plane(surface, (int(r.x_px), int(r.y_px)), cfg)
+        gcx, gcy = INTR.fx * fit.gradient[0], INTR.fy * fit.gradient[1]
+        mag2 = gcx * gcx + gcy * gcy
+        assert (r.nx_cal, r.ny_cal) == (gcx / mag2, gcy / mag2)
+        assert (r.inliers, r.rms) == (fit.inlier_count, fit.rms)
+
+
+def test_extract_counts_collinear_support_as_degenerate():
+    # a one-pixel-wide horizontal line of fired pixels, x = 10 .. 69
+    ts = np.full((INTR.height, INTR.width), UNFIRED)
+    ts[30, 10:70] = 0.99 + 1e-5 * np.arange(60)
+    surface = TimeSurface(ts, np.ones(ts.shape, np.int8), 1.0, 0.04)
+    cfg = ExtractionConfig(min_support=5)
+    records, stats = extract_normal_flows(surface, INTR, cfg)
+    # the two end pixels see only 4 line pixels in their 7x7 window
+    assert records == []
+    assert stats.to_dict() == {"candidates": 60, "emitted": 0,
+                               "insufficient_support": 2,
+                               "degenerate_configuration": 58,
+                               "below_min_gradient": 0}
 
 
 def test_extract_shape_mismatch():
