@@ -23,15 +23,15 @@ def main():
     fired = np.isfinite(surface.timestamps).sum()
     print(f"surface: {fired} of {surface.timestamps.size} pixels crossed")
 
-    records, stats = extract_normal_flows(surface, INTR, ExtractionConfig())
+    obs, stats = extract_normal_flows(surface, INTR, ExtractionConfig())
     print(f"extraction: {stats.emitted} flows from {stats.candidates} "
           f"candidate pixels ({stats.insufficient_support} low support, "
           f"{stats.degenerate_configuration} degenerate, "
           f"{stats.below_min_gradient} flat)")
 
-    speeds = np.array([np.hypot(r.nx_cal * INTR.fx, r.ny_cal * INTR.fy)
-                       for r in records])
-    horizontal = np.array([abs(r.nx_cal) > abs(r.ny_cal) for r in records])
+    nx, ny = obs.n[:, 0], obs.n[:, 1]
+    speeds = np.hypot(nx * INTR.fx, ny * INTR.fy)
+    horizontal = np.abs(nx) > np.abs(ny)
     print()
     for name, mask, expected in (("rightward edge", horizontal, 150.0),
                                  ("downward edge", ~horizontal, 80.0)):

@@ -10,9 +10,9 @@ import argparse
 import numpy as np
 
 from evnormalflow import (ConstantMotion, ModelKind, PlaneScene, Velocity,
-                          generate_dataset, obs_arrays, ransac_estimate,
-                          recover_true_hd, solve_depth_batch,
-                          solve_diff_homography, solve_optical_flow_batch)
+                          generate_dataset, ransac_estimate, recover_true_hd,
+                          solve_depth, solve_diff_homography,
+                          solve_optical_flow)
 
 
 def main():
@@ -25,18 +25,17 @@ def main():
     scene = PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0)
     obs, truth = generate_dataset(scene, ConstantMotion(v), count=args.count,
                                   seed=args.seed)
-    xy, n, _, mag2 = obs_arrays(obs)
     print(f"{args.count} observations on a tilted plane, seed {args.seed}")
     print(f"true nu    = {np.asarray(v.nu)}")
     print(f"true omega = {np.asarray(v.omega)}")
     print()
 
-    u, valid = solve_optical_flow_batch(xy, n, mag2, v)
+    u, valid = solve_optical_flow(obs, v)
     rel = (np.linalg.norm(u[valid] - truth.u[valid], axis=1)
            / np.linalg.norm(truth.u[valid], axis=1))
     print(f"optical flow   {valid.sum():4d} px solved, median rel err {np.median(rel):.2e}")
 
-    z, valid = solve_depth_batch(xy, n, mag2, v)
+    z, valid = solve_depth(obs, v)
     rel = np.abs(z[valid] - truth.z[valid]) / truth.z[valid]
     print(f"depth          {valid.sum():4d} px solved, median rel err {np.median(rel):.2e}")
 

@@ -17,28 +17,26 @@ from .errors import (BelowMinGradient, BoundsError, DegenerateConfiguration,
                      DegenerateDepth, EventOrderError, EvnfError, InputError,
                      InsufficientSupport, NoConsensus, OutOfBounds,
                      OutOfDomain, ParseError, PureRotation,
-                     PureRotationDegenerate, PureTranslationZeroNumerator,
-                     RankDeficient, RankOneDegenerate, RotationExplainsFlow,
-                     SingularSystem, SolverDegeneracy, TooFewObservations,
-                     UnderDetermined)
+                     PureRotationDegenerate, RankDeficient, RankOneDegenerate,
+                     SolverDegeneracy, TooFewObservations, UnderDetermined)
 from .events import (Event, EventArray, TimeSurface, build_time_surface,
                      parse_event_stream, read_events)
-from .extraction import (ExtractionConfig, ExtractionStats, FlowRecord,
-                         PlaneFit, extract_normal_flows, fit_local_plane,
+from .extraction import (ExtractionConfig, ExtractionStats, PlaneFit,
+                         extract_normal_flows, fit_local_plane,
                          normal_flow_from_gradient, read_flows_csv,
                          records_to_obs, write_flows_csv)
 from .geometry import (CalibratedPoint, DiffHomography, Intrinsics,
-                       NormalFlowObs, Velocity, calibrated_to_pixel,
-                       epipolar_terms, homography_flow, matrix_a, matrix_b,
-                       matrix_c, matrix_d, motion_field, nf_residual,
-                       obs_arrays, pixel_to_calibrated, skew, vee)
+                       NormalFlowObs, Observations, Velocity, as_observations,
+                       calibrated_to_pixel, epipolar_terms, homography_flow,
+                       matrix_a, matrix_b, matrix_c, matrix_d, motion_field,
+                       nf_residual, pixel_to_calibrated, skew, vee)
 from .homography import (DecompositionResult, PlanarStructure, compose_hd,
                          decompose_hd, hd_from_plane, recover_true_hd)
 from .solvers import (FitReport, ModelKind, RansacConfig, SolveInfo,
                       build_rows, ransac_estimate, solve_6dof,
-                      solve_angular_velocity, solve_depth, solve_depth_batch,
+                      solve_angular_velocity, solve_depth,
                       solve_diff_homography, solve_optical_flow,
-                      solve_optical_flow_batch, stack_and_solve)
+                      stack_and_solve)
 from .spline import (SplineFitProblem, SplineFitReport, SplineInitReport,
                      SplineTrajectory, basis_weights, evaluate, fit,
                      init_from_linear, trajectory_covering)

@@ -21,18 +21,20 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import EvnfError, InputError, SolverDegeneracy, UnderDetermined
 from .events import build_time_surface, read_events
-from .extraction import (ExtractionConfig, FlowRecord, extract_normal_flows,
+from .extraction import (ExtractionConfig, extract_normal_flows,
                          read_flows_csv, records_to_obs, write_flows_csv)
-from .geometry import Intrinsics, Velocity, calibrated_to_pixel, obs_arrays
+from .geometry import Intrinsics, Velocity, calibrated_to_pixel
 from .homography import decompose_hd, recover_true_hd
 from .errors import PureRotationDegenerate, RankOneDegenerate
-from .solvers import (ModelKind, RansacConfig, ransac_estimate,
-                      solve_depth_batch, solve_optical_flow_batch)
+from .solvers import (ModelKind, RansacConfig, ransac_estimate, solve_depth,
+                      solve_optical_flow)
 from .spline import (DEFAULT_KNOT_SPACING, SplineFitProblem, evaluate, fit,
                      init_from_linear)
 from .synthesis import (DEFAULT_INTRINSICS, ConstantMotion, NoiseSpec,
@@ -58,25 +60,9 @@ def _package_version():
         return "unknown"
 
 
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_json(path, payload):
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _atomic_write_via(path, writer):
-    """Run writer(tmp_path) then rename tmp over path."""
+def _atomic_write(path, writer):
+    """Run writer(tmp_path) on a temp file beside path, then rename it over
+    path; the temp file is removed on any exception."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
@@ -87,6 +73,14 @@ def _atomic_write_via(path, writer):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path, text):
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def _atomic_write_json(path, payload):
+    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(config):
@@ -246,8 +240,8 @@ def cmd_extract(args, resolved):
     polarity = {"joint": None, "pos": 1, "neg": -1}[args.polarity]
     surface = build_time_surface(events, t_ref, cfg.temporal_window,
                                  (intr.height, intr.width), polarity=polarity)
-    records, stats = extract_normal_flows(surface, intr, cfg)
-    _atomic_write_via(args.output, lambda tmp: write_flows_csv(tmp, records))
+    obs, stats = extract_normal_flows(surface, intr, cfg)
+    _atomic_write(args.output, lambda tmp: write_flows_csv(tmp, obs))
     stats_path = args.stats or f"{args.output}.stats.json"
     _atomic_write_json(stats_path, {
         "n_events": len(events), "t_ref": t_ref, "stats": stats.to_dict(),
@@ -255,23 +249,16 @@ def cmd_extract(args, resolved):
     return 0
 
 
-def _solve_per_pixel(kind, records, obs, velocity):
-    xy, n, _, mag2 = obs_arrays(obs)
+def _solve_per_pixel(kind, obs, velocity):
     if kind is ModelKind.OPTICAL_FLOW:
-        values, valid = solve_optical_flow_batch(xy, n, mag2, velocity)
+        values, valid = solve_optical_flow(obs, velocity)
         key = "u"
     else:
-        values, valid = solve_depth_batch(xy, n, mag2, velocity)
+        values, valid = solve_depth(obs, velocity)
         key = "z"
-    per_obs = []
-    for i, r in enumerate(records):
-        entry = {"t": r.t, "x_px": r.x_px, "y_px": r.y_px}
-        if valid[i]:
-            val = values[i]
-            entry[key] = val.tolist() if np.ndim(val) else float(val)
-        else:
-            entry[key] = None
-        per_obs.append(entry)
+    per_obs = [{"t": t, "x_px": x, "y_px": y, key: value if ok else None}
+               for t, (x, y), value, ok in zip(obs.t.tolist(), obs.px.tolist(),
+                                               values.tolist(), valid.tolist())]
     return {"per_obs": per_obs,
             "stats": {"solved": int(valid.sum()), "failed": int((~valid).sum())}}
 
@@ -304,7 +291,7 @@ def cmd_solve(args, resolved):
     if kind in _PER_PIXEL:
         if velocity is None:
             raise InputError(f"kind {args.kind} requires --velocity")
-        report.update(_solve_per_pixel(kind, records, obs, velocity))
+        report.update(_solve_per_pixel(kind, obs, velocity))
     else:
         if kind is ModelKind.SIX_DOF and depths is None:
             raise InputError(
@@ -340,8 +327,7 @@ def cmd_fit_spline(args, resolved):
     if kind is ModelKind.SIX_DOF and depths is None:
         raise InputError(
             "six-dof fit requires a Z column in the flows CSV (missing depth)")
-    times = np.array([o.t for o in obs])
-    span = float(times.max() - times.min())
+    span = float(obs.t.max() - obs.t.min())
     if span < 4 * args.knot_spacing:
         raise UnderDetermined(
             f"timestamps span {span:.4g}s < 4 knot intervals "
@@ -420,15 +406,12 @@ def cmd_simulate(args, resolved):
                                            count=args.count, window=args.window,
                                            noise=noise, seed=args.seed)
     os.makedirs(args.output_dir, exist_ok=True)
-    records = []
-    for o in observations:
-        px = calibrated_to_pixel(o.x, intr)
-        records.append(FlowRecord(t=o.t, x_px=float(px[0]), y_px=float(px[1]),
-                                  nx_cal=float(o.n[0]), ny_cal=float(o.n[1]),
-                                  inliers=0, rms=0.0))
+    k = len(observations)
+    flows = replace(observations, px=calibrated_to_pixel(observations.xy, intr),
+                    inliers=np.zeros(k, dtype=np.int64), rms=np.zeros(k))
     obs_path = os.path.join(args.output_dir, "observations.csv")
-    _atomic_write_via(obs_path,
-                      lambda tmp: write_flows_csv(tmp, records, depths=truth.z))
+    _atomic_write(obs_path,
+                  lambda tmp: write_flows_csv(tmp, flows, depths=truth.z))
     hd = truth.hd
     velocity = truth.velocity
     _atomic_write_json(os.path.join(args.output_dir, "ground_truth.json"), {

@@ -44,20 +44,8 @@ class DegenerateDepth(SolverDegeneracy):
     """Non-positive depth where positive depth is required."""
 
 
-class SingularSystem(SolverDegeneracy):
-    """Per-pixel linear system is singular (flow direction unconstrained)."""
-
-
 class PureRotation(SolverDegeneracy):
     """Translational velocity is zero so the epipolar row vanishes."""
-
-
-class RotationExplainsFlow(SolverDegeneracy):
-    """Rotational field alone accounts for the observed normal flow."""
-
-
-class PureTranslationZeroNumerator(SolverDegeneracy):
-    """Translational flow component along the gradient vanishes."""
 
 
 class RankDeficient(SolverDegeneracy):

@@ -12,10 +12,14 @@ each pixel's own (seed, y, x) substream, the 3x3 minimal systems solved
 in one batch and scored with one batched product, and one batched 3x3
 normal-equation refit.  `fit_local_plane` runs the same code on one
 pixel, so results do not depend on batching.
+
+The flows come out as one Observations with the pixel locations and fit
+diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow
+and is written and read with one NumPy call each.
 """
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,9 +27,14 @@ import numpy as np
 
 from .errors import (BelowMinGradient, DegenerateConfiguration,
                      InsufficientSupport)
-from .geometry import NormalFlowObs, pixel_to_calibrated
+from .geometry import Observations, calibrate_pixels
 
-FLOWS_HEADER = ["t", "x_px", "y_px", "nx_cal", "ny_cal", "inliers", "rms"]
+# One row of a flows CSV; simulated data add a depth column Z.
+FLOWS_DTYPE = np.dtype([("t", float), ("x_px", float), ("y_px", float),
+                        ("nx_cal", float), ("ny_cal", float),
+                        ("inliers", np.int64), ("rms", float)])
+FLOWS_HEADER = list(FLOWS_DTYPE.names)
+_FLOWS_Z_DTYPE = np.dtype(FLOWS_DTYPE.descr + [("Z", float)])
 
 
 @dataclass(frozen=True)
@@ -74,19 +83,6 @@ class PlaneFit:
     gradient: np.ndarray
     offset: float
     inlier_count: int
-    rms: float
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One emitted flow: pixel location, calibrated flow, fit diagnostics."""
-
-    t: float
-    x_px: float
-    y_px: float
-    nx_cal: float
-    ny_cal: float
-    inliers: int
     rms: float
 
 
@@ -275,6 +271,7 @@ def normal_flow_from_gradient(gradient, gradient_floor):
 def extract_normal_flows(ts, intr, cfg=None):
     """Extract calibrated normal flows from every recently fired pixel.
 
+    Returns (Observations with px, inliers and rms, ExtractionStats).
     Per-pixel failures are skipped and counted, never raised.  Output is
     ordered by pixel index (row-major); each pixel's RANSAC uses a
     substream derived from (seed, pixel), so it does not depend on how the
@@ -293,70 +290,67 @@ def extract_normal_flows(ts, intr, cfg=None):
     # Gradients map covariantly to calibrated coordinates, n = g / |g|^2.
     gcx, gcy = intr.fx * gx[emit], intr.fy * gy[emit]
     mag2 = gcx * gcx + gcy * gcy
-    records = [FlowRecord(t=t, x_px=float(x), y_px=float(y), nx_cal=nx,
-                          ny_cal=ny, inliers=inl, rms=rms)
-               for t, x, y, nx, ny, inl, rms in zip(
-                   ts.timestamps[ys[emit], xs[emit]].tolist(), xs[emit].tolist(),
-                   ys[emit].tolist(), (gcx / mag2).tolist(),
-                   (gcy / mag2).tolist(), fits.inliers[emit].tolist(),
-                   fits.rms[emit].tolist())]
+    px = np.stack([xs[emit], ys[emit]], axis=1).astype(float)
+    obs = Observations(xy=calibrate_pixels(px, intr),
+                       n=np.stack([gcx / mag2, gcy / mag2], axis=1),
+                       t=ts.timestamps[ys[emit], xs[emit]], px=px,
+                       inliers=fits.inliers[emit], rms=fits.rms[emit])
     stats = ExtractionStats(
         candidates=int(xs.size), emitted=int(emit.size),
         insufficient_support=int(np.sum(fits.status == _INSUFFICIENT)),
         degenerate_configuration=int(np.sum(fits.status == _DEGENERATE)),
         below_min_gradient=int(flat.sum()))
-    return records, stats
+    return obs, stats
 
 
 def records_to_obs(records, intr):
-    """Rebuild NormalFlowObs (calibrated location + flow) from FlowRecords."""
-    obs = []
-    for r in records:
-        point = pixel_to_calibrated((r.x_px, r.y_px), intr)
-        n = np.array([r.nx_cal, r.ny_cal])
-        obs.append(NormalFlowObs(x=point, n=n, t=r.t, mag2=float(n @ n)))
-    return obs
+    """Observations (calibrated location and flow, plus the pixel location
+    and fit diagnostics) from the records read_flows_csv returns."""
+    px = np.stack([records["x_px"], records["y_px"]], axis=1)
+    return Observations(xy=calibrate_pixels(px, intr),
+                        n=np.stack([records["nx_cal"], records["ny_cal"]], axis=1),
+                        t=records["t"], px=px, inliers=records["inliers"],
+                        rms=records["rms"])
 
 
-def _fmt(v):
-    return f"{v:.9g}"
+def write_flows_csv(path, obs, depths=None):
+    """Write flows as CSV with 9 significant digits; optional depth column.
 
-
-def write_flows_csv(path, records, depths=None):
-    """Write flows as CSV with 9 significant digits; optional depth column."""
-    header = list(FLOWS_HEADER)
+    `obs` is an Observations with px, inliers and rms filled in.
+    """
+    columns = [obs.t, obs.px[:, 0], obs.px[:, 1], obs.n[:, 0], obs.n[:, 1],
+               obs.inliers, obs.rms]
     if depths is not None:
-        if len(depths) != len(records):
-            raise ValueError("depths length must match records")
-        header.append("Z")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, r in enumerate(records):
-            row = [_fmt(r.t), _fmt(r.x_px), _fmt(r.y_px), _fmt(r.nx_cal),
-                   _fmt(r.ny_cal), str(int(r.inliers)), _fmt(r.rms)]
-            if depths is not None:
-                row.append(_fmt(depths[i]))
-            writer.writerow(row)
+        if len(depths) != len(obs):
+            raise ValueError("depths length must match observations")
+        columns.append(depths)
+    # An object table hands savetxt Python scalars, which format about
+    # three times faster than the NumPy scalars of a structured array.
+    table = np.empty((len(obs), len(columns)), dtype=object)
+    for i, column in enumerate(columns):
+        table[:, i] = column
+    names = FLOWS_HEADER + ["Z"] * (depths is not None)
+    fmt = ["%d" if name == "inliers" else "%.9g" for name in names]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", newline="\r\n",
+               header=",".join(names), comments="")
 
 
 def read_flows_csv(path):
-    """Read a flows CSV; returns (records, depths) with depths None when
-    the file has no Z column."""
+    """Read a flows CSV; returns (records, depths): an np.recarray of the
+    file's rows (FLOWS_DTYPE, then Z if present) and its Z column or None.
+    A row with too few fields or a non-finite value raises ValueError."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:7]] != FLOWS_HEADER:
-            raise ValueError(f"unrecognized flows CSV header in {path}")
-        has_z = len(header) > 7 and header[7].strip() in ("Z", "depth")
-        records, depths = [], []
-        for row in reader:
-            if not row:
-                continue
-            records.append(FlowRecord(
-                t=float(row[0]), x_px=float(row[1]), y_px=float(row[2]),
-                nx_cal=float(row[3]), ny_cal=float(row[4]),
-                inliers=int(row[5]), rms=float(row[6])))
-            if has_z:
-                depths.append(float(row[7]))
-    return records, (np.array(depths) if has_z else None)
+        header = [h.strip() for h in fh.readline().rstrip("\r\n").split(",")]
+    if header[:7] != FLOWS_HEADER:
+        raise ValueError(f"unrecognized flows CSV header in {path}")
+    has_z = len(header) > 7 and header[7] in ("Z", "depth")
+    dtype = _FLOWS_Z_DTYPE if has_z else FLOWS_DTYPE
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                          usecols=range(len(dtype)), ndmin=1)
+    for name in dtype.names:
+        if not np.all(np.isfinite(rows[name])):
+            raise ValueError(f"non-finite value in column {name} of {path}")
+    records = rows.view(np.recarray)
+    return records, (records.Z.copy() if has_z else None)

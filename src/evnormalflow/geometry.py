@@ -10,10 +10,14 @@ and angular velocity omega over depth Z(x) is
 
 and a normal flow vector n (the projection of u onto the local image
 gradient direction) satisfies  n . u = |n|^2.
+
+A set of measurements travels as one columnar `Observations` (xy, n, t,
+mag2 arrays) from extraction or synthesis to every solver; NormalFlowObs
+is its row type.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,7 +103,8 @@ class DiffHomography:
 @dataclass(frozen=True)
 class NormalFlowObs:
     """One normal flow measurement: calibrated location, flow n (units/s),
-    event timestamp, and the cached squared magnitude n.n."""
+    event timestamp, and the cached squared magnitude n.n; the row type of
+    Observations."""
 
     x: CalibratedPoint
     n: np.ndarray
@@ -119,13 +124,77 @@ class NormalFlowObs:
                    mag2=float(n @ n))
 
 
-def obs_arrays(observations):
-    """Stack a sequence of NormalFlowObs into (xy, n, t, mag2) arrays."""
-    xy = np.array([[o.x.x, o.x.y] for o in observations], dtype=float)
-    n = np.array([o.n for o in observations], dtype=float)
-    t = np.array([o.t for o in observations], dtype=float)
-    mag2 = np.array([o.mag2 for o in observations], dtype=float)
-    return xy.reshape(-1, 2), n.reshape(-1, 2), t, mag2
+def squared_norms(v):
+    """Row-wise v_i . v_i of a (K, 2) array, bit-identical to float(v_i @ v_i);
+    np.sum(v * v, 1) differs in the last bit on about one row in six."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """K normal flow measurements as columns: calibrated locations xy (K, 2),
+    flows n (K, 2), timestamps t (K,) and mag2 = |n|^2 (K,), computed here.
+    Pixel locations px (K, 2) and plane-fit inliers and rms (K,) are
+    optional; only the flows CSV uses them.
+
+    Construction checks that xy, n and t are finite and |x|,|y| <= FOV_LIMIT.
+    A mask, index array or slice gives an Observations (not checked again),
+    an integer a NormalFlowObs row; iteration yields rows.
+    """
+
+    xy: np.ndarray
+    n: np.ndarray
+    t: np.ndarray
+    mag2: np.ndarray = field(init=False, repr=False)
+    px: np.ndarray | None = None
+    inliers: np.ndarray | None = None
+    rms: np.ndarray | None = None
+
+    def __post_init__(self):
+        k = np.size(self.t)
+        for name, shape in (("xy", (-1, 2)), ("n", (-1, 2)), ("t", (-1,)),
+                            ("px", (-1, 2)), ("inliers", (-1,)), ("rms", (-1,))):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=None if name == "inliers" else float)
+            value = value.reshape(shape)
+            if len(value) != k:
+                raise ValueError(f"{name} must have one row per observation")
+            if name in ("xy", "n", "t") and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        if np.any(np.abs(self.xy) > FOV_LIMIT):
+            raise ValueError(f"calibrated point outside |x|,|y| <= {FOV_LIMIT}")
+        object.__setattr__(self, "mag2", squared_norms(self.n))
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            x, y = self.xy[index].tolist()
+            return NormalFlowObs(x=CalibratedPoint(x, y), n=self.n[index],
+                                 t=float(self.t[index]),
+                                 mag2=float(self.mag2[index]))
+        subset = object.__new__(Observations)
+        for f in fields(self):
+            column = getattr(self, f.name)
+            object.__setattr__(subset, f.name,
+                               None if column is None else column[index])
+        return subset
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def as_observations(observations):
+    """An Observations unchanged, or a sequence of NormalFlowObs stacked once."""
+    if isinstance(observations, Observations):
+        return observations
+    rows = list(observations)
+    return Observations(xy=[(o.x.x, o.x.y) for o in rows],
+                        n=[o.n for o in rows], t=[o.t for o in rows])
 
 
 def skew(v):
@@ -190,7 +259,7 @@ def matrix_d(x, y, z):
     Depth must be strictly positive.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
+    if np.any(~(z > 0)):
         raise DegenerateDepth("depth must be positive to form D(x)")
     a = matrix_a(x, y) / z[..., None, None]
     b = matrix_b(x, y)
@@ -228,7 +297,7 @@ def nf_residual(obs, u):
 def motion_field(x, y, z, v):
     """Instantaneous image motion u = A(x) nu / Z + B(x) omega, (..., 2)."""
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
+    if np.any(~(z > 0)):
         raise DegenerateDepth("depth must be positive")
     ut = matrix_a(x, y) @ v.nu / z[..., None]
     ur = matrix_b(x, y) @ v.omega
@@ -255,20 +324,28 @@ def pixel_to_calibrated(point_px, intr, gradient_px=None):
     map covariantly, (fx gx, fy gy), so that gradient-derived flows stay
     consistent with the calibrated motion field.
     """
-    p = np.asarray(point_px, dtype=float).reshape(2)
-    if not (0 <= p[0] < intr.width and 0 <= p[1] < intr.height):
-        raise OutOfBounds(f"pixel {tuple(p)} outside {intr.width}x{intr.height}")
-    point = CalibratedPoint((p[0] - intr.cx) / intr.fx, (p[1] - intr.cy) / intr.fy)
+    point = CalibratedPoint(*calibrate_pixels(
+        np.asarray(point_px, dtype=float).reshape(1, 2), intr)[0])
     if gradient_px is None:
         return point
     g = np.asarray(gradient_px, dtype=float).reshape(2)
     return point, np.array([intr.fx * g[0], intr.fy * g[1]])
 
 
+def calibrate_pixels(px, intr):
+    """Calibrated locations of (K, 2) pixel locations; raises OutOfBounds
+    naming the first pixel off the sensor."""
+    inside = np.all((px >= 0) & (px < np.array([intr.width, intr.height])), axis=1)
+    if not inside.all():
+        bad = tuple(px[np.argmin(inside)].tolist())
+        raise OutOfBounds(f"pixel {bad} outside {intr.width}x{intr.height}")
+    return (px - np.array([intr.cx, intr.cy])) / np.array([intr.fx, intr.fy])
+
+
 def calibrated_to_pixel(point, intr):
-    """Inverse of pixel_to_calibrated for locations."""
+    """Inverse of pixel_to_calibrated for locations; a (..., 2) array maps
+    row by row."""
     if isinstance(point, CalibratedPoint):
-        x, y = point.x, point.y
-    else:
-        x, y = np.asarray(point, dtype=float).reshape(2)
-    return np.array([x * intr.fx + intr.cx, y * intr.fy + intr.cy])
+        point = point.xy
+    p = np.asarray(point, dtype=float)
+    return p * np.array([intr.fx, intr.fy]) + np.array([intr.cx, intr.cy])

@@ -12,6 +12,9 @@ per observation:
                     is rank-deficient by one (H and H + eps I produce the
                     same flow), resolved by the minimum-norm solution
 
+Every solver takes an Observations (a sequence of NormalFlowObs rows is
+stacked once on entry).  The per-pixel solvers work on all pixels at once
+and return (values, valid), with NaN where a pixel's system is singular.
 stack_and_solve handles the stacked systems, ransac_estimate wraps them
 for outlier-contaminated data.
 """
@@ -23,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDepth, NoConsensus, PureRotation,
-                     PureTranslationZeroNumerator, RankDeficient,
-                     RotationExplainsFlow, SingularSystem,
+from .errors import (NoConsensus, PureRotation, RankDeficient,
                      TooFewObservations)
-from .geometry import (DiffHomography, Velocity, epipolar_terms, matrix_a,
-                       matrix_b, matrix_c, matrix_d, obs_arrays)
+from .geometry import (DiffHomography, Velocity, as_observations,
+                       epipolar_terms, matrix_a, matrix_b, matrix_c, matrix_d)
 
 _REL_TOL = 1e-12
 
@@ -132,55 +133,61 @@ def stack_and_solve(a, b, min_rank=None, rcond=None):
     return theta, SolveInfo(rank=rank, cond=float(s[0] / s[rank - 1]), rms=rms)
 
 
-def _epipolar_row(xhat, nu_cross, s_mat):
-    """(row, rhs) of the epipolar equation  row . u = rhs  at xhat."""
-    ell = nu_cross @ xhat
-    return ell[:2], float(xhat @ s_mat @ xhat)
+def solve_optical_flow(observations, v):
+    """Full flow at every pixel from its normal flow and a known velocity.
 
-
-def solve_optical_flow(obs, v):
-    """Full flow at one pixel from its normal flow and a known velocity.
-
-    Solves the 2x2 system [n^T; (nu x xhat)^T_{1:2}] u = [|n|^2; xhat^T s xhat].
+    Solves each pixel's 2x2 system
+    [n^T; (nu x xhat)^T_{1:2}] u = [|n|^2; xhat^T s xhat].  Returns
+    (u, valid) with u (K, 2); where the normal flow is parallel to the
+    epipolar direction the system is singular, valid is False and u NaN.
     """
     if not np.any(v.nu):
         raise PureRotation("translational velocity is zero")
-    xhat = obs.x.xhat
-    nu_cross, s_mat = epipolar_terms(v)
-    ell, rhs2 = _epipolar_row(xhat, nu_cross, s_mat)
-    det = obs.n[0] * ell[1] - obs.n[1] * ell[0]
-    scale = np.linalg.norm(obs.n) * np.linalg.norm(ell)
-    if abs(det) <= _REL_TOL * scale or scale == 0:
-        raise SingularSystem("normal flow parallel to the epipolar direction")
-    mag2 = obs.mag2
-    return np.array([(ell[1] * mag2 - obs.n[1] * rhs2) / det,
-                     (obs.n[0] * rhs2 - ell[0] * mag2) / det])
+    obs = as_observations(observations)
+    n, mag2 = obs.n, obs.mag2
+    xhat = np.concatenate([obs.xy, np.ones((len(obs), 1))], axis=1)
+    _, s_mat = epipolar_terms(v)
+    ell = np.cross(np.broadcast_to(v.nu, xhat.shape), xhat)[:, :2]
+    rhs2 = np.einsum("ki,ij,kj->k", xhat, s_mat, xhat)
+    det = n[:, 0] * ell[:, 1] - n[:, 1] * ell[:, 0]
+    scale = np.linalg.norm(n, axis=1) * np.linalg.norm(ell, axis=1)
+    valid = np.abs(det) > _REL_TOL * scale
+    valid &= scale > 0
+    u = np.full_like(n, np.nan)
+    d = det[valid]
+    u[valid, 0] = (ell[valid, 1] * mag2[valid] - n[valid, 1] * rhs2[valid]) / d
+    u[valid, 1] = (n[valid, 0] * rhs2[valid] - ell[valid, 0] * mag2[valid]) / d
+    return u, valid
 
 
-def solve_depth(obs, v):
-    """Per-pixel depth Z = n^T A(x) nu / (|n|^2 - n^T B(x) omega).
+def solve_depth(observations, v):
+    """Depth at every pixel, Z = n^T A(x) nu / (|n|^2 - n^T B(x) omega).
 
-    A negative return value means the observation violates cheirality; it
-    is reported, not clamped.
+    Returns (z, valid).  valid is False, and z NaN, where the translational
+    flow along the gradient vanishes or the rotational field alone
+    accounts for the normal flow.  A negative depth means the observation
+    violates cheirality; it is reported, not clamped.
     """
-    xhat = obs.x.xhat
-    a_nu = matrix_a(obs.x.x, obs.x.y) @ v.nu
-    num = float(obs.n @ a_nu)
-    den = obs.mag2 - float(obs.n @ (matrix_b(obs.x.x, obs.x.y) @ v.omega))
-    num_scale = np.linalg.norm(obs.n) * np.linalg.norm(a_nu)
-    if abs(num) <= _REL_TOL * num_scale or num_scale == 0:
-        raise PureTranslationZeroNumerator(
-            "translational flow along the gradient vanishes")
-    if abs(den) <= _REL_TOL * obs.mag2:
-        raise RotationExplainsFlow(
-            "rotational field alone accounts for the normal flow")
-    return num / den
+    obs = as_observations(observations)
+    n, mag2 = obs.n, obs.mag2
+    x, y = obs.xy[:, 0], obs.xy[:, 1]
+    a_nu = matrix_a(x, y) @ v.nu
+    b_om = matrix_b(x, y) @ v.omega
+    num = np.sum(n * a_nu, axis=1)
+    den = mag2 - np.sum(n * b_om, axis=1)
+    num_scale = np.linalg.norm(n, axis=1) * np.linalg.norm(a_nu, axis=1)
+    valid = (np.abs(num) > _REL_TOL * num_scale) & (num_scale > 0)
+    valid &= np.abs(den) > _REL_TOL * mag2
+    z = np.full(len(obs), np.nan)
+    z[valid] = num[valid] / den[valid]
+    return z, valid
 
 
 def build_rows(observations, kind, velocity=None, depths=None):
     """Stack per-observation constraint rows (a, b) with a theta = b."""
-    xy, n, _, mag2 = obs_arrays(observations)
-    x, y = xy[:, 0], xy[:, 1]
+    obs = as_observations(observations)
+    n, mag2 = obs.n, obs.mag2
+    x, y = obs.xy[:, 0], obs.xy[:, 1]
     if kind is ModelKind.OPTICAL_FLOW:
         return n.copy(), mag2
     if kind is ModelKind.DEPTH:
@@ -196,7 +203,7 @@ def build_rows(observations, kind, velocity=None, depths=None):
         if depths is None:
             raise ValueError("six-dof rows need per-observation depths")
         depths = np.asarray(depths, dtype=float).reshape(-1)
-        if depths.size != len(observations):
+        if depths.size != len(obs):
             raise ValueError("depths length must match observations")
         return np.einsum("ki,kij->kj", n, matrix_d(x, y, depths)), mag2
     if kind is ModelKind.DIFF_HOMOGRAPHY:
@@ -217,9 +224,6 @@ def solve_6dof(observations, depths):
     """(nu, omega) from >= 6 observations with known per-observation depth."""
     if len(observations) < 6:
         raise TooFewObservations(f"need >= 6 observations, got {len(observations)}")
-    depths = np.asarray(depths, dtype=float).reshape(-1)
-    if np.any(depths <= 0):
-        raise DegenerateDepth("six-dof solve requires positive depths")
     a, b = build_rows(observations, ModelKind.SIX_DOF, depths=depths)
     theta, _ = stack_and_solve(a, b, min_rank=6)
     return Velocity(nu=theta[:3], omega=theta[3:])
@@ -294,46 +298,3 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     rms = float(np.sqrt(np.mean(resid ** 2))) if final_mask.any() else float("nan")
     return FitReport(kind=kind, theta=theta, inliers=np.nonzero(final_mask)[0],
                      rms=rms, cond=info.cond, iterations=i)
-
-
-def solve_optical_flow_batch(xy, n, mag2, v):
-    """Vectorized per-pixel flow solves; returns (u, valid) with u (K, 2).
-
-    Invalid entries (singular 2x2 systems) hold NaN.
-    """
-    if not np.any(v.nu):
-        raise PureRotation("translational velocity is zero")
-    xy = np.asarray(xy, dtype=float)
-    n = np.asarray(n, dtype=float)
-    mag2 = np.asarray(mag2, dtype=float)
-    xhat = np.concatenate([xy, np.ones((len(xy), 1))], axis=1)
-    _, s_mat = epipolar_terms(v)
-    ell = np.cross(np.broadcast_to(v.nu, xhat.shape), xhat)[:, :2]
-    rhs2 = np.einsum("ki,ij,kj->k", xhat, s_mat, xhat)
-    det = n[:, 0] * ell[:, 1] - n[:, 1] * ell[:, 0]
-    scale = np.linalg.norm(n, axis=1) * np.linalg.norm(ell, axis=1)
-    valid = np.abs(det) > _REL_TOL * scale
-    valid &= scale > 0
-    u = np.full_like(n, np.nan)
-    d = det[valid]
-    u[valid, 0] = (ell[valid, 1] * mag2[valid] - n[valid, 1] * rhs2[valid]) / d
-    u[valid, 1] = (n[valid, 0] * rhs2[valid] - ell[valid, 0] * mag2[valid]) / d
-    return u, valid
-
-
-def solve_depth_batch(xy, n, mag2, v):
-    """Vectorized per-pixel depth solves; returns (z, valid)."""
-    xy = np.asarray(xy, dtype=float)
-    n = np.asarray(n, dtype=float)
-    mag2 = np.asarray(mag2, dtype=float)
-    x, y = xy[:, 0], xy[:, 1]
-    a_nu = matrix_a(x, y) @ v.nu
-    b_om = matrix_b(x, y) @ v.omega
-    num = np.sum(n * a_nu, axis=1)
-    den = mag2 - np.sum(n * b_om, axis=1)
-    num_scale = np.linalg.norm(n, axis=1) * np.linalg.norm(a_nu, axis=1)
-    valid = (np.abs(num) > _REL_TOL * num_scale) & (num_scale > 0)
-    valid &= np.abs(den) > _REL_TOL * mag2
-    z = np.full(len(n), np.nan)
-    z[valid] = num[valid] / den[valid]
-    return z, valid

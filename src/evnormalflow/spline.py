@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfDomain, SolverDegeneracy, UnderDetermined
-from .geometry import obs_arrays
+from .geometry import Observations, as_observations
 from .solvers import ModelKind, RansacConfig, build_rows, ransac_estimate
 
 DEFAULT_KNOT_SPACING = 0.05
@@ -124,7 +124,7 @@ class SplineFitProblem:
     depths) vary meaningfully within an event window.
     """
 
-    observations: tuple
+    observations: Observations
     kind: ModelKind
     depths: np.ndarray | None = None
     robust: bool = True
@@ -135,7 +135,8 @@ class SplineFitProblem:
     def __post_init__(self):
         if self.kind not in _SPLINE_KINDS:
             raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {self.kind}")
-        object.__setattr__(self, "observations", tuple(self.observations))
+        object.__setattr__(self, "observations",
+                           as_observations(self.observations))
         if self.depths is not None:
             d = np.asarray(self.depths, dtype=float).reshape(-1)
             if d.size != len(self.observations):
@@ -156,13 +157,10 @@ class SplineFitReport:
 def _sorted_problem(problem):
     """Fixed accumulation order: sort by (t, x, y) so results do not depend
     on how the caller ordered the observations."""
-    key = sorted(range(len(problem.observations)),
-                 key=lambda i: (problem.observations[i].t,
-                                problem.observations[i].x.x,
-                                problem.observations[i].x.y))
-    obs = [problem.observations[i] for i in key]
+    obs = problem.observations
+    key = np.lexsort((obs.xy[:, 1], obs.xy[:, 0], obs.t))
     depths = problem.depths[key] if problem.depths is not None else None
-    return obs, depths
+    return obs[key], depths
 
 
 def _design(obs, depths, kind, traj):
@@ -174,12 +172,10 @@ def _design(obs, depths, kind, traj):
     of a trajectory equally constrained per observation.
     """
     rows, rhs = build_rows(obs, kind, depths=depths)
-    _, n, _, _ = obs_arrays(obs)
-    inv = 1.0 / np.maximum(np.linalg.norm(n, axis=1), 1e-12)
+    inv = 1.0 / np.maximum(np.linalg.norm(obs.n, axis=1), 1e-12)
     rows = rows * inv[:, None]
     rhs = rhs * inv
-    t = np.array([o.t for o in obs])
-    seg, u = _locate(traj, t)
+    seg, u = _locate(traj, obs.t)
     w = basis_weights(u)                                   # (K, 4)
     k = len(obs)
     n_ctrl, dim = traj.n_ctrl, traj.dim
@@ -323,10 +319,11 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     """
     if kind not in _SPLINE_KINDS:
         raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {kind}")
-    if not observations:
+    obs = as_observations(observations)
+    if not obs:
         raise UnderDetermined("no observations")
     cfg = cfg or RansacConfig()
-    t = np.array([o.t for o in observations])
+    t = obs.t
     if t0 is None or n_ctrl is None:
         t0, n_ctrl = trajectory_covering(float(t.min()), float(t.max()), dt)
     dim = kind.param_dim
@@ -342,7 +339,7 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
         if idx.size >= 2 * kind.minimal_samples:
             try:
                 report = ransac_estimate(
-                    [observations[i] for i in idx], kind, cfg,
+                    obs[idx], kind, cfg,
                     depths=None if depths is None else depths[idx])
                 estimates[j] = report.theta
                 good.append(j)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import TimeSurface, UNFIRED
-from .geometry import (CalibratedPoint, Intrinsics, NormalFlowObs, Velocity,
-                       matrix_a, matrix_b, motion_field, obs_arrays)
+from .geometry import (CalibratedPoint, Intrinsics, Observations, Velocity,
+                       matrix_a, matrix_b, motion_field, squared_norms)
 from .homography import hd_from_plane, recover_true_hd
-from .solvers import (ModelKind, build_rows, solve_depth_batch,
-                      solve_diff_homography, solve_optical_flow_batch,
+from .solvers import (ModelKind, build_rows, solve_depth,
+                      solve_diff_homography, solve_optical_flow,
                       stack_and_solve)
 from .spline import evaluate as spline_evaluate
 
@@ -248,6 +248,8 @@ def generate_dataset(scene, motion, intr=DEFAULT_INTRINSICS, count=1000,
                      window=0.5, noise=NoiseSpec(), seed=0):
     """Sample a normal-flow dataset with exact ground truth.
 
+    Returns (Observations, GroundTruth).
+
     All randomness comes from one seeded stream drawn in a fixed order, so
     a seed reproduces the dataset bit for bit; the measurement noise is
     drawn as unit deviates and scaled, so datasets at different noise
@@ -294,10 +296,7 @@ def generate_dataset(scene, motion, intr=DEFAULT_INTRINSICS, count=1000,
     n[outlier_idx] = out_mag[:, None] * np.stack(
         [np.cos(out_phi), np.sin(out_phi)], axis=1)
 
-    observations = [
-        NormalFlowObs(x=CalibratedPoint(float(xy[i, 0]), float(xy[i, 1])),
-                      n=n[i], t=float(t[i]), mag2=float(n[i] @ n[i]))
-        for i in range(count)]
+    observations = Observations(xy=xy, n=n, t=t)
     truth = GroundTruth(scene=scene, motion=motion, intrinsics=intr,
                         window=window, noise=noise, seed=seed, xy=xy, z=z,
                         t=t, u=u, n_clean=n_clean, outlier_idx=outlier_idx,
@@ -393,18 +392,16 @@ class ToyRegistrationResult:
 
 
 def toy_registration(flows):
-    """Estimate one global flow from normal flows two ways.
+    """Estimate one global flow from normal flows, given as an Observations
+    or a (K, 2) array, two ways.
 
     The constraint-based estimate solves n_i . u = |n_i|^2 in least
     squares; the naive estimate averages the normal flow vectors (which
     systematically under-shoots because each n_i only carries the
     component of u along its own direction).
     """
-    if len(flows) and isinstance(flows[0], NormalFlowObs):
-        _, n, _, mag2 = obs_arrays(flows)
-    else:
-        n = np.asarray(flows, dtype=float).reshape(-1, 2)
-        mag2 = np.sum(n * n, axis=1)
+    n = np.asarray(getattr(flows, "n", flows), dtype=float).reshape(-1, 2)
+    mag2 = squared_norms(n)
     naive = n.mean(axis=0)
     if np.all(mag2 == 0):
         return ToyRegistrationResult(constraint=np.zeros(2), naive=naive)
@@ -442,16 +439,15 @@ def _sweep_setup(kind):
 
 def _sweep_error(kind, observations, truth):
     v = truth.velocity
-    xy, n, _, mag2 = obs_arrays(observations)
     if kind is ModelKind.OPTICAL_FLOW:
-        u, valid = solve_optical_flow_batch(xy, n, mag2, v)
+        u, valid = solve_optical_flow(observations, v)
         if not valid.any():
             return float("nan")
         rel = (np.linalg.norm(u[valid] - truth.u[valid], axis=1)
                / np.linalg.norm(truth.u[valid], axis=1))
         return float(np.median(rel))
     if kind is ModelKind.DEPTH:
-        z, valid = solve_depth_batch(xy, n, mag2, v)
+        z, valid = solve_depth(observations, v)
         if not valid.any():
             return float("nan")
         return float(np.median(np.abs(z[valid] - truth.z[valid]) / truth.z[valid]))

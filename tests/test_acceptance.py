@@ -12,12 +12,11 @@ from evnormalflow import (
     build_rows, decompose_hd, evaluate, extract_normal_flows, fit,
     generate_dataset, hd_from_plane, init_from_linear, pixel_to_calibrated,
     ransac_estimate, recover_true_hd, run_noise_sweep, sample_normal_flow,
-    solve_6dof, solve_angular_velocity, solve_depth_batch,
-    solve_diff_homography, solve_optical_flow_batch, stack_and_solve,
+    solve_6dof, solve_angular_velocity, solve_depth,
+    solve_diff_homography, solve_optical_flow, stack_and_solve,
     surface_from_edges, toy_registration, MovingEdge,
 )
 from evnormalflow.extraction import ExtractionConfig, fit_local_plane
-from evnormalflow.geometry import obs_arrays
 
 
 def report(name, ok, detail):
@@ -46,15 +45,14 @@ def test_exact_inversion_noise_free_all_models():
         points = RandomPointsScene()
         obs, truth = generate_dataset(points, ConstantMotion(v), count=250,
                                       seed=seed)
-        xy, n, _, mag2 = obs_arrays(obs)
 
-        u, valid = solve_optical_flow_batch(xy, n, mag2, v)
+        u, valid = solve_optical_flow(obs, v)
         rel = (np.linalg.norm(u[valid] - truth.u[valid], axis=1)
                / np.linalg.norm(truth.u[valid], axis=1))
         worst[ModelKind.OPTICAL_FLOW] = max(worst[ModelKind.OPTICAL_FLOW],
                                             float(rel.max()))
 
-        z, valid = solve_depth_batch(xy, n, mag2, v)
+        z, valid = solve_depth(obs, v)
         rel = np.abs(z[valid] - truth.z[valid]) / truth.z[valid]
         worst[ModelKind.DEPTH] = max(worst[ModelKind.DEPTH], float(rel.max()))
 
@@ -254,18 +252,15 @@ def test_extraction_end_to_end_laws():
                       velocity=(100.0, 0.0))
     surface = surface_from_edges([edge], shape=(60, 120), window=0.5)
     cfg = ExtractionConfig()
-    records, stats = extract_normal_flows(surface, intr, cfg)
-    assert records, "no flows extracted"
-    speeds = np.array([np.hypot(r.nx_cal * intr.fx, r.ny_cal * intr.fy)
-                       for r in records])
+    obs, stats = extract_normal_flows(surface, intr, cfg)
+    assert obs, "no flows extracted"
+    speeds = np.hypot(obs.n[:, 0] * intr.fx, obs.n[:, 1] * intr.fy)
     mag_err = float(np.max(np.abs(speeds - 100.0) / 100.0))
     worst_parallel = 0.0
     worst_unit = 0.0
-    for r in records[::7]:
-        plane = fit_local_plane(surface, (r.x_px, r.y_px), cfg)
-        _, g_cal = pixel_to_calibrated((r.x_px, r.y_px), intr,
-                                       gradient_px=plane.gradient)
-        n = np.array([r.nx_cal, r.ny_cal])
+    for px, n in zip(obs.px[::7], obs.n[::7]):
+        plane = fit_local_plane(surface, px, cfg)
+        _, g_cal = pixel_to_calibrated(px, intr, gradient_px=plane.gradient)
         cross = abs(n[0] * g_cal[1] - n[1] * g_cal[0])
         scale = np.linalg.norm(n) * np.linalg.norm(g_cal)
         worst_parallel = max(worst_parallel, cross / scale)

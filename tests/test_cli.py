@@ -37,6 +37,22 @@ def simulate(tmp_path, *extra, name="data"):
     return out
 
 
+def edit_cell(csv_path, row, column, value):
+    """Replace one field of a data row (0-based, after the header)."""
+    lines = csv_path.read_text().splitlines()
+    fields = lines[row + 1].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[row + 1] = ",".join(fields)
+    csv_path.write_text("\n".join(lines) + "\n")
+
+
+def cut_row(csv_path, row, keep):
+    """Keep only the first `keep` fields of a data row."""
+    lines = csv_path.read_text().splitlines()
+    lines[row + 1] = ",".join(lines[row + 1].split(",")[:keep])
+    csv_path.write_text("\n".join(lines) + "\n")
+
+
 def strip_z_column(csv_path):
     with open(csv_path, newline="") as fh:
         rows = [row[:7] for row in csv.reader(fh)]
@@ -168,6 +184,36 @@ def test_solve_missing_flows_file(tmp_path):
                "--kind", "angular-velocity", "--output", tmp_path / "x.json") == 2
 
 
+@pytest.mark.parametrize("kind", ["angular-velocity", "six-dof"])
+def test_solve_ragged_flows_csv_exits_2(tmp_path, capsys, kind):
+    out = simulate(tmp_path)
+    cut_row(out / "observations.csv", 4, keep=4)
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv", "--kind", kind,
+               "--output", report_path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_solve_six_dof_nan_depth_exits_2(tmp_path, capsys):
+    out = simulate(tmp_path, "--count", 300)
+    edit_cell(out / "observations.csv", 10, "Z", "nan")
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv", "--kind", "six-dof",
+               "--output", report_path) == 2
+    assert "column Z" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("column", ["t", "x_px", "nx_cal"])
+def test_solve_non_finite_value_exits_2(tmp_path, capsys, column):
+    out = simulate(tmp_path, "--count", 300)
+    edit_cell(out / "observations.csv", 3, column, "inf")
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", tmp_path / "x.json") == 2
+    assert f"column {column}" in capsys.readouterr().err
+
+
 def test_solve_unknown_kind_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         run("solve", "--flows", "x.csv", "--kind", "warp", "--output", "y.json")
@@ -204,6 +250,32 @@ def test_fit_spline_short_span_degenerate(tmp_path):
     assert run("fit-spline", "--flows", out / "observations.csv",
                "--kind", "angular-velocity",
                "--output", tmp_path / "spline.json") == 3
+
+
+def step_dataset(tmp_path):
+    return simulate(tmp_path, "--motion", "step", "--nu", "0,0,0",
+                    "--omega", "0,0,0.5", "--nu-after", "0,0,0",
+                    "--omega-after", "0,0,2", "--count", 1000)
+
+
+def test_fit_spline_ragged_flows_csv_exits_2(tmp_path, capsys):
+    out = step_dataset(tmp_path)
+    cut_row(out / "observations.csv", 4, keep=4)
+    spline_path = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", spline_path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not spline_path.exists()
+
+
+def test_fit_spline_nan_time_exits_2(tmp_path, capsys):
+    out = step_dataset(tmp_path)
+    edit_cell(out / "observations.csv", 7, "t", "nan")
+    spline_path = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", spline_path) == 2
+    assert "column t" in capsys.readouterr().err
+    assert not spline_path.exists()
 
 
 def test_fit_spline_six_dof_needs_depth(tmp_path):

@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 from evnormalflow import (BelowMinGradient, DegenerateConfiguration, Event,
-                          ExtractionConfig, FlowRecord, InsufficientSupport,
-                          Intrinsics, MovingEdge, build_time_surface,
-                          extract_normal_flows, fit_local_plane,
-                          normal_flow_from_gradient, read_flows_csv,
-                          records_to_obs, surface_from_edges, write_flows_csv)
+                          ExtractionConfig, InsufficientSupport, Intrinsics,
+                          MovingEdge, Observations, OutOfBounds,
+                          build_time_surface, extract_normal_flows,
+                          fit_local_plane, normal_flow_from_gradient,
+                          read_flows_csv, records_to_obs, surface_from_edges,
+                          write_flows_csv)
 from evnormalflow.events import TimeSurface, UNFIRED
+from evnormalflow.extraction import FLOWS_DTYPE
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60)
 
@@ -107,9 +109,9 @@ def test_extract_vertical_edge_100px_s():
                         velocity=(100.0, 0.0))]
     surface = surface_from_edges(edges, (INTR.height, INTR.width), window=0.5)
     cfg = ExtractionConfig(temporal_window=0.5)
-    records, stats = extract_normal_flows(surface, INTR, cfg)
-    assert stats.emitted == len(records) > 500
-    flows = np.array([[r.nx_cal, r.ny_cal] for r in records])
+    obs, stats = extract_normal_flows(surface, INTR, cfg)
+    assert stats.emitted == len(obs) > 500
+    flows = obs.n
     target = np.array([100.0 / INTR.fx, 0.0])
     err = np.linalg.norm(flows - target, axis=1) / np.linalg.norm(target)
     assert err.max() <= 0.02
@@ -118,8 +120,8 @@ def test_extract_vertical_edge_100px_s():
 def test_extract_empty_surface():
     ts = np.full((INTR.height, INTR.width), UNFIRED)
     surface = TimeSurface(ts, np.zeros(ts.shape, np.int8), 1.0, 0.04)
-    records, stats = extract_normal_flows(surface, INTR)
-    assert records == [] and stats.candidates == 0
+    obs, stats = extract_normal_flows(surface, INTR)
+    assert len(obs) == 0 and stats.candidates == 0
 
 
 def test_extract_repetitive_texture_rejected():
@@ -142,15 +144,19 @@ def test_extract_deterministic_and_bitwise_equal_to_single_pixel_fits():
     cfg = ExtractionConfig(temporal_window=0.5, seed=5)
     first, s1 = extract_normal_flows(surface, INTR, cfg)
     second, s2 = extract_normal_flows(surface, INTR, cfg)
-    assert first == second and s1.to_dict() == s2.to_dict()
+    for name in ("xy", "n", "t", "mag2", "px", "inliers", "rms"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    assert s1.to_dict() == s2.to_dict()
     assert s1.emitted == len(first) > 100
-    # Every record is the single-pixel fit of its pixel, bit for bit.
-    for r in first:
-        fit = fit_local_plane(surface, (int(r.x_px), int(r.y_px)), cfg)
+    # Every flow is the single-pixel fit of its pixel, bit for bit.
+    for (x, y), n, inliers, rms in zip(first.px.tolist(), first.n.tolist(),
+                                       first.inliers.tolist(),
+                                       first.rms.tolist()):
+        fit = fit_local_plane(surface, (int(x), int(y)), cfg)
         gcx, gcy = INTR.fx * fit.gradient[0], INTR.fy * fit.gradient[1]
         mag2 = gcx * gcx + gcy * gcy
-        assert (r.nx_cal, r.ny_cal) == (gcx / mag2, gcy / mag2)
-        assert (r.inliers, r.rms) == (fit.inlier_count, fit.rms)
+        assert tuple(n) == (gcx / mag2, gcy / mag2)
+        assert (inliers, rms) == (fit.inlier_count, fit.rms)
 
 
 def test_extract_counts_collinear_support_as_degenerate():
@@ -159,9 +165,9 @@ def test_extract_counts_collinear_support_as_degenerate():
     ts[30, 10:70] = 0.99 + 1e-5 * np.arange(60)
     surface = TimeSurface(ts, np.ones(ts.shape, np.int8), 1.0, 0.04)
     cfg = ExtractionConfig(min_support=5)
-    records, stats = extract_normal_flows(surface, INTR, cfg)
+    obs, stats = extract_normal_flows(surface, INTR, cfg)
     # the two end pixels see only 4 line pixels in their 7x7 window
-    assert records == []
+    assert len(obs) == 0
     assert stats.to_dict() == {"candidates": 60, "emitted": 0,
                                "insufficient_support": 2,
                                "degenerate_configuration": 58,
@@ -190,17 +196,19 @@ def test_extract_from_event_stream_end_to_end():
     surface = build_time_surface(events, t_ref=0.5, temporal_window=0.5,
                                  shape=(INTR.height, INTR.width))
     assert np.array_equal(surface.timestamps, oracle.timestamps)
-    records, _ = extract_normal_flows(surface, INTR,
-                                      ExtractionConfig(temporal_window=0.5))
-    flows = np.array([[r.nx_cal, r.ny_cal] for r in records])
-    assert np.allclose(flows, [50.0 / INTR.fx, 0.0], rtol=1e-6, atol=1e-9)
+    obs, _ = extract_normal_flows(surface, INTR,
+                                  ExtractionConfig(temporal_window=0.5))
+    assert np.allclose(obs.n, [50.0 / INTR.fx, 0.0], rtol=1e-6, atol=1e-9)
+
+
+def two_flows():
+    return Observations(xy=np.zeros((2, 2)), n=[(0.25, -0.125), (-0.5, 0.0)],
+                        t=[0.123456789, 0.2], px=[(10, 20), (11, 21)],
+                        inliers=[12, 20], rms=[1e-6, 2e-6])
 
 
 def test_flows_csv_round_trip(tmp_path):
-    records = [FlowRecord(t=0.123456789, x_px=10, y_px=20, nx_cal=0.25,
-                          ny_cal=-0.125, inliers=12, rms=1e-6),
-               FlowRecord(t=0.2, x_px=11, y_px=21, nx_cal=-0.5, ny_cal=0.0,
-                          inliers=20, rms=2e-6)]
+    records = two_flows()
     path = tmp_path / "flows.csv"
     write_flows_csv(path, records)
     back, depths = read_flows_csv(path)
@@ -222,11 +230,93 @@ def test_flows_csv_bad_header(tmp_path):
 
 
 def test_records_to_obs():
-    records = [FlowRecord(t=0.1, x_px=INTR.cx, y_px=INTR.cy, nx_cal=0.3,
-                          ny_cal=0.4, inliers=10, rms=0.0)]
+    records = np.array([(0.1, INTR.cx, INTR.cy, 0.3, 0.4, 10, 0.0)],
+                       dtype=FLOWS_DTYPE).view(np.recarray)
     obs = records_to_obs(records, INTR)
     assert obs[0].x.x == 0.0 and obs[0].x.y == 0.0
     assert obs[0].mag2 == pytest.approx(0.25)
+
+
+def test_records_to_obs_matches_per_row_calibration():
+    rng = np.random.default_rng(14)
+    k = 500
+    records = np.empty(k, dtype=FLOWS_DTYPE).view(np.recarray)
+    records.t = rng.uniform(0, 1, k)
+    records.x_px = rng.integers(0, INTR.width, k)
+    records.y_px = rng.integers(0, INTR.height, k)
+    records.nx_cal, records.ny_cal = rng.standard_normal((2, k))
+    records.inliers, records.rms = 10, 0.0
+    obs = records_to_obs(records, INTR)
+    for i, r in enumerate(records):
+        row = obs[i]
+        assert (row.x.x, row.x.y) == ((float(r.x_px) - INTR.cx) / INTR.fx,
+                                      (float(r.y_px) - INTR.cy) / INTR.fy)
+        n = np.array([r.nx_cal, r.ny_cal])
+        assert row.t == r.t and row.mag2 == float(n @ n)
+    assert np.array_equal(obs.px, np.stack([records.x_px, records.y_px], 1))
+
+
+def test_records_to_obs_checks_every_row():
+    records = np.array([(0.1, 1.0, 1.0, 0.3, 0.4, 10, 0.0),
+                        (0.2, 2.0, INTR.height, 0.3, 0.4, 10, 0.0)],
+                       dtype=FLOWS_DTYPE).view(np.recarray)
+    with pytest.raises(OutOfBounds):
+        records_to_obs(records, INTR)
+
+
+def test_flows_csv_bytes_match_csv_module_format(tmp_path):
+    # the format the file has always had: csv.writer rows of "%.9g" floats
+    # and an integer inlier count, CRLF line ends
+    import csv
+    import io
+    obs = two_flows()
+    depths = np.array([1.5, 2.0 / 3.0])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "x_px", "y_px", "nx_cal", "ny_cal", "inliers", "rms", "Z"])
+    for i in range(2):
+        writer.writerow([f"{obs.t[i]:.9g}", f"{obs.px[i, 0]:.9g}",
+                         f"{obs.px[i, 1]:.9g}", f"{obs.n[i, 0]:.9g}",
+                         f"{obs.n[i, 1]:.9g}", str(obs.inliers[i]),
+                         f"{obs.rms[i]:.9g}", f"{depths[i]:.9g}"])
+    path = tmp_path / "flows.csv"
+    write_flows_csv(path, obs, depths=depths)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_flows_csv_header_only_reads_empty(tmp_path):
+    path = tmp_path / "flows.csv"
+    write_flows_csv(path, two_flows()[:0])
+    records, depths = read_flows_csv(path)   # no "input contained no data"
+    assert len(records) == 0 and depths is None
+    path.write_text("t,x_px,y_px,nx_cal,ny_cal,inliers,rms,Z\n")
+    records, depths = read_flows_csv(path)
+    assert len(records) == 0 and len(depths) == 0
+
+
+def test_flows_csv_rejects_ragged_row(tmp_path):
+    path = tmp_path / "flows.csv"
+    write_flows_csv(path, two_flows())
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:4])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_flows_csv(path)
+
+
+@pytest.mark.parametrize("column", ["t", "x_px", "nx_cal", "rms", "Z"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_flows_csv_rejects_non_finite_values(tmp_path, column, value):
+    path = tmp_path / "flows.csv"
+    write_flows_csv(path, two_flows(), depths=np.array([1.5, 2.5]))
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index(column)] = value
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"column {column} "):
+        read_flows_csv(path)
 
 
 def test_config_validation():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from evnormalflow import (CalibratedPoint, DegenerateDepth, DiffHomography,
-                          Intrinsics, NormalFlowObs, OutOfBounds, Velocity,
-                          calibrated_to_pixel, epipolar_terms, homography_flow,
-                          matrix_a, matrix_b, matrix_c, matrix_d, motion_field,
-                          nf_residual, pixel_to_calibrated, skew, vee)
+                          Intrinsics, NormalFlowObs, Observations, OutOfBounds,
+                          Velocity, as_observations, calibrated_to_pixel,
+                          epipolar_terms, homography_flow, matrix_a, matrix_b,
+                          matrix_c, matrix_d, motion_field, nf_residual,
+                          pixel_to_calibrated, skew, vee)
 
 INTR = Intrinsics(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240, height=180)
 
@@ -84,6 +85,14 @@ def test_matrix_d_nonpositive_depth():
         matrix_d(0.0, 0.0, 0.0)
     with pytest.raises(DegenerateDepth):
         matrix_d(0.1, 0.2, -1.0)
+
+
+def test_nan_depth_is_degenerate():
+    v = Velocity(nu=(1, 0, 0), omega=(0, 0, 0))
+    with pytest.raises(DegenerateDepth):
+        matrix_d([0.0, 0.1], [0.0, 0.2], [2.0, np.nan])
+    with pytest.raises(DegenerateDepth):
+        motion_field([0.0, 0.1], [0.0, 0.2], [np.nan, 2.0], v)
 
 
 def test_epipolar_terms_hand_case():
@@ -216,3 +225,85 @@ def test_sample_identity_from_projected_flow():
         g = np.array([np.cos(phi), np.sin(phi)])
         n = (u @ g) * g
         assert abs(n @ u - n @ n) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# Observations
+
+def random_observations(k, seed):
+    rng = np.random.default_rng(seed)
+    return Observations(xy=rng.uniform(-1, 1, (k, 2)),
+                        n=rng.standard_normal((k, 2)) * rng.uniform(1e-3, 1e3, (k, 1)),
+                        t=rng.uniform(0, 1, k))
+
+
+@pytest.mark.parametrize("column, row", [("xy", 0), ("xy", 3), ("n", 1),
+                                         ("n", 3), ("t", 2)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_observations_reject_non_finite(column, row, value):
+    cols = {"xy": np.zeros((4, 2)), "n": np.ones((4, 2)), "t": np.zeros(4)}
+    cols[column][row, ...] = value
+    with pytest.raises(ValueError):
+        Observations(**cols)
+
+
+def test_observations_fov_limit():
+    with pytest.raises(ValueError):
+        Observations(xy=[(0.0, 0.0), (0.1, -3.5)], n=np.ones((2, 2)), t=[0, 0])
+    Observations(xy=[(2.9, -2.9)], n=[(1.0, 0.0)], t=[0.0])  # inside the limit
+
+
+def test_observations_column_lengths_must_agree():
+    with pytest.raises(ValueError):
+        Observations(xy=np.zeros((3, 2)), n=np.ones((2, 2)), t=np.zeros(3))
+    with pytest.raises(ValueError):
+        Observations(xy=np.zeros((2, 2)), n=np.ones((2, 2)), t=np.zeros(2),
+                     px=np.zeros((3, 2)))
+
+
+def test_observations_indexing_and_iteration():
+    obs = random_observations(10, seed=1)
+    assert len(obs) == 10 and obs and not obs[:0]
+    mask = obs.t > 0.5
+    for subset, rows in ((obs[mask], np.flatnonzero(mask)),
+                         (obs[np.array([7, 2, 2])], [7, 2, 2]),
+                         (obs[2:8:3], [2, 5])):
+        assert isinstance(subset, Observations) and len(subset) == len(rows)
+        for name in ("xy", "n", "t", "mag2"):
+            assert np.array_equal(getattr(subset, name), getattr(obs, name)[rows])
+        assert subset.px is None
+    row = obs[np.int64(3)]
+    assert isinstance(row, NormalFlowObs)
+    assert (row.x.x, row.x.y) == tuple(obs.xy[3]) and row.t == obs.t[3]
+    assert np.array_equal(row.n, obs.n[3]) and row.mag2 == obs.mag2[3]
+    assert obs[-1].t == obs.t[9]
+    rows = list(obs)
+    assert len(rows) == 10 and all(isinstance(r, NormalFlowObs) for r in rows)
+    assert [r.t for r in rows] == obs.t.tolist()
+
+
+def test_observations_optional_columns_follow_indexing():
+    obs = Observations(xy=np.zeros((3, 2)), n=np.ones((3, 2)), t=[0, 1, 2],
+                       px=[(1, 2), (3, 4), (5, 6)], inliers=[7, 8, 9],
+                       rms=[0.1, 0.2, 0.3])
+    subset = obs[np.array([False, True, True])]
+    assert subset.px.tolist() == [[3, 4], [5, 6]]
+    assert subset.inliers.tolist() == [8, 9] and subset.rms.tolist() == [0.2, 0.3]
+
+
+def test_as_observations_round_trip():
+    obs = random_observations(50, seed=2)
+    assert as_observations(obs) is obs
+    again = as_observations(list(obs))
+    for name in ("xy", "n", "t", "mag2"):
+        assert np.array_equal(getattr(again, name), getattr(obs, name))
+    empty = as_observations([])
+    assert len(empty) == 0 and empty.xy.shape == (0, 2)
+    hand = as_observations([NormalFlowObs.make(0.1, 0.2, 3.0, 4.0, 0.5)])
+    assert hand.xy.tolist() == [[0.1, 0.2]] and hand.mag2.tolist() == [25.0]
+
+
+def test_observations_mag2_matches_per_row_dot_bitwise():
+    obs = random_observations(10_000, seed=3)
+    per_row = np.array([float(n @ n) for n in obs.n])
+    assert np.array_equal(obs.mag2, per_row)

@@ -5,16 +5,14 @@ import pytest
 
 from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           ModelKind, NoConsensus, NormalFlowObs, NoiseSpec,
-                          PlaneScene, PureRotation,
-                          PureTranslationZeroNumerator, RandomPointsScene,
-                          RankDeficient, RansacConfig, RotationExplainsFlow,
-                          SingularSystem, TooFewObservations, Velocity,
-                          build_rows, generate_dataset, homography_flow,
-                          matrix_a, matrix_b, motion_field, obs_arrays,
-                          ransac_estimate, solve_6dof, solve_angular_velocity,
-                          solve_depth, solve_depth_batch,
+                          Observations, PlaneScene, PureRotation,
+                          RandomPointsScene, RankDeficient, RansacConfig,
+                          TooFewObservations, Velocity, build_rows,
+                          epipolar_terms, generate_dataset, homography_flow,
+                          matrix_a, matrix_b, motion_field, ransac_estimate,
+                          solve_6dof, solve_angular_velocity, solve_depth,
                           solve_diff_homography, solve_optical_flow,
-                          solve_optical_flow_batch, stack_and_solve)
+                          stack_and_solve)
 
 
 def make_obs(x, y, u, angle_deg):
@@ -24,6 +22,32 @@ def make_obs(x, y, u, angle_deg):
     g = np.array([np.cos(phi), np.sin(phi)])
     n = (u @ g) * g
     return NormalFlowObs.make(x, y, n[0], n[1], 0.0)
+
+
+def scalar_flow(obs, v):
+    """Reference flow at one pixel: its 2x2 system solved on its own, None
+    when the normal flow is parallel to the epipolar direction."""
+    xhat = obs.x.xhat
+    nu_cross, s_mat = epipolar_terms(v)
+    ell, rhs2 = (nu_cross @ xhat)[:2], float(xhat @ s_mat @ xhat)
+    det = obs.n[0] * ell[1] - obs.n[1] * ell[0]
+    scale = np.linalg.norm(obs.n) * np.linalg.norm(ell)
+    if abs(det) <= 1e-12 * scale or scale == 0:
+        return None
+    return np.array([(ell[1] * obs.mag2 - obs.n[1] * rhs2) / det,
+                     (obs.n[0] * rhs2 - ell[0] * obs.mag2) / det])
+
+
+def scalar_depth(obs, v):
+    """Reference closed-form depth at one pixel, None when degenerate."""
+    a_nu = matrix_a(obs.x.x, obs.x.y) @ v.nu
+    num = float(obs.n @ a_nu)
+    den = obs.mag2 - float(obs.n @ (matrix_b(obs.x.x, obs.x.y) @ v.omega))
+    num_scale = np.linalg.norm(obs.n) * np.linalg.norm(a_nu)
+    if (abs(num) <= 1e-12 * num_scale or num_scale == 0
+            or abs(den) <= 1e-12 * obs.mag2):
+        return None
+    return num / den
 
 
 # --------------------------------------------------------------------------
@@ -77,18 +101,21 @@ def test_stack_minimum_norm_when_deficient():
 def test_optical_flow_exact_inversion():
     v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
     rng = np.random.default_rng(22)
+    obs, flows = [], []
     for _ in range(50):
         x, y = rng.uniform(-0.5, 0.5, 2)
         z = rng.uniform(1.0, 5.0)
-        u = motion_field(x, y, z, v)
-        obs = make_obs(x, y, u, 30.0)
-        assert np.allclose(solve_optical_flow(obs, v), u, atol=1e-9)
+        flows.append(motion_field(x, y, z, v))
+        obs.append(make_obs(x, y, flows[-1], 30.0))
+    u, valid = solve_optical_flow(obs, v)
+    assert valid.all()
+    assert np.allclose(u, flows, atol=1e-9)
 
 
 def test_optical_flow_pure_rotation():
     obs = NormalFlowObs.make(0.1, 0.2, 1.0, 0.0, 0.0)
     with pytest.raises(PureRotation):
-        solve_optical_flow(obs, Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0)))
+        solve_optical_flow([obs], Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0)))
 
 
 def test_optical_flow_singular_when_parallel_to_epipolar():
@@ -96,8 +123,9 @@ def test_optical_flow_singular_when_parallel_to_epipolar():
     # flow along it makes the 2x2 system singular
     v = Velocity(nu=(1.0, 0, 0), omega=(0, 0, 0))
     obs = NormalFlowObs.make(0.0, 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(SingularSystem):
-        solve_optical_flow(obs, v)
+    u, valid = solve_optical_flow([obs], v)
+    assert valid.tolist() == [False] and np.isnan(u).all()
+    assert scalar_flow(obs, v) is None
 
 
 def test_depth_hand_example():
@@ -106,7 +134,9 @@ def test_depth_hand_example():
     u = motion_field(0.1, 0.0, 2.0, v)
     assert np.allclose(u, [0.05, 0.0])
     obs = NormalFlowObs.make(0.1, 0.0, u[0], u[1], 0.0)
-    assert solve_depth(obs, v) == pytest.approx(2.0, abs=1e-12)
+    z, valid = solve_depth([obs], v)
+    assert valid.tolist() == [True]
+    assert z[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_depth_rotation_explains_flow():
@@ -114,16 +144,18 @@ def test_depth_rotation_explains_flow():
     # makes the denominator |n|^2 - n^T B omega vanish exactly
     v = Velocity(nu=(-1.0, 0, 0), omega=(0, -1.0, 0))
     obs = NormalFlowObs.make(0.0, 0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(RotationExplainsFlow):
-        solve_depth(obs, v)
+    z, valid = solve_depth([obs], v)
+    assert valid.tolist() == [False] and np.isnan(z[0])
+    assert scalar_depth(obs, v) is None
 
 
 def test_depth_zero_numerator_at_foe():
     # nu = e3 puts the focus of expansion at the origin: A(0,0) nu = 0
     v = Velocity(nu=(0, 0, 1.0), omega=(0, 0, 0))
     obs = NormalFlowObs.make(0.0, 0.0, 0.5, 0.0, 0.0)
-    with pytest.raises(PureTranslationZeroNumerator):
-        solve_depth(obs, v)
+    z, valid = solve_depth([obs], v)
+    assert valid.tolist() == [False] and np.isnan(z[0])
+    assert scalar_depth(obs, v) is None
 
 
 def test_depth_negative_reported_not_clamped():
@@ -131,15 +163,16 @@ def test_depth_negative_reported_not_clamped():
     x, y, z = 0.2, -0.1, -2.0  # behind the camera
     u = matrix_a(x, y) @ v.nu / z + matrix_b(x, y) @ v.omega
     obs = NormalFlowObs.make(x, y, u[0], u[1], 0.0)
-    assert solve_depth(obs, v) == pytest.approx(z, rel=1e-10)
+    depth, valid = solve_depth([obs], v)
+    assert valid.tolist() == [True]
+    assert depth[0] == pytest.approx(z, rel=1e-10)
 
 
 def test_depth_noise_free_median_error():
     v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
     obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
                                   count=1000, seed=30)
-    xy, n, _, mag2 = obs_arrays(obs)
-    z, valid = solve_depth_batch(xy, n, mag2, v)
+    z, valid = solve_depth(obs, v)
     rel = np.abs(z[valid] - truth.z[valid]) / truth.z[valid]
     assert np.median(rel) < 1e-9
 
@@ -148,21 +181,22 @@ def test_batch_solvers_match_scalar():
     v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
     obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
                                   count=200, seed=31)
-    xy, n, _, mag2 = obs_arrays(obs)
-    u_batch, valid_u = solve_optical_flow_batch(xy, n, mag2, v)
-    z_batch, valid_z = solve_depth_batch(xy, n, mag2, v)
-    for i in range(len(obs)):
+    u_batch, valid_u = solve_optical_flow(obs, v)
+    z_batch, valid_z = solve_depth(obs, v)
+    for i, row in enumerate(obs):
+        u, z = scalar_flow(row, v), scalar_depth(row, v)
+        assert (u is not None, z is not None) == (valid_u[i], valid_z[i])
         if valid_u[i]:
-            assert np.allclose(solve_optical_flow(obs[i], v), u_batch[i],
-                               atol=1e-12)
+            assert np.allclose(u, u_batch[i], atol=1e-12)
         if valid_z[i]:
-            assert solve_depth(obs[i], v) == pytest.approx(z_batch[i], abs=1e-12)
+            assert z == pytest.approx(z_batch[i], abs=1e-12)
 
 
 def test_batch_flow_pure_rotation_raises():
     with pytest.raises(PureRotation):
-        solve_optical_flow_batch(np.zeros((3, 2)), np.ones((3, 2)), np.ones(3),
-                                 Velocity(nu=(0, 0, 0), omega=(1, 0, 0)))
+        solve_optical_flow(Observations(xy=np.zeros((3, 2)), n=np.ones((3, 2)),
+                                        t=np.zeros(3)),
+                           Velocity(nu=(0, 0, 0), omega=(1, 0, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -212,6 +246,21 @@ def test_six_dof_exact_recovery():
         solve_6dof(obs[:5], truth.z[:5])
     with pytest.raises(DegenerateDepth):
         solve_6dof(obs, np.concatenate([[-1.0], truth.z[1:]]))
+
+
+def test_nan_depth_raises_degenerate_depth():
+    # a NaN depth is as unusable as a negative one; it must not reach RANSAC
+    v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+    obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                                  count=300, seed=37)
+    depths = truth.z.copy()
+    depths[10] = np.nan
+    with pytest.raises(DegenerateDepth):
+        solve_6dof(obs, depths)
+    with pytest.raises(DegenerateDepth):
+        build_rows(obs, ModelKind.SIX_DOF, depths=depths)
+    with pytest.raises(DegenerateDepth):
+        ransac_estimate(obs, ModelKind.SIX_DOF, depths=depths)
 
 
 def test_six_dof_fronto_parallel_plane_with_axial_translation():

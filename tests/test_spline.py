@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from evnormalflow import (ConstantMotion, ModelKind, OutOfDomain,
-                          RandomPointsScene, RansacConfig, SplineFitProblem,
+from evnormalflow.spline import _sorted_problem
+
+from evnormalflow import (ConstantMotion, ModelKind, Observations,
+                          OutOfDomain, RandomPointsScene, RansacConfig, SplineFitProblem,
                           SplineTrajectory, StepMotion, UnderDetermined,
                           Velocity, basis_weights, evaluate, fit,
                           generate_dataset, init_from_linear,
@@ -204,6 +206,22 @@ def test_fit_bit_stable_under_permutation():
     t1, _ = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY), init)
     t2, _ = fit(SplineFitProblem(shuffled, ModelKind.ANGULAR_VELOCITY), init)
     assert np.array_equal(t1.control_points, t2.control_points)
+
+
+def test_sorted_problem_matches_python_sort_with_ties():
+    # few distinct times and locations, so (t, x) and (t, x, y) ties abound,
+    # including rows that tie on every key
+    rng = np.random.default_rng(76)
+    k = 20_000
+    obs = Observations(xy=rng.integers(-3, 4, (k, 2)) / 10.0,
+                       n=rng.standard_normal((k, 2)),
+                       t=rng.integers(0, 50, k) / 100.0)
+    depths = rng.uniform(1.0, 5.0, k)
+    problem = SplineFitProblem(obs, ModelKind.SIX_DOF, depths=depths)
+    key = sorted(range(k), key=lambda i: (obs.t[i], obs.xy[i, 0], obs.xy[i, 1]))
+    got, got_depths = _sorted_problem(problem)
+    assert np.array_equal(got.n, obs.n[key])
+    assert np.array_equal(got_depths, depths[key])
 
 
 def test_fit_starved_segment_flagged_and_bounded():

@@ -10,7 +10,7 @@ from evnormalflow import (
     ConstantMotion, DegenerateDepth, MovingEdge, NoiseSpec, PlaneScene,
     RandomPointsScene, RankDeficient, SplineMotion, SplineTrajectory,
     StepMotion, TwoWallsScene, Velocity, generate_dataset,
-    ground_truth_flow, matrix_c, obs_arrays, run_noise_sweep,
+    ground_truth_flow, matrix_c, run_noise_sweep,
     sample_normal_flow, surface_from_edges, synthesize_time_surface,
     toy_registration, ModelKind,
 )
@@ -147,7 +147,7 @@ def test_dataset_noise_free_satisfies_flow_identity():
     scene = RandomPointsScene()
     motion = ConstantMotion(Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, 0.0, -0.2)))
     obs, truth = generate_dataset(scene, motion, count=500, seed=10)
-    _, n, _, mag2 = obs_arrays(obs)
+    n, mag2 = obs.n, obs.mag2
     assert np.allclose(np.sum(n * truth.u, axis=1), mag2, atol=1e-12)
     # the sampled component is never unobservably small
     assert np.all(np.sqrt(mag2) >= 1e-6)
@@ -157,7 +157,7 @@ def test_dataset_plane_satisfies_homography_constraint():
     scene = PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0)
     motion = ConstantMotion(Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15)))
     obs, truth = generate_dataset(scene, motion, count=400, seed=11)
-    xy, n, _, mag2 = obs_arrays(obs)
+    xy, n, mag2 = obs.xy, obs.n, obs.mag2
     h_vec = truth.hd.h.reshape(9)
     c = matrix_c(xy[:, 0], xy[:, 1])
     pred = np.einsum("ki,kij,j->k", n, c, h_vec)
@@ -171,7 +171,7 @@ def test_dataset_outlier_bookkeeping():
                                   noise=NoiseSpec(outlier_fraction=0.3))
     assert len(truth.outlier_idx) == 150
     assert truth.inlier_mask.sum() == 350
-    _, n, _, _ = obs_arrays(obs)
+    n = obs.n
     # inliers untouched (sigma 0), outliers resampled
     assert np.allclose(n[truth.inlier_mask], truth.n_clean[truth.inlier_mask])
     changed = np.linalg.norm(n[truth.outlier_idx] - truth.n_clean[truth.outlier_idx],
@@ -188,8 +188,7 @@ def test_dataset_noise_levels_share_randomness():
                                noise=NoiseSpec(sigma_px=0.1))
     obs2, t2 = generate_dataset(scene, motion, count=300, seed=13,
                                 noise=NoiseSpec(sigma_px=1.0))
-    _, n1, _, _ = obs_arrays(obs1)
-    _, n2, _, _ = obs_arrays(obs2)
+    n1, n2 = obs1.n, obs2.n
     dev1 = n1 - t1.n_clean
     dev2 = n2 - t2.n_clean
     assert np.allclose(dev2, 10.0 * dev1, rtol=1e-9, atol=1e-18)
