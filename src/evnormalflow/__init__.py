@@ -25,11 +25,11 @@ from .extraction import (ExtractionConfig, ExtractionStats, PlaneFit,
                          extract_normal_flows, fit_local_plane,
                          normal_flow_from_gradient, read_flows_csv,
                          records_to_obs, write_flows_csv)
-from .geometry import (CalibratedPoint, DiffHomography, Intrinsics,
-                       NormalFlowObs, Observations, Velocity, as_observations,
-                       calibrated_to_pixel, epipolar_terms, homography_flow,
-                       matrix_a, matrix_b, matrix_c, matrix_d, motion_field,
-                       nf_residual, pixel_to_calibrated, skew, vee)
+from .geometry import (DiffHomography, Intrinsics, Observations, Velocity,
+                       as_observations, calibrated_to_pixel, epipolar_terms,
+                       homography_flow, matrix_a, matrix_b, matrix_c, matrix_d,
+                       motion_field, nf_residual, pixel_to_calibrated, skew,
+                       vee)
 from .homography import (DecompositionResult, PlanarStructure, compose_hd,
                          decompose_hd, hd_from_plane, recover_true_hd)
 from .solvers import (FitReport, ModelKind, RansacConfig, SolveInfo,
@@ -43,10 +43,9 @@ from .spline import (SplineFitProblem, SplineFitReport, SplineInitReport,
 from .synthesis import (ConstantMotion, GroundTruth, MovingEdge, NoiseSpec,
                         PlaneScene, RandomPointsScene, SplineMotion,
                         StepMotion, SweepResult, ToyRegistrationResult,
-                        TwoWallsScene, generate_dataset, ground_truth_flow,
-                        run_noise_sweep, sample_normal_flow,
-                        surface_from_edges, synthesize_time_surface,
-                        toy_registration)
+                        TwoWallsScene, generate_dataset, run_noise_sweep,
+                        sample_normal_flow, surface_from_edges,
+                        synthesize_time_surface, toy_registration)
 
 __version__ = "0.1.0"
 

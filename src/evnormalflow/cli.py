@@ -176,7 +176,14 @@ def _merge_config(args, parser):
             key = dest.replace("_", "-")
             if key in config:
                 fn = _bool if isinstance(action.const, bool) else (action.type or str)
-                value = fn(config[key])
+                try:
+                    value = fn(config[key])
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise InputError(f"{args.config}: {key}: {exc}") from exc
+                if action.choices is not None and value not in action.choices:
+                    raise InputError(
+                        f"{args.config}: {key}: invalid choice {value!r} "
+                        f"(choose from {', '.join(action.choices)})")
             else:
                 value = parser.get_default(f"_default_{dest}")
             setattr(args, dest, value)

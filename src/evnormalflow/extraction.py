@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BelowMinGradient, DegenerateConfiguration,
                      InsufficientSupport)
-from .geometry import Observations, calibrate_pixels
+from .geometry import Observations, pixel_to_calibrated
 
 # One row of a flows CSV; simulated data add a depth column Z.
 FLOWS_DTYPE = np.dtype([("t", float), ("x_px", float), ("y_px", float),
@@ -287,12 +287,11 @@ def extract_normal_flows(ts, intr, cfg=None):
     fitted = fits.status == _FITTED
     flat = fitted & (np.sqrt(gx * gx + gy * gy) < cfg.gradient_floor)
     emit = np.flatnonzero(fitted & ~flat)
-    # Gradients map covariantly to calibrated coordinates, n = g / |g|^2.
-    gcx, gcy = intr.fx * gx[emit], intr.fy * gy[emit]
-    mag2 = gcx * gcx + gcy * gcy
     px = np.stack([xs[emit], ys[emit]], axis=1).astype(float)
-    obs = Observations(xy=calibrate_pixels(px, intr),
-                       n=np.stack([gcx / mag2, gcy / mag2], axis=1),
+    xy, g = pixel_to_calibrated(px, intr, gradient_px=fits.coef[emit, :2])
+    # n = g / |g|^2 with the gradient g in calibrated coordinates.
+    mag2 = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+    obs = Observations(xy=xy, n=g / mag2[:, None],
                        t=ts.timestamps[ys[emit], xs[emit]], px=px,
                        inliers=fits.inliers[emit], rms=fits.rms[emit])
     stats = ExtractionStats(
@@ -307,7 +306,7 @@ def records_to_obs(records, intr):
     """Observations (calibrated location and flow, plus the pixel location
     and fit diagnostics) from the records read_flows_csv returns."""
     px = np.stack([records["x_px"], records["y_px"]], axis=1)
-    return Observations(xy=calibrate_pixels(px, intr),
+    return Observations(xy=pixel_to_calibrated(px, intr),
                         n=np.stack([records["nx_cal"], records["ny_cal"]], axis=1),
                         t=records["t"], px=px, inliers=records["inliers"],
                         rms=records["rms"])

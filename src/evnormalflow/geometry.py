@@ -11,9 +11,9 @@ and angular velocity omega over depth Z(x) is
 and a normal flow vector n (the projection of u onto the local image
 gradient direction) satisfies  n . u = |n|^2.
 
-A set of measurements travels as one columnar `Observations` (xy, n, t,
-mag2 arrays) from extraction or synthesis to every solver; NormalFlowObs
-is its row type.
+Measurements travel as one columnar `Observations` (xy, n, t, mag2
+arrays) from extraction or synthesis to every solver; one measurement is a
+one-row Observations.  Every helper here maps (..., 2) arrays row by row.
 """
 from __future__ import annotations
 
@@ -50,28 +50,6 @@ class Intrinsics:
 
 
 @dataclass(frozen=True)
-class CalibratedPoint:
-    """Image point in calibrated coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError("calibrated point must be finite")
-        if max(abs(self.x), abs(self.y)) > FOV_LIMIT:
-            raise ValueError(f"calibrated point outside |x|,|y| <= {FOV_LIMIT}")
-
-    @property
-    def xy(self):
-        return np.array([self.x, self.y])
-
-    @property
-    def xhat(self):
-        return np.array([self.x, self.y, 1.0])
-
-
-@dataclass(frozen=True)
 class Velocity:
     """Camera linear velocity nu (m/s) and angular velocity omega (rad/s)."""
 
@@ -100,30 +78,6 @@ class DiffHomography:
         object.__setattr__(self, "h", h)
 
 
-@dataclass(frozen=True)
-class NormalFlowObs:
-    """One normal flow measurement: calibrated location, flow n (units/s),
-    event timestamp, and the cached squared magnitude n.n; the row type of
-    Observations."""
-
-    x: CalibratedPoint
-    n: np.ndarray
-    t: float
-    mag2: float
-
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float).reshape(2)
-        if not np.all(np.isfinite(n)):
-            raise ValueError("normal flow must be finite")
-        object.__setattr__(self, "n", n)
-
-    @classmethod
-    def make(cls, x, y, nx, ny, t):
-        n = np.array([nx, ny], dtype=float)
-        return cls(x=CalibratedPoint(float(x), float(y)), n=n, t=float(t),
-                   mag2=float(n @ n))
-
-
 def squared_norms(v):
     """Row-wise v_i . v_i of a (K, 2) array, bit-identical to float(v_i @ v_i);
     np.sum(v * v, 1) differs in the last bit on about one row in six."""
@@ -138,8 +92,8 @@ class Observations:
     optional; only the flows CSV uses them.
 
     Construction checks that xy, n and t are finite and |x|,|y| <= FOV_LIMIT.
-    A mask, index array or slice gives an Observations (not checked again),
-    an integer a NormalFlowObs row; iteration yields rows.
+    A mask, index array, slice or integer gives an Observations (not checked
+    again); an integer selects one row, and iteration yields one-row sets.
     """
 
     xy: np.ndarray
@@ -173,28 +127,45 @@ class Observations:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            x, y = self.xy[index].tolist()
-            return NormalFlowObs(x=CalibratedPoint(x, y), n=self.n[index],
-                                 t=float(self.t[index]),
-                                 mag2=float(self.mag2[index]))
-        subset = object.__new__(Observations)
-        for f in fields(self):
-            column = getattr(self, f.name)
-            object.__setattr__(subset, f.name,
-                               None if column is None else column[index])
-        return subset
+            i = range(len(self))[index]   # wraps negatives, checks bounds
+            index = slice(i, i + 1)
+        columns = {}
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            columns[name] = None if column is None else column[index]
+        return _from_columns(columns)
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return (self[i:i + 1] for i in range(len(self)))
+
+
+_COLUMNS = tuple(f.name for f in fields(Observations))
+
+
+def _from_columns(columns):
+    """An Observations of already checked columns, one per field."""
+    obs = object.__new__(Observations)
+    for name, column in columns.items():
+        object.__setattr__(obs, name, column)
+    return obs
 
 
 def as_observations(observations):
-    """An Observations unchanged, or a sequence of NormalFlowObs stacked once."""
+    """An Observations unchanged, or the rows of a sequence of Observations
+    concatenated once; an empty sequence gives an empty set."""
     if isinstance(observations, Observations):
         return observations
-    rows = list(observations)
-    return Observations(xy=[(o.x.x, o.x.y) for o in rows],
-                        n=[o.n for o in rows], t=[o.t for o in rows])
+    parts = list(observations)
+    if not all(isinstance(part, Observations) for part in parts):
+        raise TypeError("expected an Observations or a sequence of them")
+    if not parts:
+        return Observations(xy=[], n=[], t=[])
+    columns = {}
+    for name in _COLUMNS:
+        values = [getattr(part, name) for part in parts]
+        columns[name] = (None if any(v is None for v in values)
+                         else np.concatenate(values))
+    return _from_columns(columns)
 
 
 def skew(v):
@@ -280,18 +251,11 @@ def epipolar_terms(v):
     return nu_cross, s
 
 
-def nf_residual(obs, u):
-    """Normal-flow constraint residual n . u - |n|^2.
-
-    `obs` may be a NormalFlowObs or a bare 2-vector n.
-    """
-    if isinstance(obs, NormalFlowObs):
-        n, mag2 = obs.n, obs.mag2
-    else:
-        n = np.asarray(obs, dtype=float).reshape(2)
-        mag2 = float(n @ n)
-    u = np.asarray(u, dtype=float).reshape(2)
-    return float(n @ u - mag2)
+def nf_residual(n, u):
+    """Normal-flow constraint residual n . u - |n|^2, row by row."""
+    n = np.asarray(n, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return np.sum(n * u, axis=-1) - np.sum(n * n, axis=-1)
 
 
 def motion_field(x, y, z, v):
@@ -316,36 +280,28 @@ def homography_flow(h, x, y):
     return w[..., :2] - xhat[..., :2] * w[..., 2:3]
 
 
-def pixel_to_calibrated(point_px, intr, gradient_px=None):
-    """Convert a pixel location (and optionally a time-surface gradient in
-    s/px) to calibrated coordinates.
+def pixel_to_calibrated(px, intr, gradient_px=None):
+    """Calibrated locations of pixel locations px (..., 2), and optionally
+    of time-surface gradients in s/px at them.
 
-    Points map contravariantly, ((px - c) / f); gradients of a scalar field
+    Points map contravariantly, (px - c) / f; gradients of a scalar field
     map covariantly, (fx gx, fy gy), so that gradient-derived flows stay
-    consistent with the calibrated motion field.
+    consistent with the calibrated motion field.  Raises OutOfBounds naming
+    the first pixel off the sensor.
     """
-    point = CalibratedPoint(*calibrate_pixels(
-        np.asarray(point_px, dtype=float).reshape(1, 2), intr)[0])
-    if gradient_px is None:
-        return point
-    g = np.asarray(gradient_px, dtype=float).reshape(2)
-    return point, np.array([intr.fx * g[0], intr.fy * g[1]])
-
-
-def calibrate_pixels(px, intr):
-    """Calibrated locations of (K, 2) pixel locations; raises OutOfBounds
-    naming the first pixel off the sensor."""
-    inside = np.all((px >= 0) & (px < np.array([intr.width, intr.height])), axis=1)
+    px = np.asarray(px, dtype=float)
+    inside = np.all((px >= 0) & (px < np.array([intr.width, intr.height])),
+                    axis=-1)
     if not inside.all():
-        bad = tuple(px[np.argmin(inside)].tolist())
+        bad = tuple(px.reshape(-1, 2)[np.argmin(inside.reshape(-1))].tolist())
         raise OutOfBounds(f"pixel {bad} outside {intr.width}x{intr.height}")
-    return (px - np.array([intr.cx, intr.cy])) / np.array([intr.fx, intr.fy])
+    xy = (px - np.array([intr.cx, intr.cy])) / np.array([intr.fx, intr.fy])
+    if gradient_px is None:
+        return xy
+    return xy, np.asarray(gradient_px, dtype=float) * np.array([intr.fx, intr.fy])
 
 
-def calibrated_to_pixel(point, intr):
-    """Inverse of pixel_to_calibrated for locations; a (..., 2) array maps
-    row by row."""
-    if isinstance(point, CalibratedPoint):
-        point = point.xy
-    p = np.asarray(point, dtype=float)
-    return p * np.array([intr.fx, intr.fy]) + np.array([intr.cx, intr.cy])
+def calibrated_to_pixel(xy, intr):
+    """Inverse of pixel_to_calibrated for locations xy (..., 2)."""
+    xy = np.asarray(xy, dtype=float)
+    return xy * np.array([intr.fx, intr.fy]) + np.array([intr.cx, intr.cy])

@@ -12,11 +12,11 @@ per observation:
                     is rank-deficient by one (H and H + eps I produce the
                     same flow), resolved by the minimum-norm solution
 
-Every solver takes an Observations (a sequence of NormalFlowObs rows is
-stacked once on entry).  The per-pixel solvers work on all pixels at once
-and return (values, valid), with NaN where a pixel's system is singular.
-stack_and_solve handles the stacked systems, ransac_estimate wraps them
-for outlier-contaminated data.
+Every solver takes an Observations; a sequence of Observations (such as
+one-row sets) is concatenated once on entry.  The per-pixel solvers work
+on all pixels at once and return (values, valid), with NaN where a
+pixel's system is singular.  stack_and_solve handles the stacked
+systems, ransac_estimate wraps them for outlier-contaminated data.
 """
 from __future__ import annotations
 
@@ -213,18 +213,20 @@ def build_rows(observations, kind, velocity=None, depths=None):
 
 def solve_angular_velocity(observations):
     """omega from >= 3 observations via  n^T B(x) omega = |n|^2."""
-    if len(observations) < 3:
-        raise TooFewObservations(f"need >= 3 observations, got {len(observations)}")
-    a, b = build_rows(observations, ModelKind.ANGULAR_VELOCITY)
+    obs = as_observations(observations)
+    if len(obs) < 3:
+        raise TooFewObservations(f"need >= 3 observations, got {len(obs)}")
+    a, b = build_rows(obs, ModelKind.ANGULAR_VELOCITY)
     omega, _ = stack_and_solve(a, b, min_rank=3)
     return omega
 
 
 def solve_6dof(observations, depths):
     """(nu, omega) from >= 6 observations with known per-observation depth."""
-    if len(observations) < 6:
-        raise TooFewObservations(f"need >= 6 observations, got {len(observations)}")
-    a, b = build_rows(observations, ModelKind.SIX_DOF, depths=depths)
+    obs = as_observations(observations)
+    if len(obs) < 6:
+        raise TooFewObservations(f"need >= 6 observations, got {len(obs)}")
+    a, b = build_rows(obs, ModelKind.SIX_DOF, depths=depths)
     theta, _ = stack_and_solve(a, b, min_rank=6)
     return Velocity(nu=theta[:3], omega=theta[3:])
 
@@ -235,9 +237,10 @@ def solve_diff_homography(observations):
     H_L equals the true differential homography up to an eps I term; see
     homography.recover_true_hd for resolving it.
     """
-    if len(observations) < 8:
-        raise TooFewObservations(f"need >= 8 observations, got {len(observations)}")
-    a, b = build_rows(observations, ModelKind.DIFF_HOMOGRAPHY)
+    obs = as_observations(observations)
+    if len(obs) < 8:
+        raise TooFewObservations(f"need >= 8 observations, got {len(obs)}")
+    a, b = build_rows(obs, ModelKind.DIFF_HOMOGRAPHY)
     theta, _ = stack_and_solve(a, b, min_rank=8)
     return DiffHomography(theta.reshape(3, 3))
 
@@ -263,11 +266,12 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     satisfies |n^T O(x) theta - |n|^2| <= threshold.
     """
     cfg = cfg or RansacConfig()
-    k = len(observations)
+    obs = as_observations(observations)
+    k = len(obs)
     c = kind.minimal_samples
     if k < c:
         raise TooFewObservations(f"need >= {c} observations, got {k}")
-    a, b = build_rows(observations, kind, velocity=velocity, depths=depths)
+    a, b = build_rows(obs, kind, velocity=velocity, depths=depths)
 
     best_count = 0
     best_mask = None

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import TimeSurface, UNFIRED
-from .geometry import (CalibratedPoint, Intrinsics, Observations, Velocity,
-                       matrix_a, matrix_b, motion_field, squared_norms)
+from .geometry import (Intrinsics, Observations, Velocity, matrix_a, matrix_b,
+                       squared_norms)
 from .homography import hd_from_plane, recover_true_hd
-from .solvers import (ModelKind, build_rows, solve_depth,
-                      solve_diff_homography, solve_optical_flow,
+from .solvers import (ModelKind, solve_6dof, solve_angular_velocity,
+                      solve_depth, solve_diff_homography, solve_optical_flow,
                       stack_and_solve)
 from .spline import evaluate as spline_evaluate
 
@@ -143,9 +143,6 @@ class StepMotion:
         omega = np.where(late, self.after.omega, self.before.omega)
         return nu, omega
 
-    def velocity(self, t):
-        return self.after if t >= self.t_switch else self.before
-
 
 @dataclass(frozen=True)
 class SplineMotion:
@@ -181,15 +178,6 @@ class NoiseSpec:
             raise ValueError("sigma_px must be >= 0")
         if not 0 <= self.outlier_fraction < 1:
             raise ValueError("outlier_fraction must be in [0, 1)")
-
-
-def ground_truth_flow(point, z, v):
-    """Exact motion-field flow at calibrated point(s)."""
-    if isinstance(point, CalibratedPoint):
-        return motion_field(point.x, point.y, np.asarray(z, dtype=float), v)
-    point = np.asarray(point, dtype=float)
-    return motion_field(point[..., 0], point[..., 1],
-                        np.asarray(z, dtype=float), v)
 
 
 def sample_normal_flow(u, g_dir, tol=UNOBSERVABLE_TOL):
@@ -452,19 +440,14 @@ def _sweep_error(kind, observations, truth):
             return float("nan")
         return float(np.median(np.abs(z[valid] - truth.z[valid]) / truth.z[valid]))
     if kind is ModelKind.ANGULAR_VELOCITY:
-        a, b = build_rows(observations, kind)
-        theta, _ = stack_and_solve(a, b)
-        gt = v.omega
+        est, gt = solve_angular_velocity(observations), v.omega
     elif kind is ModelKind.SIX_DOF:
-        a, b = build_rows(observations, kind, depths=truth.z)
-        theta, _ = stack_and_solve(a, b)
-        gt = np.concatenate([v.nu, v.omega])
+        fit = solve_6dof(observations, truth.z)
+        est, gt = np.r_[fit.nu, fit.omega], np.r_[v.nu, v.omega]
     else:
-        h_l = solve_diff_homography(observations)
-        h_d, _ = recover_true_hd(h_l)
-        gt_h = truth.hd.h
-        return float(np.linalg.norm(h_d.h - gt_h) / np.linalg.norm(gt_h))
-    return float(np.linalg.norm(theta - gt) / np.linalg.norm(gt))
+        h_d, _ = recover_true_hd(solve_diff_homography(observations))
+        est, gt = h_d.h, truth.hd.h
+    return float(np.linalg.norm(est - gt) / np.linalg.norm(gt))
 
 
 def run_noise_sweep(kind, noise_grid_px=(0.01, 0.1, 1.0, 10.0, 100.0),

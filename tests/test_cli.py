@@ -362,6 +362,16 @@ def test_bench_noise_bad_grid(tmp_path):
                "--output", tmp_path / "sweep.csv") == 2
 
 
+@pytest.mark.parametrize("kind, samples", [("angular-velocity", 2),
+                                           ("six-dof", 5),
+                                           ("diff-homography", 7)])
+def test_bench_noise_too_few_samples_is_degenerate(tmp_path, capsys, kind,
+                                                   samples):
+    assert run("bench-noise", "--kind", kind, "--trials", 2, "--samples",
+               samples, "--output", tmp_path / "sweep.csv") == 3
+    assert "need >=" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # config file / environment / flag precedence
 
@@ -402,6 +412,24 @@ def test_config_bad_line(tmp_path):
     config.write_text("this is not a key value pair\n")
     assert run("simulate", "--output-dir", tmp_path / "x",
                "--config", config) == 2
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--output-dir", "data"], "nu = 1,2"),
+    (["bench-noise", "--kind", "depth", "--output", "noise.csv"], "grid = 1,x"),
+    (["extract", "--events", "events.txt", "--output", "flows.csv"],
+     "polarity = bogus"),
+    (["solve", "--flows", "flows.csv", "--output", "fit.json"], "kind = bogus"),
+], ids=["simulate-nu", "bench-noise-grid", "extract-polarity", "solve-kind"])
+def test_config_value_checked_like_a_flag(tmp_path, capsys, argv, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    argv = [tmp_path / a if a.endswith((".txt", ".csv", ".json", "data")) else a
+            for a in argv]
+    assert run(*argv, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split()[0] in err
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_missing_required_option(tmp_path):

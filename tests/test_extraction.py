@@ -233,8 +233,8 @@ def test_records_to_obs():
     records = np.array([(0.1, INTR.cx, INTR.cy, 0.3, 0.4, 10, 0.0)],
                        dtype=FLOWS_DTYPE).view(np.recarray)
     obs = records_to_obs(records, INTR)
-    assert obs[0].x.x == 0.0 and obs[0].x.y == 0.0
-    assert obs[0].mag2 == pytest.approx(0.25)
+    assert obs.xy.tolist() == [[0.0, 0.0]]
+    assert obs.mag2[0] == pytest.approx(0.25)
 
 
 def test_records_to_obs_matches_per_row_calibration():
@@ -248,11 +248,10 @@ def test_records_to_obs_matches_per_row_calibration():
     records.inliers, records.rms = 10, 0.0
     obs = records_to_obs(records, INTR)
     for i, r in enumerate(records):
-        row = obs[i]
-        assert (row.x.x, row.x.y) == ((float(r.x_px) - INTR.cx) / INTR.fx,
-                                      (float(r.y_px) - INTR.cy) / INTR.fy)
+        assert tuple(obs.xy[i]) == ((float(r.x_px) - INTR.cx) / INTR.fx,
+                                    (float(r.y_px) - INTR.cy) / INTR.fy)
         n = np.array([r.nx_cal, r.ny_cal])
-        assert row.t == r.t and row.mag2 == float(n @ n)
+        assert obs.t[i] == r.t and obs.mag2[i] == float(n @ n)
     assert np.array_equal(obs.px, np.stack([records.x_px, records.y_px], 1))
 
 

@@ -3,9 +3,9 @@ pixel <-> calibrated conversions."""
 import numpy as np
 import pytest
 
-from evnormalflow import (CalibratedPoint, DegenerateDepth, DiffHomography,
-                          Intrinsics, NormalFlowObs, Observations, OutOfBounds,
-                          Velocity, as_observations, calibrated_to_pixel,
+from evnormalflow import (DegenerateDepth, DiffHomography, Intrinsics,
+                          Observations, OutOfBounds, Velocity,
+                          as_observations, calibrated_to_pixel,
                           epipolar_terms, homography_flow, matrix_a, matrix_b,
                           matrix_c, matrix_d, motion_field, nf_residual,
                           pixel_to_calibrated, skew, vee)
@@ -117,12 +117,15 @@ def test_epipolar_terms_symmetric():
 
 
 def test_nf_residual():
-    obs = NormalFlowObs.make(0.0, 0.0, 1.732, 0.0, 0.0)
-    assert abs(nf_residual(obs, np.array([1.732, -1.0]))) < 1e-12
-    obs2 = NormalFlowObs.make(0.0, 0.0, 0.4, -0.3, 0.0)
-    assert abs(nf_residual(obs2, obs2.n)) < 1e-15
-    obs3 = NormalFlowObs.make(0.0, 0.0, 1.0, 0.0, 0.0)
-    assert nf_residual(obs3, np.array([0.0, 1.0])) == -1.0
+    assert abs(nf_residual([1.732, 0.0], np.array([1.732, -1.0]))) < 1e-12
+    n2 = np.array([0.4, -0.3])
+    assert abs(nf_residual(n2, n2)) < 1e-15
+    assert nf_residual([1.0, 0.0], np.array([0.0, 1.0])) == -1.0
+    # (K, 2) arrays give one residual per row
+    n = np.array([[1.732, 0.0], [0.4, -0.3], [1.0, 0.0]])
+    u = np.array([[1.732, -1.0], [0.4, -0.3], [0.0, 1.0]])
+    assert np.array_equal(nf_residual(n, u),
+                          [nf_residual(a, b) for a, b in zip(n, u)])
 
 
 def test_skew_vee_round_trip():
@@ -178,22 +181,27 @@ def test_homography_flow_eps_invariance():
 
 
 def test_pixel_to_calibrated_principal_point():
-    point = pixel_to_calibrated((INTR.cx, INTR.cy), INTR)
-    assert point.x == 0.0 and point.y == 0.0
+    xy = pixel_to_calibrated([(INTR.cx, INTR.cy), (INTR.cx + 20, INTR.cy)], INTR)
+    assert xy.tolist() == [[0.0, 0.0], [0.1, 0.0]]
 
 
 def test_gradient_maps_covariantly():
-    _, g_cal = pixel_to_calibrated((10, 10), INTR, gradient_px=(0.5, 0.0))
-    assert np.allclose(g_cal, [100.0, 0.0])
+    xy, g_cal = pixel_to_calibrated([(10, 10), (20, 30)], INTR,
+                                    gradient_px=[(0.5, 0.0), (0.0, -0.25)])
+    assert xy.shape == g_cal.shape == (2, 2)
+    assert np.allclose(g_cal, [[100.0, 0.0], [0.0, -50.0]])
 
 
 def test_pixel_round_trip():
     rng = np.random.default_rng(8)
-    for _ in range(50):
-        px = rng.uniform([0, 0], [INTR.width - 1e-9, INTR.height - 1e-9])
-        point = pixel_to_calibrated(px, INTR)
-        back = calibrated_to_pixel(point, INTR)
-        assert np.allclose(back, px, atol=1e-12)
+    px = rng.uniform([0, 0], [INTR.width - 1e-9, INTR.height - 1e-9], (50, 2))
+    xy = pixel_to_calibrated(px, INTR)
+    assert xy.shape == (50, 2)
+    assert np.allclose(calibrated_to_pixel(xy, INTR), px, atol=1e-12)
+    # a single (2,) location maps the same as its row
+    assert np.array_equal(pixel_to_calibrated(px[7], INTR), xy[7])
+    assert np.array_equal(calibrated_to_pixel(xy[7], INTR),
+                          calibrated_to_pixel(xy, INTR)[7])
 
 
 def test_pixel_out_of_bounds():
@@ -201,12 +209,9 @@ def test_pixel_out_of_bounds():
         pixel_to_calibrated((-1, 10), INTR)
     with pytest.raises(OutOfBounds):
         pixel_to_calibrated((10, INTR.height), INTR)
-
-
-def test_calibrated_point_fov_limit():
-    with pytest.raises(ValueError):
-        CalibratedPoint(3.5, 0.0)
-    CalibratedPoint(2.9, -2.9)  # inside the limit
+    # the error names the first pixel off the sensor
+    with pytest.raises(OutOfBounds, match=r"\(5\.0, 180\.0\)"):
+        pixel_to_calibrated([(1, 1), (5, INTR.height), (-1, 0)], INTR)
 
 
 def test_intrinsics_validation():
@@ -250,6 +255,8 @@ def test_observations_reject_non_finite(column, row, value):
 def test_observations_fov_limit():
     with pytest.raises(ValueError):
         Observations(xy=[(0.0, 0.0), (0.1, -3.5)], n=np.ones((2, 2)), t=[0, 0])
+    with pytest.raises(ValueError):
+        Observations(xy=[(3.5, 0.0)], n=[(1.0, 0.0)], t=[0.0])
     Observations(xy=[(2.9, -2.9)], n=[(1.0, 0.0)], t=[0.0])  # inside the limit
 
 
@@ -272,14 +279,19 @@ def test_observations_indexing_and_iteration():
         for name in ("xy", "n", "t", "mag2"):
             assert np.array_equal(getattr(subset, name), getattr(obs, name)[rows])
         assert subset.px is None
-    row = obs[np.int64(3)]
-    assert isinstance(row, NormalFlowObs)
-    assert (row.x.x, row.x.y) == tuple(obs.xy[3]) and row.t == obs.t[3]
-    assert np.array_equal(row.n, obs.n[3]) and row.mag2 == obs.mag2[3]
-    assert obs[-1].t == obs.t[9]
+    for index, i in ((3, 3), (np.int64(3), 3), (-1, 9), (-10, 0)):
+        row = obs[index]
+        assert isinstance(row, Observations) and len(row) == 1
+        for name in ("xy", "n", "t", "mag2"):
+            assert np.array_equal(getattr(row, name), getattr(obs, name)[i:i + 1])
+    for index in (10, -11):
+        with pytest.raises(IndexError):
+            obs[index]
     rows = list(obs)
-    assert len(rows) == 10 and all(isinstance(r, NormalFlowObs) for r in rows)
-    assert [r.t for r in rows] == obs.t.tolist()
+    assert len(rows) == 10
+    assert all(isinstance(r, Observations) and len(r) == 1 for r in rows)
+    assert [r.t[0] for r in rows] == obs.t.tolist()
+    assert np.array_equal(np.concatenate([r.xy for r in rows]), obs.xy)
 
 
 def test_observations_optional_columns_follow_indexing():
@@ -289,18 +301,32 @@ def test_observations_optional_columns_follow_indexing():
     subset = obs[np.array([False, True, True])]
     assert subset.px.tolist() == [[3, 4], [5, 6]]
     assert subset.inliers.tolist() == [8, 9] and subset.rms.tolist() == [0.2, 0.3]
+    row = obs[-1]
+    assert row.px.tolist() == [[5, 6]] and row.inliers.tolist() == [9]
 
 
 def test_as_observations_round_trip():
     obs = random_observations(50, seed=2)
     assert as_observations(obs) is obs
-    again = as_observations(list(obs))
-    for name in ("xy", "n", "t", "mag2"):
-        assert np.array_equal(getattr(again, name), getattr(obs, name))
+    for parts in (list(obs), [obs[:20], obs[20:21], obs[21:]]):
+        again = as_observations(parts)
+        assert isinstance(again, Observations)
+        for name in ("xy", "n", "t", "mag2"):
+            assert np.array_equal(getattr(again, name), getattr(obs, name))
+        assert again.px is None
     empty = as_observations([])
-    assert len(empty) == 0 and empty.xy.shape == (0, 2)
-    hand = as_observations([NormalFlowObs.make(0.1, 0.2, 3.0, 4.0, 0.5)])
+    assert len(empty) == 0 and empty.xy.shape == empty.n.shape == (0, 2)
+    hand = as_observations([Observations(xy=[(0.1, 0.2)], n=[(3.0, 4.0)],
+                                         t=[0.5])])
     assert hand.xy.tolist() == [[0.1, 0.2]] and hand.mag2.tolist() == [25.0]
+    # optional columns survive when every part has them
+    with_px = Observations(xy=np.zeros((2, 2)), n=np.ones((2, 2)), t=[0, 1],
+                           px=[(1, 2), (3, 4)], inliers=[5, 6], rms=[0.1, 0.2])
+    again = as_observations(list(with_px))
+    assert again.px.tolist() == [[1, 2], [3, 4]]
+    assert again.inliers.tolist() == [5, 6] and again.rms.tolist() == [0.1, 0.2]
+    with pytest.raises(TypeError):
+        as_observations([(0.1, 0.2, 3.0, 4.0, 0.5)])
 
 
 def test_observations_mag2_matches_per_row_dot_bitwise():

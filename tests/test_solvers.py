@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
-                          ModelKind, NoConsensus, NormalFlowObs, NoiseSpec,
+                          ModelKind, NoConsensus, NoiseSpec,
                           Observations, PlaneScene, PureRotation,
                           RandomPointsScene, RankDeficient, RansacConfig,
                           TooFewObservations, Velocity, build_rows,
@@ -15,37 +15,46 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           stack_and_solve)
 
 
+def one_obs(x, y, nx, ny, t=0.0):
+    """A one-row Observations: flow (nx, ny) at calibrated (x, y)."""
+    return Observations(xy=[(x, y)], n=[(nx, ny)], t=[t])
+
+
 def make_obs(x, y, u, angle_deg):
     """Observation at (x, y) whose gradient sits angle_deg from the flow u."""
     base = np.arctan2(u[1], u[0])
     phi = base + np.deg2rad(angle_deg)
     g = np.array([np.cos(phi), np.sin(phi)])
     n = (u @ g) * g
-    return NormalFlowObs.make(x, y, n[0], n[1], 0.0)
+    return one_obs(x, y, n[0], n[1])
 
 
 def scalar_flow(obs, v):
-    """Reference flow at one pixel: its 2x2 system solved on its own, None
-    when the normal flow is parallel to the epipolar direction."""
-    xhat = obs.x.xhat
+    """Reference flow at a one-row Observations: its 2x2 system solved on
+    its own, None when the normal flow is parallel to the epipolar
+    direction."""
+    (x, y), n, mag2 = obs.xy[0], obs.n[0], obs.mag2[0]
+    xhat = np.array([x, y, 1.0])
     nu_cross, s_mat = epipolar_terms(v)
     ell, rhs2 = (nu_cross @ xhat)[:2], float(xhat @ s_mat @ xhat)
-    det = obs.n[0] * ell[1] - obs.n[1] * ell[0]
-    scale = np.linalg.norm(obs.n) * np.linalg.norm(ell)
+    det = n[0] * ell[1] - n[1] * ell[0]
+    scale = np.linalg.norm(n) * np.linalg.norm(ell)
     if abs(det) <= 1e-12 * scale or scale == 0:
         return None
-    return np.array([(ell[1] * obs.mag2 - obs.n[1] * rhs2) / det,
-                     (obs.n[0] * rhs2 - ell[0] * obs.mag2) / det])
+    return np.array([(ell[1] * mag2 - n[1] * rhs2) / det,
+                     (n[0] * rhs2 - ell[0] * mag2) / det])
 
 
 def scalar_depth(obs, v):
-    """Reference closed-form depth at one pixel, None when degenerate."""
-    a_nu = matrix_a(obs.x.x, obs.x.y) @ v.nu
-    num = float(obs.n @ a_nu)
-    den = obs.mag2 - float(obs.n @ (matrix_b(obs.x.x, obs.x.y) @ v.omega))
-    num_scale = np.linalg.norm(obs.n) * np.linalg.norm(a_nu)
+    """Reference closed-form depth at a one-row Observations, None when
+    degenerate."""
+    (x, y), n, mag2 = obs.xy[0], obs.n[0], obs.mag2[0]
+    a_nu = matrix_a(x, y) @ v.nu
+    num = float(n @ a_nu)
+    den = mag2 - float(n @ (matrix_b(x, y) @ v.omega))
+    num_scale = np.linalg.norm(n) * np.linalg.norm(a_nu)
     if (abs(num) <= 1e-12 * num_scale or num_scale == 0
-            or abs(den) <= 1e-12 * obs.mag2):
+            or abs(den) <= 1e-12 * mag2):
         return None
     return num / den
 
@@ -113,17 +122,17 @@ def test_optical_flow_exact_inversion():
 
 
 def test_optical_flow_pure_rotation():
-    obs = NormalFlowObs.make(0.1, 0.2, 1.0, 0.0, 0.0)
+    obs = one_obs(0.1, 0.2, 1.0, 0.0)
     with pytest.raises(PureRotation):
-        solve_optical_flow([obs], Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0)))
+        solve_optical_flow(obs, Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0)))
 
 
 def test_optical_flow_singular_when_parallel_to_epipolar():
     # at the origin with nu = e1 the epipolar direction is (0, -1); a normal
     # flow along it makes the 2x2 system singular
     v = Velocity(nu=(1.0, 0, 0), omega=(0, 0, 0))
-    obs = NormalFlowObs.make(0.0, 0.0, 0.0, 1.0, 0.0)
-    u, valid = solve_optical_flow([obs], v)
+    obs = one_obs(0.0, 0.0, 0.0, 1.0)
+    u, valid = solve_optical_flow(obs, v)
     assert valid.tolist() == [False] and np.isnan(u).all()
     assert scalar_flow(obs, v) is None
 
@@ -133,8 +142,8 @@ def test_depth_hand_example():
     v = Velocity(nu=(0, 0, 1), omega=(0, 0, 0))
     u = motion_field(0.1, 0.0, 2.0, v)
     assert np.allclose(u, [0.05, 0.0])
-    obs = NormalFlowObs.make(0.1, 0.0, u[0], u[1], 0.0)
-    z, valid = solve_depth([obs], v)
+    obs = one_obs(0.1, 0.0, u[0], u[1])
+    z, valid = solve_depth(obs, v)
     assert valid.tolist() == [True]
     assert z[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -143,8 +152,8 @@ def test_depth_rotation_explains_flow():
     # at the origin with omega = (0, -1, 0), B omega = (1, 0); n = (1, 0)
     # makes the denominator |n|^2 - n^T B omega vanish exactly
     v = Velocity(nu=(-1.0, 0, 0), omega=(0, -1.0, 0))
-    obs = NormalFlowObs.make(0.0, 0.0, 1.0, 0.0, 0.0)
-    z, valid = solve_depth([obs], v)
+    obs = one_obs(0.0, 0.0, 1.0, 0.0)
+    z, valid = solve_depth(obs, v)
     assert valid.tolist() == [False] and np.isnan(z[0])
     assert scalar_depth(obs, v) is None
 
@@ -152,8 +161,8 @@ def test_depth_rotation_explains_flow():
 def test_depth_zero_numerator_at_foe():
     # nu = e3 puts the focus of expansion at the origin: A(0,0) nu = 0
     v = Velocity(nu=(0, 0, 1.0), omega=(0, 0, 0))
-    obs = NormalFlowObs.make(0.0, 0.0, 0.5, 0.0, 0.0)
-    z, valid = solve_depth([obs], v)
+    obs = one_obs(0.0, 0.0, 0.5, 0.0)
+    z, valid = solve_depth(obs, v)
     assert valid.tolist() == [False] and np.isnan(z[0])
     assert scalar_depth(obs, v) is None
 
@@ -162,8 +171,8 @@ def test_depth_negative_reported_not_clamped():
     v = Velocity(nu=(0.4, -0.1, 0.2), omega=(0.05, 0.1, -0.02))
     x, y, z = 0.2, -0.1, -2.0  # behind the camera
     u = matrix_a(x, y) @ v.nu / z + matrix_b(x, y) @ v.omega
-    obs = NormalFlowObs.make(x, y, u[0], u[1], 0.0)
-    depth, valid = solve_depth([obs], v)
+    obs = one_obs(x, y, u[0], u[1])
+    depth, valid = solve_depth(obs, v)
     assert valid.tolist() == [True]
     assert depth[0] == pytest.approx(z, rel=1e-10)
 
@@ -218,7 +227,7 @@ def test_angular_velocity_three_observations():
 
 def test_angular_velocity_rank_deficient_geometry():
     # identical constraint rows: rank 1 < 3
-    obs = [NormalFlowObs.make(0.0, 0.0, 1.0, 0.0, 0.0)] * 3
+    obs = [one_obs(0.0, 0.0, 1.0, 0.0)] * 3
     with pytest.raises(RankDeficient):
         solve_angular_velocity(obs)
 
@@ -298,17 +307,17 @@ def test_diff_homography_eps_shift_invisible():
     h_shift = DiffHomography(truth.hd.h + 5.0 * np.eye(3))
     rng = np.random.default_rng(36)
     obs_shift = []
-    for o in obs:
-        u = homography_flow(h_shift, o.x.x, o.x.y)
+    for (x, y), t in zip(obs.xy, obs.t):
+        u = homography_flow(h_shift, x, y)
         phi = rng.uniform(0, 2 * np.pi)
         g = np.array([np.cos(phi), np.sin(phi)])
         n = (u @ g) * g
-        obs_shift.append(NormalFlowObs.make(o.x.x, o.x.y, n[0], n[1], o.t))
+        obs_shift.append(one_obs(x, y, n[0], n[1], t))
     h1 = solve_diff_homography(obs_shift).h
     # flows from the shifted matrix equal flows from the original
-    for o in obs[:10]:
-        assert np.allclose(homography_flow(h_shift, o.x.x, o.x.y),
-                           homography_flow(truth.hd, o.x.x, o.x.y), atol=1e-12)
+    for x, y in obs.xy[:10]:
+        assert np.allclose(homography_flow(h_shift, x, y),
+                           homography_flow(truth.hd, x, y), atol=1e-12)
     diff = h1 - truth.hd.h
     assert np.linalg.norm(diff - np.eye(3) * diff[0, 0]) < 1e-7
 
@@ -352,14 +361,14 @@ def test_ransac_all_inliers_equals_full_solve():
 
 
 def test_ransac_too_few_observations():
-    obs = [NormalFlowObs.make(0.1, 0.1, 0.5, 0.2, 0.0)] * 2
+    obs = [one_obs(0.1, 0.1, 0.5, 0.2)] * 2
     with pytest.raises(TooFewObservations):
         ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY)
 
 
 def test_ransac_no_consensus_on_scattered_data():
     rng = np.random.default_rng(40)
-    obs = [NormalFlowObs.make(x, y, nx, ny, 0.0)
+    obs = [one_obs(x, y, nx, ny)
            for x, y, nx, ny in rng.uniform(-0.5, 0.5, (30, 4))]
     with pytest.raises(NoConsensus):
         ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY,

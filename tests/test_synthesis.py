@@ -10,7 +10,7 @@ from evnormalflow import (
     ConstantMotion, DegenerateDepth, MovingEdge, NoiseSpec, PlaneScene,
     RandomPointsScene, RankDeficient, SplineMotion, SplineTrajectory,
     StepMotion, TwoWallsScene, Velocity, generate_dataset,
-    ground_truth_flow, matrix_c, run_noise_sweep,
+    matrix_c, motion_field, run_noise_sweep,
     sample_normal_flow, surface_from_edges, synthesize_time_surface,
     toy_registration, ModelKind,
 )
@@ -18,28 +18,28 @@ from evnormalflow.events import UNFIRED
 
 
 # --------------------------------------------------------------------------
-# ground_truth_flow / sample_normal_flow
+# motion_field / sample_normal_flow
 
 def test_flow_pure_translation_at_origin():
-    u = ground_truth_flow((0.0, 0.0), 1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
+    u = motion_field(0.0, 0.0, 1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
     assert np.allclose(u, (-1.0, 0.0), atol=1e-15)
 
 
 def test_flow_pure_rotation_hand_value():
-    u = ground_truth_flow((1.0, 0.0), 1.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 1)))
+    u = motion_field(1.0, 0.0, 1.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 1)))
     assert np.allclose(u, (0.0, -1.0), atol=1e-15)
 
 
 def test_flow_zero_motion():
-    u = ground_truth_flow((0.3, -0.2), 2.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 0)))
+    u = motion_field(0.3, -0.2, 2.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 0)))
     assert np.allclose(u, (0.0, 0.0))
 
 
 def test_flow_rejects_nonpositive_depth():
     with pytest.raises(DegenerateDepth):
-        ground_truth_flow((0.0, 0.0), 0.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
+        motion_field(0.0, 0.0, 0.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
     with pytest.raises(DegenerateDepth):
-        ground_truth_flow((0.0, 0.0), -1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
+        motion_field(0.0, 0.0, -1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
 
 
 def test_sample_normal_flow_parallel_and_perpendicular():
@@ -111,8 +111,10 @@ def test_step_motion_switches_at_t_switch():
                         t_switch=0.25)
     nu, omega = motion.at(np.array([0.1, 0.25, 0.4]))
     assert np.allclose(omega[:, 2], (0.5, 2.0, 2.0))
-    assert np.allclose(motion.velocity(0.1).omega, (0, 0, 0.5))
-    assert np.allclose(motion.velocity(0.3).omega, (0, 0, 2.0))
+    nu, omega = motion.at(0.1)
+    assert nu.shape == omega.shape == (1, 3)
+    assert np.allclose(omega, [(0, 0, 0.5)])
+    assert np.allclose(motion.at(0.3)[1], [(0, 0, 2.0)])
 
 
 def test_spline_motion_dims():
@@ -136,9 +138,8 @@ def test_dataset_deterministic_under_seed():
     noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.2)
     obs1, t1 = generate_dataset(scene, motion, count=300, noise=noise, seed=9)
     obs2, t2 = generate_dataset(scene, motion, count=300, noise=noise, seed=9)
-    for a, b in zip(obs1, obs2):
-        assert a.t == b.t and a.x == b.x
-        assert np.array_equal(a.n, b.n)
+    for name in ("xy", "n", "t", "mag2"):
+        assert np.array_equal(getattr(obs1, name), getattr(obs2, name))
     assert np.array_equal(t1.outlier_idx, t2.outlier_idx)
     assert np.array_equal(t1.z, t2.z)
 
