@@ -339,11 +339,11 @@ def cmd_fit_spline(args, resolved):
         raise UnderDetermined(
             f"timestamps span {span:.4g}s < 4 knot intervals "
             f"({4 * args.knot_spacing:.4g}s)")
-    init, init_report = init_from_linear(obs, kind, dt=args.knot_spacing,
-                                         cfg=_ransac_config(args), depths=depths)
     problem = SplineFitProblem(observations=obs, kind=kind, depths=depths,
                                robust=not args.no_robust,
                                max_rounds=args.max_rounds)
+    init, init_report = init_from_linear(obs, kind, dt=args.knot_spacing,
+                                         cfg=_ransac_config(args), depths=depths)
     traj, fit_report = fit(problem, init)
     lo, hi = traj.domain
     _atomic_write_json(args.output, {
@@ -353,7 +353,8 @@ def cmd_fit_spline(args, resolved):
         "segment_counts": fit_report.segment_counts.tolist(),
         "starved_segments": fit_report.starved_segments,
         "filled_segments": init_report.filled_segments,
-        "irls_rounds": fit_report.irls_rounds,
+        "starved_control_points": fit_report.starved_control_points,
+        "irls_rounds": fit_report.irls_rounds, "cond": fit_report.cond,
         "manifest": _manifest(resolved)})
     if args.trace:
         ts = np.linspace(lo, hi, args.trace_points, endpoint=False)

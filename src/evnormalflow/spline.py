@@ -11,17 +11,23 @@ with the uniform cubic basis
 
 Full cubic support exists on [t0 + dt, t0 + (n-2) dt).  The normal-flow
 constraint is linear in the control points, so trajectory fitting is one
-sparse linear least-squares problem, optionally robustified by Huber
-iteratively-reweighted least squares.
+linear least-squares problem, optionally robustified by Huber
+iteratively-reweighted least squares.  An observation in segment j touches
+only the 4 * dim unknowns of c_j..c_{j+3}, so the fit keeps just those row
+values, sums their weighted outer products segment by segment into the
+block-banded normal matrix (size (n_ctrl * dim)^2, independent of the
+number of observations), and solves it by Cholesky after symmetric Jacobi
+scaling.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, SolverDegeneracy, UnderDetermined
+from .errors import (OutOfDomain, RankDeficient, SolverDegeneracy,
+                     UnderDetermined)
 from .geometry import Observations, as_observations
 from .solvers import ModelKind, RansacConfig, build_rows, ransac_estimate
 
@@ -135,6 +141,14 @@ class SplineFitProblem:
     def __post_init__(self):
         if self.kind not in _SPLINE_KINDS:
             raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {self.kind}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.huber_scale is not None and not 0.0 < self.huber_scale < math.inf:
+            raise ValueError(
+                f"huber_scale must be positive and finite, got {self.huber_scale}")
+        if not 0.0 <= self.reg_weight < math.inf:
+            raise ValueError(
+                f"reg_weight must be non-negative and finite, got {self.reg_weight}")
         object.__setattr__(self, "observations",
                            as_observations(self.observations))
         if self.depths is not None:
@@ -152,6 +166,7 @@ class SplineFitReport:
     starved_control_points: list
     irls_rounds: int
     objective_history: list
+    cond: float     # of the Jacobi-scaled normal matrix at the final solve
 
 
 def _sorted_problem(problem):
@@ -163,28 +178,81 @@ def _sorted_problem(problem):
     return obs[key], depths
 
 
-def _design(obs, depths, kind, traj):
-    """Sparse-by-structure dense design matrix over flattened control points.
+class _BlockRows:
+    """The design rows of a spline fit, kept as their nonzero blocks.
+
+    Observation k in segment j = seg[k] constrains only c_j..c_{j+3}, the
+    4 * dim columns from j * dim of the flattened control points; vals[k]
+    holds its row there and rhs[k] its right-hand side.  The normal
+    equations are summed over runs of rows with one segment; fit passes
+    observations sorted by time, so seg is non-decreasing and each segment
+    is one run.
 
     Rows are scaled by 1/|n|: noise on the flow components produces
     constraint noise proportional to the flow magnitude, so this is the
     inverse-variance weighting.  It also keeps slow- and fast-motion spans
     of a trajectory equally constrained per observation.
     """
-    rows, rhs = build_rows(obs, kind, depths=depths)
-    inv = 1.0 / np.maximum(np.linalg.norm(obs.n, axis=1), 1e-12)
-    rows = rows * inv[:, None]
-    rhs = rhs * inv
-    seg, u = _locate(traj, obs.t)
-    w = basis_weights(u)                                   # (K, 4)
-    k = len(obs)
-    n_ctrl, dim = traj.n_ctrl, traj.dim
-    a = np.zeros((k, n_ctrl * dim))
-    cols = (np.arange(dim)[None, None, :]
-            + (seg[:, None, None] + np.arange(4)[None, :, None]) * dim)
-    np.put_along_axis(a, cols.reshape(k, -1),
-                      (w[:, :, None] * rows[:, None, :]).reshape(k, -1), axis=1)
-    return a, rhs, seg
+
+    def __init__(self, obs, depths, kind, traj):
+        rows, rhs = build_rows(obs, kind, depths=depths)
+        inv = 1.0 / np.maximum(np.linalg.norm(obs.n, axis=1), 1e-12)
+        rows = rows * inv[:, None]
+        seg, u = _locate(traj, obs.t)
+        w = basis_weights(u)                               # (K, 4)
+        self.vals = (w[:, :, None] * rows[:, None, :]).reshape(len(obs), -1)
+        self.rhs = rhs * inv
+        self.seg = seg
+        self.n_cols = traj.n_ctrl * traj.dim
+        self.cols = seg[:, None] * traj.dim + np.arange(self.vals.shape[1])
+        starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        # (first row, end row, first column) of each segment's run
+        self.runs = list(zip(starts.tolist(), np.r_[starts[1:], len(obs)].tolist(),
+                             self.cols[starts, 0].tolist()))
+
+    def residuals(self, theta):
+        """a @ theta - rhs."""
+        return np.einsum("kj,kj->k", self.vals, theta[self.cols]) - self.rhs
+
+    def normal_equations(self, wts):
+        """(a^T W a, a^T W rhs) for row weights wts, one run at a time."""
+        gram = np.zeros((self.n_cols, self.n_cols))
+        g = np.zeros(self.n_cols)
+        wv = self.vals * wts[:, None]
+        width = self.vals.shape[1]
+        for lo, hi, c in self.runs:
+            gram[c:c + width, c:c + width] += wv[lo:hi].T @ self.vals[lo:hi]
+            g[c:c + width] += wv[lo:hi].T @ self.rhs[lo:hi]
+        return gram, g
+
+
+def _cholesky_solve(gram, rhs):
+    """Solve gram @ x = rhs for symmetric positive definite gram.
+
+    The matrix is scaled to unit diagonal first (symmetric Jacobi), which
+    removes the spread between control points with many observations and
+    starved ones held only by the regularisation.  Returns x and the
+    scaled matrix.  A zero diagonal or a failed factorisation means the
+    fit has no unique solution: RankDeficient.
+    """
+    diag = np.diag(gram)
+    if not np.all(diag > 0.0):
+        raise RankDeficient(
+            f"{int(np.sum(~(diag > 0.0)))} spline unknowns unconstrained")
+    d = 1.0 / np.sqrt(diag)
+    scaled = gram * d[:, None] * d[None, :]
+    try:
+        chol = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"spline normal equations singular: {exc}") from exc
+    pivots = np.diag(chol)
+    # Forward and back substitution; NumPy has no triangular solve.
+    y = rhs * d
+    for i in range(len(y)):
+        y[i] = (y[i] - chol[i, :i] @ y[:i]) / pivots[i]
+    for i in range(len(y) - 1, -1, -1):
+        y[i] = (y[i] - chol[i + 1:, i] @ y[i + 1:]) / pivots[i]
+    return y * d, scaled
 
 
 def _starved(seg_counts, n_ctrl):
@@ -228,11 +296,20 @@ def fit(problem, init):
     problem.robust: weights w_i = min(1, delta/|r_i|) with delta frozen
     during each sweep of reweighted solves, so every solve can only
     decrease the Huber objective.  With the automatic scale (3x the median
-    absolute residual, in the flow units produced by _design), the scale is
-    re-frozen from the converged residuals and the sweep repeated while
-    that keeps shrinking; lowering delta at fixed parameters also lowers
-    the objective, so the recorded history stays monotone across sweeps.
-    An explicit problem.huber_scale is honoured as-is (single sweep).
+    absolute residual, in the 1/|n|-scaled units of _BlockRows), the
+    scale is re-frozen from the converged residuals and the sweep repeated
+    while that keeps shrinking; lowering delta at fixed parameters also
+    lowers the objective, so the recorded history stays monotone across
+    sweeps.  An explicit problem.huber_scale is honoured as-is (single
+    sweep).
+
+    Every solve, robust or not, forms the weighted normal equations
+    a^T W a + reg^T reg from each observation's 4*dim nonzero row values,
+    summed segment by segment, and solves them by Cholesky after Jacobi
+    scaling; no K x (n_ctrl*dim) design is built.  Raises RankDeficient
+    when that matrix is singular, or numerically singular at the last
+    solve (smallest eigenvalue of the scaled matrix at most n * eps times
+    the largest); report.cond is that matrix's condition number.
     """
     obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim
@@ -242,21 +319,23 @@ def fit(problem, init):
         raise UnderDetermined(
             f"{len(obs)} observations < {n_ctrl * dim} unknowns")
 
-    a, rhs, seg = _design(obs, depths, problem.kind, init)
-    seg_counts = np.bincount(seg, minlength=n_ctrl - 3)
+    rows = _BlockRows(obs, depths, problem.kind, init)
+    seg_counts = np.bincount(rows.seg, minlength=n_ctrl - 3)
     starved_cp = _starved(seg_counts, n_ctrl)
-    row_scale = float(np.median(np.linalg.norm(a, axis=1))) or 1.0
+    row_scale = float(np.median(np.linalg.norm(rows.vals, axis=1))) or 1.0
     reg = _regularization_rows(starved_cp, n_ctrl, dim,
                                problem.reg_weight * row_scale)
-    reg_rhs = np.zeros(len(reg))
+    reg_gram = reg.T @ reg
+
+    def solve(wts):
+        gram, g = rows.normal_equations(wts)
+        return _cholesky_solve(gram + reg_gram, g)
 
     theta = init.control_points.reshape(-1).copy()
-    r = a @ theta - rhs
+    r = rows.residuals(theta)
     history = []
     if not problem.robust:
-        full_a = np.concatenate([a, reg]) if len(reg) else a
-        full_b = np.concatenate([rhs, reg_rhs]) if len(reg) else rhs
-        theta, *_ = np.linalg.lstsq(full_a, full_b, rcond=None)
+        theta, scaled = solve(np.ones(len(obs)))
         rounds = 1
     else:
         auto_scale = problem.huber_scale is None
@@ -270,12 +349,9 @@ def fit(problem, init):
         for _sweep in range(6 if auto_scale else 1):
             for _ in range(problem.max_rounds):
                 wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
-                sw = np.sqrt(wts)
-                full_a = np.concatenate([a * sw[:, None], reg]) if len(reg) else a * sw[:, None]
-                full_b = np.concatenate([rhs * sw, reg_rhs]) if len(reg) else rhs * sw
-                theta_new, *_ = np.linalg.lstsq(full_a, full_b, rcond=None)
+                theta_new, scaled = solve(wts)
                 rounds += 1
-                r = a @ theta_new - rhs
+                r = rows.residuals(theta_new)
                 obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta_new) ** 2))
                 history.append(obj)
                 theta = theta_new
@@ -289,13 +365,20 @@ def fit(problem, init):
             delta = new_delta
             history.append(_huber_objective(r, delta)
                            + 0.5 * float(np.sum((reg @ theta) ** 2)))
-    r = a @ theta - rhs
+    # Rank is set by which rows exist, not by their positive weights, so
+    # the last solve tells whether any of them had a unique solution.
+    eig = np.linalg.eigvalsh(scaled)
+    if not eig[0] > len(eig) * np.finfo(float).eps * eig[-1]:
+        raise RankDeficient(
+            "spline normal equations numerically singular "
+            f"(eigenvalues {eig[0]:.3g} to {eig[-1]:.3g})")
+    r = rows.residuals(theta)
     traj = SplineTrajectory(theta.reshape(n_ctrl, dim), t0=init.t0, dt=init.dt)
     report = SplineFitReport(
         rms=float(np.sqrt(np.mean(r ** 2))), segment_counts=seg_counts,
         starved_segments=[int(j) for j in np.nonzero(seg_counts == 0)[0]],
         starved_control_points=starved_cp, irls_rounds=rounds,
-        objective_history=history)
+        objective_history=history, cond=float(eig[-1] / eig[0]))
     return traj, report
 
 
@@ -332,29 +415,32 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
 
     s = (t - t0) / dt
     seg = np.clip(np.floor(s).astype(int) - 1, 0, n_seg - 1)
+    # Observation indices of segment j, in increasing order, are
+    # order[bounds[j]:bounds[j + 1]].
+    order = np.argsort(seg, kind="stable")
+    bounds = np.searchsorted(seg[order], np.arange(n_seg + 1))
     estimates = np.full((n_seg, dim), np.nan)
-    good = []
+    is_good = np.zeros(n_seg, dtype=bool)
     for j in range(n_seg):
-        idx = np.nonzero(seg == j)[0]
+        idx = order[bounds[j]:bounds[j + 1]]
         if idx.size >= 2 * kind.minimal_samples:
             try:
                 report = ransac_estimate(
                     obs[idx], kind, cfg,
                     depths=None if depths is None else depths[idx])
                 estimates[j] = report.theta
-                good.append(j)
+                is_good[j] = True
             except SolverDegeneracy:
                 pass
-    if not good:
+    if not is_good.any():
         raise UnderDetermined("no segment supported a linear fit")
-    filled = [j for j in range(n_seg) if j not in good]
-    good_arr = np.array(good)
+    good_arr = np.flatnonzero(is_good)
+    filled = np.flatnonzero(~is_good)
     for j in filled:
-        below = good_arr[good_arr < j]
-        above = good_arr[good_arr > j]
-        neighbours = [estimates[below[-1]]] if below.size else []
-        neighbours += [estimates[above[0]]] if above.size else []
-        estimates[j] = np.mean(neighbours, axis=0)
+        # the nearest good segment on each side that has one
+        pos = np.searchsorted(good_arr, j)
+        estimates[j] = np.mean(estimates[good_arr[max(pos - 1, 0):pos + 1]],
+                               axis=0)
 
     # Interpolation rows: spline(segment midpoint) = estimate.
     w_mid = basis_weights(0.5)
@@ -370,4 +456,5 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     cp, *_ = np.linalg.lstsq(full, rhs, rcond=None)
     traj = SplineTrajectory(cp, t0=t0, dt=dt)
     return traj, SplineInitReport(segment_estimates=estimates,
-                                  good_segments=good, filled_segments=filled)
+                                  good_segments=good_arr.tolist(),
+                                  filled_segments=filled.tolist())

@@ -236,6 +236,9 @@ def test_fit_spline_tracks_step(tmp_path):
     assert spline["model"] == "angular_velocity"
     assert len(spline["control_points"][0]) == 3
     assert spline["domain"][0] < 0.25 < spline["domain"][1]
+    assert spline["starved_control_points"] == []
+    assert spline["irls_rounds"] >= 1
+    assert 1.0 <= spline["cond"] < 1e6
     rows = read_csv_rows(trace_path)
     assert len(rows) == 50 and set(rows[0]) == {"t", "wx", "wy", "wz"}
     early = [float(r["wz"]) for r in rows if float(r["t"]) < 0.12]
@@ -275,6 +278,16 @@ def test_fit_spline_nan_time_exits_2(tmp_path, capsys):
     assert run("fit-spline", "--flows", out / "observations.csv",
                "--kind", "angular-velocity", "--output", spline_path) == 2
     assert "column t" in capsys.readouterr().err
+    assert not spline_path.exists()
+
+
+def test_fit_spline_zero_max_rounds_exits_2(tmp_path, capsys):
+    out = step_dataset(tmp_path)
+    spline_path = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", spline_path,
+               "--max-rounds", 0) == 2
+    assert "max_rounds" in capsys.readouterr().err
     assert not spline_path.exists()
 
 

@@ -1,15 +1,20 @@
 """Uniform cubic B-spline trajectories and the continuous-time fit."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from evnormalflow.spline import _sorted_problem
+from evnormalflow.spline import (_huber_objective, _locate,
+                                 _regularization_rows, _sorted_problem,
+                                 _starved)
 
-from evnormalflow import (ConstantMotion, ModelKind, Observations,
-                          OutOfDomain, RandomPointsScene, RansacConfig, SplineFitProblem,
+from evnormalflow import (ConstantMotion, ModelKind, NoiseSpec, Observations,
+                          OutOfDomain, RandomPointsScene, RankDeficient,
+                          RansacConfig, SolverDegeneracy, SplineFitProblem,
                           SplineTrajectory, StepMotion, UnderDetermined,
-                          Velocity, basis_weights, evaluate, fit,
-                          generate_dataset, init_from_linear,
+                          Velocity, basis_weights, build_rows, evaluate, fit,
+                          generate_dataset, init_from_linear, ransac_estimate,
                           solve_angular_velocity, trajectory_covering)
 
 
@@ -273,3 +278,279 @@ def test_problem_validation():
         SplineFitProblem(obs, ModelKind.DEPTH)
     with pytest.raises(ValueError):
         SplineFitProblem(obs, ModelKind.SIX_DOF, depths=truth.z[:5])
+
+
+def test_problem_validates_fit_parameters():
+    obs, _ = rotation_dataset(
+        ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0.3))),
+        count=10, seed=75)
+    for bad in ({"max_rounds": 0}, {"max_rounds": -3},
+                {"huber_scale": 0.0}, {"huber_scale": -1.0},
+                {"huber_scale": float("nan")}, {"huber_scale": float("inf")},
+                {"reg_weight": -1e-6}, {"reg_weight": float("nan")},
+                {"reg_weight": float("inf")}):
+        with pytest.raises(ValueError):
+            SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, **bad)
+    # the boundaries that stay valid
+    SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, max_rounds=1,
+                     huber_scale=1e-9, reg_weight=0.0)
+
+
+# --------------------------------------------------------------------------
+# the block normal equations against the dense lstsq IRLS they replaced
+
+def dense_design(obs, depths, kind, traj):
+    """The dense K x (n_ctrl * dim) design, rows scaled by 1/|n|."""
+    rows, rhs = build_rows(obs, kind, depths=depths)
+    inv = 1.0 / np.maximum(np.linalg.norm(obs.n, axis=1), 1e-12)
+    rows = rows * inv[:, None]
+    rhs = rhs * inv
+    seg, u = _locate(traj, obs.t)
+    w = basis_weights(u)
+    k = len(obs)
+    n_ctrl, dim = traj.n_ctrl, traj.dim
+    a = np.zeros((k, n_ctrl * dim))
+    cols = (np.arange(dim)[None, None, :]
+            + (seg[:, None, None] + np.arange(4)[None, :, None]) * dim)
+    np.put_along_axis(a, cols.reshape(k, -1),
+                      (w[:, :, None] * rows[:, None, :]).reshape(k, -1), axis=1)
+    return a, rhs, seg
+
+
+def dense_fit(problem, init):
+    """The fit as one np.linalg.lstsq per IRLS round on the dense design.
+    Returns (control points, IRLS rounds)."""
+    obs, depths = _sorted_problem(problem)
+    n_ctrl, dim = init.n_ctrl, init.dim
+    a, rhs, seg = dense_design(obs, depths, problem.kind, init)
+    seg_counts = np.bincount(seg, minlength=n_ctrl - 3)
+    starved_cp = _starved(seg_counts, n_ctrl)
+    row_scale = float(np.median(np.linalg.norm(a, axis=1))) or 1.0
+    reg = _regularization_rows(starved_cp, n_ctrl, dim,
+                               problem.reg_weight * row_scale)
+    reg_rhs = np.zeros(len(reg))
+    theta = init.control_points.reshape(-1).copy()
+    r = a @ theta - rhs
+    history = []
+    if not problem.robust:
+        theta, *_ = np.linalg.lstsq(np.concatenate([a, reg]),
+                                    np.concatenate([rhs, reg_rhs]), rcond=None)
+        return theta.reshape(n_ctrl, dim), 1
+    auto_scale = problem.huber_scale is None
+    delta = (3.0 * float(np.median(np.abs(r))) if auto_scale
+             else problem.huber_scale)
+    if delta <= 0:
+        delta = np.inf
+    history.append(_huber_objective(r, delta)
+                   + 0.5 * float(np.sum((reg @ theta) ** 2)))
+    rounds = 0
+    for _sweep in range(6 if auto_scale else 1):
+        for _ in range(problem.max_rounds):
+            wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
+            sw = np.sqrt(wts)
+            theta, *_ = np.linalg.lstsq(np.concatenate([a * sw[:, None], reg]),
+                                        np.concatenate([rhs * sw, reg_rhs]),
+                                        rcond=None)
+            rounds += 1
+            r = a @ theta - rhs
+            obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
+            history.append(obj)
+            if history[-2] - obj <= 1e-12 * max(1.0, obj):
+                break
+        if not auto_scale:
+            break
+        new_delta = 3.0 * float(np.median(np.abs(r)))
+        if not 0.0 < new_delta < 0.9 * delta:
+            break
+        delta = new_delta
+        history.append(_huber_objective(r, delta)
+                       + 0.5 * float(np.sum((reg @ theta) ** 2)))
+    return theta.reshape(n_ctrl, dim), rounds
+
+
+STEP = StepMotion(before=Velocity(nu=(0, 0, 0), omega=(0, 0, 0.5)),
+                  after=Velocity(nu=(0, 0, 0), omega=(0, 0, 2.0)),
+                  t_switch=0.25)
+
+
+def rel_diff(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_fit_matches_dense_oracle_robust_step():
+    obs, _ = rotation_dataset(STEP, count=3000, seed=80,
+                              noise=NoiseSpec(sigma_px=0.5,
+                                              outlier_fraction=0.1))
+    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    problem = SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY)
+    traj, report = fit(problem, init)
+    cp, rounds = dense_fit(problem, init)
+    assert report.irls_rounds == rounds > 1
+    assert rel_diff(traj.control_points, cp) < 1e-9
+    assert 1.0 <= report.cond < 1e6
+
+
+def test_fit_matches_dense_oracle_not_robust():
+    obs, _ = rotation_dataset(STEP, count=2000, seed=81,
+                              noise=NoiseSpec(sigma_px=0.5,
+                                              outlier_fraction=0.1))
+    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.05)
+    problem = SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, robust=False)
+    traj, report = fit(problem, init)
+    cp, rounds = dense_fit(problem, init)
+    assert report.irls_rounds == rounds == 1
+    assert rel_diff(traj.control_points, cp) < 1e-9
+
+
+def test_fit_matches_dense_oracle_six_dof_with_depths():
+    before = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+    after = Velocity(nu=(-0.1, 0.2, 0.4), omega=(0.3, -0.1, 0.2))
+    obs, truth = generate_dataset(
+        RandomPointsScene(), StepMotion(before=before, after=after,
+                                        t_switch=0.25),
+        count=3000, seed=82, noise=NoiseSpec(sigma_px=0.5,
+                                             outlier_fraction=0.1))
+    init, _ = init_from_linear(obs, ModelKind.SIX_DOF, dt=0.1, depths=truth.z)
+    problem = SplineFitProblem(obs, ModelKind.SIX_DOF, depths=truth.z)
+    traj, report = fit(problem, init)
+    cp, rounds = dense_fit(problem, init)
+    assert report.irls_rounds == rounds
+    assert rel_diff(traj.control_points, cp) < 1e-9
+
+
+def test_fit_matches_dense_oracle_with_starved_control_points():
+    obs, _ = rotation_dataset(STEP, count=3000, seed=83,
+                              noise=NoiseSpec(sigma_px=0.5))
+    kept = obs[(obs.t < 0.1) | (obs.t > 0.4)]
+    init, _ = init_from_linear(kept, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    problem = SplineFitProblem(kept, ModelKind.ANGULAR_VELOCITY)
+    traj, report = fit(problem, init)
+    assert len(report.starved_control_points) >= 10
+    cp, rounds = dense_fit(problem, init)
+    assert report.irls_rounds == rounds
+    assert np.max(np.abs(traj.control_points - cp)) < 1e-7
+
+
+def test_fit_memory_independent_of_design_size():
+    # K = 20 k, n_ctrl = 203: a dense design would take 97 MB on its own
+    obs, _ = generate_dataset(RandomPointsScene(), STEP, count=20_000,
+                              window=2.0, seed=84)
+    t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()),
+                                     0.01)
+    assert n_ctrl == 203
+    init = SplineTrajectory(np.zeros((n_ctrl, 3)), t0=t0, dt=0.01)
+    problem = SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY)
+    tracemalloc.start()
+    try:
+        traj, _ = fit(problem, init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    lo, hi = traj.domain
+    late = evaluate(traj, np.linspace(0.5, min(hi - 1e-9, 1.9), 20))
+    assert np.allclose(late[:, 2], 2.0, atol=0.1)
+
+
+def test_fit_rank_deficient_raises():
+    # every observation at one pixel with one normal: each row is the same
+    # 3-vector, so only one direction of each control point is constrained.
+    # Ending on a knot also leaves the last control point with zero weight.
+    k = 400
+    for t_max in (0.5, 0.47):
+        obs = Observations(xy=np.tile([0.1, -0.05], (k, 1)),
+                           n=np.tile([0.3, 0.4], (k, 1)),
+                           t=np.linspace(0.0, t_max, k))
+        t0, n_ctrl = trajectory_covering(0.0, t_max, 0.1)
+        init = SplineTrajectory(np.zeros((n_ctrl, 3)), t0=t0, dt=0.1)
+        for robust in (True, False):
+            with pytest.raises(RankDeficient):
+                fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
+                                     robust=robust), init)
+
+
+def test_fit_two_observations_in_last_interval_raises():
+    # the last control point is weighed only by the last knot interval, and
+    # two rows cannot fix its three components; rounding decides whether
+    # the Cholesky factorisation fails or only the final eigenvalue check
+    # sees the singularity, and either must raise
+    omega = np.array([0.1, -0.2, 0.5])
+    for seed in range(12):
+        obs, _ = rotation_dataset(
+            ConstantMotion(Velocity(nu=(0, 0, 0), omega=omega)),
+            count=1000, seed=seed, noise=NoiseSpec(sigma_px=0.5))
+        keep = obs.t < 0.42
+        keep[np.flatnonzero(obs.t >= 0.45)[:2]] = True
+        obs = obs[keep]
+        t0, n_ctrl = trajectory_covering(float(obs.t.min()),
+                                         float(obs.t.max()), 0.05)
+        init = SplineTrajectory(np.tile(omega, (n_ctrl, 1)), t0=t0, dt=0.05)
+        with pytest.raises(RankDeficient):
+            fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
+                                 robust=False), init)
+
+
+def test_fit_zero_regularisation_leaves_starved_points_free():
+    obs, _ = rotation_dataset(STEP, count=3000, seed=83)
+    kept = obs[(obs.t < 0.1) | (obs.t > 0.4)]
+    init, _ = init_from_linear(kept, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    with pytest.raises(RankDeficient):
+        fit(SplineFitProblem(kept, ModelKind.ANGULAR_VELOCITY,
+                             reg_weight=0.0), init)
+
+
+# --------------------------------------------------------------------------
+# init_from_linear against its per-segment scan
+
+def init_reference(obs, kind, dt, cfg=RansacConfig()):
+    """Control points, segment estimates, good and filled segments from one
+    np.nonzero scan per segment."""
+    t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()), dt)
+    n_seg = n_ctrl - 3
+    seg = np.clip(np.floor((obs.t - t0) / dt).astype(int) - 1, 0, n_seg - 1)
+    estimates = np.full((n_seg, kind.param_dim), np.nan)
+    good = []
+    for j in range(n_seg):
+        idx = np.nonzero(seg == j)[0]
+        if idx.size >= 2 * kind.minimal_samples:
+            try:
+                estimates[j] = ransac_estimate(obs[idx], kind, cfg).theta
+                good.append(j)
+            except SolverDegeneracy:
+                pass
+    filled = [j for j in range(n_seg) if j not in good]
+    good_arr = np.array(good)
+    for j in filled:
+        below = good_arr[good_arr < j]
+        above = good_arr[good_arr > j]
+        neighbours = [estimates[below[-1]]] if below.size else []
+        neighbours += [estimates[above[0]]] if above.size else []
+        estimates[j] = np.mean(neighbours, axis=0)
+    a = np.zeros((n_seg, n_ctrl))
+    for j in range(n_seg):
+        a[j, j:j + 4] = basis_weights(0.5)
+    d1 = np.diff(np.eye(n_ctrl), axis=0)
+    d2 = np.diff(np.eye(n_ctrl), n=2, axis=0)
+    cp, *_ = np.linalg.lstsq(
+        np.concatenate([a, 1e-6 * d1, 1e-6 * d2]),
+        np.concatenate([estimates, np.zeros((len(d1) + len(d2), kind.param_dim))]),
+        rcond=None)
+    return cp, estimates, good, filled
+
+
+def test_init_bit_identical_to_per_segment_scan():
+    obs, _ = rotation_dataset(STEP, count=3000, seed=85,
+                              noise=NoiseSpec(sigma_px=0.5,
+                                              outlier_fraction=0.1))
+    # a gap and a sparse stretch leave filled segments between good ones
+    keep = (obs.t < 0.12) | (obs.t > 0.2) & ((obs.t > 0.3) | (obs.xy[:, 0] > 0.3))
+    obs = obs[keep]
+    init, report = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    cp, estimates, good, filled = init_reference(
+        obs, ModelKind.ANGULAR_VELOCITY, 0.02)
+    assert len(filled) >= 5 and good
+    assert report.good_segments == good
+    assert report.filled_segments == filled
+    assert all(type(j) is int for j in report.good_segments + report.filled_segments)
+    assert np.array_equal(report.segment_estimates, estimates)
+    assert np.array_equal(init.control_points, cp)
