@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -226,8 +227,10 @@ def _check_required(args, parser):
             raise InputError(f"missing required option --{dest.replace('_', '-')}")
 
 
-def _ransac_config(args):
-    return RansacConfig(threshold=args.threshold,
+def _ransac_config(args, intr):
+    """RansacConfig from the flags; --threshold is in px/s and becomes
+    calibrated units (1/s) through the geometric-mean focal length."""
+    return RansacConfig(threshold=args.threshold / math.sqrt(intr.fx * intr.fy),
                         max_iterations=args.max_iterations,
                         confidence=args.confidence, seed=args.seed)
 
@@ -303,14 +306,17 @@ def cmd_solve(args, resolved):
         if kind is ModelKind.SIX_DOF and depths is None:
             raise InputError(
                 "six-dof solve requires a Z column in the flows CSV (missing depth)")
-        fit_report = ransac_estimate(obs, kind, _ransac_config(args),
+        fit_report = ransac_estimate(obs, kind, _ransac_config(args, intr),
                                      depths=depths)
         report.update({
             "theta": fit_report.theta.tolist(),
             "inliers": fit_report.inliers.tolist(),
             "n_inliers": int(len(fit_report.inliers)),
             "rms": fit_report.rms, "cond": fit_report.cond,
-            "iterations": fit_report.iterations})
+            "iterations": fit_report.iterations,
+            "hit_cap": fit_report.hit_cap,
+            "inlier_ratio": fit_report.inlier_ratio,
+            "threshold": fit_report.threshold})
         if kind is ModelKind.DIFF_HOMOGRAPHY:
             report.update(_homography_extras(fit_report.theta))
     report["manifest"] = _manifest(resolved)
@@ -343,7 +349,8 @@ def cmd_fit_spline(args, resolved):
                                robust=not args.no_robust,
                                max_rounds=args.max_rounds)
     init, init_report = init_from_linear(obs, kind, dt=args.knot_spacing,
-                                         cfg=_ransac_config(args), depths=depths)
+                                         cfg=_ransac_config(args, intr),
+                                         depths=depths)
     traj, fit_report = fit(problem, init)
     lo, hi = traj.domain
     _atomic_write_json(args.output, {
@@ -353,6 +360,8 @@ def cmd_fit_spline(args, resolved):
         "segment_counts": fit_report.segment_counts.tolist(),
         "starved_segments": fit_report.starved_segments,
         "filled_segments": init_report.filled_segments,
+        "ransac_iterations": init_report.ransac_iterations,
+        "capped_segments": init_report.capped_segments,
         "starved_control_points": fit_report.starved_control_points,
         "irls_rounds": fit_report.irls_rounds, "cond": fit_report.cond,
         "manifest": _manifest(resolved)})
@@ -460,6 +469,11 @@ def cmd_bench_noise(args, resolved):
 # --------------------------------------------------------------------------
 # parser
 
+_THRESHOLD_HELP = ("RANSAC cap, in px/s, on the distance from a normal flow to "
+                   "the constraint line of the flow a hypothesis predicts; "
+                   "divided by sqrt(fx*fy), then tightened to the noise")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="evnormalflow",
@@ -488,7 +502,7 @@ def build_parser():
     p.add("--kind", choices=sorted(KINDS), required=True)
     p.add("--output", required=True)
     p.add("--velocity", help="velocity JSON {nu, omega} for flow/depth kinds")
-    p.add("--threshold", type=float, default=1e-4)
+    p.add("--threshold", type=float, default=3.0, help=_THRESHOLD_HELP)
     p.add("--max-iterations", type=int, default=1000)
     p.add("--confidence", type=float, default=0.99)
     p.add("--seed", type=int)
@@ -503,7 +517,7 @@ def build_parser():
     p.add("--knot-spacing", type=float, default=DEFAULT_KNOT_SPACING)
     p.add("--no-robust", action="store_true", help="disable Huber reweighting")
     p.add("--max-rounds", type=int, default=10)
-    p.add("--threshold", type=float, default=1e-4)
+    p.add("--threshold", type=float, default=3.0, help=_THRESHOLD_HELP)
     p.add("--max-iterations", type=int, default=1000)
     p.add("--confidence", type=float, default=0.99)
     p.add("--seed", type=int)

@@ -16,7 +16,10 @@ Every solver takes an Observations; a sequence of Observations (such as
 one-row sets) is concatenated once on entry.  The per-pixel solvers work
 on all pixels at once and return (values, valid), with NaN where a
 pixel's system is singular.  stack_and_solve handles the stacked
-systems, ransac_estimate wraps them for outlier-contaminated data.
+systems.  ransac_estimate wraps them for outlier-contaminated data: MSAC
+on the distance from each normal flow to the constraint line of the flow
+a hypothesis predicts, then a weighted local-optimisation refit that
+tightens the threshold to the noise.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NoConsensus, PureRotation, RankDeficient,
-                     TooFewObservations)
+from .errors import (DegenerateDepth, NoConsensus, PureRotation,
+                     RankDeficient, TooFewObservations)
 from .geometry import (DiffHomography, Velocity, as_observations,
                        epipolar_terms, matrix_a, matrix_b, matrix_c, matrix_d)
 
@@ -68,22 +71,23 @@ _RANK = {ModelKind.OPTICAL_FLOW: 2, ModelKind.DEPTH: 1,
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """threshold is on |n^T O(x) theta - |n|^2| in calibrated units^2/s.
-
-    The pixel-domain default of 1e-4 px^2/s^2 divided by fx*fy gives the
-    calibrated equivalent; at the ~200 px focal lengths this package
-    targets, 1e-4 in calibrated units separates sub-pixel measurement
-    noise from gross outliers, so it is kept as the default here too.
+    """threshold caps e = |n^T O(x) theta - |n|^2| / |O(x) theta|, the
+    distance from a measured normal flow to the constraint line of the flow
+    a hypothesis predicts, in calibrated units (1/s).  A pixel-domain value
+    in px/s divided by sqrt(fx * fy) gives it; the default 0.015 is 3 px/s
+    at the 200 px focal length this package targets.  ransac_estimate
+    tightens it to the inliers' noise scale, so it needs only to sit above
+    the measurement noise and below the outliers.
     """
 
-    threshold: float = 1e-4
+    threshold: float = 0.015
     max_iterations: int = 1000
     confidence: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError("threshold must be positive and finite")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
         if self.max_iterations < 1:
@@ -101,12 +105,19 @@ class SolveInfo:
 
 @dataclass(frozen=True)
 class FitReport:
+    """One RANSAC run: rms is the RMS of e over the inliers, threshold the
+    effective cap on e after the scale step, and hit_cap says that sampling
+    stopped at max_iterations before the adaptive count."""
+
     kind: ModelKind
     theta: np.ndarray
     inliers: np.ndarray
     rms: float
     cond: float
     iterations: int
+    hit_cap: bool
+    inlier_ratio: float
+    threshold: float
 
 
 def stack_and_solve(a, b, min_rank=None, rcond=None):
@@ -183,6 +194,18 @@ def solve_depth(observations, v):
     return z, valid
 
 
+def _six_dof_depths(depths, k):
+    """depths as a float (k,) array; DegenerateDepth unless all positive."""
+    if depths is None:
+        raise ValueError("six-dof rows need per-observation depths")
+    depths = np.asarray(depths, dtype=float).reshape(-1)
+    if depths.size != k:
+        raise ValueError("depths length must match observations")
+    if np.any(~(depths > 0)):
+        raise DegenerateDepth("depth must be positive to form D(x)")
+    return depths
+
+
 def build_rows(observations, kind, velocity=None, depths=None):
     """Stack per-observation constraint rows (a, b) with a theta = b."""
     obs = as_observations(observations)
@@ -200,11 +223,7 @@ def build_rows(observations, kind, velocity=None, depths=None):
     if kind is ModelKind.ANGULAR_VELOCITY:
         return np.einsum("ki,kij->kj", n, matrix_b(x, y)), mag2
     if kind is ModelKind.SIX_DOF:
-        if depths is None:
-            raise ValueError("six-dof rows need per-observation depths")
-        depths = np.asarray(depths, dtype=float).reshape(-1)
-        if depths.size != len(obs):
-            raise ValueError("depths length must match observations")
+        depths = _six_dof_depths(depths, len(obs))
         return np.einsum("ki,kij->kj", n, matrix_d(x, y, depths)), mag2
     if kind is ModelKind.DIFF_HOMOGRAPHY:
         return np.einsum("ki,kij->kj", n, matrix_c(x, y)), mag2
@@ -255,15 +274,82 @@ def _adaptive_iterations(inlier_ratio, c, confidence):
     return math.ceil(math.log(1.0 - confidence) / denom)
 
 
-def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
-    """RANSAC over normal-flow observations for any ModelKind.
+def _flow_model(obs, kind, velocity, depths):
+    """theta -> (ux, uy), the flow O(x) theta that the parameters theta
+    predict at every observation, written out over K-length columns so that
+    no (K, 2, p) operator is built."""
+    x, y = obs.xy[:, 0], obs.xy[:, 1]
+    if kind is ModelKind.OPTICAL_FLOW:
+        return lambda u: (np.full(len(x), u[0]), np.full(len(x), u[1]))
+    if kind is ModelKind.DEPTH:
+        a_nu = matrix_a(x, y) @ velocity.nu
+        b_om = matrix_b(x, y) @ velocity.omega
+        return lambda inv_z: (inv_z[0] * a_nu[:, 0] + b_om[:, 0],
+                              inv_z[0] * a_nu[:, 1] + b_om[:, 1])
+    if kind is ModelKind.DIFF_HOMOGRAPHY:
+        def homography(h):
+            w = h[6] * x + h[7] * y + h[8]
+            return (h[0] * x + h[1] * y + h[2] - x * w,
+                    h[3] * x + h[4] * y + h[5] - y * w)
+        return homography
 
-    Minimal samples are drawn from per-iteration substreams derived from
-    (seed, iteration), so the selected model is reproducible and does not
-    depend on evaluation order.  Ties in inlier count keep the earliest
-    iteration.  The model is refit on the best inlier set and the inlier
-    set recomputed at the refit parameters, so every reported inlier
-    satisfies |n^T O(x) theta - |n|^2| <= threshold.
+    def rotational(w):
+        xy = x * y
+        return (xy * w[0] - (1.0 + x * x) * w[1] + y * w[2],
+                (1.0 + y * y) * w[0] - xy * w[1] - x * w[2])
+    if kind is ModelKind.ANGULAR_VELOCITY:
+        return rotational
+    inv_z = 1.0 / depths
+
+    def six_dof(theta):
+        ux, uy = rotational(theta[3:])
+        ux += (x * theta[2] - theta[0]) * inv_z
+        uy += (y * theta[2] - theta[1]) * inv_z
+        return ux, uy
+    return six_dof
+
+
+def _squared_distance(r, s2):
+    """e^2 = r^2 / s2: the squared distance from each measured normal flow to
+    the constraint line of its predicted flow u, given r = n . u - |n|^2 and
+    s2 = |u|^2; inf where u is zero or not finite."""
+    e2 = np.full(len(r), np.inf)
+    np.divide(r * r, s2, out=e2, where=(s2 > 0) & (s2 < np.inf))
+    return e2
+
+
+def _weighted_fit(rows, weight, min_rank):
+    """stack_and_solve on constraint rows (a, b) scaled by weight; a is
+    scaled in place and freed on return."""
+    a, b = rows
+    a *= weight[:, None]
+    return stack_and_solve(a, b * weight, min_rank=min_rank)
+
+
+_LO_REFITS = 3
+# 3 sigma of a Gaussian, estimated as 1.4826 times the median absolute value.
+_SCALE = 3.0 * 1.4826
+
+
+def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
+    """MSAC with a local-optimisation refit over normal-flow observations,
+    for any ModelKind.
+
+    A hypothesis theta predicts a flow u at every observation; it is scored
+    on e = |n . u - |n|^2| / |u|, the distance from the measured normal flow
+    to the constraint line of u, by the MSAC cost sum(min(e^2, t^2)) with
+    t = cfg.threshold (Torr & Zisserman 2000).  Minimal samples come from
+    per-iteration substreams derived from (seed, iteration), so the result
+    is reproducible and does not depend on evaluation order; ties in cost
+    keep the earliest iteration.  Sampling stops at the adaptive count for
+    the best hypothesis's inlier ratio, or at max_iterations (hit_cap).
+
+    The best hypothesis is then refit 3 times on its inliers, rows weighted
+    by 1/|u| so that the refit minimises sum(e^2) (LO-RANSAC, Chum et al.
+    2003).  After each refit the threshold tightens to the inliers' noise
+    scale, min(threshold, max(3 * 1.4826 * median(e), threshold / 100)),
+    and the inliers are recomputed at the refit parameters.  Every reported
+    inlier satisfies e <= report.threshold.
     """
     cfg = cfg or RansacConfig()
     obs = as_observations(observations)
@@ -271,34 +357,62 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     c = kind.minimal_samples
     if k < c:
         raise TooFewObservations(f"need >= {c} observations, got {k}")
-    a, b = build_rows(obs, kind, velocity=velocity, depths=depths)
+    if kind is ModelKind.SIX_DOF:
+        depths = _six_dof_depths(depths, k)
+    else:
+        depths = None
+    if kind is ModelKind.DEPTH and velocity is None:
+        raise ValueError("depth rows need a known velocity")
+    flow = _flow_model(obs, kind, velocity, depths)
 
-    best_count = 0
-    best_mask = None
+    def rows(index):
+        return build_rows(obs[index], kind, velocity=velocity,
+                          depths=None if depths is None else depths[index])
+
+    n0, n1 = obs.n[:, 0], obs.n[:, 1]
+
+    def residual(theta):
+        """(r, s2) = (n . u - |n|^2, |u|^2) for the flow u theta predicts."""
+        ux, uy = flow(theta)
+        return n0 * ux + n1 * uy - obs.mag2, ux * ux + uy * uy
+
+    t2 = cfg.threshold ** 2
+    best_cost, best_theta, best_count = np.inf, None, 0
     needed = cfg.max_iterations
     i = 0
     while i < min(cfg.max_iterations, needed):
         rng = np.random.default_rng([cfg.seed, i])
-        sample = rng.permutation(k)[:c]
-        theta, _, rank, _ = np.linalg.lstsq(a[sample], b[sample], rcond=None)
-        if rank < c:
-            i += 1
-            continue
-        mask = np.abs(a @ theta - b) <= cfg.threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            needed = _adaptive_iterations(count / k, c, cfg.confidence)
         i += 1
+        a, b = rows(rng.choice(k, c, replace=False))
+        theta, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        if rank < c or not np.all(np.isfinite(theta)):
+            continue
+        e2 = _squared_distance(*residual(theta))
+        cost = float(np.minimum(e2, t2).sum())
+        if cost < best_cost:
+            best_cost, best_theta = cost, theta
+            best_count = int(np.count_nonzero(e2 <= t2))
+            needed = _adaptive_iterations(best_count / k, c, cfg.confidence)
 
     if best_count < 2 * c:
         raise NoConsensus(
             f"best consensus {best_count} < {2 * c} after {i} iterations")
-    theta, info = stack_and_solve(a[best_mask], b[best_mask],
-                                  min_rank=kind.required_rank)
-    final_mask = np.abs(a @ theta - b) <= cfg.threshold
-    resid = a[final_mask] @ theta - b[final_mask]
-    rms = float(np.sqrt(np.mean(resid ** 2))) if final_mask.any() else float("nan")
-    return FitReport(kind=kind, theta=theta, inliers=np.nonzero(final_mask)[0],
-                     rms=rms, cond=info.cond, iterations=i)
+    threshold = cfg.threshold
+    r, s2 = residual(best_theta)
+    e = np.sqrt(_squared_distance(r, s2))
+    inliers = np.flatnonzero(e <= threshold)
+    for _ in range(_LO_REFITS):
+        theta, info = _weighted_fit(rows(inliers), 1.0 / np.sqrt(s2[inliers]),
+                                    kind.required_rank)
+        r, s2 = residual(theta)
+        e = np.sqrt(_squared_distance(r, s2))
+        threshold = min(cfg.threshold, max(_SCALE * float(np.median(e[inliers])),
+                                           cfg.threshold / 100))
+        inliers = np.flatnonzero(e <= threshold)
+    if len(inliers) < 2 * c:
+        raise NoConsensus(f"{len(inliers)} inliers < {2 * c} after refitting")
+    return FitReport(kind=kind, theta=theta, inliers=inliers,
+                     rms=float(np.sqrt(np.mean(e[inliers] ** 2))),
+                     cond=info.cond, iterations=i,
+                     hit_cap=needed > cfg.max_iterations,
+                     inlier_ratio=len(inliers) / k, threshold=threshold)

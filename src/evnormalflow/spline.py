@@ -384,9 +384,15 @@ def fit(problem, init):
 
 @dataclass
 class SplineInitReport:
+    """ransac_iterations sums the hypotheses drawn by the per-segment fits
+    that returned; capped_segments lists those that stopped at
+    max_iterations.  Segments whose fit failed are in filled_segments."""
+
     segment_estimates: np.ndarray
     good_segments: list
     filled_segments: list
+    ransac_iterations: int
+    capped_segments: list
 
 
 def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
@@ -421,6 +427,7 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     bounds = np.searchsorted(seg[order], np.arange(n_seg + 1))
     estimates = np.full((n_seg, dim), np.nan)
     is_good = np.zeros(n_seg, dtype=bool)
+    iterations, capped = 0, []
     for j in range(n_seg):
         idx = order[bounds[j]:bounds[j + 1]]
         if idx.size >= 2 * kind.minimal_samples:
@@ -428,10 +435,13 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
                 report = ransac_estimate(
                     obs[idx], kind, cfg,
                     depths=None if depths is None else depths[idx])
-                estimates[j] = report.theta
-                is_good[j] = True
             except SolverDegeneracy:
-                pass
+                continue
+            estimates[j] = report.theta
+            is_good[j] = True
+            iterations += report.iterations
+            if report.hit_cap:
+                capped.append(j)
     if not is_good.any():
         raise UnderDetermined("no segment supported a linear fit")
     good_arr = np.flatnonzero(is_good)
@@ -457,4 +467,6 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     traj = SplineTrajectory(cp, t0=t0, dt=dt)
     return traj, SplineInitReport(segment_estimates=estimates,
                                   good_segments=good_arr.tolist(),
-                                  filled_segments=filled.tolist())
+                                  filled_segments=filled.tolist(),
+                                  ransac_iterations=iterations,
+                                  capped_segments=capped)

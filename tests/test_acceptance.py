@@ -196,7 +196,7 @@ def test_ransac_outlier_robustness_and_determinism():
         ConstantMotion(Velocity(nu=(0, 0, 0), omega=omega)),
         count=500, seed=7,
         noise=NoiseSpec(sigma_px=0.1, outlier_fraction=0.3))
-    cfg = RansacConfig(threshold=1e-3, seed=11)
+    cfg = RansacConfig(seed=11)
     fit1 = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, cfg)
     fit2 = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, cfg)
     deterministic = (np.array_equal(fit1.theta, fit2.theta)
@@ -211,6 +211,57 @@ def test_ransac_outlier_robustness_and_determinism():
     report("ransac-robustness", ok,
            f"ransac err {err_ransac:.2e} vs inlier-only {err_inlier:.2e}, "
            f"deterministic={deterministic}, {elapsed:.1f}s")
+
+
+def _robust_solve_seed(seed, k):
+    """Dataset seed k of the robust-solve benchmark workload at `seed`."""
+    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+
+
+def test_ransac_six_dof_and_homography_within_2x_of_inlier_fit():
+    """Six-dof (random depths) and homography (plane) RANSAC on the
+    robust-solve benchmark data at seeds 1-3, K = 20 k with 30% outliers,
+    land within 2x of the least-squares fit on the true inliers at 0.1, 0.5
+    and 1 px, below the iteration cap; < 30 s.  At 2 px the default 3 px/s
+    cap sits at 1.5 sigma and this bound does not hold."""
+    t_start = time.perf_counter()
+    motion = ConstantMotion(Velocity(nu=(0.2, -0.1, 0.3),
+                                     omega=(0.1, -0.2, 0.15)))
+    truth_six = np.r_[motion.velocity.nu, motion.velocity.omega]
+    plane = PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0)
+    truth_h = hd_from_plane(motion.velocity, np.asarray(plane.normal), plane.d).h
+
+    def six_err(theta):
+        return np.linalg.norm(theta - truth_six) / np.linalg.norm(truth_six)
+
+    def h_err(theta):
+        h_d, _ = recover_true_hd(theta.reshape(3, 3))
+        return np.linalg.norm(h_d.h - truth_h) / np.linalg.norm(truth_h)
+
+    cases = [(ModelKind.SIX_DOF, RandomPointsScene(depth_range=(1.0, 5.0)),
+              1, six_err), (ModelKind.DIFF_HOMOGRAPHY, plane, 2, h_err)]
+    worst, capped = 0.0, 0
+    for seed in (1, 2, 3):
+        for sigma in (0.1, 0.5, 1.0):
+            for kind, scene, k, err_of in cases:
+                obs, truth = generate_dataset(
+                    scene, motion, count=20000, seed=_robust_solve_seed(seed, k),
+                    noise=NoiseSpec(sigma_px=sigma, outlier_fraction=0.3))
+                keep = truth.inlier_mask
+                if kind is ModelKind.SIX_DOF:
+                    result = ransac_estimate(obs, kind, depths=truth.z)
+                    rows, rhs = build_rows(obs[keep], kind, depths=truth.z[keep])
+                else:
+                    result = ransac_estimate(obs, kind)
+                    rows, rhs = build_rows(obs[keep], kind)
+                theta_inlier, _ = stack_and_solve(rows, rhs)
+                worst = max(worst, err_of(result.theta) / err_of(theta_inlier))
+                capped += result.hit_cap
+    elapsed = time.perf_counter() - t_start
+    ok = worst <= 2.0 and capped == 0 and elapsed < 30.0
+    report("ransac-six-dof-homography", ok,
+           f"worst ransac/inlier-only error {worst:.2f} <= 2 over 18 fits, "
+           f"{capped} at the iteration cap, {elapsed:.1f}s")
 
 
 def test_spline_step_response():

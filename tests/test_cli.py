@@ -123,6 +123,51 @@ def test_solve_angular_velocity_roundtrip(tmp_path):
     assert report["manifest"]["config"]["kind"] == "angular-velocity"
 
 
+def test_solve_reports_ransac_run(tmp_path):
+    out = simulate(tmp_path, "--nu", "0,0,0", "--noise-px", 0.5,
+                   "--outlier-fraction", 0.2)
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", report_path) == 0
+    report = read_json(report_path)
+    assert report["hit_cap"] is False
+    assert report["inlier_ratio"] == report["n_inliers"] / report["n_obs"]
+    # the 3 px/s default over a 200 px focal length caps the threshold,
+    # which the fit then tightens to about 3 sigma of the 0.5 px noise
+    assert 1.0 / 200 < report["threshold"] < 3.0 / 200
+    assert report["rms"] < report["threshold"]
+
+
+def test_solve_threshold_flag_is_in_pixels_per_second(tmp_path):
+    intrinsics = tmp_path / "intrinsics.json"
+    intrinsics.write_text(json.dumps({"fx": 100.0, "fy": 400.0, "cx": 120.0,
+                                      "cy": 200.0, "width": 240,
+                                      "height": 400}))
+    out = simulate(tmp_path, "--nu", "0,0,0", "--intrinsics", intrinsics)
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv", "--intrinsics",
+               intrinsics, "--kind", "angular-velocity", "--threshold", 4,
+               "--output", report_path) == 0
+    report = read_json(report_path)
+    assert report["n_inliers"] == 400
+    # noise-free data tighten the cap to its floor, one hundredth of
+    # 4 px/s over sqrt(fx * fy) = 200 px
+    assert report["threshold"] == pytest.approx(4.0 / 200 / 100, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["solve", "fit-spline"])
+def test_non_finite_or_negative_threshold_exits_2(tmp_path, capsys, value,
+                                                  command):
+    out = simulate(tmp_path, "--nu", "0,0,0")
+    report_path = tmp_path / "fit.json"
+    assert run(command, "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--threshold", value,
+               "--output", report_path) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_solve_six_dof_roundtrip_and_missing_depth(tmp_path):
     out = simulate(tmp_path)
     report_path = tmp_path / "fit.json"
@@ -237,6 +282,8 @@ def test_fit_spline_tracks_step(tmp_path):
     assert len(spline["control_points"][0]) == 3
     assert spline["domain"][0] < 0.25 < spline["domain"][1]
     assert spline["starved_control_points"] == []
+    assert spline["capped_segments"] == []
+    assert spline["ransac_iterations"] >= 1
     assert spline["irls_rounds"] >= 1
     assert 1.0 <= spline["cond"] < 1e6
     rows = read_csv_rows(trace_path)

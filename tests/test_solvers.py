@@ -338,16 +338,96 @@ def test_ransac_planted_outliers():
     assert len(recovered & true_inliers) >= 0.95 * len(true_inliers)
 
 
+def line_distance(obs, u):
+    """|n . u - |n|^2| / |u|: distance from each normal flow to the
+    constraint line of the predicted flow u, computed from the geometry
+    module rather than the solver's closed forms."""
+    return (np.abs(np.sum(obs.n * u, axis=1) - obs.mag2)
+            / np.linalg.norm(u, axis=1))
+
+
 def test_ransac_residual_law():
     v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))
     noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.2)
-    obs, _ = generate_dataset(RandomPointsScene(), ConstantMotion(v),
-                              count=400, noise=noise, seed=8)
-    cfg = RansacConfig(threshold=1e-4, seed=8)
+    obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                                  count=400, noise=noise, seed=8)
+    cfg = RansacConfig(seed=8)
     report = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, cfg)
-    a, b = build_rows(obs, ModelKind.ANGULAR_VELOCITY)
-    resid = np.abs(a @ report.theta - b)
-    assert np.all(resid[report.inliers] <= cfg.threshold)
+    u = motion_field(obs.xy[:, 0], obs.xy[:, 1], np.ones(len(obs)),
+                     Velocity(nu=(0, 0, 0), omega=report.theta))
+    e = line_distance(obs, u)
+    assert cfg.threshold / 100 <= report.threshold <= cfg.threshold
+    # every reported inlier, and only those, lies within the effective cap
+    inside = np.zeros(len(obs), dtype=bool)
+    inside[report.inliers] = True
+    assert np.all(e[inside] <= report.threshold)
+    assert np.all(e[~inside] > report.threshold)
+    assert report.rms == pytest.approx(np.sqrt(np.mean(e[inside] ** 2)),
+                                       rel=1e-9)
+    assert report.inlier_ratio == len(report.inliers) / len(obs)
+    assert not report.hit_cap
+    # the scale step sets the cap near 3 sigma of the 0.5 px noise
+    sigma = 0.5 / truth.intrinsics.fx
+    assert 2 * sigma < report.threshold < 4 * sigma
+    assert np.sum(inside & truth.inlier_mask) >= 0.99 * truth.inlier_mask.sum()
+
+
+@pytest.mark.parametrize("kind", [ModelKind.DEPTH, ModelKind.SIX_DOF,
+                                  ModelKind.DIFF_HOMOGRAPHY])
+def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
+    # the solver's closed-form flows agree with geometry's interaction
+    # matrices: its inliers lie within report.threshold of the lines there
+    v = Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15))
+    scene = RandomPointsScene() if kind is ModelKind.SIX_DOF else \
+        PlaneScene(normal=(0, 0, 1.0), d=2.0)
+    noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.3)
+    obs, truth = generate_dataset(scene, ConstantMotion(v), count=600,
+                                  noise=noise, seed=41)
+    x, y = obs.xy[:, 0], obs.xy[:, 1]
+    if kind is ModelKind.DEPTH:
+        report = ransac_estimate(obs, kind, RansacConfig(seed=2), velocity=v)
+        u = motion_field(x, y, np.full(len(obs), 1.0 / report.theta[0]), v)
+    elif kind is ModelKind.SIX_DOF:
+        report = ransac_estimate(obs, kind, RansacConfig(seed=2),
+                                 depths=truth.z)
+        u = motion_field(x, y, truth.z, Velocity(nu=report.theta[:3],
+                                                 omega=report.theta[3:]))
+    else:
+        report = ransac_estimate(obs, kind, RansacConfig(seed=2))
+        u = homography_flow(report.theta.reshape(3, 3), x, y)
+    e = line_distance(obs, u)
+    assert np.all(e[report.inliers] <= report.threshold)
+    recall = np.isin(np.flatnonzero(truth.inlier_mask), report.inliers).mean()
+    assert recall >= 0.98
+
+
+def test_ransac_zero_predicted_flow_is_an_outlier():
+    # under forward translation the image centre is the focus of expansion:
+    # every depth hypothesis predicts exactly zero flow there, which scores
+    # as e = inf, an outlier, and raises no division warning
+    v = Velocity(nu=(0, 0, 0.4), omega=(0, 0, 0))
+    scene = PlaneScene(normal=(0, 0, 1.0), d=2.0)
+    obs, _ = generate_dataset(scene, ConstantMotion(v), count=200, seed=42)
+    centre = Observations(xy=[(0.0, 0.0)], n=[(0.01, 0.0)], t=[0.0])
+    with np.errstate(all="raise"):
+        report = ransac_estimate([centre, obs], ModelKind.DEPTH,
+                                 RansacConfig(seed=1), velocity=v)
+    assert 0 not in report.inliers
+    assert len(report.inliers) == 200
+    assert np.isfinite(report.rms)
+    assert report.theta[0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_ransac_reports_hitting_the_cap():
+    v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))
+    noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.6)
+    obs, _ = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                              count=300, noise=noise, seed=43)
+    capped = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY,
+                             RansacConfig(seed=4, max_iterations=3))
+    assert capped.hit_cap and capped.iterations == 3
+    free = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, RansacConfig(seed=4))
+    assert not free.hit_cap and 3 < free.iterations < 1000
 
 
 def test_ransac_all_inliers_equals_full_solve():
@@ -430,6 +510,10 @@ def test_minimal_sample_sizes():
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(threshold=0.0)
+    with pytest.raises(ValueError):
+        RansacConfig(threshold=float("nan"))
+    with pytest.raises(ValueError):
+        RansacConfig(threshold=float("inf"))
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.0)
     with pytest.raises(ValueError):

@@ -264,6 +264,27 @@ def test_init_constant_motion_all_points_equal():
     assert np.allclose(init.control_points, omega, atol=1e-6)
 
 
+def test_init_counts_ransac_work_and_caps_no_segment():
+    # spline-step-like data: a 0.5 -> 2 rad/s step over 1 s, K = 10 k,
+    # 0.5 px noise and 10% outliers, 50 knot intervals of 0.02 s
+    motion = StepMotion(before=Velocity(nu=(0, 0, 0), omega=(0, 0, 0.5)),
+                        after=Velocity(nu=(0, 0, 0), omega=(0, 0, 2.0)),
+                        t_switch=0.5)
+    obs, _ = generate_dataset(RandomPointsScene(), motion, count=10000,
+                              window=1.0, seed=86,
+                              noise=NoiseSpec(sigma_px=0.5, outlier_fraction=0.1))
+    _, report = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    n_good = len(report.good_segments)
+    assert n_good == 50 and not report.filled_segments
+    assert report.capped_segments == []
+    assert n_good <= report.ransac_iterations < 20 * n_good
+    _, capped = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02,
+                                 cfg=RansacConfig(max_iterations=2))
+    assert capped.capped_segments == capped.good_segments
+    assert all(type(j) is int for j in capped.capped_segments)
+    assert capped.ransac_iterations == 2 * len(capped.good_segments)
+
+
 def test_init_requires_observations():
     with pytest.raises(UnderDetermined):
         init_from_linear([], ModelKind.ANGULAR_VELOCITY)
@@ -542,8 +563,9 @@ def test_init_bit_identical_to_per_segment_scan():
     obs, _ = rotation_dataset(STEP, count=3000, seed=85,
                               noise=NoiseSpec(sigma_px=0.5,
                                               outlier_fraction=0.1))
-    # a gap and a sparse stretch leave filled segments between good ones
-    keep = (obs.t < 0.12) | (obs.t > 0.2) & ((obs.t > 0.3) | (obs.xy[:, 0] > 0.3))
+    # a gap at least 5 segments wide and a sparse stretch leave filled
+    # segments between good ones
+    keep = (obs.t < 0.12) | (obs.t > 0.24) & ((obs.t > 0.3) | (obs.xy[:, 0] > 0.3))
     obs = obs[keep]
     init, report = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
     cp, estimates, good, filled = init_reference(
