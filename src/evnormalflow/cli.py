@@ -239,14 +239,14 @@ def _ransac_config(args, intr):
 # subcommands
 
 def cmd_extract(args, resolved):
-    intr = _load_intrinsics(args.intrinsics)
-    events = read_events(args.events, width=intr.width, height=intr.height)
-    t_ref = args.t_ref if args.t_ref is not None else (events[-1].t if events else 0.0)
     cfg = ExtractionConfig(
         spatial_window=args.spatial_window, temporal_window=args.temporal_window,
         plane_thresh=args.plane_thresh, plane_iters=args.plane_iters,
         min_support=args.min_support, max_flow=args.max_flow,
         min_gradient=args.min_gradient, seed=args.seed)
+    intr = _load_intrinsics(args.intrinsics)
+    events = read_events(args.events, width=intr.width, height=intr.height)
+    t_ref = args.t_ref if args.t_ref is not None else (events[-1].t if events else 0.0)
     polarity = {"joint": None, "pos": 1, "neg": -1}[args.polarity]
     surface = build_time_surface(events, t_ref, cfg.temporal_window,
                                  (intr.height, intr.width), polarity=polarity)

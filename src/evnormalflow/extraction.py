@@ -7,11 +7,14 @@ units is n = g / |g|^2.  Local planes are fit with a small RANSAC to
 reject neighbouring pixels belonging to other structures.
 
 All candidate pixels are fit together, a chunk of CHUNK_BYTES at a time:
-padded (P, spatial_window^2) support patches, minimal samples drawn from
-each pixel's own (seed, y, x) substream, the 3x3 minimal systems solved
-in one batch and scored with one batched product, and one batched 3x3
-normal-equation refit.  `fit_local_plane` runs the same code on one
-pixel, so results do not depend on batching.
+padded (P, spatial_window^2) support patches, minimal samples drawn by
+hashing a counter with each pixel's own uint64 key (a counter-based
+stream: Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), the minimal planes solved in closed form by Cramer's rule and
+scored with one batched product, and one batched 3x3 normal-equation
+refit.  A pixel's key depends only on the seed and its coordinates, and
+`fit_local_plane` runs the same code on one pixel, so results do not
+depend on batching.
 
 The flows come out as one Observations with the pixel locations and fit
 diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow
@@ -19,6 +22,7 @@ and is written and read with one NumPy call each.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,13 +46,13 @@ class ExtractionConfig:
     """Tuning for plane fitting and gradient-to-flow conversion.
 
     spatial_window   side of the square fit neighbourhood, pixels (odd)
-    temporal_window  events older than this are ignored, seconds
+    temporal_window  events older than this are ignored, seconds (inf: none)
     plane_thresh     RANSAC inlier threshold on |t - plane(x, y)|, seconds
     plane_iters      RANSAC iterations per pixel
     min_support      minimum fired pixels and minimum consensus size
-    max_flow         flows faster than this are rejected, px/s
+    max_flow         flows faster than this are rejected, px/s (inf: none)
     min_gradient     gradients flatter than this are rejected, s/px
-    seed             base seed; each pixel derives its own substream
+    seed             base seed in [0, 2**64), hashed with each pixel's (x, y)
     """
 
     spatial_window: int = 7
@@ -64,12 +68,18 @@ class ExtractionConfig:
         if self.spatial_window < 3 or self.spatial_window % 2 == 0:
             raise ValueError("spatial_window must be odd and >= 3")
         for name in ("temporal_window", "plane_thresh", "max_flow", "min_gradient"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:          # also rejects NaN
                 raise ValueError(f"{name} must be positive")
+        # An infinite temporal_window or max_flow means no limit.
+        for name in ("plane_thresh", "min_gradient"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.plane_iters < 1 or self.min_support < 3:
             raise ValueError("plane_iters >= 1 and min_support >= 3 required")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        # The pixel keys hash the seed as one uint64.
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 1 << 64):
+            raise ValueError("seed must be an int in [0, 2**64)")
 
     @property
     def gradient_floor(self):
@@ -144,46 +154,94 @@ def _collinear(dx, dy, valid):
     return ~np.any((cross != 0) & valid, axis=1)
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio Weyl
+# increment and the finaliser that turns any counter into 64 mixed bits.
+# Every operand is np.uint64: mixed with int64, NumPy 1.x promotes to float64.
+_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
+
+
+def _mix(z):
+    """SplitMix64 finaliser of a uint64 array, in place (wrapping)."""
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
+    return z
+
+
+def _pixel_keys(seed, px, py):
+    """One uint64 key per pixel: mix(mix(mix(seed*gamma + y) + x))."""
+    z = _mix(np.uint64(seed * _GAMMA % (1 << 64)) + py.astype(np.uint64))
+    z += px.astype(np.uint64)
+    return _mix(_mix(z))
+
+
 def _sample_triples(cfg, px, py, k):
-    """Per pixel and iteration, the support slots of the three smallest of
-    k random keys: the first three of argsort(rng.random((iters, k))) with
-    rng = default_rng([seed, y, x]), the pixel's own substream."""
-    iters, slots = cfg.plane_iters, cfg.spatial_window ** 2
-    keys = np.full((px.size, iters, slots), np.inf)
-    draw = np.empty(iters * slots)
-    for i, (x, y, m) in enumerate(zip(px.tolist(), py.tolist(), k.tolist())):
-        np.random.default_rng([cfg.seed, y, x]).random(out=draw[:iters * m])
-        keys[i, :, :m] = draw[:iters * m].reshape(iters, m)
-    rows, its = np.arange(px.size)[:, None], np.arange(iters)
-    picks = []
-    for _ in range(3):
-        pick = keys.argmin(axis=2)
-        keys[rows, its, pick] = np.inf
-        picks.append(pick)
-    return picks
+    """Per pixel and iteration, three distinct support slots below k.
+
+    Draw j of iteration i hashes the pixel's key with the counter 3i + j,
+    h = mix(key + (3i + j)*gamma) >> 32, and maps it below m as
+    (h*m) >> 32.  The slots come from Floyd's sampling without replacement
+    (Bentley & Floyd, CACM 1987): r0 below k-2; r1 below k-1, or k-2 if it
+    repeats r0; r2 below k, or k-1 if it repeats r0 or r1.  So a pixel's
+    draws depend only on the seed and its own coordinates.  Returns three
+    (P, plane_iters) index arrays.
+    """
+    counter = np.arange(3 * cfg.plane_iters, dtype=np.uint64)
+    counter *= _GAMMA_U64
+    h = _pixel_keys(cfg.seed, px, py)[:, None] + counter
+    h = _mix(h).reshape(px.size, cfg.plane_iters, 3) >> _S32
+    # (P, 3) bounds k-2, k-1 and k of the three draws.
+    bound = k.astype(np.uint64)[:, None] - np.arange(3, dtype=np.uint64)[::-1]
+    r0, r1, r2 = np.moveaxis((h * bound[:, None, :]) >> _S32, 2, 0)
+    k_2, k_1 = bound[:, :1], bound[:, 1:2]
+    r1 = np.where(r1 == r0, k_2, r1)
+    r2 = np.where((r2 == r0) | (r2 == r1), k_1, r2)
+    return [r.astype(np.intp) for r in (r0, r1, r2)]
 
 
-def _best_consensus(cfg, design, t, valid, picks):
-    """Solve every minimal sample's plane and count its inliers.
+def _minimal_planes(dx, dy, t, picks):
+    """Plane (a, b, c) through each minimal sample, by Cramer's rule.
 
-    `design` holds the (P, slots, 3) rows [dx dy 1].  Returns each pixel's
-    best consensus size (-1 when every sample was degenerate) and its
-    inlier mask over the slots; ties go to the lowest iteration.
+    Returns (P, 3, iters) coefficients and the (P, iters) mask of samples
+    that span a plane.  Integer offsets make the determinant exact, so a
+    sample is degenerate exactly when it is 0; its coefficients are
+    finite and meaningless.
+    """
+    n, slots = dx.shape
+    flat = [r + np.arange(0, n * slots, slots)[:, None] for r in picks]
+    (x0, x1, x2), (y0, y1, y2), (t0, t1, t2) = (
+        [v.ravel().take(f) for f in flat] for v in (dx, dy, t))
+    x1, x2, y1, y2 = x1 - x0, x2 - x0, y1 - y0, y2 - y0
+    t1, t2 = t1 - t0, t2 - t0
+    det = x1 * y2 - x2 * y1
+    ok = det != 0
+    det = np.where(ok, det, 1)
+    a = (t1 * y2 - t2 * y1) / det
+    b = (x1 * t2 - x2 * t1) / det
+    return np.stack([a, b, t0 - a * x0 - b * y0], axis=1), ok
+
+
+def _best_consensus(cfg, design, t, valid, planes, ok):
+    """Count the inliers of every minimal sample's plane.
+
+    `design` holds the (P, slots, 3) rows [dx dy 1] and `planes` the
+    (P, 3, iters) minimal planes, `ok` marking the non-degenerate ones.
+    Returns each pixel's best consensus size (-1 when every sample was
+    degenerate) and its inlier mask over the slots; ties go to the lowest
+    iteration.
     """
     rows = np.arange(design.shape[0])
-    sample = np.stack(picks, axis=2)                        # (P, iters, 3)
-    a3 = design[rows[:, None, None], sample]                # (P, iters, 3, 3)
-    b3 = t[rows[:, None, None], sample]
-    # Integer offsets make the sample determinant exact.
-    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(a3[..., :2], (3, 2), (0, 1))
-    ok = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) != 0
-    coef = np.zeros(b3.shape)
-    coef[ok] = np.linalg.solve(a3[ok], b3[ok][..., None])[..., 0]
-    resid = design @ coef.transpose(0, 2, 1)                # (P, slots, iters)
+    resid = design @ planes                                 # (P, slots, iters)
     resid -= t[:, :, None]
     inlier = np.abs(resid, out=resid) <= cfg.plane_thresh
     inlier &= valid[:, :, None]
-    counts = inlier.sum(axis=1)
+    # The narrowest signed type that holds -slots sums bools fastest.
+    counts = inlier.sum(axis=1, dtype=np.min_scalar_type(-design.shape[1]))
     counts[~ok] = -1
     best = counts.argmax(axis=1)
     return counts[rows, best], inlier[rows, :, best]
@@ -219,11 +277,11 @@ def _fit_planes(ts, cfg, px, py):
                           np.where(_collinear(dx, dy, valid), _DEGENERATE,
                                    _FITTED))
         run = np.flatnonzero(status == _FITTED)
-        design = np.stack([dx[run], dy[run], np.ones_like(dx[run])],
-                          axis=2).astype(float)
-        t, valid = t[run], valid[run]
+        dx, dy, t, valid = dx[run], dy[run], t[run], valid[run]
+        design = np.stack([dx, dy, np.ones_like(dx)], axis=2).astype(float)
         picks = _sample_triples(cfg, cx[run], cy[run], k[run])
-        count, weight = _best_consensus(cfg, design, t, valid, picks)
+        planes, ok = _minimal_planes(dx, dy, t, picks)
+        count, weight = _best_consensus(cfg, design, t, valid, planes, ok)
         good = count >= cfg.min_support
         status[run[~good]] = _INSUFFICIENT
         coef, rms = _refit(design[good], t[good], weight[good])
@@ -273,9 +331,9 @@ def extract_normal_flows(ts, intr, cfg=None):
 
     Returns (Observations with px, inliers and rms, ExtractionStats).
     Per-pixel failures are skipped and counted, never raised.  Output is
-    ordered by pixel index (row-major); each pixel's RANSAC uses a
-    substream derived from (seed, pixel), so it does not depend on how the
-    pixels are batched.
+    ordered by pixel index (row-major); each pixel's RANSAC draws from a
+    key hashed from (seed, pixel), so it does not depend on how the pixels
+    are batched.
     """
     cfg = cfg or ExtractionConfig()
     if (intr.height, intr.width) != ts.shape:

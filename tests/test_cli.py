@@ -377,6 +377,31 @@ def test_extract_pipeline(tmp_path):
     assert no_tmp_left(tmp_path)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--plane-thresh", "nan"), ("--temporal-window", "nan"),
+    ("--max-flow", "nan"), ("--min-gradient", "nan"),
+    ("--plane-thresh", "inf"), ("--min-gradient", "inf"),
+    ("--seed", "18446744073709551616"), ("--seed", "-1")])
+def test_extract_bad_config_value_exits_2(tmp_path, capsys, flag, value):
+    events = tmp_path / "events.txt"
+    write_edge_events(events)
+    flows_path = tmp_path / "flows.csv"
+    assert run("extract", "--events", events, "--output", flows_path,
+               flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not flows_path.exists()
+
+
+def test_extract_infinite_window_and_flow_cap_mean_no_limit(tmp_path):
+    events = tmp_path / "events.txt"
+    write_edge_events(events)
+    flows_path = tmp_path / "flows.csv"
+    assert run("extract", "--events", events, "--output", flows_path,
+               "--temporal-window", "inf", "--max-flow", "inf") == 0
+    assert read_csv_rows(flows_path)
+
+
 def test_extract_empty_events(tmp_path):
     events = tmp_path / "events.txt"
     events.write_text("")

@@ -1,16 +1,20 @@
 """Local plane fitting and normal-flow extraction from time surfaces."""
+import warnings
+
 import numpy as np
 import pytest
 
 from evnormalflow import (BelowMinGradient, DegenerateConfiguration, Event,
-                          ExtractionConfig, InsufficientSupport, Intrinsics,
-                          MovingEdge, Observations, OutOfBounds,
+                          EventArray, ExtractionConfig, InsufficientSupport,
+                          Intrinsics, MovingEdge, Observations, OutOfBounds,
                           build_time_surface, extract_normal_flows,
                           fit_local_plane, normal_flow_from_gradient,
                           read_flows_csv, records_to_obs, surface_from_edges,
                           write_flows_csv)
+from evnormalflow import extraction
 from evnormalflow.events import TimeSurface, UNFIRED
-from evnormalflow.extraction import FLOWS_DTYPE
+from evnormalflow.extraction import (FLOWS_DTYPE, _minimal_planes,
+                                     _sample_triples)
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60)
 
@@ -201,6 +205,71 @@ def test_extract_from_event_stream_end_to_end():
     assert np.allclose(obs.n, [50.0 / INTR.fx, 0.0], rtol=1e-6, atol=1e-9)
 
 
+def jittered_edge_surface(seed, velocity=(-80.0, 60.0), duration=0.15,
+                          window=0.04, background=0.05, jitter_s=2e-6):
+    """Time surface of an event stream built the way the event-pipeline
+    benchmark builds its own: a vertical and a horizontal edge translating
+    at `velocity` px/s fire once per pixel they cross over [0, duration],
+    `background` times as many uniform background events are added, every
+    timestamp gets Gaussian jitter and is rounded to the 1 ns of a text
+    stream.  Returns the surface (t_ref at the last event), the label of
+    the event each pixel holds (0 vertical edge, 1 horizontal edge, 2
+    background, -1 none) and the normal speed of each edge, px/s."""
+    rng = np.random.default_rng(seed)
+    wx, wy = velocity
+    shape = (INTR.height, INTR.width)
+    # Both edges pass the middle of the sensor at the end of the stream.
+    edges = [MovingEdge(point=(INTR.width / 2 - wx * duration, 0.0),
+                        direction=(0.0, 1.0), velocity=velocity),
+             MovingEdge(point=(0.0, INTR.height / 2 - wy * duration),
+                        direction=(1.0, 0.0), velocity=velocity)]
+    parts = []
+    for label, edge in enumerate(edges):
+        ts = surface_from_edges([edge], shape, duration).timestamps
+        y, x = np.nonzero(np.isfinite(ts))
+        parts.append((ts[y, x], x, y, np.full(x.size, label)))
+    t, x, y, label = (np.concatenate(p) for p in zip(*parts))
+    n_bg = int(round(background * t.size))
+    t = np.concatenate([t, rng.uniform(0.0, duration, n_bg)])
+    x = np.concatenate([x, rng.integers(0, INTR.width, n_bg)])
+    y = np.concatenate([y, rng.integers(0, INTR.height, n_bg)])
+    label = np.concatenate([label, np.full(n_bg, 2)])
+    t = np.round(t + rng.normal(0.0, jitter_s, t.size), 9)
+    order = np.lexsort((x, y, t))
+    t, x, y, label = t[order], x[order], y[order], label[order]
+    surface = build_time_surface(EventArray(t, x, y, np.ones(t.size)),
+                                 t[-1], window, shape)
+    held = np.full(shape, -1)
+    hit = surface.timestamps[y, x] == t
+    held[y[hit], x[hit]] = label[hit]
+    return surface, held, np.abs(np.array(velocity))
+
+
+def median_speed_error(obs, held, speeds):
+    """Median relative error of the normal speed 1/|g| at the emitted
+    pixels that hold an edge event."""
+    g = obs.n / obs.mag2[:, None] / np.array([INTR.fx, INTR.fy])
+    x, y = obs.px.astype(int).T
+    edge = held[y, x] <= 1
+    truth = speeds[held[y, x][edge]]
+    return float(np.median(np.abs(1.0 / np.hypot(*g[edge].T) - truth) / truth))
+
+
+def test_extract_jittered_edges_magnitude_error():
+    # Bounds frozen from this 20-seed sweep: the median error per seed
+    # spans 1.70e-5 .. 2.74e-5, with median 2.08e-5 over the seeds.
+    errors, yields = [], []
+    for seed in range(20):
+        surface, held, speeds = jittered_edge_surface(seed)
+        obs, stats = extract_normal_flows(surface, INTR,
+                                          ExtractionConfig(seed=seed))
+        errors.append(median_speed_error(obs, held, speeds))
+        yields.append(stats.emitted / stats.candidates)
+    assert max(errors) <= 3e-5
+    assert np.median(errors) <= 2.2e-5
+    assert min(yields) >= 0.9
+
+
 def two_flows():
     return Observations(xy=np.zeros((2, 2)), n=[(0.25, -0.125), (-0.5, 0.0)],
                         t=[0.123456789, 0.2], px=[(10, 20), (11, 21)],
@@ -326,3 +395,172 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(min_support=2)
     assert ExtractionConfig(max_flow=100.0).gradient_floor == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("field", ["temporal_window", "plane_thresh",
+                                   "max_flow", "min_gradient"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        ExtractionConfig(**{field: float("nan")})
+
+
+def test_config_infinite_values():
+    for field in ("plane_thresh", "min_gradient"):
+        with pytest.raises(ValueError, match=field):
+            ExtractionConfig(**{field: float("inf")})
+    # An infinite temporal window or flow cap means no limit.
+    cfg = ExtractionConfig(temporal_window=float("inf"), max_flow=float("inf"))
+    assert cfg.gradient_floor == cfg.min_gradient
+    surface = ramp_surface(0.01, 0.0, window=2.0)
+    obs, stats = extract_normal_flows(surface, INTR, cfg)
+    assert stats.candidates == INTR.width * INTR.height and len(obs) > 0
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64, 2 ** 70, "3"])
+def test_config_rejects_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ExtractionConfig(seed=seed)
+
+
+# --------------------------------------------------------------------------
+# the counter-hashed sampler and the closed-form minimal planes
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_triples(seed, x, y, k, iters):
+    """The draw definition in Python integers: the pixel key
+    mix(mix(mix(seed*gamma + y) + x)), hashes h = mix(key + (3i + j)*gamma)
+    >> 32, slots (h*m) >> 32 below m, and Floyd's three distinct slots."""
+    key = splitmix64(splitmix64(
+        (splitmix64((seed * GAMMA + y) & MASK64) + x) & MASK64))
+    triples = []
+    for i in range(iters):
+        h0, h1, h2 = (splitmix64((key + (3 * i + j) * GAMMA) & MASK64) >> 32
+                      for j in range(3))
+        r0 = (h0 * (k - 2)) >> 32
+        r1 = (h1 * (k - 1)) >> 32
+        r1 = k - 2 if r1 == r0 else r1
+        r2 = (h2 * k) >> 32
+        r2 = k - 1 if r2 in (r0, r1) else r2
+        triples.append((r0, r1, r2))
+    return triples
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_sampler_matches_python_integer_reference(seed):
+    # Any float64 step in the uint64 arithmetic would lose low bits here.
+    cfg = ExtractionConfig(seed=seed, plane_iters=20)
+    px = np.array([0, 1, 239, 5000, 123456])
+    py = np.array([0, 0, 179, 3, 654321])
+    k = np.array([3, 10, 49, 17, 4])
+    picks = np.stack(_sample_triples(cfg, px, py, k), axis=2)
+    for row, (x, y, m) in enumerate(zip(px.tolist(), py.tolist(), k.tolist())):
+        assert picks[row].tolist() == [list(t) for t in reference_triples(
+            seed, x, y, m, cfg.plane_iters)]
+
+
+def test_sampler_three_distinct_slots_below_k():
+    cfg = ExtractionConfig(seed=11)
+    ks = np.arange(3, 50)
+    px, py = np.arange(ks.size) * 7, np.arange(ks.size) * 3
+    r0, r1, r2 = _sample_triples(cfg, px, py, ks)
+    assert r0.shape == (ks.size, cfg.plane_iters)
+    for r in (r0, r1, r2):
+        assert np.all((r >= 0) & (r < ks[:, None]))
+    assert np.all((r0 != r1) & (r0 != r2) & (r1 != r2))
+
+
+def test_sampler_slot_frequencies_uniform():
+    # 10^5 triples per k.  Over seeds 0..39 and k = 4..49 the statistic
+    # chi2 / (k - 1) peaked at 2.54 (median 0.88), so the bound is 3; a
+    # Floyd step that swapped in the wrong slot puts it in the thousands.
+    cfg = ExtractionConfig(seed=0, plane_iters=50)
+    n = 2000
+    px, py = np.arange(n) % 80, np.arange(n) // 80
+    for k in range(3, 50):
+        picks = _sample_triples(cfg, px, py, np.full(n, k))
+        counts = np.bincount(np.concatenate([p.ravel() for p in picks]),
+                             minlength=k)
+        expected = 3 * n * cfg.plane_iters / k
+        chi2 = np.sum((counts - expected) ** 2) / expected
+        assert chi2 <= 3.0 * (k - 1), k
+
+
+def lapack_planes(dx, dy, t, picks):
+    """Oracle: every minimal sample's plane by a batched LAPACK solve of
+    its 3x3 system [x y 1] (a, b, c) = t, and the mask of samples whose
+    exact integer determinant is nonzero."""
+    rows = np.arange(dx.shape[0])[:, None]
+    a3 = np.stack([np.stack([dx[rows, r], dy[rows, r], np.ones(r.shape)],
+                            axis=-1) for r in picks], axis=2)
+    b3 = np.stack([t[rows, r] for r in picks], axis=2)
+    ok = np.abs(np.linalg.det(a3)) > 0.5
+    coef = np.zeros(b3.shape)
+    coef[ok] = np.linalg.solve(a3[ok], b3[ok][..., None])[..., 0]
+    return coef, ok
+
+
+def random_minimal_samples(rng, n=400, slots=49, iters=50):
+    dx = rng.integers(-3, 4, (n, slots))
+    dy = rng.integers(-3, 4, (n, slots))
+    t = rng.uniform(-0.04, 0.0, (n, slots))
+    order = np.argsort(rng.random((n, iters, slots)), axis=2)
+    return dx, dy, t, [order[..., j] for j in range(3)]
+
+
+def test_minimal_planes_match_lapack_oracle():
+    dx, dy, t, picks = random_minimal_samples(np.random.default_rng(21))
+    with np.errstate(all="raise"):
+        coef, ok = _minimal_planes(dx, dy, t, picks)
+    want, want_ok = lapack_planes(dx, dy, t, picks)
+    assert np.array_equal(ok, want_ok) and 0 < (~ok).sum() < ok.size // 4
+    got = coef.transpose(0, 2, 1)[ok]
+    scale = np.abs(want[ok]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want[ok]) <= 1e-12 * scale)
+
+
+def test_minimal_planes_flag_collinear_samples_without_warnings():
+    dx, _, t, picks = random_minimal_samples(np.random.default_rng(22), n=50)
+    dy = 2 * dx - 1            # every support pixel on one line, many repeated
+    with np.errstate(all="raise"):
+        coef, ok = _minimal_planes(dx, dy, t, picks)
+    assert not ok.any() and np.all(np.isfinite(coef))
+
+
+def extraction_outputs(surface, cfg):
+    obs, stats = extract_normal_flows(surface, INTR, cfg)
+    return [getattr(obs, name) for name in
+            ("xy", "n", "t", "mag2", "px", "inliers", "rms")], stats.to_dict()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
+def test_extract_bitwise_independent_of_chunk_size(monkeypatch, chunk_bytes):
+    surface, _, _ = jittered_edge_surface(3)
+    cfg = ExtractionConfig(seed=3)
+    want, want_stats = extraction_outputs(surface, cfg)
+    monkeypatch.setattr(extraction, "CHUNK_BYTES", chunk_bytes)
+    got, stats = extraction_outputs(surface, cfg)
+    assert stats == want_stats and want_stats["insufficient_support"] > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_extract_constructs_no_generator(monkeypatch):
+    surface, _, _ = jittered_edge_surface(4)
+    cfg = ExtractionConfig(seed=2 ** 64 - 1)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("extraction must not build a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs, stats = extract_normal_flows(surface, INTR, cfg)
+    assert stats.emitted == len(obs) > 0.9 * stats.candidates
