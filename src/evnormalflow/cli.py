@@ -332,6 +332,11 @@ def cmd_fit_spline(args, resolved):
     kind = KINDS[args.kind]
     if kind not in _TRACE_NAMES:
         raise InputError("fit-spline supports angular-velocity and six-dof")
+    if not (math.isfinite(args.knot_spacing) and args.knot_spacing > 0):
+        raise InputError(
+            f"--knot-spacing must be positive and finite, got {args.knot_spacing}")
+    if args.trace_points < 1:
+        raise InputError(f"--trace-points must be >= 1, got {args.trace_points}")
     records, depths = read_flows_csv(args.flows)
     intr = _load_intrinsics(args.intrinsics)
     obs = records_to_obs(records, intr)

@@ -171,12 +171,12 @@ class TimeSurface:
 
 
 def build_time_surface(events, t_ref, temporal_window, shape,
-                       polarity=None, jitter=JITTER_BUDGET):
+                       polarity=None):
     """Fold events (an EventArray or a sequence of Events) into a
     TimeSurface of the given (H, W) shape.
 
     Events outside (t_ref - temporal_window, t_ref] are skipped.  Streams
-    must be time-ordered up to `jitter`; within the budget, out-of-order
+    must be time-ordered up to JITTER_BUDGET; within the budget, out-of-order
     events are applied max-wise so the result is order-independent, and
     of equal timestamps at one pixel the later event wins.  `polarity` of
     +1/-1 restricts the surface to one polarity; the default folds both.
@@ -199,14 +199,14 @@ def build_time_surface(events, t_ref, temporal_window, shape,
     if polarity is not None:
         keep &= events.p == polarity
     outside = keep & ((x < 0) | (x >= w) | (y < 0) | (y >= h))
-    regress = np.flatnonzero(t < t_prev - jitter)
+    regress = np.flatnonzero(t < t_prev - JITTER_BUDGET)
     stray = np.flatnonzero(outside)
     i_order = regress[0] if regress.size else n
     i_bounds = stray[0] if stray.size else n
     if i_order < n and i_order <= i_bounds:
         raise EventOrderError(
-            f"timestamp {float(t[i_order])} regresses more than {jitter}s past "
-            f"{float(t_prev[i_order])}")
+            f"timestamp {float(t[i_order])} regresses more than "
+            f"{JITTER_BUDGET}s past {float(t_prev[i_order])}")
     if i_bounds < n:
         raise BoundsError(
             f"event pixel ({int(x[i_bounds])}, {int(y[i_bounds])}) outside {w}x{h}")

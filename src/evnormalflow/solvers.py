@@ -1,7 +1,7 @@
 """Linear least-squares solvers on the normal-flow constraint.
 
-Every model is a set of linear equations  n^T O(x) theta = |n|^2  built
-per observation:
+Every model is a flow u = O(x) theta (+ a known flow) and a set of linear
+equations  n^T O(x) theta = |n|^2  built per observation:
 
   optical flow      per-pixel 2x2: the constraint row plus the
                     differential epipolar row (known velocity)
@@ -12,13 +12,20 @@ per observation:
                     is rank-deficient by one (H and H + eps I produce the
                     same flow), resolved by the minimum-norm solution
 
+Each model's flow is written once, in _flow_model, as K-length columns;
+geometry's interaction matrices A, B, C and D are the paper's notation
+for the same flows.  build_rows derives the constraint rows from
+_flow_model: row j is the normal component of the flow that unit
+parameter j predicts.
+
 Every solver takes an Observations; a sequence of Observations (such as
 one-row sets) is concatenated once on entry.  The per-pixel solvers work
 on all pixels at once and return (values, valid), with NaN where a
 pixel's system is singular.  stack_and_solve handles the stacked
-systems.  ransac_estimate wraps them for outlier-contaminated data: MSAC
-on the distance from each normal flow to the constraint line of the flow
-a hypothesis predicts, then a weighted local-optimisation refit that
+systems.  ransac_estimate wraps them for outlier-contaminated data: it
+builds the rows once, solves minimal samples from them, scores MSAC on
+the distance from each normal flow to the constraint line of the flow a
+hypothesis predicts, then runs a weighted local-optimisation refit that
 tightens the threshold to the noise.
 """
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from .errors import (DegenerateDepth, NoConsensus, PureRotation,
                      RankDeficient, TooFewObservations)
 from .geometry import (DiffHomography, Velocity, as_observations,
-                       epipolar_terms, matrix_a, matrix_b, matrix_c, matrix_d)
+                       epipolar_terms, matrix_a, matrix_b)
 
 _REL_TOL = 1e-12
 
@@ -46,27 +53,22 @@ class ModelKind(enum.Enum):
 
     @property
     def minimal_samples(self):
-        return _MINIMAL[self]
+        return _SIZES[self][0]
 
     @property
     def param_dim(self):
-        return _PARAM_DIM[self]
+        return _SIZES[self][1]
 
     @property
     def required_rank(self):
-        return _RANK[self]
+        return _SIZES[self][2]
 
 
-_MINIMAL = {ModelKind.OPTICAL_FLOW: 1, ModelKind.DEPTH: 1,
-            ModelKind.ANGULAR_VELOCITY: 3, ModelKind.SIX_DOF: 6,
-            ModelKind.DIFF_HOMOGRAPHY: 8}
-_PARAM_DIM = {ModelKind.OPTICAL_FLOW: 2, ModelKind.DEPTH: 1,
-              ModelKind.ANGULAR_VELOCITY: 3, ModelKind.SIX_DOF: 6,
-              ModelKind.DIFF_HOMOGRAPHY: 9}
-# vec(I) spans the homography null space, so full rank there is 8, not 9.
-_RANK = {ModelKind.OPTICAL_FLOW: 2, ModelKind.DEPTH: 1,
-         ModelKind.ANGULAR_VELOCITY: 3, ModelKind.SIX_DOF: 6,
-         ModelKind.DIFF_HOMOGRAPHY: 8}
+# (minimal sample, parameter dimension, rank).  vec(I) spans the homography
+# null space, so full rank there is 8, not 9.
+_SIZES = {ModelKind.OPTICAL_FLOW: (1, 2, 2), ModelKind.DEPTH: (1, 1, 1),
+          ModelKind.ANGULAR_VELOCITY: (3, 3, 3), ModelKind.SIX_DOF: (6, 6, 6),
+          ModelKind.DIFF_HOMOGRAPHY: (8, 9, 8)}
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,12 @@ class RansacConfig:
             raise ValueError("threshold must be positive and finite")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, low in (("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no iteration count or seed
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class FitReport:
     threshold: float
 
 
-def stack_and_solve(a, b, min_rank=None, rcond=None):
+def stack_and_solve(a, b, min_rank=None):
     """Least-squares solve of a theta = b via SVD.
 
     Full-rank systems get the unique LS solution; rank-deficient ones the
@@ -135,7 +139,7 @@ def stack_and_solve(a, b, min_rank=None, rcond=None):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0:
         raise RankDeficient("all-zero system")
-    tol = s[0] * (max(a.shape) * np.finfo(float).eps if rcond is None else rcond)
+    tol = s[0] * (max(a.shape) * np.finfo(float).eps)
     rank = int(np.sum(s > tol))
     if min_rank is not None and rank < min_rank:
         raise RankDeficient(f"numerical rank {rank} < required {min_rank}")
@@ -180,73 +184,120 @@ def solve_depth(observations, v):
     violates cheirality; it is reported, not clamped.
     """
     obs = as_observations(observations)
-    n, mag2 = obs.n, obs.mag2
-    x, y = obs.xy[:, 0], obs.xy[:, 1]
-    a_nu = matrix_a(x, y) @ v.nu
-    b_om = matrix_b(x, y) @ v.omega
-    num = np.sum(n * a_nu, axis=1)
-    den = mag2 - np.sum(n * b_om, axis=1)
-    num_scale = np.linalg.norm(n, axis=1) * np.linalg.norm(a_nu, axis=1)
+    flow, offset = _flow_model(obs, ModelKind.DEPTH, velocity=v)
+    a, den = _rows(obs, ModelKind.DEPTH, flow, offset)
+    num = a[:, 0]
+    a_nu = np.stack(flow([1.0]), axis=1)
+    num_scale = np.linalg.norm(obs.n, axis=1) * np.linalg.norm(a_nu, axis=1)
     valid = (np.abs(num) > _REL_TOL * num_scale) & (num_scale > 0)
-    valid &= np.abs(den) > _REL_TOL * mag2
+    valid &= np.abs(den) > _REL_TOL * obs.mag2
     z = np.full(len(obs), np.nan)
     z[valid] = num[valid] / den[valid]
     return z, valid
 
 
-def _six_dof_depths(depths, k):
-    """depths as a float (k,) array; DegenerateDepth unless all positive."""
-    if depths is None:
-        raise ValueError("six-dof rows need per-observation depths")
-    depths = np.asarray(depths, dtype=float).reshape(-1)
-    if depths.size != k:
-        raise ValueError("depths length must match observations")
-    if np.any(~(depths > 0)):
-        raise DegenerateDepth("depth must be positive to form D(x)")
-    return depths
+def _flow_model(obs, kind, velocity=None, depths=None):
+    """(flow, offset): the one place where each model's flow is written.
 
-
-def build_rows(observations, kind, velocity=None, depths=None):
-    """Stack per-observation constraint rows (a, b) with a theta = b."""
-    obs = as_observations(observations)
-    n, mag2 = obs.n, obs.mag2
+    flow maps theta to (ux, uy), the flow O(x) theta that the parameters
+    predict at every observation, written out over K-length columns so
+    that no (K, 2, p) operator is built.  offset is the flow that does not
+    depend on theta: the known rotation B(x) omega for DEPTH, None for
+    every other kind.  The full predicted flow is flow(theta) + offset.
+    build_rows derives the constraint rows from both; ransac_estimate
+    builds those rows once per call to solve its hypotheses, and scores
+    them on the same flow.  geometry's interaction matrices are the same
+    models in the paper's notation.
+    """
     x, y = obs.xy[:, 0], obs.xy[:, 1]
     if kind is ModelKind.OPTICAL_FLOW:
-        return n.copy(), mag2
+        return (lambda u: (np.full(len(x), u[0]), np.full(len(x), u[1]))), None
     if kind is ModelKind.DEPTH:
         if velocity is None:
             raise ValueError("depth rows need a known velocity")
         a_nu = matrix_a(x, y) @ velocity.nu
         b_om = matrix_b(x, y) @ velocity.omega
-        rows = np.sum(n * a_nu, axis=1)[:, None]
-        return rows, mag2 - np.sum(n * b_om, axis=1)
-    if kind is ModelKind.ANGULAR_VELOCITY:
-        return np.einsum("ki,kij->kj", n, matrix_b(x, y)), mag2
-    if kind is ModelKind.SIX_DOF:
-        depths = _six_dof_depths(depths, len(obs))
-        return np.einsum("ki,kij->kj", n, matrix_d(x, y, depths)), mag2
+        return ((lambda inv_z: (inv_z[0] * a_nu[:, 0], inv_z[0] * a_nu[:, 1])),
+                (b_om[:, 0], b_om[:, 1]))
     if kind is ModelKind.DIFF_HOMOGRAPHY:
-        return np.einsum("ki,kij->kj", n, matrix_c(x, y)), mag2
-    raise ValueError(f"unknown kind {kind}")
+        def homography(h):
+            w = h[6] * x + h[7] * y + h[8]
+            return (h[0] * x + h[1] * y + h[2] - x * w,
+                    h[3] * x + h[4] * y + h[5] - y * w)
+        return homography, None
+
+    def rotational(w):
+        xy = x * y
+        return (xy * w[0] - (1.0 + x * x) * w[1] + y * w[2],
+                (1.0 + y * y) * w[0] - xy * w[1] - x * w[2])
+    if kind is ModelKind.ANGULAR_VELOCITY:
+        return rotational, None
+    if kind is not ModelKind.SIX_DOF:
+        raise ValueError(f"unknown kind {kind}")
+    if depths is None:
+        raise ValueError("six-dof rows need per-observation depths")
+    z = np.asarray(depths, dtype=float).reshape(-1)
+    if z.size != len(obs):
+        raise ValueError("depths length must match observations")
+    if np.any(~(z > 0)):
+        raise DegenerateDepth("depth must be positive to form D(x)")
+
+    def six_dof(theta):
+        # A(x) nu / Z divided, not multiplied by 1/Z, as geometry.matrix_d
+        # does, so that build_rows matches n^T D(x) bit for bit
+        ux, uy = rotational(theta[3:])
+        ux += (x * theta[2] - theta[0]) / z
+        uy += (y * theta[2] - theta[1]) / z
+        return ux, uy
+    return six_dof, None
+
+
+def _rows(obs, kind, flow, offset):
+    """(a, b) with a theta = b: row j of a is n . flow(e_j), the normal
+    component of the flow that unit parameter j predicts, and b is |n|^2
+    less the normal component of offset."""
+    n0, n1 = obs.n[:, 0], obs.n[:, 1]
+
+    def normal(u):
+        return n0 * u[0] + n1 * u[1]
+    a = np.stack([normal(flow(e)) for e in np.eye(kind.param_dim)], axis=1)
+    return a, obs.mag2 if offset is None else obs.mag2 - normal(offset)
+
+
+def build_rows(observations, kind, velocity=None, depths=None):
+    """Stack per-observation constraint rows (a, b) with a theta = b,
+    derived from the kind's flow model in _flow_model, the one place it is
+    written; ransac_estimate builds them once per call.  DEPTH needs
+    velocity and SIX_DOF positive per-observation depths."""
+    obs = as_observations(observations)
+    return _rows(obs, kind, *_flow_model(obs, kind, velocity, depths))
+
+
+def _observations(observations, kind):
+    """observations as an Observations; TooFewObservations when it holds
+    fewer than kind's minimal sample."""
+    obs = as_observations(observations)
+    c = kind.minimal_samples
+    if len(obs) < c:
+        raise TooFewObservations(f"need >= {c} observations, got {len(obs)}")
+    return obs
+
+
+def _solve_stacked(observations, kind, depths=None):
+    """Least-squares theta of kind's stacked rows at its required rank."""
+    a, b = build_rows(_observations(observations, kind), kind, depths=depths)
+    theta, _ = stack_and_solve(a, b, min_rank=kind.required_rank)
+    return theta
 
 
 def solve_angular_velocity(observations):
     """omega from >= 3 observations via  n^T B(x) omega = |n|^2."""
-    obs = as_observations(observations)
-    if len(obs) < 3:
-        raise TooFewObservations(f"need >= 3 observations, got {len(obs)}")
-    a, b = build_rows(obs, ModelKind.ANGULAR_VELOCITY)
-    omega, _ = stack_and_solve(a, b, min_rank=3)
-    return omega
+    return _solve_stacked(observations, ModelKind.ANGULAR_VELOCITY)
 
 
 def solve_6dof(observations, depths):
     """(nu, omega) from >= 6 observations with known per-observation depth."""
-    obs = as_observations(observations)
-    if len(obs) < 6:
-        raise TooFewObservations(f"need >= 6 observations, got {len(obs)}")
-    a, b = build_rows(obs, ModelKind.SIX_DOF, depths=depths)
-    theta, _ = stack_and_solve(a, b, min_rank=6)
+    theta = _solve_stacked(observations, ModelKind.SIX_DOF, depths=depths)
     return Velocity(nu=theta[:3], omega=theta[3:])
 
 
@@ -256,11 +307,7 @@ def solve_diff_homography(observations):
     H_L equals the true differential homography up to an eps I term; see
     homography.recover_true_hd for resolving it.
     """
-    obs = as_observations(observations)
-    if len(obs) < 8:
-        raise TooFewObservations(f"need >= 8 observations, got {len(obs)}")
-    a, b = build_rows(obs, ModelKind.DIFF_HOMOGRAPHY)
-    theta, _ = stack_and_solve(a, b, min_rank=8)
+    theta = _solve_stacked(observations, ModelKind.DIFF_HOMOGRAPHY)
     return DiffHomography(theta.reshape(3, 3))
 
 
@@ -274,41 +321,6 @@ def _adaptive_iterations(inlier_ratio, c, confidence):
     return math.ceil(math.log(1.0 - confidence) / denom)
 
 
-def _flow_model(obs, kind, velocity, depths):
-    """theta -> (ux, uy), the flow O(x) theta that the parameters theta
-    predict at every observation, written out over K-length columns so that
-    no (K, 2, p) operator is built."""
-    x, y = obs.xy[:, 0], obs.xy[:, 1]
-    if kind is ModelKind.OPTICAL_FLOW:
-        return lambda u: (np.full(len(x), u[0]), np.full(len(x), u[1]))
-    if kind is ModelKind.DEPTH:
-        a_nu = matrix_a(x, y) @ velocity.nu
-        b_om = matrix_b(x, y) @ velocity.omega
-        return lambda inv_z: (inv_z[0] * a_nu[:, 0] + b_om[:, 0],
-                              inv_z[0] * a_nu[:, 1] + b_om[:, 1])
-    if kind is ModelKind.DIFF_HOMOGRAPHY:
-        def homography(h):
-            w = h[6] * x + h[7] * y + h[8]
-            return (h[0] * x + h[1] * y + h[2] - x * w,
-                    h[3] * x + h[4] * y + h[5] - y * w)
-        return homography
-
-    def rotational(w):
-        xy = x * y
-        return (xy * w[0] - (1.0 + x * x) * w[1] + y * w[2],
-                (1.0 + y * y) * w[0] - xy * w[1] - x * w[2])
-    if kind is ModelKind.ANGULAR_VELOCITY:
-        return rotational
-    inv_z = 1.0 / depths
-
-    def six_dof(theta):
-        ux, uy = rotational(theta[3:])
-        ux += (x * theta[2] - theta[0]) * inv_z
-        uy += (y * theta[2] - theta[1]) * inv_z
-        return ux, uy
-    return six_dof
-
-
 def _squared_distance(r, s2):
     """e^2 = r^2 / s2: the squared distance from each measured normal flow to
     the constraint line of its predicted flow u, given r = n . u - |n|^2 and
@@ -316,14 +328,6 @@ def _squared_distance(r, s2):
     e2 = np.full(len(r), np.inf)
     np.divide(r * r, s2, out=e2, where=(s2 > 0) & (s2 < np.inf))
     return e2
-
-
-def _weighted_fit(rows, weight, min_rank):
-    """stack_and_solve on constraint rows (a, b) scaled by weight; a is
-    scaled in place and freed on return."""
-    a, b = rows
-    a *= weight[:, None]
-    return stack_and_solve(a, b * weight, min_rank=min_rank)
 
 
 _LO_REFITS = 3
@@ -352,28 +356,17 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     inlier satisfies e <= report.threshold.
     """
     cfg = cfg or RansacConfig()
-    obs = as_observations(observations)
-    k = len(obs)
-    c = kind.minimal_samples
-    if k < c:
-        raise TooFewObservations(f"need >= {c} observations, got {k}")
-    if kind is ModelKind.SIX_DOF:
-        depths = _six_dof_depths(depths, k)
-    else:
-        depths = None
-    if kind is ModelKind.DEPTH and velocity is None:
-        raise ValueError("depth rows need a known velocity")
-    flow = _flow_model(obs, kind, velocity, depths)
-
-    def rows(index):
-        return build_rows(obs[index], kind, velocity=velocity,
-                          depths=None if depths is None else depths[index])
-
+    obs = _observations(observations, kind)
+    k, c = len(obs), kind.minimal_samples
+    flow, offset = _flow_model(obs, kind, velocity, depths)
+    a, b = _rows(obs, kind, flow, offset)
     n0, n1 = obs.n[:, 0], obs.n[:, 1]
 
     def residual(theta):
         """(r, s2) = (n . u - |n|^2, |u|^2) for the flow u theta predicts."""
         ux, uy = flow(theta)
+        if offset is not None:
+            ux, uy = ux + offset[0], uy + offset[1]
         return n0 * ux + n1 * uy - obs.mag2, ux * ux + uy * uy
 
     t2 = cfg.threshold ** 2
@@ -383,8 +376,8 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     while i < min(cfg.max_iterations, needed):
         rng = np.random.default_rng([cfg.seed, i])
         i += 1
-        a, b = rows(rng.choice(k, c, replace=False))
-        theta, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        sample = rng.choice(k, c, replace=False)
+        theta, _, rank, _ = np.linalg.lstsq(a[sample], b[sample], rcond=None)
         if rank < c or not np.all(np.isfinite(theta)):
             continue
         e2 = _squared_distance(*residual(theta))
@@ -402,8 +395,9 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     e = np.sqrt(_squared_distance(r, s2))
     inliers = np.flatnonzero(e <= threshold)
     for _ in range(_LO_REFITS):
-        theta, info = _weighted_fit(rows(inliers), 1.0 / np.sqrt(s2[inliers]),
-                                    kind.required_rank)
+        weight = 1.0 / np.sqrt(s2[inliers])
+        theta, info = stack_and_solve(a[inliers] * weight[:, None],
+                                      b[inliers] * weight, kind.required_rank)
         r, s2 = residual(theta)
         e = np.sqrt(_squared_distance(r, s2))
         threshold = min(cfg.threshold, max(_SCALE * float(np.median(e[inliers])),

@@ -61,8 +61,7 @@ class SplineTrajectory:
         cp = np.atleast_2d(np.asarray(self.control_points, dtype=float))
         if cp.shape[0] < 4:
             raise ValueError("need at least 4 control points")
-        if self.dt <= 0:
-            raise ValueError("knot spacing must be positive")
+        _check_knot_spacing(self.dt)
         object.__setattr__(self, "control_points", cp)
 
     @property
@@ -110,9 +109,15 @@ def evaluate(traj, t):
     return vals[0] if scalar else vals
 
 
+def _check_knot_spacing(dt):
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"knot spacing must be positive and finite, got {dt}")
+
+
 def trajectory_covering(t_min, t_max, dt):
     """(t0, n_ctrl) of the smallest uniform spline whose evaluable domain
     contains [t_min, t_max]."""
+    _check_knot_spacing(dt)
     if t_max < t_min:
         raise ValueError("t_max < t_min")
     span = t_max - t_min
@@ -396,7 +401,7 @@ class SplineInitReport:
 
 
 def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
-                     depths=None, t0=None, n_ctrl=None):
+                     depths=None):
     """Initial trajectory from independent per-knot-interval RANSAC fits.
 
     Each segment's observations get a linear RANSAC fit; degenerate or
@@ -413,8 +418,7 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
         raise UnderDetermined("no observations")
     cfg = cfg or RansacConfig()
     t = obs.t
-    if t0 is None or n_ctrl is None:
-        t0, n_ctrl = trajectory_covering(float(t.min()), float(t.max()), dt)
+    t0, n_ctrl = trajectory_covering(float(t.min()), float(t.max()), dt)
     dim = kind.param_dim
     n_seg = n_ctrl - 3
     depths = None if depths is None else np.asarray(depths, dtype=float)

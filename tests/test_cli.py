@@ -338,6 +338,22 @@ def test_fit_spline_zero_max_rounds_exits_2(tmp_path, capsys):
     assert not spline_path.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--knot-spacing", 0), ("--knot-spacing", -0.05),
+    ("--knot-spacing", "nan"), ("--knot-spacing", "inf"),
+    ("--trace-points", -3), ("--trace-points", 0)])
+def test_fit_spline_bad_option_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                          flag, value):
+    out = step_dataset(tmp_path)
+    spline_path, trace_path = tmp_path / "spline.json", tmp_path / "trace.csv"
+    assert run("fit-spline", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", spline_path,
+               "--trace", trace_path, flag, value) == 2
+    assert flag in capsys.readouterr().err
+    assert not spline_path.exists() and not trace_path.exists()
+    assert no_tmp_left(tmp_path)
+
+
 def test_fit_spline_six_dof_needs_depth(tmp_path):
     out = simulate(tmp_path)
     strip_z_column(out / "observations.csv")

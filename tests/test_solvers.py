@@ -9,10 +9,13 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           RandomPointsScene, RankDeficient, RansacConfig,
                           TooFewObservations, Velocity, build_rows,
                           epipolar_terms, generate_dataset, homography_flow,
-                          matrix_a, matrix_b, motion_field, ransac_estimate,
-                          solve_6dof, solve_angular_velocity, solve_depth,
+                          matrix_a, matrix_b, matrix_c, matrix_d,
+                          motion_field, ransac_estimate, solve_6dof,
+                          solve_angular_velocity, solve_depth,
                           solve_diff_homography, solve_optical_flow,
                           stack_and_solve)
+from evnormalflow.geometry import FOV_LIMIT
+from evnormalflow.solvers import _flow_model
 
 
 def one_obs(x, y, nx, ny, t=0.0):
@@ -323,6 +326,62 @@ def test_diff_homography_eps_shift_invisible():
 
 
 # --------------------------------------------------------------------------
+# one flow model per kind
+
+MODEL_VELOCITY = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+
+
+def field_observations(seed, k=500):
+    """Random normal flows at points spanning |x|, |y| <= FOV_LIMIT, and a
+    positive depth for each."""
+    rng = np.random.default_rng(seed)
+    obs = Observations(xy=rng.uniform(-FOV_LIMIT, FOV_LIMIT, (k, 2)),
+                       n=rng.normal(size=(k, 2)), t=np.zeros(k))
+    return obs, rng.uniform(0.5, 10.0, k)
+
+
+def matrix_rows(obs, kind, depths):
+    """Constraint rows from geometry's interaction matrices."""
+    n, mag2, v = obs.n, obs.mag2, MODEL_VELOCITY
+    x, y = obs.xy[:, 0], obs.xy[:, 1]
+    if kind is ModelKind.OPTICAL_FLOW:
+        return n, mag2
+    if kind is ModelKind.DEPTH:
+        return (np.sum(n * (matrix_a(x, y) @ v.nu), axis=1)[:, None],
+                mag2 - np.sum(n * (matrix_b(x, y) @ v.omega), axis=1))
+    matrix = {ModelKind.ANGULAR_VELOCITY: lambda: matrix_b(x, y),
+              ModelKind.SIX_DOF: lambda: matrix_d(x, y, depths),
+              ModelKind.DIFF_HOMOGRAPHY: lambda: matrix_c(x, y)}[kind]()
+    return np.einsum("ki,kij->kj", n, matrix), mag2
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_build_rows_equal_interaction_matrix_rows(kind):
+    obs, depths = field_observations(50)
+    a, b = build_rows(obs, kind, velocity=MODEL_VELOCITY, depths=depths)
+    a_ref, b_ref = matrix_rows(obs, kind, depths)
+    assert a.shape == (len(obs), kind.param_dim)
+    assert np.array_equal(a, a_ref)
+    assert np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_rows_give_the_flow_model_residual(kind):
+    # a @ theta - b is the n . u - |n|^2 that RANSAC scores, so solving and
+    # scoring use one model
+    obs, depths = field_observations(51)
+    a, b = build_rows(obs, kind, velocity=MODEL_VELOCITY, depths=depths)
+    flow, offset = _flow_model(obs, kind, MODEL_VELOCITY, depths)
+    for theta in np.random.default_rng(52).normal(size=(5, kind.param_dim)):
+        ux, uy = flow(theta)
+        if offset is not None:
+            ux, uy = ux + offset[0], uy + offset[1]
+        r = obs.n[:, 0] * ux + obs.n[:, 1] * uy - obs.mag2
+        scale = np.abs(a) @ np.abs(theta) + np.abs(b)
+        assert np.all(np.abs(a @ theta - b - r) <= 1e-12 * scale)
+
+
+# --------------------------------------------------------------------------
 # RANSAC
 
 def test_ransac_planted_outliers():
@@ -373,12 +432,20 @@ def test_ransac_residual_law():
 
 
 @pytest.mark.parametrize("kind", [ModelKind.DEPTH, ModelKind.SIX_DOF,
-                                  ModelKind.DIFF_HOMOGRAPHY])
+                                  ModelKind.DIFF_HOMOGRAPHY,
+                                  ModelKind.ANGULAR_VELOCITY,
+                                  ModelKind.OPTICAL_FLOW])
 def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
     # the solver's closed-form flows agree with geometry's interaction
     # matrices: its inliers lie within report.threshold of the lines there
     v = Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15))
-    scene = RandomPointsScene() if kind is ModelKind.SIX_DOF else \
+    if kind is ModelKind.ANGULAR_VELOCITY:
+        v = Velocity(nu=(0, 0, 0), omega=v.omega)
+    elif kind is ModelKind.OPTICAL_FLOW:
+        # in-plane translation past a fronto-parallel plane: one flow
+        v = Velocity(nu=(0.2, -0.1, 0), omega=(0, 0, 0))
+    scene = RandomPointsScene() if kind in (
+        ModelKind.SIX_DOF, ModelKind.ANGULAR_VELOCITY) else \
         PlaneScene(normal=(0, 0, 1.0), d=2.0)
     noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.3)
     obs, truth = generate_dataset(scene, ConstantMotion(v), count=600,
@@ -392,9 +459,15 @@ def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
                                  depths=truth.z)
         u = motion_field(x, y, truth.z, Velocity(nu=report.theta[:3],
                                                  omega=report.theta[3:]))
-    else:
+    elif kind is ModelKind.DIFF_HOMOGRAPHY:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2))
         u = homography_flow(report.theta.reshape(3, 3), x, y)
+    elif kind is ModelKind.ANGULAR_VELOCITY:
+        report = ransac_estimate(obs, kind, RansacConfig(seed=2))
+        u = matrix_b(x, y) @ report.theta
+    else:
+        report = ransac_estimate(obs, kind, RansacConfig(seed=2))
+        u = np.tile(report.theta, (len(obs), 1))
     e = line_distance(obs, u)
     assert np.all(e[report.inliers] <= report.threshold)
     recall = np.isin(np.flatnonzero(truth.inlier_mask), report.inliers).mean()
@@ -518,3 +591,19 @@ def test_ransac_config_validation():
         RansacConfig(confidence=1.0)
     with pytest.raises(ValueError):
         RansacConfig(max_iterations=0)
+    # the counts are non-bool integers, Python or NumPy
+    for field, value in [("seed", 1.5), ("seed", True), ("seed", -1),
+                         ("seed", "3"), ("seed", np.float64(2.0)),
+                         ("seed", np.bool_(True)), ("max_iterations", 2.5),
+                         ("max_iterations", True), ("max_iterations", None),
+                         ("max_iterations", np.int64(0))]:
+        with pytest.raises(ValueError, match=field):
+            RansacConfig(**{field: value})
+    v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))
+    obs, _ = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                              count=100, seed=9)
+    numpy_ints = RansacConfig(seed=np.uint64(5), max_iterations=np.int32(7))
+    python_ints = RansacConfig(seed=5, max_iterations=7)
+    assert np.array_equal(
+        ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, numpy_ints).theta,
+        ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, python_ints).theta)

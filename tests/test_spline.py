@@ -97,8 +97,11 @@ def test_evaluate_domain_boundaries():
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         SplineTrajectory(np.zeros((3, 3)), t0=0.0, dt=0.1)
-    with pytest.raises(ValueError):
-        SplineTrajectory(np.zeros((4, 3)), t0=0.0, dt=0.0)
+    for dt in (0.0, -0.05, np.nan, np.inf):
+        with pytest.raises(ValueError, match="knot spacing"):
+            SplineTrajectory(np.zeros((4, 3)), t0=0.0, dt=dt)
+        with pytest.raises(ValueError, match="knot spacing"):
+            trajectory_covering(0.0, 1.0, dt)
 
 
 def test_trajectory_covering_contains_range():
