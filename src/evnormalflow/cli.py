@@ -8,10 +8,13 @@ Subcommands:
   bench-noise  solver noise-robustness sweep CSV
 
 Exit codes: 0 success, 2 bad input or configuration, 3 solver degeneracy,
-4 numerical failure.  All outputs are written atomically (temp file +
-rename).  A --config file holds "key = value" lines using the long option
-names; command-line flags win over the file.  The EVNF_SEED environment
-variable supplies the seed when neither flag nor config file does.
+4 numerical failure.  A usage error prints one "error:" line and exits 2.
+All outputs are written atomically (temp file + rename).  A --config file
+holds "key = value" lines whose keys are the long option names; each line
+is read as the flag --key=value (a true store_true key as --key), so it is
+checked exactly as that flag is, and flags on the command line win over the
+file.  Other keys are ignored.  The EVNF_SEED environment variable supplies
+the seed when neither flag nor config file does.
 """
 from __future__ import annotations
 
@@ -84,7 +87,9 @@ def _atomic_write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(config):
+def _manifest(args):
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "config")}
     blob = json.dumps(config, sort_keys=True, default=str)
     return {
         "seed": config.get("seed"),
@@ -121,33 +126,22 @@ def _load_velocity(path):
         raise InputError(f"bad velocity file {path}: {exc}") from exc
 
 
-def _vec3(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return parts
-
-
-def _pair(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated numbers")
-    return parts
-
-
-def _float_list(text):
-    try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _bool(text):
-    if str(text).lower() in ("1", "true", "yes", "on"):
-        return True
-    if str(text).lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text}")
+def _floats(count=None):
+    """argparse type: comma-separated numbers, exactly `count` of them when
+    given, else any number with empty items skipped."""
+    def parse(text):
+        parts = text.split(",")
+        if count is None:
+            parts = [p for p in parts if p.strip() != ""]
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {count} comma-separated numbers")
+        return values
+    return parse
 
 
 def _read_config(path):
@@ -164,67 +158,45 @@ def _read_config(path):
     return config
 
 
-def _merge_config(args, parser):
-    """Fill unset options from the config file, then built-in defaults."""
-    config = _read_config(args.config) if args.config else {}
-    resolved = {}
+def _config_flags(argv, parser):
+    """The lines of the --config file named in argv as flags of parser:
+    "--key=value", or "--key" for a store_true option whose value is true.
+    Keys that are not long option names of parser are ignored."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    config = _read_config(path) if path else {}
+    flags = []
     for action in parser._actions:
-        dest = action.dest
-        if dest in ("help", "config") or not hasattr(args, dest):
+        key = action.dest.replace("_", "-")
+        if action.dest in ("help", "config") or key not in config:
             continue
-        value = getattr(args, dest)
-        if value is None:
-            key = dest.replace("_", "-")
-            if key in config:
-                fn = _bool if isinstance(action.const, bool) else (action.type or str)
-                try:
-                    value = fn(config[key])
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise InputError(f"{args.config}: {key}: {exc}") from exc
-                if action.choices is not None and value not in action.choices:
-                    raise InputError(
-                        f"{args.config}: {key}: invalid choice {value!r} "
-                        f"(choose from {', '.join(action.choices)})")
-            else:
-                value = parser.get_default(f"_default_{dest}")
-            setattr(args, dest, value)
-        resolved[dest] = value
-    if getattr(args, "seed", None) is None:
-        env = os.environ.get("EVNF_SEED")
-        args.seed = int(env) if env else 0
-        resolved["seed"] = args.seed
-    return resolved
+        value = config[key]
+        if action.nargs != 0:
+            flags.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise InputError(f"{path}: {key}: not a boolean: {value}")
+    return flags
 
 
-class _Sub:
-    """Wrapper that records real defaults while argparse keeps None, so the
-    config file can fill anything the command line left unset."""
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors raise InputError (exit code 2)."""
 
-    def __init__(self, parser):
-        self.parser = parser
-        parser.add_argument("--config", help="key = value config file")
-
-    def add(self, flag, default=None, required=False, **kwargs):
-        dest = flag.lstrip("-").replace("-", "_")
-        if kwargs.get("action") == "store_true":
-            self.parser.add_argument(flag, dest=dest, action="store_const",
-                                     const=True, default=None,
-                                     help=kwargs.get("help", ""))
-            self.parser.set_defaults(**{f"_default_{dest}": default or False})
-            return
-        kwargs.setdefault("type", str)
-        self.parser.add_argument(flag, dest=dest, default=None, **kwargs)
-        self.parser.set_defaults(**{f"_default_{dest}": default})
-        if required:
-            required_opts = getattr(self.parser, "_required_opts", [])
-            required_opts.append(dest)
-            self.parser._required_opts = required_opts
+    def error(self, message):
+        raise InputError(message)
 
 
-def _check_required(args, parser):
-    for dest in getattr(parser, "_required_opts", []):
-        if getattr(args, dest) is None:
-            raise InputError(f"missing required option --{dest.replace('_', '-')}")
+def _load_flows(args, kind):
+    """(observations, depths, intrinsics) from --flows and --intrinsics."""
+    records, depths = read_flows_csv(args.flows)
+    intr = _load_intrinsics(args.intrinsics)
+    obs = records_to_obs(records, intr)
+    if kind is ModelKind.SIX_DOF and depths is None:
+        raise InputError(f"six-dof {args.command} requires a Z column in the "
+                         "flows CSV (missing depth)")
+    return obs, depths, intr
 
 
 def _ransac_config(args, intr):
@@ -238,7 +210,7 @@ def _ransac_config(args, intr):
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_extract(args, resolved):
+def cmd_extract(args):
     cfg = ExtractionConfig(
         spatial_window=args.spatial_window, temporal_window=args.temporal_window,
         plane_thresh=args.plane_thresh, plane_iters=args.plane_iters,
@@ -255,7 +227,7 @@ def cmd_extract(args, resolved):
     stats_path = args.stats or f"{args.output}.stats.json"
     _atomic_write_json(stats_path, {
         "n_events": len(events), "t_ref": t_ref, "stats": stats.to_dict(),
-        "manifest": _manifest(resolved)})
+        "manifest": _manifest(args)})
     return 0
 
 
@@ -291,11 +263,9 @@ def _homography_extras(theta):
     return extras
 
 
-def cmd_solve(args, resolved):
+def cmd_solve(args):
     kind = KINDS[args.kind]
-    records, depths = read_flows_csv(args.flows)
-    intr = _load_intrinsics(args.intrinsics)
-    obs = records_to_obs(records, intr)
+    obs, depths, intr = _load_flows(args, kind)
     velocity = _load_velocity(args.velocity) if args.velocity else None
     report = {"model": kind.value, "n_obs": len(obs)}
     if kind in _PER_PIXEL:
@@ -303,9 +273,6 @@ def cmd_solve(args, resolved):
             raise InputError(f"kind {args.kind} requires --velocity")
         report.update(_solve_per_pixel(kind, obs, velocity))
     else:
-        if kind is ModelKind.SIX_DOF and depths is None:
-            raise InputError(
-                "six-dof solve requires a Z column in the flows CSV (missing depth)")
         fit_report = ransac_estimate(obs, kind, _ransac_config(args, intr),
                                      depths=depths)
         report.update({
@@ -319,7 +286,7 @@ def cmd_solve(args, resolved):
             "threshold": fit_report.threshold})
         if kind is ModelKind.DIFF_HOMOGRAPHY:
             report.update(_homography_extras(fit_report.theta))
-    report["manifest"] = _manifest(resolved)
+    report["manifest"] = _manifest(args)
     _atomic_write_json(args.output, report)
     return 0
 
@@ -328,7 +295,7 @@ _TRACE_NAMES = {ModelKind.ANGULAR_VELOCITY: ["wx", "wy", "wz"],
                 ModelKind.SIX_DOF: ["nux", "nuy", "nuz", "wx", "wy", "wz"]}
 
 
-def cmd_fit_spline(args, resolved):
+def cmd_fit_spline(args):
     kind = KINDS[args.kind]
     if kind not in _TRACE_NAMES:
         raise InputError("fit-spline supports angular-velocity and six-dof")
@@ -337,14 +304,9 @@ def cmd_fit_spline(args, resolved):
             f"--knot-spacing must be positive and finite, got {args.knot_spacing}")
     if args.trace_points < 1:
         raise InputError(f"--trace-points must be >= 1, got {args.trace_points}")
-    records, depths = read_flows_csv(args.flows)
-    intr = _load_intrinsics(args.intrinsics)
-    obs = records_to_obs(records, intr)
+    obs, depths, intr = _load_flows(args, kind)
     if not obs:
         raise UnderDetermined("no observations in flows CSV")
-    if kind is ModelKind.SIX_DOF and depths is None:
-        raise InputError(
-            "six-dof fit requires a Z column in the flows CSV (missing depth)")
     span = float(obs.t.max() - obs.t.min())
     if span < 4 * args.knot_spacing:
         raise UnderDetermined(
@@ -369,7 +331,7 @@ def cmd_fit_spline(args, resolved):
         "capped_segments": init_report.capped_segments,
         "starved_control_points": fit_report.starved_control_points,
         "irls_rounds": fit_report.irls_rounds, "cond": fit_report.cond,
-        "manifest": _manifest(resolved)})
+        "manifest": _manifest(args)})
     if args.trace:
         ts = np.linspace(lo, hi, args.trace_points, endpoint=False)
         vals = evaluate(traj, ts)
@@ -419,7 +381,7 @@ def _motion_json(motion):
             "t_switch": motion.t_switch}
 
 
-def cmd_simulate(args, resolved):
+def cmd_simulate(args):
     scene = _build_scene(args)
     motion = _build_motion(args)
     intr = _load_intrinsics(args.intrinsics)
@@ -452,11 +414,11 @@ def cmd_simulate(args, resolved):
         "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
         "width": intr.width, "height": intr.height})
     _atomic_write_json(os.path.join(args.output_dir, "manifest.json"),
-                       _manifest(resolved))
+                       _manifest(args))
     return 0
 
 
-def cmd_bench_noise(args, resolved):
+def cmd_bench_noise(args):
     kind = KINDS[args.kind]
     result = run_noise_sweep(kind, noise_grid_px=args.grid, trials=args.trials,
                              samples=args.samples, seed=args.seed)
@@ -467,7 +429,7 @@ def cmd_bench_noise(args, resolved):
             f"{result.q25[i]:.9g}", f"{result.q75[i]:.9g}",
             str(result.trials), str(result.samples)]))
     _atomic_write_text(args.output, "\n".join(lines) + "\n")
-    _atomic_write_json(f"{args.output}.manifest.json", _manifest(resolved))
+    _atomic_write_json(f"{args.output}.manifest.json", _manifest(args))
     return 0
 
 
@@ -480,83 +442,93 @@ _THRESHOLD_HELP = ("RANSAC cap, in px/s, on the distance from a normal flow to "
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evnormalflow",
         description="Camera motion and structure from event normal flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _Sub(sub.add_parser("extract", help="events -> normal-flow CSV"))
-    p.add("--events", required=True, help="event file: lines 't x y p' (.gz ok)")
-    p.add("--intrinsics", help="intrinsics JSON (fx fy cx cy width height)")
-    p.add("--output", required=True, help="flows CSV path")
-    p.add("--stats", help="stats JSON path (default <output>.stats.json)")
-    p.add("--t-ref", type=float, help="reference time (default: last event)")
-    p.add("--temporal-window", type=float, default=0.04)
-    p.add("--spatial-window", type=int, default=7)
-    p.add("--plane-thresh", type=float, default=1e-5)
-    p.add("--plane-iters", type=int, default=50)
-    p.add("--min-support", type=int, default=10)
-    p.add("--max-flow", type=float, default=1e4)
-    p.add("--min-gradient", type=float, default=1e-4)
-    p.add("--polarity", choices=["joint", "pos", "neg"], default="joint")
-    p.add("--seed", type=int)
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="key = value config file")
+    common.add_argument("--seed", type=int,
+                        help="base seed (default: $EVNF_SEED, else 0)")
+    fitting = _Parser(add_help=False)
+    fitting.add_argument("--flows", required=True)
+    fitting.add_argument("--intrinsics")
+    fitting.add_argument("--output", required=True)
+    fitting.add_argument("--threshold", type=float, default=3.0,
+                         help=_THRESHOLD_HELP)
+    fitting.add_argument("--max-iterations", type=int, default=1000)
+    fitting.add_argument("--confidence", type=float, default=0.99)
 
-    p = _Sub(sub.add_parser("solve", help="flows CSV -> model fit JSON"))
-    p.add("--flows", required=True)
-    p.add("--intrinsics")
-    p.add("--kind", choices=sorted(KINDS), required=True)
-    p.add("--output", required=True)
-    p.add("--velocity", help="velocity JSON {nu, omega} for flow/depth kinds")
-    p.add("--threshold", type=float, default=3.0, help=_THRESHOLD_HELP)
-    p.add("--max-iterations", type=int, default=1000)
-    p.add("--confidence", type=float, default=0.99)
-    p.add("--seed", type=int)
+    p = sub.add_parser("extract", parents=[common],
+                       help="events -> normal-flow CSV")
+    p.add_argument("--events", required=True,
+                   help="event file: lines 't x y p' (.gz ok)")
+    p.add_argument("--intrinsics",
+                   help="intrinsics JSON (fx fy cx cy width height)")
+    p.add_argument("--output", required=True, help="flows CSV path")
+    p.add_argument("--stats",
+                   help="stats JSON path (default <output>.stats.json)")
+    p.add_argument("--t-ref", type=float,
+                   help="reference time (default: last event)")
+    p.add_argument("--temporal-window", type=float, default=0.04)
+    p.add_argument("--spatial-window", type=int, default=7)
+    p.add_argument("--plane-thresh", type=float, default=1e-5)
+    p.add_argument("--plane-iters", type=int, default=50)
+    p.add_argument("--min-support", type=int, default=10)
+    p.add_argument("--max-flow", type=float, default=1e4)
+    p.add_argument("--min-gradient", type=float, default=1e-4)
+    p.add_argument("--polarity", choices=["joint", "pos", "neg"],
+                   default="joint")
 
-    p = _Sub(sub.add_parser("fit-spline", help="flows CSV -> trajectory JSON"))
-    p.add("--flows", required=True)
-    p.add("--intrinsics")
-    p.add("--kind", choices=["angular-velocity", "six-dof"], required=True)
-    p.add("--output", required=True)
-    p.add("--trace", help="optional trajectory trace CSV")
-    p.add("--trace-points", type=int, default=100)
-    p.add("--knot-spacing", type=float, default=DEFAULT_KNOT_SPACING)
-    p.add("--no-robust", action="store_true", help="disable Huber reweighting")
-    p.add("--max-rounds", type=int, default=10)
-    p.add("--threshold", type=float, default=3.0, help=_THRESHOLD_HELP)
-    p.add("--max-iterations", type=int, default=1000)
-    p.add("--confidence", type=float, default=0.99)
-    p.add("--seed", type=int)
+    p = sub.add_parser("solve", parents=[common, fitting],
+                       help="flows CSV -> model fit JSON")
+    p.add_argument("--kind", choices=sorted(KINDS), required=True)
+    p.add_argument("--velocity",
+                   help="velocity JSON {nu, omega} for flow/depth kinds")
 
-    p = _Sub(sub.add_parser("simulate", help="write a synthetic dataset"))
-    p.add("--output-dir", required=True)
-    p.add("--scene", choices=["plane", "random-points", "two-walls"],
-          default="random-points")
-    p.add("--motion", choices=["constant", "step"], default="constant")
-    p.add("--count", type=int, default=1000)
-    p.add("--window", type=float, default=0.5)
-    p.add("--noise-px", type=float, default=0.0)
-    p.add("--outlier-fraction", type=float, default=0.0)
-    p.add("--nu", type=_vec3, default=[0.2, -0.1, 0.3])
-    p.add("--omega", type=_vec3, default=[0.1, -0.2, 0.15])
-    p.add("--nu-after", type=_vec3)
-    p.add("--omega-after", type=_vec3)
-    p.add("--t-switch", type=float, default=0.25)
-    p.add("--plane-normal", type=_vec3, default=[0.0, 0.0, 1.0])
-    p.add("--plane-d", type=float, default=2.0)
-    p.add("--depth-range", type=_pair, default=[1.0, 5.0])
-    p.add("--points-count", type=int)
-    p.add("--walls-angle", type=float, default=0.5)
-    p.add("--extent", type=float, default=0.45)
-    p.add("--intrinsics")
-    p.add("--seed", type=int)
+    p = sub.add_parser("fit-spline", parents=[common, fitting],
+                       help="flows CSV -> trajectory JSON")
+    p.add_argument("--kind", choices=["angular-velocity", "six-dof"],
+                   required=True)
+    p.add_argument("--trace", help="optional trajectory trace CSV")
+    p.add_argument("--trace-points", type=int, default=100)
+    p.add_argument("--knot-spacing", type=float, default=DEFAULT_KNOT_SPACING)
+    p.add_argument("--no-robust", action="store_true",
+                   help="disable Huber reweighting")
+    p.add_argument("--max-rounds", type=int, default=10)
 
-    p = _Sub(sub.add_parser("bench-noise", help="noise robustness sweep"))
-    p.add("--kind", choices=sorted(KINDS), required=True)
-    p.add("--output", required=True)
-    p.add("--grid", type=_float_list, default=[0.01, 0.1, 1.0, 10.0, 100.0])
-    p.add("--trials", type=int, default=20)
-    p.add("--samples", type=int, default=1000)
-    p.add("--seed", type=int)
+    p = sub.add_parser("simulate", parents=[common],
+                       help="write a synthetic dataset")
+    p.add_argument("--output-dir", required=True)
+    p.add_argument("--scene", choices=["plane", "random-points", "two-walls"],
+                   default="random-points")
+    p.add_argument("--motion", choices=["constant", "step"], default="constant")
+    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--window", type=float, default=0.5)
+    p.add_argument("--noise-px", type=float, default=0.0)
+    p.add_argument("--outlier-fraction", type=float, default=0.0)
+    p.add_argument("--nu", type=_floats(3), default=[0.2, -0.1, 0.3])
+    p.add_argument("--omega", type=_floats(3), default=[0.1, -0.2, 0.15])
+    p.add_argument("--nu-after", type=_floats(3))
+    p.add_argument("--omega-after", type=_floats(3))
+    p.add_argument("--t-switch", type=float, default=0.25)
+    p.add_argument("--plane-normal", type=_floats(3), default=[0.0, 0.0, 1.0])
+    p.add_argument("--plane-d", type=float, default=2.0)
+    p.add_argument("--depth-range", type=_floats(2), default=[1.0, 5.0])
+    p.add_argument("--points-count", type=int)
+    p.add_argument("--walls-angle", type=float, default=0.5)
+    p.add_argument("--extent", type=float, default=0.45)
+    p.add_argument("--intrinsics")
+
+    p = sub.add_parser("bench-noise", parents=[common],
+                       help="noise robustness sweep")
+    p.add_argument("--kind", choices=sorted(KINDS), required=True)
+    p.add_argument("--output", required=True)
+    p.add_argument("--grid", type=_floats(),
+                   default=[0.01, 0.1, 1.0, 10.0, 100.0])
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--samples", type=int, default=1000)
 
     return parser, sub
 
@@ -567,18 +539,18 @@ _COMMANDS = {"extract": cmd_extract, "solve": cmd_solve,
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, sub = build_parser()
-    args = parser.parse_args(argv)
-    chosen = sub.choices[args.command]
     try:
-        resolved = _merge_config(args, chosen)
-        _check_required(args, chosen)
-        return _COMMANDS[args.command](args, resolved)
-    except (InputError, FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if argv and argv[0] in sub.choices:
+            # after the subcommand, before the user's flags: the last wins
+            argv[1:1] = _config_flags(argv[1:], sub.choices[argv[0]])
+        args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = int(os.environ.get("EVNF_SEED") or 0)
+        return _COMMANDS[args.command](args)
+    except (InputError, ValueError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverDegeneracy as exc:

@@ -23,6 +23,7 @@ and is written and read with one NumPy call each.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,10 +66,18 @@ class ExtractionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bool is a number too, but True is no window, count or threshold
+        for name in ("spatial_window", "plane_iters", "min_support"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.spatial_window < 3 or self.spatial_window % 2 == 0:
             raise ValueError("spatial_window must be odd and >= 3")
         for name in ("temporal_window", "plane_thresh", "max_flow", "min_gradient"):
-            if not getattr(self, name) > 0:          # also rejects NaN
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number")
+            if not value > 0:          # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         # An infinite temporal_window or max_flow means no limit.
         for name in ("plane_thresh", "min_gradient"):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,10 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("threshold", "confidence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError("threshold must be positive and finite")
         if not 0 < self.confidence < 1:

@@ -22,6 +22,7 @@ scaling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,11 @@ class SplineFitProblem:
     def __post_init__(self):
         if self.kind not in _SPLINE_KINDS:
             raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {self.kind}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if (isinstance(self.max_rounds, bool)
+                or not isinstance(self.max_rounds, numbers.Integral)
+                or self.max_rounds < 1):
+            raise ValueError(
+                f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
         if self.huber_scale is not None and not 0.0 < self.huber_scale < math.inf:
             raise ValueError(
                 f"huber_scale must be positive and finite, got {self.huber_scale}")

@@ -259,9 +259,11 @@ def test_solve_non_finite_value_exits_2(tmp_path, capsys, column):
     assert f"column {column}" in capsys.readouterr().err
 
 
-def test_solve_unknown_kind_exits_via_argparse(tmp_path):
-    with pytest.raises(SystemExit):
-        run("solve", "--flows", "x.csv", "--kind", "warp", "--output", "y.json")
+def test_solve_unknown_kind_exits_via_argparse(tmp_path, capsys):
+    assert run("solve", "--flows", "x.csv", "--kind", "warp",
+               "--output", "y.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--kind" in err
 
 
 # --------------------------------------------------------------------------
@@ -479,13 +481,34 @@ def test_bench_noise_too_few_samples_is_degenerate(tmp_path, capsys, kind,
 def test_config_file_supplies_options(tmp_path, monkeypatch):
     monkeypatch.delenv("EVNF_SEED", raising=False)
     config = tmp_path / "run.cfg"
-    config.write_text("seed = 77\ncount = 120\n# comment\n")
+    config.write_text("seed = 77\ncount = 120\nomega = -0.5,0,0\n# comment\n")
     out = tmp_path / "data"
     assert run("simulate", "--output-dir", out, "--config", config) == 0
     manifest = read_json(out / "manifest.json")
     assert manifest["seed"] == 77
     assert manifest["config"]["count"] == 120
+    assert manifest["config"]["omega"] == [-0.5, 0.0, 0.0]
+    assert read_json(out / "ground_truth.json")["omega"] == [-0.5, 0.0, 0.0]
     assert len(read_csv_rows(out / "observations.csv")) == 120
+
+
+@pytest.mark.parametrize("argv, lines, expected", [
+    (["--kind", "angular-velocity"], "no-robust = true", {"no_robust": True}),
+    (["--kind", "angular-velocity"], "no-robust = false", {"no_robust": False}),
+    (["--kind", "angular-velocity"], "max_iterations = 5\njobs = 4\nhelp = 1",
+     {"max_iterations": 1000}),
+    ([], "kind = angular-velocity", {"kind": "angular-velocity"}),
+], ids=["store-true-on", "store-true-off", "ignored-keys", "required-from-file"])
+def test_config_file_sets_fit_spline_option(tmp_path, argv, lines, expected):
+    out = step_dataset(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(lines + "\n")
+    spline_path = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", out / "observations.csv", *argv,
+               "--output", spline_path, "--max-rounds", 2,
+               f"--config={config}") == 0
+    resolved = read_json(spline_path)["manifest"]["config"]
+    assert {key: resolved[key] for key in expected} == expected
 
 
 def test_flag_overrides_config_overrides_env(tmp_path, monkeypatch):

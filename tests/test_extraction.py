@@ -416,6 +416,15 @@ def test_config_infinite_values():
     assert stats.candidates == INTR.width * INTR.height and len(obs) > 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("plane_iters", 2.5), ("spatial_window", 7.0), ("min_support", 10.5),
+    ("plane_iters", True), ("temporal_window", True), ("max_flow", "1e4"),
+    ("plane_thresh", None)])
+def test_config_rejects_wrong_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExtractionConfig(**{field: value})
+
+
 @pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64, 2 ** 70, "3"])
 def test_config_rejects_seed_outside_uint64(seed):
     with pytest.raises(ValueError, match="seed"):

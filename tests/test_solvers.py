@@ -580,6 +580,14 @@ def test_minimal_sample_sizes():
     assert ModelKind.DIFF_HOMOGRAPHY.minimal_samples == 8
 
 
+@pytest.mark.parametrize("field, value", [
+    ("threshold", True), ("threshold", "0.01"), ("threshold", None),
+    ("confidence", "0.9"), ("confidence", None)])
+def test_ransac_config_rejects_non_real(field, value):
+    with pytest.raises(ValueError, match=field):
+        RansacConfig(**{field: value})
+
+
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(threshold=0.0)

@@ -320,6 +320,17 @@ def test_problem_validates_fit_parameters():
                      huber_scale=1e-9, reg_weight=0.0)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3", None, np.float64(2.0)])
+def test_problem_rejects_non_integer_max_rounds(value):
+    obs, _ = rotation_dataset(
+        ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0.3))),
+        count=10, seed=75)
+    with pytest.raises(ValueError, match="max_rounds"):
+        SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, max_rounds=value)
+    # NumPy integers count as integers
+    SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, max_rounds=np.int64(2))
+
+
 # --------------------------------------------------------------------------
 # the block normal equations against the dense lstsq IRLS they replaced
 
