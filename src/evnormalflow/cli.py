@@ -538,6 +538,18 @@ _COMMANDS = {"extract": cmd_extract, "solve": cmd_solve,
              "bench-noise": cmd_bench_noise}
 
 
+def _env_seed():
+    """The seed from $EVNF_SEED: a non-negative integer, 0 when unset."""
+    text = os.environ.get("EVNF_SEED") or "0"
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise InputError(f"EVNF_SEED must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, sub = build_parser()
@@ -547,7 +559,7 @@ def main(argv=None):
             argv[1:1] = _config_flags(argv[1:], sub.choices[argv[0]])
         args = parser.parse_args(argv)
         if args.seed is None:
-            args.seed = int(os.environ.get("EVNF_SEED") or 0)
+            args.seed = _env_seed()
         return _COMMANDS[args.command](args)
     except (InputError, ValueError, FileNotFoundError, IsADirectoryError,
             PermissionError) as exc:

@@ -6,19 +6,22 @@ image speed along the gradient direction, so the normal flow in pixel
 units is n = g / |g|^2.  Local planes are fit with a small RANSAC to
 reject neighbouring pixels belonging to other structures.
 
-All candidate pixels are fit together, a chunk of CHUNK_BYTES at a time:
-padded (P, spatial_window^2) support patches, minimal samples drawn by
+All candidate pixels are fit together.  One box sum over the recent mask
+gives each pixel's support k, the recently fired pixels in its window;
+pixels of equal k are fit as one group, a chunk of CHUNK_BYTES at a time,
+on (P, k) support arrays with no padding.  Minimal samples are drawn by
 hashing a counter with each pixel's own uint64 key (a counter-based
 stream: Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC 2011), the minimal planes solved in closed form by Cramer's rule and
 scored with one batched product, and one batched 3x3 normal-equation
 refit.  A pixel's key depends only on the seed and its coordinates, and
-`fit_local_plane` runs the same code on one pixel, so results do not
-depend on batching.
+`fit_local_plane` runs the same code on one pixel with the same k, so
+results do not depend on batching.
 
 The flows come out as one Observations with the pixel locations and fit
-diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow
-and is written and read with one NumPy call each.
+diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow;
+it is written in one call, one row format over each column's Python
+scalars, and read with one np.loadtxt.
 """
 from __future__ import annotations
 
@@ -85,10 +88,13 @@ class ExtractionConfig:
                 raise ValueError(f"{name} must be finite")
         if self.plane_iters < 1 or self.min_support < 3:
             raise ValueError("plane_iters >= 1 and min_support >= 3 required")
-        # The pixel keys hash the seed as one uint64.
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or not 0 <= self.seed < 1 << 64):
+        # The pixel keys hash the seed as one uint64, from a Python int so
+        # that no NumPy scalar arithmetic can overflow.
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= int(self.seed) < 1 << 64):
             raise ValueError("seed must be an int in [0, 2**64)")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def gradient_floor(self):
@@ -120,7 +126,7 @@ class ExtractionStats:
 # Outcome of one pixel's plane fit.
 _FITTED, _INSUFFICIENT, _DEGENERATE = 0, 1, 2
 
-# Pixels fit together hold (plane_iters, spatial_window^2) float64 arrays of
+# Pixels fit together hold (plane_iters, k) float64 arrays of
 # hypothesis-by-support values; a chunk of pixels keeps each near this size.
 CHUNK_BYTES = 1 << 22
 
@@ -133,12 +139,26 @@ class _PlaneFits(NamedTuple):
     rms: np.ndarray       # (P,) residual rms of the final fit
 
 
-def _gather_support(ts, cfg, px, py):
-    """Window of each pixel as a padded row of spatial_window^2 slots with
-    its k recently fired pixels first, in row-major order.
+def _support_counts(ts, cfg, px, py):
+    """Recently fired pixels in the window of each pixel (px, py): one box
+    sum over the cumulative sums of the recent mask.  The window is clipped
+    to the sensor, so off it nothing counts and no index wraps."""
+    recent = ts.timestamps > ts.t_ref - cfg.temporal_window
+    h, w = recent.shape
+    total = np.zeros((h + 1, w + 1), dtype=np.int64)
+    total[1:, 1:] = recent.cumsum(axis=0).cumsum(axis=1)
+    half = cfg.spatial_window // 2
+    x0, x1 = np.clip(px - half, 0, w), np.clip(px + half + 1, 0, w)
+    y0, y1 = np.clip(py - half, 0, h), np.clip(py + half + 1, 0, h)
+    return total[y1, x1] - total[y0, x1] - total[y1, x0] + total[y0, x0]
 
-    Returns integer offsets (dx, dy) to the centre, times t relative to
-    t_ref (0 in the padding), the (P, slots) mask of support slots, and k.
+
+def _gather_support(ts, cfg, px, py, k):
+    """The k recently fired pixels in each pixel's window, in row-major
+    order; every pixel (px, py) has exactly k of them.
+
+    Returns (P, k) integer offsets (dx, dy) to the centre and times t
+    relative to t_ref.
     """
     side = cfg.spatial_window
     h, w = ts.shape
@@ -148,19 +168,18 @@ def _gather_support(ts, cfg, px, py):
     inside = (qx >= 0) & (qx < w) & (qy >= 0) & (qy < h)
     t = ts.timestamps[np.clip(qy, 0, h - 1), np.clip(qx, 0, w - 1)]
     recent = inside & (t > ts.t_ref - cfg.temporal_window)
-    k = recent.sum(axis=1)
-    order = np.argsort(~recent, axis=1, kind="stable")
-    valid = np.arange(side * side) < k[:, None]
-    t = np.where(valid, np.take_along_axis(t, order, axis=1) - ts.t_ref, 0.0)
-    return off_x[order], off_y[order], t, valid, k
+    # nonzero walks the mask in row-major order: each row's k slots in turn.
+    slot = np.nonzero(recent)[1].reshape(px.size, k)
+    t = np.take_along_axis(t, slot, axis=1) - ts.t_ref
+    return off_x[slot], off_y[slot], t
 
 
-def _collinear(dx, dy, valid):
+def _collinear(dx, dy):
     """Rank of the [dx dy 1] design below 3, in exact integer arithmetic:
     every support pixel lies on the line through the first two."""
     ex, ey = dx[:, 1:2] - dx[:, :1], dy[:, 1:2] - dy[:, :1]
     cross = (dx - dx[:, :1]) * ey - (dy - dy[:, :1]) * ex
-    return ~np.any((cross != 0) & valid, axis=1)
+    return ~np.any(cross, axis=1)
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio Weyl
@@ -235,21 +254,20 @@ def _minimal_planes(dx, dy, t, picks):
     return np.stack([a, b, t0 - a * x0 - b * y0], axis=1), ok
 
 
-def _best_consensus(cfg, design, t, valid, planes, ok):
+def _best_consensus(cfg, design, t, planes, ok):
     """Count the inliers of every minimal sample's plane.
 
-    `design` holds the (P, slots, 3) rows [dx dy 1] and `planes` the
+    `design` holds the (P, k, 3) rows [dx dy 1] and `planes` the
     (P, 3, iters) minimal planes, `ok` marking the non-degenerate ones.
     Returns each pixel's best consensus size (-1 when every sample was
-    degenerate) and its inlier mask over the slots; ties go to the lowest
-    iteration.
+    degenerate) and its inlier mask over the k slots; ties go to the
+    lowest iteration.
     """
     rows = np.arange(design.shape[0])
-    resid = design @ planes                                 # (P, slots, iters)
+    resid = design @ planes                                 # (P, k, iters)
     resid -= t[:, :, None]
     inlier = np.abs(resid, out=resid) <= cfg.plane_thresh
-    inlier &= valid[:, :, None]
-    # The narrowest signed type that holds -slots sums bools fastest.
+    # The narrowest signed type that holds -k sums bools fastest.
     counts = inlier.sum(axis=1, dtype=np.min_scalar_type(-design.shape[1]))
     counts[~ok] = -1
     best = counts.argmax(axis=1)
@@ -267,37 +285,41 @@ def _refit(design, t, weight):
 
 
 def _fit_planes(ts, cfg, px, py):
-    """Plane RANSAC at the pixels (px, py), a chunk of pixels at a time.
+    """Plane RANSAC at the pixels (px, py).
 
-    Nothing a pixel gets depends on which pixels share its chunk.
+    The pixels are grouped by their support k and each group is fit, a
+    chunk at a time, on exactly k slots.  A pixel fit alone has the same
+    k, so nothing a pixel gets depends on which pixels share its chunk.
     """
-    slots = cfg.spatial_window ** 2
     n = px.size
-    fits = _PlaneFits(status=np.zeros(n, dtype=np.int8),
-                      support=np.zeros(n, dtype=np.int64),
-                      inliers=np.zeros(n, dtype=np.int64),
+    k = _support_counts(ts, cfg, px, py)
+    fits = _PlaneFits(status=np.full(n, _INSUFFICIENT, dtype=np.int8),
+                      support=k, inliers=np.zeros(n, dtype=np.int64),
                       coef=np.zeros((n, 3)), rms=np.zeros(n))
-    chunk = max(1, CHUNK_BYTES // (8 * cfg.plane_iters * slots))
-    for lo in range(0, n, chunk):
-        out = slice(lo, lo + chunk)
-        cx, cy = px[out], py[out]
-        dx, dy, t, valid, k = _gather_support(ts, cfg, cx, cy)
-        status = np.where(k < cfg.min_support, _INSUFFICIENT,
-                          np.where(_collinear(dx, dy, valid), _DEGENERATE,
-                                   _FITTED))
-        run = np.flatnonzero(status == _FITTED)
-        dx, dy, t, valid = dx[run], dy[run], t[run], valid[run]
-        design = np.stack([dx, dy, np.ones_like(dx)], axis=2).astype(float)
-        picks = _sample_triples(cfg, cx[run], cy[run], k[run])
-        planes, ok = _minimal_planes(dx, dy, t, picks)
-        count, weight = _best_consensus(cfg, design, t, valid, planes, ok)
-        good = count >= cfg.min_support
-        status[run[~good]] = _INSUFFICIENT
-        coef, rms = _refit(design[good], t[good], weight[good])
-        fits.status[out], fits.support[out] = status, k
-        fits.inliers[out][run] = np.maximum(count, 0)
-        fits.coef[out][run[good]] = coef
-        fits.rms[out][run[good]] = rms
+    order = np.argsort(k, kind="stable")
+    sizes, starts = np.unique(k[order], return_index=True)
+    for size, start, stop in zip(sizes.tolist(), starts.tolist(),
+                                 starts[1:].tolist() + [n]):
+        if size < cfg.min_support:
+            continue
+        chunk = max(1, CHUNK_BYTES // (8 * cfg.plane_iters * size))
+        for lo in range(start, stop, chunk):
+            idx = order[lo:min(lo + chunk, stop)]
+            dx, dy, t = _gather_support(ts, cfg, px[idx], py[idx], size)
+            degenerate = _collinear(dx, dy)
+            fits.status[idx[degenerate]] = _DEGENERATE
+            run = ~degenerate
+            idx, dx, dy, t = idx[run], dx[run], dy[run], t[run]
+            design = np.stack([dx, dy, np.ones_like(dx)], axis=2).astype(float)
+            picks = _sample_triples(cfg, px[idx], py[idx], k[idx])
+            planes, ok = _minimal_planes(dx, dy, t, picks)
+            count, weight = _best_consensus(cfg, design, t, planes, ok)
+            fits.inliers[idx] = np.maximum(count, 0)
+            good = count >= cfg.min_support
+            fitted = idx[good]
+            fits.status[fitted] = _FITTED
+            fits.coef[fitted], fits.rms[fitted] = _refit(
+                design[good], t[good], weight[good])
     return fits
 
 
@@ -390,15 +412,15 @@ def write_flows_csv(path, obs, depths=None):
         if len(depths) != len(obs):
             raise ValueError("depths length must match observations")
         columns.append(depths)
-    # An object table hands savetxt Python scalars, which format about
-    # three times faster than the NumPy scalars of a structured array.
-    table = np.empty((len(obs), len(columns)), dtype=object)
-    for i, column in enumerate(columns):
-        table[:, i] = column
     names = FLOWS_HEADER + ["Z"] * (depths is not None)
-    fmt = ["%d" if name == "inliers" else "%.9g" for name in names]
-    np.savetxt(path, table, fmt=fmt, delimiter=",", newline="\r\n",
-               header=",".join(names), comments="")
+    # tolist() hands the row format Python scalars, which format several
+    # times faster than NumPy scalars.
+    row = ",".join("%d" if name == "inliers" else "%.9g"
+                   for name in names) + "\r\n"
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    text = ",".join(names) + "\r\n" + "".join([row % values for values in rows])
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def read_flows_csv(path):

@@ -152,6 +152,13 @@ class SplineFitProblem:
                 or self.max_rounds < 1):
             raise ValueError(
                 f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+        for name in ("huber_scale", "reg_weight"):
+            value = getattr(self, name)
+            if value is None and name == "huber_scale":
+                continue        # the scale is estimated from the residuals
+            # bool is a number too, but True is no scale or weight
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.huber_scale is not None and not 0.0 < self.huber_scale < math.inf:
             raise ValueError(
                 f"huber_scale must be positive and finite, got {self.huber_scale}")

@@ -531,6 +531,19 @@ def test_flag_overrides_config_overrides_env(tmp_path, monkeypatch):
     assert read_json(out4 / "manifest.json")["seed"] == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", "0x10"])
+def test_bad_env_seed_exits_2_naming_it(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("EVNF_SEED", value)
+    assert run("simulate", "--output-dir", tmp_path / "d", "--count", 10) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "EVNF_SEED" in err[0] and repr(value) in err[0]
+    assert not (tmp_path / "d").exists()
+    # a seed flag leaves the variable unread
+    assert run("simulate", "--output-dir", tmp_path / "d", "--count", 10,
+               "--seed", 4) == 0
+
+
 def test_config_bad_line(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("this is not a key value pair\n")

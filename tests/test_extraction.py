@@ -425,10 +425,28 @@ def test_config_rejects_wrong_type(field, value):
         ExtractionConfig(**{field: value})
 
 
-@pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64, 2 ** 70, "3"])
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64, 2 ** 70, "3",
+                                  np.int64(-1)])
 def test_config_rejects_seed_outside_uint64(seed):
     with pytest.raises(ValueError, match="seed"):
         ExtractionConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.int8(5),
+                                  np.uint64(2 ** 64 - 1)])
+def test_config_accepts_numpy_integer_seed(seed):
+    # Stored as a Python int, so the key hash never multiplies NumPy scalars.
+    cfg = ExtractionConfig(seed=seed, temporal_window=0.5)
+    assert type(cfg.seed) is int and cfg.seed == int(seed)
+    want_cfg = ExtractionConfig(seed=int(seed), temporal_window=0.5)
+    assert cfg == want_cfg
+    edges = [MovingEdge(point=(5.0, 0.0), direction=(0.0, 1.0),
+                        velocity=(80.0, 0.0))]
+    surface = surface_from_edges(edges, (INTR.height, INTR.width), window=0.5)
+    want, want_stats = extraction_outputs(surface, want_cfg)
+    got, stats = extraction_outputs(surface, cfg)
+    assert stats == want_stats
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --------------------------------------------------------------------------
@@ -559,6 +577,80 @@ def test_extract_bitwise_independent_of_chunk_size(monkeypatch, chunk_bytes):
     got, stats = extraction_outputs(surface, cfg)
     assert stats == want_stats and want_stats["insufficient_support"] > 0
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("side", [3, 5, 7, 9])
+def test_support_box_sum_equals_gathered_support(side):
+    # Every centre on a sparse surface and in a margin a window wide around
+    # it: the box sum counts the recent pixels of the window clipped to the
+    # sensor, and the gather finds exactly that many, all of them recent.
+    rng = np.random.default_rng(side)
+    h, w = 17, 23
+    ts = np.where(rng.random((h, w)) < 0.4, rng.uniform(0.0, 1.0, (h, w)),
+                  UNFIRED)
+    surface = TimeSurface(ts, np.ones((h, w), np.int8), 1.0, 0.5)
+    cfg = ExtractionConfig(spatial_window=side, temporal_window=0.5)
+    recent = ts > surface.t_ref - cfg.temporal_window
+    py, px = np.mgrid[-side:h + side, -side:w + side].reshape(2, -1)
+    k = extraction._support_counts(surface, cfg, px, py)
+    half = side // 2
+    for x, y, count in zip(px.tolist(), py.tolist(), k.tolist()):
+        window = recent[max(y - half, 0):max(y + half + 1, 0),
+                        max(x - half, 0):max(x + half + 1, 0)]
+        assert count == window.sum(), (x, y)
+        dx, dy, t = extraction._gather_support(surface, cfg, np.array([x]),
+                                               np.array([y]), count)
+        assert t.shape == (1, count) and np.all(t > -cfg.temporal_window)
+        assert np.all(recent[y + dy, x + dx])
+
+
+@pytest.mark.parametrize("center", [(-4, 10), (10, -4), (-4, -4), (83, 30),
+                                    (40, 63), (-10 ** 6, 10 ** 6)])
+def test_fit_off_sensor_centre_raises_insufficient_support(center):
+    # Every pixel fired, so a window index that wrapped would find support.
+    surface = ramp_surface(0.01, 0.0, window=2.0)
+    with pytest.raises(InsufficientSupport, match="^0 recent pixels"):
+        fit_local_plane(surface, center, ExtractionConfig(temporal_window=2.0))
+
+
+@pytest.mark.parametrize("center", [(-1, 30), (80, 30), (40, -2)])
+def test_fit_centre_just_off_sensor_uses_its_on_sensor_support(center):
+    surface = ramp_surface(0.01, 0.0, window=2.0)
+    fit = fit_local_plane(surface, center, ExtractionConfig(temporal_window=2.0))
+    half = 3
+    x, y = center
+    width = min(x + half, INTR.width - 1) - max(x - half, 0) + 1
+    height = min(y + half, INTR.height - 1) - max(y - half, 0) + 1
+    assert fit.inlier_count == width * height
+    assert np.allclose(fit.gradient, [0.01, 0.0], atol=1e-12)
+
+
+def test_extract_many_support_sizes_chunk_free_and_equal_to_single_fits(
+        monkeypatch):
+    # Edges plus dense background put the candidates in many support
+    # groups; one pixel per chunk and one chunk for everything give the
+    # same output, and each flow is its pixel's single fit.
+    surface, _, _ = jittered_edge_surface(6, background=0.4)
+    cfg = ExtractionConfig(seed=6)
+    ys, xs = np.nonzero(surface.timestamps > surface.t_ref - cfg.temporal_window)
+    sizes = np.unique(extraction._support_counts(surface, cfg, xs, ys))
+    assert np.sum(sizes >= cfg.min_support) >= 25
+    results = []
+    for chunk_bytes in (1, 1 << 30):
+        monkeypatch.setattr(extraction, "CHUNK_BYTES", chunk_bytes)
+        results.append(extraction_outputs(surface, cfg))
+    (got, stats), (want, want_stats) = results
+    assert stats == want_stats and want_stats["insufficient_support"] > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    _, flows, _, _, pixels, consensus, residuals = want
+    assert len(pixels) > 0.5 * stats["candidates"]
+    for (x, y), n, inliers, rms in zip(pixels.tolist(), flows.tolist(),
+                                       consensus.tolist(), residuals.tolist()):
+        fit = fit_local_plane(surface, (int(x), int(y)), cfg)
+        gcx, gcy = INTR.fx * fit.gradient[0], INTR.fy * fit.gradient[1]
+        mag2 = gcx * gcx + gcy * gcy
+        assert tuple(n) == (gcx / mag2, gcy / mag2)
+        assert (inliers, rms) == (fit.inlier_count, fit.rms)
 
 
 def test_extract_constructs_no_generator(monkeypatch):

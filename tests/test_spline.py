@@ -331,6 +331,19 @@ def test_problem_rejects_non_integer_max_rounds(value):
     SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, max_rounds=np.int64(2))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("huber_scale", True), ("huber_scale", "x"), ("reg_weight", True),
+    ("reg_weight", False), ("reg_weight", "x"), ("reg_weight", None)])
+def test_problem_rejects_non_real_scale_and_weight(field, value):
+    obs, _ = rotation_dataset(
+        ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0.1, 0, 0.3))),
+        count=10, seed=75)
+    with pytest.raises(ValueError, match=field):
+        SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, **{field: value})
+    # NumPy reals count as reals
+    SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY, **{field: np.float64(0.5)})
+
+
 # --------------------------------------------------------------------------
 # the block normal equations against the dense lstsq IRLS they replaced
 
