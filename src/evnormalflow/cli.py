@@ -144,6 +144,18 @@ def _floats(count=None):
     return parse
 
 
+def _seed(text):
+    """argparse type: a non-negative integer seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _read_config(path):
     config = {}
     with open(path) as fh:
@@ -330,7 +342,8 @@ def cmd_fit_spline(args):
         "ransac_iterations": init_report.ransac_iterations,
         "capped_segments": init_report.capped_segments,
         "starved_control_points": fit_report.starved_control_points,
-        "irls_rounds": fit_report.irls_rounds, "cond": fit_report.cond,
+        "irls_rounds": fit_report.irls_rounds,
+        "irls_hit_cap": fit_report.hit_cap, "cond": fit_report.cond,
         "manifest": _manifest(args)})
     if args.trace:
         ts = np.linspace(lo, hi, args.trace_points, endpoint=False)
@@ -449,7 +462,7 @@ def build_parser():
 
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int,
+    common.add_argument("--seed", type=_seed,
                         help="base seed (default: $EVNF_SEED, else 0)")
     fitting = _Parser(add_help=False)
     fitting.add_argument("--flows", required=True)
@@ -496,7 +509,8 @@ def build_parser():
     p.add_argument("--knot-spacing", type=float, default=DEFAULT_KNOT_SPACING)
     p.add_argument("--no-robust", action="store_true",
                    help="disable Huber reweighting")
-    p.add_argument("--max-rounds", type=int, default=10)
+    p.add_argument("--max-rounds", type=int, default=10,
+                   help="IRLS rounds per Huber sweep")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="write a synthetic dataset")
@@ -540,14 +554,10 @@ _COMMANDS = {"extract": cmd_extract, "solve": cmd_solve,
 
 def _env_seed():
     """The seed from $EVNF_SEED: a non-negative integer, 0 when unset."""
-    text = os.environ.get("EVNF_SEED") or "0"
     try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise InputError(f"EVNF_SEED must be a non-negative integer, got {text!r}")
-    return seed
+        return _seed(os.environ.get("EVNF_SEED") or "0")
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"EVNF_SEED {exc}") from exc
 
 
 def main(argv=None):

@@ -16,8 +16,11 @@ iteratively-reweighted least squares.  An observation in segment j touches
 only the 4 * dim unknowns of c_j..c_{j+3}, so the fit keeps just those row
 values, sums their weighted outer products segment by segment into the
 block-banded normal matrix (size (n_ctrl * dim)^2, independent of the
-number of observations), and solves it by Cholesky after symmetric Jacobi
-scaling.
+number of observations), and solves it after symmetric Jacobi scaling,
+with a Cholesky factorisation as the rank check.  Each Huber sweep stops
+once a round lowers the objective by at most IRLS_TOL * max(1, objective),
+or after max_rounds rounds; the report's hit_cap says whether any sweep
+used all its rounds without meeting that rule.
 """
 from __future__ import annotations
 
@@ -33,6 +36,10 @@ from .geometry import Observations, as_observations
 from .solvers import ModelKind, RansacConfig, build_rows, ransac_estimate
 
 DEFAULT_KNOT_SPACING = 0.05
+
+# A Huber sweep has converged once one IRLS round lowers the objective by
+# at most this fraction of max(1, objective).
+IRLS_TOL = 1e-5
 
 _SPLINE_KINDS = (ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF)
 
@@ -183,6 +190,7 @@ class SplineFitReport:
     irls_rounds: int
     objective_history: list
     cond: float     # of the Jacobi-scaled normal matrix at the final solve
+    hit_cap: bool   # some sweep ran max_rounds rounds without converging
 
 
 def _sorted_problem(problem):
@@ -242,14 +250,16 @@ class _BlockRows:
         return gram, g
 
 
-def _cholesky_solve(gram, rhs):
+def _scaled_solve(gram, rhs):
     """Solve gram @ x = rhs for symmetric positive definite gram.
 
     The matrix is scaled to unit diagonal first (symmetric Jacobi), which
     removes the spread between control points with many observations and
-    starved ones held only by the regularisation.  Returns x and the
-    scaled matrix.  A zero diagonal or a failed factorisation means the
-    fit has no unique solution: RankDeficient.
+    starved ones held only by the regularisation.  The scaled system is
+    solved by one LAPACK call; its Cholesky factorisation serves only as
+    the definiteness check.  Returns x and the scaled matrix.  A zero
+    diagonal or a failed factorisation means the fit has no unique
+    solution: RankDeficient.
     """
     diag = np.diag(gram)
     if not np.all(diag > 0.0):
@@ -258,17 +268,10 @@ def _cholesky_solve(gram, rhs):
     d = 1.0 / np.sqrt(diag)
     scaled = gram * d[:, None] * d[None, :]
     try:
-        chol = np.linalg.cholesky(scaled)
+        np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"spline normal equations singular: {exc}") from exc
-    pivots = np.diag(chol)
-    # Forward and back substitution; NumPy has no triangular solve.
-    y = rhs * d
-    for i in range(len(y)):
-        y[i] = (y[i] - chol[i, :i] @ y[:i]) / pivots[i]
-    for i in range(len(y) - 1, -1, -1):
-        y[i] = (y[i] - chol[i + 1:, i] @ y[i + 1:]) / pivots[i]
-    return y * d, scaled
+    return np.linalg.solve(scaled, rhs * d) * d, scaled
 
 
 def _starved(seg_counts, n_ctrl):
@@ -317,15 +320,18 @@ def fit(problem, init):
     while that keeps shrinking; lowering delta at fixed parameters also
     lowers the objective, so the recorded history stays monotone across
     sweeps.  An explicit problem.huber_scale is honoured as-is (single
-    sweep).
+    sweep).  A sweep ends once a round lowers the objective by at most
+    IRLS_TOL * max(1, objective), or after problem.max_rounds rounds;
+    report.hit_cap is True when any sweep ended on that cap instead.
 
     Every solve, robust or not, forms the weighted normal equations
     a^T W a + reg^T reg from each observation's 4*dim nonzero row values,
-    summed segment by segment, and solves them by Cholesky after Jacobi
-    scaling; no K x (n_ctrl*dim) design is built.  Raises RankDeficient
-    when that matrix is singular, or numerically singular at the last
-    solve (smallest eigenvalue of the scaled matrix at most n * eps times
-    the largest); report.cond is that matrix's condition number.
+    summed segment by segment, and solves them after Jacobi scaling; no
+    K x (n_ctrl*dim) design is built.  Raises RankDeficient when that
+    matrix is not positive definite (its Cholesky factorisation fails), or
+    is numerically singular at the last solve (smallest eigenvalue of the
+    scaled matrix at most n * eps times the largest); report.cond is that
+    matrix's condition number.
     """
     obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim
@@ -345,11 +351,12 @@ def fit(problem, init):
 
     def solve(wts):
         gram, g = rows.normal_equations(wts)
-        return _cholesky_solve(gram + reg_gram, g)
+        return _scaled_solve(gram + reg_gram, g)
 
     theta = init.control_points.reshape(-1).copy()
     r = rows.residuals(theta)
     history = []
+    hit_cap = False
     if not problem.robust:
         theta, scaled = solve(np.ones(len(obs)))
         rounds = 1
@@ -365,14 +372,15 @@ def fit(problem, init):
         for _sweep in range(6 if auto_scale else 1):
             for _ in range(problem.max_rounds):
                 wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
-                theta_new, scaled = solve(wts)
+                theta, scaled = solve(wts)
                 rounds += 1
-                r = rows.residuals(theta_new)
-                obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta_new) ** 2))
+                r = rows.residuals(theta)
+                obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
                 history.append(obj)
-                theta = theta_new
-                if len(history) >= 2 and history[-2] - obj <= 1e-12 * max(1.0, obj):
+                if history[-2] - obj <= IRLS_TOL * max(1.0, obj):
                     break
+            else:
+                hit_cap = True
             if not auto_scale:
                 break
             new_delta = 3.0 * float(np.median(np.abs(r)))
@@ -394,7 +402,8 @@ def fit(problem, init):
         rms=float(np.sqrt(np.mean(r ** 2))), segment_counts=seg_counts,
         starved_segments=[int(j) for j in np.nonzero(seg_counts == 0)[0]],
         starved_control_points=starved_cp, irls_rounds=rounds,
-        objective_history=history, cond=float(eig[-1] / eig[0]))
+        objective_history=history, cond=float(eig[-1] / eig[0]),
+        hit_cap=hit_cap)
     return traj, report
 
 

@@ -287,6 +287,8 @@ def test_fit_spline_tracks_step(tmp_path):
     assert spline["capped_segments"] == []
     assert spline["ransac_iterations"] >= 1
     assert spline["irls_rounds"] >= 1
+    # noise-free, so IRLS creeps towards a step the spline cannot model
+    assert isinstance(spline["irls_hit_cap"], bool)
     assert 1.0 <= spline["cond"] < 1e6
     rows = read_csv_rows(trace_path)
     assert len(rows) == 50 and set(rows[0]) == {"t", "wx", "wy", "wz"}
@@ -542,6 +544,24 @@ def test_bad_env_seed_exits_2_naming_it(tmp_path, capsys, monkeypatch, value):
     # a seed flag leaves the variable unread
     assert run("simulate", "--output-dir", tmp_path / "d", "--count", 10,
                "--seed", 4) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--events", "events.txt", "--output", "flows.csv"],
+    ["solve", "--flows", "flows.csv", "--kind", "six-dof", "--output", "fit.json"],
+    ["fit-spline", "--flows", "flows.csv", "--kind", "six-dof",
+     "--output", "fit.json"],
+    ["simulate", "--output-dir", "data", "--count", "10"],
+    ["bench-noise", "--kind", "depth", "--output", "noise.csv"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys, argv):
+    argv = [tmp_path / a if a.endswith((".txt", ".csv", ".json", "data")) else a
+            for a in argv]
+    assert run(*argv, "--seed", "-3") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "--seed" in err[0] and "-3" in err[0]
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_bad_line(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from evnormalflow.spline import (_huber_objective, _locate,
+from evnormalflow.spline import (IRLS_TOL, _huber_objective, _locate,
                                  _regularization_rows, _sorted_problem,
                                  _starved)
 
@@ -366,8 +366,9 @@ def dense_design(obs, depths, kind, traj):
 
 
 def dense_fit(problem, init):
-    """The fit as one np.linalg.lstsq per IRLS round on the dense design.
-    Returns (control points, IRLS rounds)."""
+    """The fit as one np.linalg.lstsq per IRLS round on the dense design,
+    each sweep stopped once a round lowers the objective by at most
+    IRLS_TOL * max(1, objective).  Returns (control points, IRLS rounds)."""
     obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim
     a, rhs, seg = dense_design(obs, depths, problem.kind, init)
@@ -403,7 +404,7 @@ def dense_fit(problem, init):
             r = a @ theta - rhs
             obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
             history.append(obj)
-            if history[-2] - obj <= 1e-12 * max(1.0, obj):
+            if history[-2] - obj <= IRLS_TOL * max(1.0, obj):
                 break
         if not auto_scale:
             break
@@ -477,6 +478,41 @@ def test_fit_matches_dense_oracle_with_starved_control_points():
     cp, rounds = dense_fit(problem, init)
     assert report.irls_rounds == rounds
     assert np.max(np.abs(traj.control_points - cp)) < 1e-7
+
+
+@pytest.mark.parametrize("sigma_px", [0.5, 2.0])
+def test_fit_stops_on_convergence(sigma_px, monkeypatch):
+    # spline-step-like data: K = 10 k over 1 s, 50 knot intervals of 0.02 s
+    motion = StepMotion(before=STEP.before, after=STEP.after, t_switch=0.5)
+    obs, _ = generate_dataset(RandomPointsScene(), motion, count=10_000,
+                              window=1.0, seed=87,
+                              noise=NoiseSpec(sigma_px=sigma_px,
+                                              outlier_fraction=0.1))
+    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    traj, report = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY), init)
+    assert not report.hit_cap
+    assert report.irls_rounds < 30
+    # the same fit run to a 1e-12 relative decrease; the dense oracle would
+    # take 60-150 lstsq rounds of the 10 k x 159 design to get there
+    monkeypatch.setattr("evnormalflow.spline.IRLS_TOL", 1e-12)
+    ref, ref_report = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
+                                           max_rounds=100), init)
+    assert not ref_report.hit_cap
+    assert ref_report.irls_rounds > 2 * report.irls_rounds
+    grid = np.linspace(*traj.domain, 500, endpoint=False)
+    want = evaluate(ref, grid)
+    err = np.linalg.norm(evaluate(traj, grid) - want, axis=1)
+    assert np.median(err / np.linalg.norm(want, axis=1)) < 1e-4
+
+
+def test_fit_reports_capped_sweep():
+    obs, _ = rotation_dataset(STEP, count=2000, seed=88,
+                              noise=NoiseSpec(sigma_px=0.5,
+                                              outlier_fraction=0.1))
+    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.05)
+    _, report = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
+                                     max_rounds=1), init)
+    assert report.hit_cap is True
 
 
 def test_fit_memory_independent_of_design_size():
