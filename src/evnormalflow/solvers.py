@@ -27,6 +27,17 @@ builds the rows once, solves minimal samples from them, scores MSAC on
 the distance from each normal flow to the constraint line of the flow a
 hypothesis predicts, then runs a weighted local-optimisation refit that
 tightens the threshold to the noise.
+
+Both run on groups of rows.  _ransac_groups fits every contiguous group
+of observations in lockstep: each round draws one minimal sample per
+running group, exactly as a lone call would, solves the samples as one
+stack, and scores them in one pass over the rows of the groups still
+running; the refits then solve all groups together.  _solve_groups is
+the least-squares solve behind stack_and_solve and the refits: groups of
+similar size share one stacked SVD.  Every sum, median and solve takes
+one group's rows alone, so a group's result does not depend on the
+groups beside it; ransac_estimate and stack_and_solve are the one-group
+calls, and the spline init is the many-group one.
 """
 from __future__ import annotations
 
@@ -38,11 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDepth, NoConsensus, PureRotation,
-                     RankDeficient, TooFewObservations)
+                     RankDeficient, SolverDegeneracy, TooFewObservations)
 from .geometry import (DiffHomography, Velocity, as_observations,
                        epipolar_terms, matrix_a, matrix_b)
 
 _REL_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class ModelKind(enum.Enum):
@@ -135,22 +147,83 @@ def stack_and_solve(a, b, min_rank=None):
     Full-rank systems get the unique LS solution; rank-deficient ones the
     minimum-norm solution.  Raises RankDeficient when the numerical rank
     falls below min_rank.  Returns (theta, SolveInfo) where cond is the
-    ratio of the largest to the smallest retained singular value.
+    ratio of the largest to the smallest retained singular value.  This is
+    the one-group case of _solve_groups.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if a.ndim != 2 or a.shape[0] != b.size:
         raise ValueError("a must be (K, p) with matching rhs")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        raise RankDeficient("all-zero system")
-    tol = s[0] * (max(a.shape) * np.finfo(float).eps)
-    rank = int(np.sum(s > tol))
-    if min_rank is not None and rank < min_rank:
-        raise RankDeficient(f"numerical rank {rank} < required {min_rank}")
-    theta = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    rms = float(np.sqrt(np.mean((a @ theta - b) ** 2)))
-    return theta, SolveInfo(rank=rank, cond=float(s[0] / s[rank - 1]), rms=rms)
+    theta, rank, cond, errors = _solve_groups(
+        a, b, np.arange(len(b)), np.zeros(len(b), dtype=np.intp), 1, min_rank)
+    if errors[0] is not None:
+        raise errors[0]
+    rms = float(np.sqrt(np.mean((a @ theta[0] - b) ** 2)))
+    return theta[0], SolveInfo(rank=int(rank[0]), cond=float(cond[0]), rms=rms)
+
+
+# A group's rows are padded with zero rows to a multiple of _PAD_ROWS rows:
+# groups of similar size then share one stacked SVD, while the matrix each
+# group is solved in depends on its own rows alone.
+_PAD_ROWS = 64
+
+
+def _solve_groups(a, b, sel, gid, n_groups, min_rank=None, weight=None):
+    """stack_and_solve for each group of rows: (theta, rank, cond, errors),
+    one row or entry per group.  Row i of group gid[i], gid non-decreasing,
+    is a[sel[i]] theta = b[sel[i]], scaled by weight[i] when given.
+
+    errors[g] is None, or the RankDeficient that stack_and_solve raises on
+    group g alone; theta[g] is zero there.  Each group's rows, padded with
+    zero rows to a multiple of _PAD_ROWS, are one matrix of a stacked SVD;
+    in exact arithmetic the zero rows change neither the singular values
+    nor the solution.
+    """
+    p = a.shape[1]
+    first = np.searchsorted(gid, np.arange(n_groups + 1))
+    m = np.diff(first)
+    padded = -(-m // _PAD_ROWS) * _PAD_ROWS
+    # the padded matrices one after another, grouped by size: group g's
+    # starts at row base[g] of the stack
+    by_size = np.argsort(padded, kind="stable")
+    base = np.empty(n_groups, dtype=np.intp)
+    base[by_size] = np.cumsum(padded[by_size]) - padded[by_size]
+    # a padding row is its group's first row times a zero weight
+    filled = by_size[m[by_size] > 0]
+    src = np.repeat(sel[first[filled]], padded[filled])
+    scale = np.zeros(len(src))
+    at = np.arange(len(sel)) + (base - first[:-1])[gid]
+    src[at] = sel
+    scale[at] = 1.0 if weight is None else weight
+    flat_a = a[src]
+    flat_a *= scale[:, None]
+    flat_b = b[src] * scale
+    theta, rank = np.zeros((n_groups, p)), np.zeros(n_groups, dtype=np.intp)
+    cond = np.full(n_groups, np.nan)
+    errors = [None if k else RankDeficient("all-zero system")
+              for k in m.tolist()]
+    for size in np.unique(padded[m > 0]).tolist():
+        groups = np.flatnonzero(padded == size)
+        rows = slice(base[groups[0]], base[groups[0]] + len(groups) * size)
+        stack_a = flat_a[rows].reshape(len(groups), size, p)
+        stack_b = flat_b[rows].reshape(len(groups), size)
+        u, s, vt = np.linalg.svd(stack_a, full_matrices=False)
+        kept = s > s[:, :1] * (np.maximum(m[groups], p) * _EPS)[:, None]
+        r = kept.sum(axis=1)
+        coef = np.divide((stack_b[:, None, :] @ u)[:, 0], s,
+                         out=np.zeros_like(s), where=kept)
+        theta[groups] = (coef[:, None, :] @ vt)[:, 0]
+        rank[groups] = r
+        cond[groups] = np.divide(
+            s[:, 0], s[np.arange(len(groups)), np.maximum(r - 1, 0)],
+            out=np.full(len(groups), np.nan), where=r > 0)
+        failed = (s[:, 0] == 0) | (r < (min_rank or 0))
+        for j in np.flatnonzero(failed).tolist():
+            errors[groups[j]] = RankDeficient(
+                "all-zero system" if s[j, 0] == 0 else
+                f"numerical rank {r[j]} < required {min_rank}")
+        theta[groups[failed]] = 0.0
+    return theta, rank, cond, errors
 
 
 def solve_optical_flow(observations, v):
@@ -358,60 +431,214 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     2003).  After each refit the threshold tightens to the inliers' noise
     scale, min(threshold, max(3 * 1.4826 * median(e), threshold / 100)),
     and the inliers are recomputed at the refit parameters.  Every reported
-    inlier satisfies e <= report.threshold.
+    inlier satisfies e <= report.threshold.  This is the one-group case of
+    _ransac_groups.
     """
-    cfg = cfg or RansacConfig()
     obs = _observations(observations, kind)
-    k, c = len(obs), kind.minimal_samples
-    flow, offset = _flow_model(obs, kind, velocity, depths)
-    a, b = _rows(obs, kind, flow, offset)
-    n0, n1 = obs.n[:, 0], obs.n[:, 1]
+    result, = _ransac_groups(obs, kind, [0, len(obs)], cfg or RansacConfig(),
+                             velocity, depths)
+    if isinstance(result, SolverDegeneracy):
+        raise result
+    return result
 
-    def residual(theta):
-        """(r, s2) = (n . u - |n|^2, |u|^2) for the flow u theta predicts."""
-        ux, uy = flow(theta)
-        if offset is not None:
-            ux, uy = ux + offset[0], uy + offset[1]
-        return n0 * ux + n1 * uy - obs.mag2, ux * ux + uy * uy
+
+def _draws(seed, i, sizes, c):
+    """Round i's minimal sample for groups of the given sizes: for size k,
+    default_rng([seed, i]).choice(k, c, replace=False), drawn once per
+    distinct size from one generator reset to its fresh state."""
+    rng = np.random.default_rng([seed, i])
+    fresh = rng.bit_generator.state if len(sizes) > 1 else None
+    drawn = {}
+    sizes = sizes.tolist()
+    for k in sizes:
+        if k not in drawn:
+            if drawn:
+                rng.bit_generator.state = fresh
+            drawn[k] = rng.choice(k, c, replace=False)
+    return np.array([drawn[k] for k in sizes])
+
+
+def _solve_minimal(a, b):
+    """(theta, ok) for the stacked minimal systems a[j] theta = b[j], each
+    (c, p) with c <= p: the minimum-norm solution by SVD, as lstsq gives it.
+    ok is False, and theta zero, where a[j] has rank below c at lstsq's
+    default tolerance or theta is not finite."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    ok = s[:, -1] > _EPS * max(a.shape[1:]) * s[:, 0]
+    # dividing by inf zeroes the rank-deficient systems without a warning
+    s[~ok] = np.inf
+    theta = (((b[:, None, :] @ u) / s[:, None, :]) @ vt)[:, 0]
+    # one sum screens the whole stack; rows are checked only if it fails
+    if not math.isfinite(theta.sum()):
+        ok &= np.isfinite(theta).all(axis=1)
+        theta[~ok] = 0.0
+    return theta, ok
+
+
+class _GroupRows:
+    """The rows of some groups (ascending group indices), in group order,
+    with their constraint rows a, b and the flow model written over them.
+
+    A single contiguous range of rows is a view, not a copy.  gid gives each
+    row its group's position among groups, starts each group's first row
+    here and first its first row in obs.
+    """
+
+    def __init__(self, obs, kind, velocity, depths, a, b, bounds, groups):
+        lo, hi = bounds[groups], bounds[groups + 1]
+        sizes = hi - lo
+        self.groups, self.sizes, self.first = groups, sizes, lo[:, None]
+        self.starts = np.cumsum(sizes) - sizes
+        self.gid = np.repeat(np.arange(len(groups)), sizes)
+        if np.array_equal(lo[1:], hi[:-1]):
+            index = slice(lo[0], hi[-1])
+        else:
+            index = np.repeat(lo - self.starts, sizes) + np.arange(len(self.gid))
+        rows = obs[index]
+        self.n0, self.n1, self.mag2 = rows.n[:, 0], rows.n[:, 1], rows.mag2
+        self.a, self.b = a[index], b[index]
+        self.flow, self.offset = _flow_model(
+            rows, kind, velocity, None if depths is None else depths[index])
+
+    def residual(self, theta):
+        """(r, s2) = (n . u - |n|^2, |u|^2) at every row, for the flow u that
+        row g of theta predicts over group g's rows."""
+        ux, uy = self.flow(self.per_row(theta.T))
+        if self.offset is not None:
+            ux, uy = ux + self.offset[0], uy + self.offset[1]
+        return self.n0 * ux + self.n1 * uy - self.mag2, ux * ux + uy * uy
+
+    def per_row(self, values):
+        """values[..., g] for each row's group g; one group's values
+        broadcast instead."""
+        return values[..., 0] if len(self.groups) == 1 else values[..., self.gid]
+
+    def sums(self, values):
+        """Per-group sums of a row column, each added over its group's rows
+        in order."""
+        return np.add.reduceat(values, self.starts)
+
+    def medians(self, values, mask):
+        """Per-group median of values over the rows where mask holds, equal
+        to np.median of that group's values; each group needs such a row."""
+        sel = np.flatnonzero(mask)
+        gid = self.gid[sel]
+        m = np.bincount(gid, minlength=len(self.groups))
+        # each group's values in a row of its own, padded, sorted in place
+        width = m.max()
+        offset = np.arange(len(m)) * width - (np.cumsum(m) - m)
+        at = np.arange(len(sel)) + offset[gid]
+        table = np.full(len(m) * width, np.inf)
+        table[at] = values[sel]
+        table = table.reshape(len(m), width)
+        table.sort(axis=1)
+        g = np.arange(len(m))
+        return (table[g, (m - 1) // 2] + table[g, m // 2]) / 2
+
+
+def _ransac_groups(obs, kind, bounds, cfg, velocity=None, depths=None):
+    """ransac_estimate on every contiguous group obs[bounds[g]:bounds[g+1]]
+    at once: a list holding, per group, its FitReport or the
+    SolverDegeneracy that ransac_estimate raises on that group alone.
+
+    Rows and the flow model are built once.  The groups run MSAC in
+    lockstep: round i draws each running group's sample as a lone call
+    would, solves the minimal systems as one stack and scores them in one
+    pass over the rows of the groups still running, with costs, counts and
+    adaptive stops kept per group.  The three refits then run for all
+    groups together.  Each sum, median and solve takes one group's rows
+    alone, so a group's result does not depend on the groups beside it.
+    A group smaller than twice the minimal sample can hold no consensus,
+    and draws no sample.
+    """
+    bounds = np.asarray(bounds, dtype=np.intp)
+    sizes = np.diff(bounds)
+    c = kind.minimal_samples
+    a, b = _rows(obs, kind, *_flow_model(obs, kind, velocity, depths))
+    results = [None] * len(sizes)
+    drawn = sizes >= 2 * c
+    for g in np.flatnonzero(~drawn):
+        results[g] = (
+            TooFewObservations(f"need >= {c} observations, got {sizes[g]}")
+            if sizes[g] < c else
+            NoConsensus(f"{sizes[g]} observations < {2 * c}: no consensus"))
+
+    def rows_of(groups):
+        return _GroupRows(obs, kind, velocity, depths, a, b, bounds, groups)
 
     t2 = cfg.threshold ** 2
-    best_cost, best_theta, best_count = np.inf, None, 0
-    needed = cfg.max_iterations
+    best_cost = np.full(len(sizes), np.inf)
+    best_theta = np.zeros((len(sizes), kind.param_dim))
+    best_count = np.zeros(len(sizes), dtype=np.intp)
+    needed = np.full(len(sizes), float(cfg.max_iterations))
+    iterations = np.zeros(len(sizes), dtype=np.intp)
+    running = np.flatnonzero(drawn)
+    rows = None
     i = 0
-    while i < min(cfg.max_iterations, needed):
-        rng = np.random.default_rng([cfg.seed, i])
+    while running.size:
+        if rows is None or len(rows.groups) != len(running):
+            rows = rows_of(running)
+        samples = rows.first + _draws(cfg.seed, i, rows.sizes, c)
         i += 1
-        sample = rng.choice(k, c, replace=False)
-        theta, _, rank, _ = np.linalg.lstsq(a[sample], b[sample], rcond=None)
-        if rank < c or not np.all(np.isfinite(theta)):
-            continue
-        e2 = _squared_distance(*residual(theta))
-        cost = float(np.minimum(e2, t2).sum())
-        if cost < best_cost:
-            best_cost, best_theta = cost, theta
-            best_count = int(np.count_nonzero(e2 <= t2))
-            needed = _adaptive_iterations(best_count / k, c, cfg.confidence)
+        theta, ok = _solve_minimal(a[samples], b[samples])
+        e2 = _squared_distance(*rows.residual(theta))
+        cost = rows.sums(np.minimum(e2, t2))
+        better = ok & (cost < best_cost[running])
+        if better.any():
+            count = rows.sums(e2 <= t2)
+            for j in np.flatnonzero(better):
+                g = running[j]
+                best_cost[g], best_theta[g] = cost[j], theta[j]
+                best_count[g] = count[j]
+                needed[g] = _adaptive_iterations(
+                    int(count[j]) / int(sizes[g]), c, cfg.confidence)
+        iterations[running] = i
+        running = running[i < np.minimum(needed[running], cfg.max_iterations)]
 
-    if best_count < 2 * c:
-        raise NoConsensus(
-            f"best consensus {best_count} < {2 * c} after {i} iterations")
-    threshold = cfg.threshold
-    r, s2 = residual(best_theta)
+    for g in np.flatnonzero(drawn & (best_count < 2 * c)):
+        results[g] = NoConsensus(f"best consensus {best_count[g]} < {2 * c} "
+                                 f"after {iterations[g]} iterations")
+    live = np.flatnonzero(drawn & (best_count >= 2 * c))
+    if not live.size:
+        return results
+    rows = rows_of(live)
+    r, s2 = rows.residual(best_theta[live])
     e = np.sqrt(_squared_distance(r, s2))
-    inliers = np.flatnonzero(e <= threshold)
+    inliers = e <= cfg.threshold
     for _ in range(_LO_REFITS):
-        weight = 1.0 / np.sqrt(s2[inliers])
-        theta, info = stack_and_solve(a[inliers] * weight[:, None],
-                                      b[inliers] * weight, kind.required_rank)
-        r, s2 = residual(theta)
+        sel = np.flatnonzero(inliers)
+        theta, _, cond, errors = _solve_groups(
+            rows.a, rows.b, sel, rows.gid[sel], len(live), kind.required_rank,
+            weight=1.0 / np.sqrt(s2[sel]))
+        solved = np.array([err is None for err in errors])
+        if not solved.all():
+            for g, err in zip(live, errors):
+                if err is not None:
+                    results[g] = err
+            inliers = inliers[solved[rows.gid]]
+            live, theta, cond = live[solved], theta[solved], cond[solved]
+            if not live.size:
+                return results
+            rows = rows_of(live)
+        r, s2 = rows.residual(theta)
         e = np.sqrt(_squared_distance(r, s2))
-        threshold = min(cfg.threshold, max(_SCALE * float(np.median(e[inliers])),
-                                           cfg.threshold / 100))
-        inliers = np.flatnonzero(e <= threshold)
-    if len(inliers) < 2 * c:
-        raise NoConsensus(f"{len(inliers)} inliers < {2 * c} after refitting")
-    return FitReport(kind=kind, theta=theta, inliers=inliers,
-                     rms=float(np.sqrt(np.mean(e[inliers] ** 2))),
-                     cond=info.cond, iterations=i,
-                     hit_cap=needed > cfg.max_iterations,
-                     inlier_ratio=len(inliers) / k, threshold=threshold)
+        threshold = np.minimum(cfg.threshold, np.maximum(
+            _SCALE * rows.medians(e, inliers), cfg.threshold / 100))
+        inliers = e <= rows.per_row(threshold)
+
+    counts = rows.sums(inliers)
+    sq_sums = rows.sums(np.where(inliers, e * e, 0.0))
+    for j, g in enumerate(live):
+        m, k = int(counts[j]), int(sizes[g])
+        if m < 2 * c:
+            results[g] = NoConsensus(f"{m} inliers < {2 * c} after refitting")
+            continue
+        start = rows.starts[j]
+        results[g] = FitReport(
+            kind=kind, theta=theta[j].copy(),
+            inliers=np.flatnonzero(inliers[start:start + k]),
+            rms=float(np.sqrt(sq_sums[j] / m)), cond=float(cond[j]),
+            iterations=int(iterations[g]),
+            hit_cap=bool(needed[g] > cfg.max_iterations),
+            inlier_ratio=m / k, threshold=float(threshold[j]))
+    return results

@@ -33,7 +33,11 @@ import numpy as np
 from .errors import (OutOfDomain, RankDeficient, SolverDegeneracy,
                      UnderDetermined)
 from .geometry import Observations, as_observations
-from .solvers import ModelKind, RansacConfig, build_rows, ransac_estimate
+from .solvers import ModelKind, RansacConfig, _ransac_groups, build_rows
+# Not called here: init_from_linear runs _ransac_groups.  perfbench/calls.py
+# rebinds spline.ransac_estimate during traced runs (its INTERNAL table), so
+# the name stays bound to solvers.ransac_estimate.
+from .solvers import ransac_estimate  # noqa: F401
 
 DEFAULT_KNOT_SPACING = 0.05
 
@@ -424,24 +428,33 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
                      depths=None):
     """Initial trajectory from independent per-knot-interval RANSAC fits.
 
-    Each segment's observations get a linear RANSAC fit; degenerate or
-    empty segments are filled by averaging the nearest good neighbours and
-    flagged.  Control points then come from a small regularized system
-    asking the spline to pass through the segment estimates at segment
-    midpoints (for constant motion this reproduces the single linear
-    estimate at every control point).
+    Each segment's observations get a linear RANSAC fit; one lockstep call
+    fits every segment, with the draws and results of one ransac_estimate
+    call per segment.  Degenerate or empty segments are filled by
+    averaging the nearest good neighbours and flagged.  Control points then
+    come from a small regularized system asking the spline to pass through
+    the segment estimates at segment midpoints (for constant motion this
+    reproduces the single linear estimate at every control point).
+    depths, when given, must hold one positive depth per observation:
+    ValueError on a length mismatch, DegenerateDepth on a depth that is
+    not positive.
     """
     if kind not in _SPLINE_KINDS:
         raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {kind}")
     obs = as_observations(observations)
     if not obs:
         raise UnderDetermined("no observations")
+    if depths is not None:
+        # a bad depth raises DegenerateDepth when the rows are built, before
+        # any segment is fitted
+        depths = np.asarray(depths, dtype=float).reshape(-1)
+        if depths.size != len(obs):
+            raise ValueError("depths length must match observations")
     cfg = cfg or RansacConfig()
     t = obs.t
     t0, n_ctrl = trajectory_covering(float(t.min()), float(t.max()), dt)
     dim = kind.param_dim
     n_seg = n_ctrl - 3
-    depths = None if depths is None else np.asarray(depths, dtype=float)
 
     s = (t - t0) / dt
     seg = np.clip(np.floor(s).astype(int) - 1, 0, n_seg - 1)
@@ -449,23 +462,19 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     # order[bounds[j]:bounds[j + 1]].
     order = np.argsort(seg, kind="stable")
     bounds = np.searchsorted(seg[order], np.arange(n_seg + 1))
+    results = _ransac_groups(obs[order], kind, bounds, cfg,
+                             depths=None if depths is None else depths[order])
     estimates = np.full((n_seg, dim), np.nan)
     is_good = np.zeros(n_seg, dtype=bool)
     iterations, capped = 0, []
-    for j in range(n_seg):
-        idx = order[bounds[j]:bounds[j + 1]]
-        if idx.size >= 2 * kind.minimal_samples:
-            try:
-                report = ransac_estimate(
-                    obs[idx], kind, cfg,
-                    depths=None if depths is None else depths[idx])
-            except SolverDegeneracy:
-                continue
-            estimates[j] = report.theta
-            is_good[j] = True
-            iterations += report.iterations
-            if report.hit_cap:
-                capped.append(j)
+    for j, report in enumerate(results):
+        if isinstance(report, SolverDegeneracy):
+            continue
+        estimates[j] = report.theta
+        is_good[j] = True
+        iterations += report.iterations
+        if report.hit_cap:
+            capped.append(j)
     if not is_good.any():
         raise UnderDetermined("no segment supported a linear fit")
     good_arr = np.flatnonzero(is_good)

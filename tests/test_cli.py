@@ -365,6 +365,15 @@ def test_fit_spline_six_dof_needs_depth(tmp_path):
                "--kind", "six-dof", "--output", tmp_path / "spline.json") == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "-2.5"])
+def test_fit_spline_bad_depth_exits_3(tmp_path, depth):
+    out = simulate(tmp_path)
+    edit_cell(out / "observations.csv", 5, "Z", depth)
+    assert run("fit-spline", "--flows", out / "observations.csv",
+               "--kind", "six-dof", "--output", tmp_path / "spline.json") == 3
+    assert not (tmp_path / "spline.json").exists()
+
+
 # --------------------------------------------------------------------------
 # extract
 

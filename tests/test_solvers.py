@@ -1,5 +1,8 @@
 """Five linear solvers on the normal-flow constraint, the stacked
 least-squares backend, and the RANSAC wrapper."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,9 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           solve_angular_velocity, solve_depth,
                           solve_diff_homography, solve_optical_flow,
                           stack_and_solve)
-from evnormalflow.geometry import FOV_LIMIT
-from evnormalflow.solvers import _flow_model
+from evnormalflow.geometry import FOV_LIMIT, as_observations
+from evnormalflow.solvers import (FitReport, _draws, _flow_model, _GroupRows,
+                                  _ransac_groups)
 
 
 def one_obs(x, y, nx, ny, t=0.0):
@@ -615,3 +619,142 @@ def test_ransac_config_validation():
     assert np.array_equal(
         ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, numpy_ints).theta,
         ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, python_ints).theta)
+
+
+# --------------------------------------------------------------------------
+# RANSAC over groups of observations
+
+def ransac_loop(obs, kind, cfg, depths=None):
+    """The MSAC loop one hypothesis at a time, with its three refits by
+    lstsq: the reference for the lockstep rounds of ransac_estimate.
+    Returns (theta, inliers, iterations, hit_cap, threshold, rms)."""
+    k, c = len(obs), kind.minimal_samples
+    a, b = build_rows(obs, kind, depths=depths)
+    flow, _ = _flow_model(obs, kind, depths=depths)
+
+    def residual(theta):
+        ux, uy = flow(theta)
+        r = obs.n[:, 0] * ux + obs.n[:, 1] * uy - obs.mag2
+        s2 = ux * ux + uy * uy
+        e2 = np.full(k, np.inf)
+        np.divide(r * r, s2, out=e2, where=s2 > 0)
+        return e2, s2
+
+    t2 = cfg.threshold ** 2
+    best_cost, best_theta, needed, i = np.inf, None, np.inf, 0
+    while i < min(cfg.max_iterations, needed):
+        sample = np.random.default_rng([cfg.seed, i]).choice(k, c, replace=False)
+        i += 1
+        theta, _, rank, _ = np.linalg.lstsq(a[sample], b[sample], rcond=None)
+        if rank < c:
+            continue
+        e2, _ = residual(theta)
+        cost = np.minimum(e2, t2).sum()
+        if cost < best_cost:
+            best_cost, best_theta = cost, theta
+            w = (np.count_nonzero(e2 <= t2) / k) ** c
+            needed = 1 if w >= 1 else math.ceil(
+                math.log(1 - cfg.confidence) / math.log1p(-w))
+    e2, s2 = residual(best_theta)
+    threshold = cfg.threshold
+    inliers = np.flatnonzero(np.sqrt(e2) <= threshold)
+    for _ in range(3):
+        w = 1 / np.sqrt(s2[inliers])
+        theta, *_ = np.linalg.lstsq(a[inliers] * w[:, None], b[inliers] * w,
+                                    rcond=None)
+        e2, s2 = residual(theta)
+        e = np.sqrt(e2)
+        threshold = min(cfg.threshold, max(3 * 1.4826 * np.median(e[inliers]),
+                                           cfg.threshold / 100))
+        inliers = np.flatnonzero(e <= threshold)
+    return (theta, inliers, i, needed > cfg.max_iterations, threshold,
+            np.sqrt(np.mean(e[inliers] ** 2)))
+
+
+def ransac_case(kind):
+    v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+    scene = (PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0)
+             if kind is ModelKind.DIFF_HOMOGRAPHY else RandomPointsScene())
+    if kind is ModelKind.ANGULAR_VELOCITY:
+        v = Velocity(nu=(0, 0, 0), omega=v.omega)
+    obs, truth = generate_dataset(scene, ConstantMotion(v), count=600, seed=17,
+                                  noise=NoiseSpec(sigma_px=0.5,
+                                                  outlier_fraction=0.3))
+    return obs, (truth.z if kind is ModelKind.SIX_DOF else None)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF,
+                                  ModelKind.DIFF_HOMOGRAPHY])
+def test_ransac_matches_one_hypothesis_loop(kind):
+    # same draws, so the same hypothesis count, cap and inliers; the sums
+    # and solves differ from the loop's only in the order of their terms
+    obs, depths = ransac_case(kind)
+    cfg = RansacConfig(seed=6)
+    report = ransac_estimate(obs, kind, cfg, depths=depths)
+    theta, inliers, iterations, hit_cap, threshold, rms = ransac_loop(
+        obs, kind, cfg, depths)
+    assert (report.iterations, report.hit_cap) == (iterations, hit_cap)
+    assert np.array_equal(report.inliers, inliers)
+    assert np.linalg.norm(report.theta - theta) <= 1e-10 * np.linalg.norm(theta)
+    assert report.threshold == pytest.approx(threshold, rel=1e-10)
+    assert report.rms == pytest.approx(rms, rel=1e-10)
+
+
+def test_group_draws_are_those_of_lone_calls():
+    sizes = np.array([7, 300, 7, 12])
+    draws = _draws(11, 4, sizes, 3)
+    for k, row in zip(sizes.tolist(), draws):
+        lone = np.random.default_rng([11, 4]).choice(k, 3, replace=False)
+        assert np.array_equal(row, lone)
+
+
+def test_group_medians_equal_np_median():
+    rng = np.random.default_rng(18)
+    obs = Observations(xy=rng.uniform(-0.5, 0.5, (40, 2)),
+                       n=rng.uniform(-1, 1, (40, 2)), t=np.zeros(40))
+    kind = ModelKind.ANGULAR_VELOCITY
+    a, b = build_rows(obs, kind)
+    bounds = np.array([0, 9, 10, 24, 40])
+    rows = _GroupRows(obs, kind, None, None, a, b, bounds, np.array([0, 2, 3]))
+    values = rng.exponential(size=len(rows.gid))
+    mask = rng.random(len(rows.gid)) < 0.6
+    mask[rows.starts] = True
+    medians = rows.medians(values, mask)
+    for j in range(3):
+        part = slice(rows.starts[j], rows.starts[j] + rows.sizes[j])
+        assert medians[j] == np.median(values[part][mask[part]])
+
+
+def test_ransac_groups_isolate_failing_groups():
+    # groups that fail sit between good ones; each group yields what a
+    # lone ransac_estimate call gives on it, bit for bit
+    kind = ModelKind.ANGULAR_VELOCITY
+    v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))
+    noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.2)
+    good = [generate_dataset(RandomPointsScene(), ConstantMotion(v), count=count,
+                             noise=noise, seed=seed)[0]
+            for count, seed in ((150, 19), (90, 20))]
+    rng = np.random.default_rng(21)
+    # normal flows far larger than any flow the others predict
+    outliers = Observations(xy=rng.uniform(-0.5, 0.5, (60, 2)),
+                            n=rng.uniform(-50, 50, (60, 2)), t=np.zeros(60))
+    one_pixel = Observations(xy=np.tile((0.1, -0.2), (40, 1)),
+                             n=rng.uniform(-0.5, 0.5, (40, 2)), t=np.zeros(40))
+    groups = [good[0], outliers, one_pixel, good[0][:2], good[1], good[0][:5]]
+    cfg = RansacConfig(seed=5, max_iterations=300)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    results = _ransac_groups(as_observations(groups), kind, bounds, cfg)
+    assert [type(r) for r in results] == [
+        FitReport, NoConsensus, NoConsensus, TooFewObservations, FitReport,
+        NoConsensus]
+    for group, result in zip(groups, results):
+        if not isinstance(result, FitReport):
+            with pytest.raises(type(result)) as lone:
+                ransac_estimate(group, kind, cfg)
+            assert str(lone.value) == str(result)
+            continue
+        lone = ransac_estimate(group, kind, cfg)
+        for field in dataclasses.fields(FitReport):
+            ours, theirs = getattr(result, field.name), getattr(lone, field.name)
+            assert type(ours) is type(theirs)
+            assert np.array_equal(ours, theirs), field.name

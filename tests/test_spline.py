@@ -9,12 +9,13 @@ from evnormalflow.spline import (IRLS_TOL, _huber_objective, _locate,
                                  _regularization_rows, _sorted_problem,
                                  _starved)
 
-from evnormalflow import (ConstantMotion, ModelKind, NoiseSpec, Observations,
-                          OutOfDomain, RandomPointsScene, RankDeficient,
-                          RansacConfig, SolverDegeneracy, SplineFitProblem,
-                          SplineTrajectory, StepMotion, UnderDetermined,
-                          Velocity, basis_weights, build_rows, evaluate, fit,
-                          generate_dataset, init_from_linear, ransac_estimate,
+from evnormalflow import (ConstantMotion, DegenerateDepth, ModelKind,
+                          NoiseSpec, Observations, OutOfDomain,
+                          RandomPointsScene, RankDeficient, RansacConfig,
+                          SolverDegeneracy, SplineFitProblem, SplineTrajectory,
+                          StepMotion, UnderDetermined, Velocity, basis_weights,
+                          build_rows, evaluate, fit, generate_dataset,
+                          init_from_linear, ransac_estimate,
                           solve_angular_velocity, trajectory_covering)
 
 
@@ -586,9 +587,9 @@ def test_fit_zero_regularisation_leaves_starved_points_free():
 # --------------------------------------------------------------------------
 # init_from_linear against its per-segment scan
 
-def init_reference(obs, kind, dt, cfg=RansacConfig()):
+def init_reference(obs, kind, dt, cfg=RansacConfig(), depths=None):
     """Control points, segment estimates, good and filled segments from one
-    np.nonzero scan per segment."""
+    np.nonzero scan and one ransac_estimate call per segment."""
     t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()), dt)
     n_seg = n_ctrl - 3
     seg = np.clip(np.floor((obs.t - t0) / dt).astype(int) - 1, 0, n_seg - 1)
@@ -598,7 +599,9 @@ def init_reference(obs, kind, dt, cfg=RansacConfig()):
         idx = np.nonzero(seg == j)[0]
         if idx.size >= 2 * kind.minimal_samples:
             try:
-                estimates[j] = ransac_estimate(obs[idx], kind, cfg).theta
+                estimates[j] = ransac_estimate(
+                    obs[idx], kind, cfg,
+                    depths=None if depths is None else depths[idx]).theta
                 good.append(j)
             except SolverDegeneracy:
                 pass
@@ -622,20 +625,49 @@ def init_reference(obs, kind, dt, cfg=RansacConfig()):
     return cp, estimates, good, filled
 
 
-def test_init_bit_identical_to_per_segment_scan():
-    obs, _ = rotation_dataset(STEP, count=3000, seed=85,
-                              noise=NoiseSpec(sigma_px=0.5,
-                                              outlier_fraction=0.1))
+SIX_DOF_STEP = StepMotion(before=Velocity(nu=(0.2, 0, 0), omega=(0, 0, 0.5)),
+                          after=Velocity(nu=(0.2, 0, 0), omega=(0, 0, 2.0)),
+                          t_switch=0.25)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF],
+                         ids=lambda kind: kind.value)
+def test_init_bit_identical_to_per_segment_scan(kind):
+    six_dof = kind is ModelKind.SIX_DOF
+    obs, truth = rotation_dataset(SIX_DOF_STEP if six_dof else STEP, count=3000,
+                                  seed=85, noise=NoiseSpec(sigma_px=0.5,
+                                                           outlier_fraction=0.1))
     # a gap at least 5 segments wide and a sparse stretch leave filled
     # segments between good ones
     keep = (obs.t < 0.12) | (obs.t > 0.24) & ((obs.t > 0.3) | (obs.xy[:, 0] > 0.3))
     obs = obs[keep]
-    init, report = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
-    cp, estimates, good, filled = init_reference(
-        obs, ModelKind.ANGULAR_VELOCITY, 0.02)
+    depths = truth.z[keep] if six_dof else None
+    init, report = init_from_linear(obs, kind, dt=0.02, depths=depths)
+    cp, estimates, good, filled = init_reference(obs, kind, 0.02, depths=depths)
     assert len(filled) >= 5 and good
     assert report.good_segments == good
     assert report.filled_segments == filled
     assert all(type(j) is int for j in report.good_segments + report.filled_segments)
     assert np.array_equal(report.segment_estimates, estimates)
     assert np.array_equal(init.control_points, cp)
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("longer", ValueError), ("shorter", ValueError), ("nan", DegenerateDepth),
+    ("zero", DegenerateDepth), ("negative", DegenerateDepth)])
+def test_init_checks_depths_up_front(edit, error):
+    # ransac_estimate and fit raise the same errors on the same depths
+    v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+    obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                                  count=600, seed=73)
+    depths = {"longer": np.r_[truth.z, 1.0], "shorter": truth.z[:-1],
+              "nan": np.where(np.arange(600) == 250, np.nan, truth.z),
+              "zero": np.where(np.arange(600) == 250, 0.0, truth.z),
+              "negative": np.where(np.arange(600) == 250, -1.0, truth.z)}[edit]
+    with pytest.raises(error):
+        init_from_linear(obs, ModelKind.SIX_DOF, dt=0.2, depths=depths)
+    with pytest.raises(error):
+        ransac_estimate(obs, ModelKind.SIX_DOF, depths=depths)
+    init, _ = init_from_linear(obs, ModelKind.SIX_DOF, dt=0.2, depths=truth.z)
+    with pytest.raises(error):
+        fit(SplineFitProblem(obs, ModelKind.SIX_DOF, depths=depths), init)
