@@ -144,16 +144,21 @@ def _floats(count=None):
     return parse
 
 
-def _seed(text):
-    """argparse type: a non-negative integer seed."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return seed
+def _checked(convert, ok, rule):
+    """argparse type: the text converted by convert and accepted by ok; any
+    other text is refused as "must be <rule>, got '<text>'"."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _read_config(path):
@@ -449,9 +454,10 @@ def cmd_bench_noise(args):
 # --------------------------------------------------------------------------
 # parser
 
-_THRESHOLD_HELP = ("RANSAC cap, in px/s, on the distance from a normal flow to "
-                   "the constraint line of the flow a hypothesis predicts; "
-                   "divided by sqrt(fx*fy), then tightened to the noise")
+_THRESHOLD_HELP = ("RANSAC upper bound, in px/s, on the distance from a normal "
+                   "flow to the constraint line of the flow a hypothesis "
+                   "predicts; divided by sqrt(fx*fy).  The inlier threshold "
+                   "itself is about 3 sigma of the data's noise, at most this")
 
 
 def build_parser():
@@ -468,10 +474,13 @@ def build_parser():
     fitting.add_argument("--flows", required=True)
     fitting.add_argument("--intrinsics")
     fitting.add_argument("--output", required=True)
-    fitting.add_argument("--threshold", type=float, default=3.0,
-                         help=_THRESHOLD_HELP)
-    fitting.add_argument("--max-iterations", type=int, default=1000)
-    fitting.add_argument("--confidence", type=float, default=0.99)
+    fitting.add_argument(
+        "--threshold", default=12.0, help=_THRESHOLD_HELP,
+        type=_checked(float, lambda v: 0 < v < math.inf, "positive and finite"))
+    fitting.add_argument("--max-iterations", default=1000,
+                         type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
+    fitting.add_argument("--confidence", default=0.99,
+                         type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
 
     p = sub.add_parser("extract", parents=[common],
                        help="events -> normal-flow CSV")

@@ -221,9 +221,8 @@ def _robust_solve_seed(seed, k):
 def test_ransac_six_dof_and_homography_within_2x_of_inlier_fit():
     """Six-dof (random depths) and homography (plane) RANSAC on the
     robust-solve benchmark data at seeds 1-3, K = 20 k with 30% outliers,
-    land within 2x of the least-squares fit on the true inliers at 0.1, 0.5
-    and 1 px, below the iteration cap; < 30 s.  At 2 px the default 3 px/s
-    cap sits at 1.5 sigma and this bound does not hold."""
+    land within 2x of the least-squares fit on the true inliers at 0.1,
+    0.5, 1, 2 and 3 px, below the iteration cap; < 30 s."""
     t_start = time.perf_counter()
     motion = ConstantMotion(Velocity(nu=(0.2, -0.1, 0.3),
                                      omega=(0.1, -0.2, 0.15)))
@@ -242,7 +241,7 @@ def test_ransac_six_dof_and_homography_within_2x_of_inlier_fit():
               1, six_err), (ModelKind.DIFF_HOMOGRAPHY, plane, 2, h_err)]
     worst, capped = 0.0, 0
     for seed in (1, 2, 3):
-        for sigma in (0.1, 0.5, 1.0):
+        for sigma in (0.1, 0.5, 1.0, 2.0, 3.0):
             for kind, scene, k, err_of in cases:
                 obs, truth = generate_dataset(
                     scene, motion, count=20000, seed=_robust_solve_seed(seed, k),
@@ -260,7 +259,7 @@ def test_ransac_six_dof_and_homography_within_2x_of_inlier_fit():
     elapsed = time.perf_counter() - t_start
     ok = worst <= 2.0 and capped == 0 and elapsed < 30.0
     report("ransac-six-dof-homography", ok,
-           f"worst ransac/inlier-only error {worst:.2f} <= 2 over 18 fits, "
+           f"worst ransac/inlier-only error {worst:.2f} <= 2 over 30 fits, "
            f"{capped} at the iteration cap, {elapsed:.1f}s")
 
 

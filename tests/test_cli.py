@@ -132,8 +132,8 @@ def test_solve_reports_ransac_run(tmp_path):
     report = read_json(report_path)
     assert report["hit_cap"] is False
     assert report["inlier_ratio"] == report["n_inliers"] / report["n_obs"]
-    # the 3 px/s default over a 200 px focal length caps the threshold,
-    # which the fit then tightens to about 3 sigma of the 0.5 px noise
+    # the threshold comes from the data: about 3 sigma of the 0.5 px noise
+    # over a 200 px focal length, well below the 9 px/s default bound
     assert 1.0 / 200 < report["threshold"] < 3.0 / 200
     assert report["rms"] < report["threshold"]
 
@@ -143,16 +143,16 @@ def test_solve_threshold_flag_is_in_pixels_per_second(tmp_path):
     intrinsics.write_text(json.dumps({"fx": 100.0, "fy": 400.0, "cx": 120.0,
                                       "cy": 200.0, "width": 240,
                                       "height": 400}))
-    out = simulate(tmp_path, "--nu", "0,0,0", "--intrinsics", intrinsics)
+    out = simulate(tmp_path, "--nu", "0,0,0", "--intrinsics", intrinsics,
+                   "--noise-px", 2)
     report_path = tmp_path / "fit.json"
     assert run("solve", "--flows", out / "observations.csv", "--intrinsics",
-               intrinsics, "--kind", "angular-velocity", "--threshold", 4,
+               intrinsics, "--kind", "angular-velocity", "--threshold", 1,
                "--output", report_path) == 0
     report = read_json(report_path)
-    assert report["n_inliers"] == 400
-    # noise-free data tighten the cap to its floor, one hundredth of
-    # 4 px/s over sqrt(fx * fy) = 200 px
-    assert report["threshold"] == pytest.approx(4.0 / 200 / 100, rel=1e-12)
+    # 3 sigma of 2 px noise lies above the 1 px/s bound, so the threshold is
+    # the bound itself: 1 px/s over sqrt(fx * fy) = 200 px, not over fx or fy
+    assert report["threshold"] == pytest.approx(1.0 / 200, rel=1e-12)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -166,6 +166,24 @@ def test_non_finite_or_negative_threshold_exits_2(tmp_path, capsys, value,
                "--output", report_path) == 2
     assert "threshold" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--threshold", "-1", "positive and finite"),
+    ("--threshold", "inf", "positive and finite"),
+    ("--max-iterations", "0", "an integer >= 1"),
+    ("--max-iterations", "2.5", "an integer >= 1"),
+    ("--confidence", "1.5", "in (0, 1)"),
+    ("--confidence", "high", "in (0, 1)")])
+def test_bad_ransac_flag_error_names_flag_and_value(tmp_path, capsys, flag,
+                                                    value, rule):
+    out = simulate(tmp_path, "--nu", "0,0,0")
+    capsys.readouterr()
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", flag, value,
+               "--output", tmp_path / "fit.json") == 2
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: must be {rule}, got '{value}'\n")
 
 
 def test_solve_six_dof_roundtrip_and_missing_depth(tmp_path):

@@ -111,6 +111,17 @@ def test_stack_minimum_norm_when_deficient():
     assert info.rank == 1
 
 
+@pytest.mark.parametrize("shape", [(30, 100), (300, 70), (2, 9)])
+def test_stack_matches_lstsq_for_any_shape(shape):
+    # more unknowns than a padded block holds rows, or than there are rows
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    theta, info = stack_and_solve(a, b)
+    ref, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    assert info.rank == rank
+    assert np.allclose(theta, ref, rtol=0, atol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # per-pixel solvers
 
@@ -419,7 +430,9 @@ def test_ransac_residual_law():
     u = motion_field(obs.xy[:, 0], obs.xy[:, 1], np.ones(len(obs)),
                      Velocity(nu=(0, 0, 0), omega=report.theta))
     e = line_distance(obs, u)
-    assert cfg.threshold / 100 <= report.threshold <= cfg.threshold
+    # the scale from the data, between its floor and the bound
+    floor = 3e-4 * np.sqrt(np.mean(obs.mag2))
+    assert floor <= report.threshold <= cfg.threshold
     # every reported inlier, and only those, lies within the effective cap
     inside = np.zeros(len(obs), dtype=bool)
     inside[report.inliers] = True
@@ -433,6 +446,28 @@ def test_ransac_residual_law():
     sigma = 0.5 / truth.intrinsics.fx
     assert 2 * sigma < report.threshold < 4 * sigma
     assert np.sum(inside & truth.inlier_mask) >= 0.99 * truth.inlier_mask.sum()
+
+
+@pytest.mark.parametrize("sigma_px", [0.0, 0.5, 1.0, 2.0, 3.0])
+def test_ransac_threshold_follows_the_noise(sigma_px):
+    # the default bound is a loose cap: the threshold is about 3 sigma of
+    # the noise at sensor-level noise, and noise-free data keep every
+    # observation as an inlier
+    v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))
+    noise = NoiseSpec(sigma_px=sigma_px,
+                      outlier_fraction=0.3 if sigma_px else 0.0)
+    obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                                  count=2000, noise=noise, seed=44)
+    cfg = RansacConfig(seed=44)
+    report = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, cfg)
+    assert not report.hit_cap and report.threshold < cfg.threshold
+    if sigma_px:
+        sigma = sigma_px / truth.intrinsics.fx
+        assert 2 * sigma < report.threshold < 4 * sigma
+    else:
+        assert len(report.inliers) == len(obs)
+        floor = 3e-4 * np.sqrt(np.mean(obs.mag2))
+        assert report.threshold == pytest.approx(floor, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", [ModelKind.DEPTH, ModelKind.SIX_DOF,
@@ -625,9 +660,11 @@ def test_ransac_config_validation():
 # RANSAC over groups of observations
 
 def ransac_loop(obs, kind, cfg, depths=None):
-    """The MSAC loop one hypothesis at a time, with its three refits by
-    lstsq: the reference for the lockstep rounds of ransac_estimate.
-    Returns (theta, inliers, iterations, hit_cap, threshold, rms)."""
+    """The MSAC loop one hypothesis at a time, with its refits by lstsq
+    until at most one observation, or 1 in 1000, changes side (at most 10
+    refits):
+    the reference for the lockstep rounds of ransac_estimate.  Returns
+    (theta, inliers, iterations, hit_cap, threshold, rms)."""
     k, c = len(obs), kind.minimal_samples
     a, b = build_rows(obs, kind, depths=depths)
     flow, _ = _flow_model(obs, kind, depths=depths)
@@ -656,17 +693,23 @@ def ransac_loop(obs, kind, cfg, depths=None):
             needed = 1 if w >= 1 else math.ceil(
                 math.log(1 - cfg.confidence) / math.log1p(-w))
     e2, s2 = residual(best_theta)
-    threshold = cfg.threshold
-    inliers = np.flatnonzero(np.sqrt(e2) <= threshold)
-    for _ in range(3):
+    e = np.sqrt(e2)
+    # the scale from the data, bounded above by cfg.threshold and below by
+    # 3e-4 times the RMS normal flow
+    floor = 3e-4 * np.sqrt(np.mean(obs.mag2))
+    inliers = np.flatnonzero(e <= cfg.threshold)
+    for refit in range(11):
+        threshold = min(cfg.threshold, max(3 * 1.4826 * np.median(e[inliers]),
+                                           floor))
+        last, inliers = inliers, np.flatnonzero(e <= threshold)
+        changed = len(np.setxor1d(inliers, last))
+        if refit == 10 or refit and changed <= max(k / 1000, 1):
+            break
         w = 1 / np.sqrt(s2[inliers])
         theta, *_ = np.linalg.lstsq(a[inliers] * w[:, None], b[inliers] * w,
                                     rcond=None)
         e2, s2 = residual(theta)
         e = np.sqrt(e2)
-        threshold = min(cfg.threshold, max(3 * 1.4826 * np.median(e[inliers]),
-                                           cfg.threshold / 100))
-        inliers = np.flatnonzero(e <= threshold)
     return (theta, inliers, i, needed > cfg.max_iterations, threshold,
             np.sqrt(np.mean(e[inliers] ** 2)))
 
