@@ -159,6 +159,7 @@ def _checked(convert, ok, rule):
 
 
 _seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _read_config(path):
@@ -319,8 +320,6 @@ def cmd_fit_spline(args):
     if not (math.isfinite(args.knot_spacing) and args.knot_spacing > 0):
         raise InputError(
             f"--knot-spacing must be positive and finite, got {args.knot_spacing}")
-    if args.trace_points < 1:
-        raise InputError(f"--trace-points must be >= 1, got {args.trace_points}")
     obs, depths, intr = _load_flows(args, kind)
     if not obs:
         raise UnderDetermined("no observations in flows CSV")
@@ -477,8 +476,7 @@ def build_parser():
     fitting.add_argument(
         "--threshold", default=12.0, help=_THRESHOLD_HELP,
         type=_checked(float, lambda v: 0 < v < math.inf, "positive and finite"))
-    fitting.add_argument("--max-iterations", default=1000,
-                         type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
+    fitting.add_argument("--max-iterations", type=_count, default=1000)
     fitting.add_argument("--confidence", default=0.99,
                          type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
 
@@ -514,12 +512,12 @@ def build_parser():
     p.add_argument("--kind", choices=["angular-velocity", "six-dof"],
                    required=True)
     p.add_argument("--trace", help="optional trajectory trace CSV")
-    p.add_argument("--trace-points", type=int, default=100)
+    p.add_argument("--trace-points", type=_count, default=100)
     p.add_argument("--knot-spacing", type=float, default=DEFAULT_KNOT_SPACING)
     p.add_argument("--no-robust", action="store_true",
                    help="disable Huber reweighting")
-    p.add_argument("--max-rounds", type=int, default=10,
-                   help="IRLS rounds per Huber sweep")
+    p.add_argument("--max-rounds", type=_count, default=20,
+                   help="cap on the IRLS rounds of the Huber fit")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="write a synthetic dataset")
@@ -527,7 +525,7 @@ def build_parser():
     p.add_argument("--scene", choices=["plane", "random-points", "two-walls"],
                    default="random-points")
     p.add_argument("--motion", choices=["constant", "step"], default="constant")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_count, default=1000)
     p.add_argument("--window", type=float, default=0.5)
     p.add_argument("--noise-px", type=float, default=0.0)
     p.add_argument("--outlier-fraction", type=float, default=0.0)
@@ -550,8 +548,8 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--grid", type=_floats(),
                    default=[0.01, 0.1, 1.0, 10.0, 100.0])
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--trials", type=_count, default=20)
+    p.add_argument("--samples", type=_count, default=1000)
 
     return parser, sub
 

@@ -17,10 +17,10 @@ only the 4 * dim unknowns of c_j..c_{j+3}, so the fit keeps just those row
 values, sums their weighted outer products segment by segment into the
 block-banded normal matrix (size (n_ctrl * dim)^2, independent of the
 number of observations), and solves it after symmetric Jacobi scaling,
-with a Cholesky factorisation as the rank check.  Each Huber sweep stops
+with a Cholesky factorisation as the rank check.  The IRLS loop stops
 once a round lowers the objective by at most IRLS_TOL * max(1, objective),
-or after max_rounds rounds; the report's hit_cap says whether any sweep
-used all its rounds without meeting that rule.
+or after max_rounds rounds; the report's hit_cap says whether it used all
+its rounds without meeting that rule.
 """
 from __future__ import annotations
 
@@ -41,9 +41,13 @@ from .solvers import ransac_estimate  # noqa: F401
 
 DEFAULT_KNOT_SPACING = 0.05
 
-# A Huber sweep has converged once one IRLS round lowers the objective by
-# at most this fraction of max(1, objective).
+# The IRLS loop has converged once one round lowers the objective by at
+# most this fraction of max(1, objective).
 IRLS_TOL = 1e-5
+
+# Weight of the smoothness rows that hold starved control points, relative
+# to the median norm of a design row.
+REG_WEIGHT = 1e-6
 
 _SPLINE_KINDS = (ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF)
 
@@ -151,9 +155,7 @@ class SplineFitProblem:
     kind: ModelKind
     depths: np.ndarray | None = None
     robust: bool = True
-    huber_scale: float | None = None
-    max_rounds: int = 10
-    reg_weight: float = 1e-6
+    max_rounds: int = 20
 
     def __post_init__(self):
         if self.kind not in _SPLINE_KINDS:
@@ -163,19 +165,6 @@ class SplineFitProblem:
                 or self.max_rounds < 1):
             raise ValueError(
                 f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
-        for name in ("huber_scale", "reg_weight"):
-            value = getattr(self, name)
-            if value is None and name == "huber_scale":
-                continue        # the scale is estimated from the residuals
-            # bool is a number too, but True is no scale or weight
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.huber_scale is not None and not 0.0 < self.huber_scale < math.inf:
-            raise ValueError(
-                f"huber_scale must be positive and finite, got {self.huber_scale}")
-        if not 0.0 <= self.reg_weight < math.inf:
-            raise ValueError(
-                f"reg_weight must be non-negative and finite, got {self.reg_weight}")
         object.__setattr__(self, "observations",
                            as_observations(self.observations))
         if self.depths is not None:
@@ -194,7 +183,7 @@ class SplineFitReport:
     irls_rounds: int
     objective_history: list
     cond: float     # of the Jacobi-scaled normal matrix at the final solve
-    hit_cap: bool   # some sweep ran max_rounds rounds without converging
+    hit_cap: bool   # IRLS ran max_rounds rounds without converging
 
 
 def _sorted_problem(problem):
@@ -316,17 +305,13 @@ def fit(problem, init):
     """Refine an initial trajectory against the normal-flow constraint.
 
     Plain linear least squares over control points, or Huber IRLS when
-    problem.robust: weights w_i = min(1, delta/|r_i|) with delta frozen
-    during each sweep of reweighted solves, so every solve can only
-    decrease the Huber objective.  With the automatic scale (3x the median
-    absolute residual, in the 1/|n|-scaled units of _BlockRows), the
-    scale is re-frozen from the converged residuals and the sweep repeated
-    while that keeps shrinking; lowering delta at fixed parameters also
-    lowers the objective, so the recorded history stays monotone across
-    sweeps.  An explicit problem.huber_scale is honoured as-is (single
-    sweep).  A sweep ends once a round lowers the objective by at most
-    IRLS_TOL * max(1, objective), or after problem.max_rounds rounds;
-    report.hit_cap is True when any sweep ended on that cap instead.
+    problem.robust: weights w_i = min(1, delta/|r_i|), with delta set once
+    to 3x the median absolute residual of the init (in the 1/|n|-scaled
+    units of _BlockRows) and held for the whole loop, so every solve can
+    only decrease the Huber objective.  The loop ends once a round lowers
+    the objective by at most IRLS_TOL * max(1, objective), or after
+    problem.max_rounds rounds; report.hit_cap is True when it ended on
+    that cap instead.
 
     Every solve, robust or not, forms the weighted normal equations
     a^T W a + reg^T reg from each observation's 4*dim nonzero row values,
@@ -349,8 +334,7 @@ def fit(problem, init):
     seg_counts = np.bincount(rows.seg, minlength=n_ctrl - 3)
     starved_cp = _starved(seg_counts, n_ctrl)
     row_scale = float(np.median(np.linalg.norm(rows.vals, axis=1))) or 1.0
-    reg = _regularization_rows(starved_cp, n_ctrl, dim,
-                               problem.reg_weight * row_scale)
+    reg = _regularization_rows(starved_cp, n_ctrl, dim, REG_WEIGHT * row_scale)
     reg_gram = reg.T @ reg
 
     def solve(wts):
@@ -365,34 +349,21 @@ def fit(problem, init):
         theta, scaled = solve(np.ones(len(obs)))
         rounds = 1
     else:
-        auto_scale = problem.huber_scale is None
-        delta = (3.0 * float(np.median(np.abs(r))) if auto_scale
-                 else problem.huber_scale)
+        delta = 3.0 * float(np.median(np.abs(r)))
         if delta <= 0:
             delta = np.inf
         history.append(_huber_objective(r, delta)
                        + 0.5 * float(np.sum((reg @ theta) ** 2)))
-        rounds = 0
-        for _sweep in range(6 if auto_scale else 1):
-            for _ in range(problem.max_rounds):
-                wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
-                theta, scaled = solve(wts)
-                rounds += 1
-                r = rows.residuals(theta)
-                obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
-                history.append(obj)
-                if history[-2] - obj <= IRLS_TOL * max(1.0, obj):
-                    break
-            else:
-                hit_cap = True
-            if not auto_scale:
+        for rounds in range(1, problem.max_rounds + 1):
+            wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
+            theta, scaled = solve(wts)
+            r = rows.residuals(theta)
+            obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
+            history.append(obj)
+            if history[-2] - obj <= IRLS_TOL * max(1.0, obj):
                 break
-            new_delta = 3.0 * float(np.median(np.abs(r)))
-            if not 0.0 < new_delta < 0.9 * delta:
-                break
-            delta = new_delta
-            history.append(_huber_objective(r, delta)
-                           + 0.5 * float(np.sum((reg @ theta) ** 2)))
+        else:
+            hit_cap = True
     # Rank is set by which rows exist, not by their positive weights, so
     # the last solve tells whether any of them had a unique solution.
     eig = np.linalg.eigvalsh(scaled)
@@ -431,10 +402,14 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     Each segment's observations get a linear RANSAC fit; one lockstep call
     fits every segment, with the draws and results of one ransac_estimate
     call per segment.  Degenerate or empty segments are filled by
-    averaging the nearest good neighbours and flagged.  Control points then
-    come from a small regularized system asking the spline to pass through
-    the segment estimates at segment midpoints (for constant motion this
-    reproduces the single linear estimate at every control point).
+    averaging the nearest good neighbours and flagged.  Each control point
+    is then set directly to the mean of the estimates of the two segments
+    that meet at its knot (variation-diminishing quasi-interpolation, de
+    Boor, A Practical Guide to Splines), so a step in the estimates does
+    not make the control points ring.  Collocation at segment midpoints
+    would: its weights [1, 23, 23, 1]/48 sum to zero on the alternating
+    mode (+1, -1, +1, ...), which it leaves free.  For constant motion
+    every control point is the single linear estimate.
     depths, when given, must hold one positive depth per observation:
     ValueError on a length mismatch, DegenerateDepth on a depth that is
     not positive.
@@ -485,18 +460,11 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
         estimates[j] = np.mean(estimates[good_arr[max(pos - 1, 0):pos + 1]],
                                axis=0)
 
-    # Interpolation rows: spline(segment midpoint) = estimate.
-    w_mid = basis_weights(0.5)
-    a = np.zeros((n_seg, n_ctrl))
-    for j in range(n_seg):
-        a[j, j:j + 4] = w_mid
-    lam = 1e-6
-    d1 = np.diff(np.eye(n_ctrl), axis=0)
-    d2 = np.diff(np.eye(n_ctrl), n=2, axis=0)
-    full = np.concatenate([a, lam * d1, lam * d2])
-    rhs = np.concatenate([estimates,
-                          np.zeros((len(d1) + len(d2), dim))])
-    cp, *_ = np.linalg.lstsq(full, rhs, rcond=None)
+    # Control point i sits at knot t0 + i dt, where segment i - 2 ends and
+    # segment i - 1 begins: the mean of their estimates, clipped at the ends.
+    i = np.arange(n_ctrl)
+    cp = 0.5 * (estimates[np.clip(i - 2, 0, n_seg - 1)]
+                + estimates[np.clip(i - 1, 0, n_seg - 1)])
     traj = SplineTrajectory(cp, t0=t0, dt=dt)
     return traj, SplineInitReport(segment_estimates=estimates,
                                   good_segments=good_arr.tolist(),

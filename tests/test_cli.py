@@ -356,7 +356,7 @@ def test_fit_spline_zero_max_rounds_exits_2(tmp_path, capsys):
     assert run("fit-spline", "--flows", out / "observations.csv",
                "--kind", "angular-velocity", "--output", spline_path,
                "--max-rounds", 0) == 2
-    assert "max_rounds" in capsys.readouterr().err
+    assert "--max-rounds" in capsys.readouterr().err
     assert not spline_path.exists()
 
 
@@ -492,6 +492,21 @@ def test_bench_noise_bad_grid(tmp_path):
     assert run("bench-noise", "--kind", "angular-velocity", "--grid", "1,0.5",
                "--trials", 2, "--samples", 50,
                "--output", tmp_path / "sweep.csv") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-noise", "--kind", "angular-velocity", "--output", "out", "--trials", "0"],
+    ["bench-noise", "--kind", "angular-velocity", "--output", "out", "--samples", "0"],
+    ["bench-noise", "--kind", "angular-velocity", "--output", "out", "--trials", "-2"],
+    ["simulate", "--output-dir", "out", "--count", "0"],
+    ["simulate", "--output-dir", "out", "--count", "2.5"]])
+def test_bad_count_flag_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    flag, value = argv[-2:]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: must be an integer >= 1, got '{value}'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind, samples", [("angular-velocity", 2),
