@@ -13,18 +13,17 @@ fitting the five models, decomposing homographies into plane + motion,
 fitting continuous-time B-spline trajectories, and generating synthetic
 data with exact ground truth.
 """
-from .errors import (BelowMinGradient, BoundsError, DegenerateConfiguration,
-                     DegenerateDepth, EventOrderError, EvnfError, InputError,
+from .errors import (BoundsError, DegenerateConfiguration, DegenerateDepth,
+                     EventOrderError, EvnfError, InputError,
                      InsufficientSupport, NoConsensus, OutOfBounds,
                      OutOfDomain, ParseError, PureRotation,
                      PureRotationDegenerate, RankDeficient, RankOneDegenerate,
                      SolverDegeneracy, TooFewObservations, UnderDetermined)
-from .events import (Event, EventArray, TimeSurface, build_time_surface,
+from .events import (EventArray, TimeSurface, build_time_surface,
                      parse_event_stream, read_events)
 from .extraction import (ExtractionConfig, ExtractionStats, PlaneFit,
                          extract_normal_flows, fit_local_plane,
-                         normal_flow_from_gradient, read_flows_csv,
-                         records_to_obs, write_flows_csv)
+                         read_flows_csv, records_to_obs, write_flows_csv)
 from .geometry import (DiffHomography, Intrinsics, Observations, Velocity,
                        as_observations, calibrated_to_pixel, epipolar_terms,
                        homography_flow, matrix_a, matrix_b, matrix_c, matrix_d,

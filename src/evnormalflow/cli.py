@@ -236,7 +236,9 @@ def cmd_extract(args):
         min_gradient=args.min_gradient, seed=args.seed)
     intr = _load_intrinsics(args.intrinsics)
     events = read_events(args.events, width=intr.width, height=intr.height)
-    t_ref = args.t_ref if args.t_ref is not None else (events[-1].t if events else 0.0)
+    t_ref = args.t_ref
+    if t_ref is None:
+        t_ref = float(events.t[-1]) if len(events) else 0.0
     polarity = {"joint": None, "pos": 1, "neg": -1}[args.polarity]
     surface = build_time_surface(events, t_ref, cfg.temporal_window,
                                  (intr.height, intr.width), polarity=polarity)

@@ -72,10 +72,6 @@ class DegenerateConfiguration(SolverDegeneracy):
     """Support pixels in a degenerate (e.g. collinear) arrangement."""
 
 
-class BelowMinGradient(SolverDegeneracy):
-    """Time-surface gradient below the resolvable floor."""
-
-
 class PureRotationDegenerate(SolverDegeneracy):
     """Differential homography has no visible plane; only rotation is
     recoverable.  Carries the recovered angular velocity."""

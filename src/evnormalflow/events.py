@@ -4,10 +4,10 @@ Events arrive as text lines "t x y p" with timestamps in seconds and
 polarity tokens 0 (off, mapped to -1) and 1 (on, mapped to +1); -1 is
 accepted as off too.  Blank lines are skipped and '#' starts a comment,
 on its own line or after the four fields.  A stream is parsed in one
-`np.loadtxt` call into a columnar `EventArray`.
+`np.loadtxt` call into a columnar `EventArray`, the only event type.
 
 A time surface holds, per pixel, the timestamp of the latest event
-inside a temporal window ending at the reference time.
+inside a temporal window ending at the reference time, and nothing else.
 """
 from __future__ import annotations
 
@@ -30,19 +30,12 @@ _LINE_DTYPE = np.dtype([("t", np.float64), ("x", np.int64), ("y", np.int64),
                         ("p", np.int8)])
 
 
-@dataclass(frozen=True)
-class Event:
-    t: float
-    x: int
-    y: int
-    p: int
-
-
 class EventArray:
     """Events as columns: t (float64, s), x and y (int64, px), p (int8, +-1).
 
-    len() counts events, an integer index returns one `Event`, and
-    iteration yields Events in stream order.
+    len() counts events.  Indexing indexes every column: an integer gives
+    the columns' NumPy scalars (`events[-1].t`), a slice or mask an
+    EventArray of those rows.  There is no row iteration; use the columns.
     """
 
     __slots__ = ("t", "x", "y", "p")
@@ -53,24 +46,18 @@ class EventArray:
         self.y = np.ascontiguousarray(y, dtype=np.int64)
         self.p = np.ascontiguousarray(p, dtype=np.int8)
 
-    @classmethod
-    def from_events(cls, events):
-        """Columns of a sequence of Events."""
-        events = list(events)
-        return cls([e.t for e in events], [e.x for e in events],
-                   [e.y for e in events], [e.p for e in events])
-
     def __len__(self):
         return self.t.size
 
     def __getitem__(self, index):
-        return Event(t=float(self.t[index]), x=int(self.x[index]),
-                     y=int(self.y[index]), p=int(self.p[index]))
+        # Not via __init__, which would make scalars one-element arrays.
+        item = object.__new__(EventArray)
+        for name in self.__slots__:
+            setattr(item, name, getattr(self, name)[index])
+        return item
 
-    def __iter__(self):
-        for t, x, y, p in zip(self.t.tolist(), self.x.tolist(),
-                              self.y.tolist(), self.p.tolist()):
-            yield Event(t=t, x=x, y=y, p=p)
+    # With __getitem__ defined, Python would otherwise iterate by index.
+    __iter__ = None
 
 
 def _raise_first_bad_line(lines, width, height):
@@ -153,12 +140,10 @@ def read_events(path, width=None, height=None):
 class TimeSurface:
     """Per-pixel latest event timestamp within (t_ref - window, t_ref].
 
-    timestamps: (H, W) float64, -inf where no event fired.
-    polarity:   (H, W) int8, sign of the latest event, 0 where unfired.
+    timestamps: (H, W) float64, -inf where no event fired; no polarity.
     """
 
     timestamps: np.ndarray
-    polarity: np.ndarray
     t_ref: float
     temporal_window: float
 
@@ -172,21 +157,17 @@ class TimeSurface:
 
 def build_time_surface(events, t_ref, temporal_window, shape,
                        polarity=None):
-    """Fold events (an EventArray or a sequence of Events) into a
-    TimeSurface of the given (H, W) shape.
+    """Fold an EventArray into a TimeSurface of the given (H, W) shape.
 
     Events outside (t_ref - temporal_window, t_ref] are skipped.  Streams
     must be time-ordered up to JITTER_BUDGET; within the budget, out-of-order
-    events are applied max-wise so the result is order-independent, and
-    of equal timestamps at one pixel the later event wins.  `polarity` of
-    +1/-1 restricts the surface to one polarity; the default folds both.
-    Of an order violation and an in-window out-of-sensor event, the one
-    earlier in the stream is raised.
+    events are applied max-wise so the result is order-independent.
+    `polarity` of +1/-1 folds only the events of that polarity; the default
+    folds both.  Of an order violation and an in-window out-of-sensor
+    event, the one earlier in the stream is raised.
     """
     if temporal_window <= 0:
         raise ValueError("temporal window must be positive")
-    if not isinstance(events, EventArray):
-        events = EventArray.from_events(events)
     h, w = shape
     t, x, y = events.t, events.x, events.y
     n = t.size
@@ -212,17 +193,7 @@ def build_time_surface(events, t_ref, temporal_window, shape,
             f"event pixel ({int(x[i_bounds])}, {int(y[i_bounds])}) outside {w}x{h}")
 
     idx = np.flatnonzero(keep)
-    pixel = y[idx] * w + x[idx]
-    # Stable sort by pixel, then time: each pixel's last entry is its latest
-    # event, the later one in the stream on equal timestamps.
-    order = np.lexsort((t[idx], pixel))
-    idx, pixel = idx[order], pixel[order]
-    last = np.ones(idx.size, dtype=bool)
-    last[:-1] = pixel[1:] != pixel[:-1]
-    win, pixel = idx[last], pixel[last]
     ts = np.full(h * w, UNFIRED)
-    pol = np.zeros(h * w, dtype=np.int8)
-    ts[pixel] = t[win]
-    pol[pixel] = events.p[win]
-    return TimeSurface(timestamps=ts.reshape(h, w), polarity=pol.reshape(h, w),
-                       t_ref=float(t_ref), temporal_window=float(temporal_window))
+    np.maximum.at(ts, y[idx] * w + x[idx], t[idx])
+    return TimeSurface(timestamps=ts.reshape(h, w), t_ref=float(t_ref),
+                       temporal_window=float(temporal_window))

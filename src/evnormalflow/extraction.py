@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BelowMinGradient, DegenerateConfiguration,
-                     InsufficientSupport)
+from .errors import DegenerateConfiguration, InsufficientSupport
 from .geometry import Observations, pixel_to_calibrated
 
 # One row of a flows CSV; simulated data add a depth column Z.
@@ -345,16 +344,6 @@ def fit_local_plane(ts, center_px, cfg):
     return PlaneFit(gradient=fits.coef[0, :2].copy(),
                     offset=float(fits.coef[0, 2] + ts.t_ref),
                     inlier_count=int(consensus), rms=float(fits.rms[0]))
-
-
-def normal_flow_from_gradient(gradient, gradient_floor):
-    """n = g / |g|^2; rejects gradients below the resolvable floor."""
-    g = np.asarray(gradient, dtype=float).reshape(2)
-    norm2 = float(g @ g)
-    if np.sqrt(norm2) < gradient_floor:
-        raise BelowMinGradient(
-            f"|gradient| {np.sqrt(norm2):.3g} below floor {gradient_floor:.3g}")
-    return g / norm2
 
 
 def extract_normal_flows(ts, intr, cfg=None):

@@ -333,9 +333,7 @@ def surface_from_edges(edges, shape, window, t_ref=None):
         t_cross = ((qx - px) * dy - (qy - py) * dx) / den + (t_ref - window)
         valid = (t_cross >= t_ref - window) & (t_cross <= t_ref)
         ts = np.where(valid, np.maximum(ts, t_cross), ts)
-    pol = np.where(np.isfinite(ts), 1, 0).astype(np.int8)
-    return TimeSurface(timestamps=ts, polarity=pol, t_ref=t_ref,
-                       temporal_window=float(window))
+    return TimeSurface(timestamps=ts, t_ref=t_ref, temporal_window=float(window))
 
 
 def synthesize_time_surface(scene, motion, intr=DEFAULT_INTRINSICS,
@@ -461,6 +459,8 @@ def run_noise_sweep(kind, noise_grid_px=(0.01, 0.1, 1.0, 10.0, 100.0),
     grid = np.asarray(noise_grid_px, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("noise grid must be non-negative, strictly increasing")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     scene, motion = _sweep_setup(kind)
     kind_idx = _SWEEP_KIND_INDEX[kind]
     trial_seeds = [

@@ -420,8 +420,23 @@ def test_extract_pipeline(tmp_path):
     assert np.allclose(speeds, 200.0, rtol=0.02)
     stats = read_json(tmp_path / "flows.csv.stats.json")
     assert stats["n_events"] == 60 * 24
+    assert stats["t_ref"] == 0.295          # the last event's time
     assert stats["stats"]["emitted"] == len(rows)
     assert no_tmp_left(tmp_path)
+
+
+def test_extract_polarity_filter(tmp_path):
+    events = tmp_path / "events.txt"
+    write_edge_events(events)                  # every event is positive
+    out = {name: tmp_path / f"{name}.csv" for name in ("default", "pos", "neg")}
+    assert run("extract", "--events", events, "--output", out["default"]) == 0
+    for polarity in ("pos", "neg"):
+        assert run("extract", "--events", events, "--output", out[polarity],
+                   "--polarity", polarity) == 0
+    assert read_csv_rows(out["neg"]) == []
+    assert read_json(f"{out['neg']}.stats.json")["stats"]["emitted"] == 0
+    assert read_csv_rows(out["default"])
+    assert out["pos"].read_bytes() == out["default"].read_bytes()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -455,7 +470,8 @@ def test_extract_empty_events(tmp_path):
     flows_path = tmp_path / "flows.csv"
     assert run("extract", "--events", events, "--output", flows_path) == 0
     assert read_csv_rows(flows_path) == []
-    assert read_json(tmp_path / "flows.csv.stats.json")["n_events"] == 0
+    stats = read_json(tmp_path / "flows.csv.stats.json")
+    assert stats["n_events"] == 0 and stats["t_ref"] == 0.0
 
 
 def test_extract_missing_events_file(tmp_path):

@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from evnormalflow import (BelowMinGradient, DegenerateConfiguration, Event,
-                          EventArray, ExtractionConfig, InsufficientSupport,
-                          Intrinsics, MovingEdge, Observations, OutOfBounds,
+from evnormalflow import (DegenerateConfiguration, EventArray,
+                          ExtractionConfig, InsufficientSupport, Intrinsics,
+                          MovingEdge, Observations, OutOfBounds,
                           build_time_surface, extract_normal_flows,
-                          fit_local_plane, normal_flow_from_gradient,
-                          read_flows_csv, records_to_obs, surface_from_edges,
-                          write_flows_csv)
+                          fit_local_plane, read_flows_csv, records_to_obs,
+                          surface_from_edges, write_flows_csv)
 from evnormalflow import extraction
 from evnormalflow.events import TimeSurface, UNFIRED
 from evnormalflow.extraction import (FLOWS_DTYPE, _minimal_planes,
@@ -28,8 +27,7 @@ def ramp_surface(gx, gy, shape=(60, 80), t_ref=0.0, window=1.0):
     ts += (t_ref - window / 2) - ts.mean()
     lo, hi = ts.min(), ts.max()
     assert lo > t_ref - window and hi <= t_ref
-    return TimeSurface(timestamps=ts, polarity=np.ones(shape, np.int8),
-                       t_ref=t_ref, temporal_window=window)
+    return TimeSurface(timestamps=ts, t_ref=t_ref, temporal_window=window)
 
 
 def test_plane_fit_exact_ramp():
@@ -51,12 +49,34 @@ def test_plane_fit_general_gradient():
 
 def test_plane_fit_flat_patch_gives_zero_gradient():
     ts = np.full((20, 20), 0.5)
-    surface = TimeSurface(ts, np.ones((20, 20), np.int8), t_ref=0.5,
-                          temporal_window=1.0)
+    surface = TimeSurface(ts, t_ref=0.5, temporal_window=1.0)
     fit = fit_local_plane(surface, (10, 10), ExtractionConfig(temporal_window=1.0))
     assert np.allclose(fit.gradient, [0.0, 0.0], atol=1e-12)
-    with pytest.raises(BelowMinGradient):
-        normal_flow_from_gradient(fit.gradient, 1e-4)
+
+
+# a small sensor, so that every pixel of a ramp surface is a candidate
+SMALL = Intrinsics(fx=100.0, fy=100.0, cx=10.0, cy=8.0, width=20, height=16)
+
+
+def extract_ramp(gx, gy):
+    surface = ramp_surface(gx, gy, shape=(SMALL.height, SMALL.width))
+    cfg = ExtractionConfig(temporal_window=1.0)
+    return extract_normal_flows(surface, SMALL, cfg)
+
+
+def test_extract_counts_flat_patch_below_min_gradient():
+    cfg = ExtractionConfig(temporal_window=1.0)
+    surface = TimeSurface(np.full((SMALL.height, SMALL.width), 0.5), 0.5, 1.0)
+    obs, stats = extract_normal_flows(surface, SMALL, cfg)
+    assert len(obs) == 0
+    assert stats.candidates == SMALL.width * SMALL.height
+    assert stats.below_min_gradient == stats.candidates
+    # the floor is max(min_gradient, 1 / max_flow) = 1e-4 s/px
+    for g, flat in ((0.9e-4, True), (1.1e-4, False)):
+        obs, stats = extract_ramp(g, 0.0)
+        assert stats.candidates == SMALL.width * SMALL.height
+        assert stats.below_min_gradient == (stats.candidates if flat else 0)
+        assert len(obs) == (0 if flat else stats.candidates)
 
 
 def test_plane_fit_insufficient_support():
@@ -64,7 +84,7 @@ def test_plane_fit_insufficient_support():
     ts[10, 10] = 0.5
     ts[10, 11] = 0.5
     ts[11, 10] = 0.5
-    surface = TimeSurface(ts, np.zeros((20, 20), np.int8), 0.5, 1.0)
+    surface = TimeSurface(ts, 0.5, 1.0)
     with pytest.raises(InsufficientSupport):
         fit_local_plane(surface, (10, 10), ExtractionConfig(temporal_window=1.0))
 
@@ -73,7 +93,7 @@ def test_plane_fit_collinear_pixels_degenerate():
     ts = np.full((20, 20), UNFIRED)
     ts[10, 7:14] = 0.5  # a horizontal line of fired pixels
     ts[10, 7:14] += np.linspace(0, 1e-4, 7)
-    surface = TimeSurface(ts, np.zeros((20, 20), np.int8), 0.5, 1.0)
+    surface = TimeSurface(ts, 0.5, 1.0)
     cfg = ExtractionConfig(temporal_window=1.0, min_support=5)
     with pytest.raises(DegenerateConfiguration):
         fit_local_plane(surface, (10, 10), cfg)
@@ -84,28 +104,33 @@ def test_plane_fit_rejects_second_structure():
     surface = ramp_surface(0.01, 0.0, window=2.0)
     ts = surface.timestamps.copy()
     ts[28:31, 38:40] = ts[28:31, 38:40] - 0.4  # stale structure
-    noisy = TimeSurface(ts, surface.polarity, surface.t_ref, 2.0)
+    noisy = TimeSurface(ts, surface.t_ref, 2.0)
     fit = fit_local_plane(noisy, (40, 30), ExtractionConfig(temporal_window=2.0))
     assert np.allclose(fit.gradient, [0.01, 0.0], atol=1e-12)
     assert fit.inlier_count == 49 - 6
 
 
-def test_normal_flow_from_gradient_values():
-    assert np.allclose(normal_flow_from_gradient([0.5, 0.0], 1e-4), [2.0, 0.0])
-    assert np.allclose(normal_flow_from_gradient([0.1, 0.1], 1e-4), [5.0, 5.0])
+def test_extract_ramp_normal_flow_values():
+    # calibrated gradients fx * g of (0.5, 0) and (0.1, 0.1) s
+    for g_px, n in (((0.005, 0.0), [2.0, 0.0]), ((0.001, 0.001), [5.0, 5.0])):
+        obs, stats = extract_ramp(*g_px)
+        assert len(obs) == stats.candidates == SMALL.width * SMALL.height
+        assert np.allclose(obs.n, n, rtol=1e-9, atol=1e-9)
 
 
 def test_normal_flow_magnitude_is_reciprocal_gradient():
     rng = np.random.default_rng(13)
-    for _ in range(50):
-        g = rng.uniform(-0.1, 0.1, 2)
-        if np.linalg.norm(g) < 1e-3:
-            continue
-        n = normal_flow_from_gradient(g, 1e-4)
-        # direction parallel, magnitude law |n| |g| = 1
-        cross = n[0] * g[1] - n[1] * g[0]
-        assert abs(cross) < 1e-9 * np.linalg.norm(n) * np.linalg.norm(g)
-        assert abs(np.linalg.norm(n) * np.linalg.norm(g) - 1.0) < 1e-9
+    for _ in range(10):
+        angle, size = rng.uniform(0, 2 * np.pi), rng.uniform(2e-4, 5e-3)
+        g_px = size * np.array([np.cos(angle), np.sin(angle)])
+        obs, stats = extract_ramp(*g_px)
+        assert len(obs) == stats.candidates
+        # direction parallel, magnitude law |n| |g| = 1, g calibrated
+        g = SMALL.fx * g_px
+        cross = obs.n[:, 0] * g[1] - obs.n[:, 1] * g[0]
+        norm_n = np.linalg.norm(obs.n, axis=1)
+        assert np.all(np.abs(cross) < 1e-9 * norm_n * np.linalg.norm(g))
+        assert np.all(np.abs(norm_n * np.linalg.norm(g) - 1.0) < 1e-9)
 
 
 def test_extract_vertical_edge_100px_s():
@@ -123,7 +148,7 @@ def test_extract_vertical_edge_100px_s():
 
 def test_extract_empty_surface():
     ts = np.full((INTR.height, INTR.width), UNFIRED)
-    surface = TimeSurface(ts, np.zeros(ts.shape, np.int8), 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0, 0.04)
     obs, stats = extract_normal_flows(surface, INTR)
     assert len(obs) == 0 and stats.candidates == 0
 
@@ -133,7 +158,7 @@ def test_extract_repetitive_texture_rejected():
     h, w = INTR.height, INTR.width
     qx = np.meshgrid(np.arange(w), np.arange(h))[0]
     ts = np.where(qx % 2 == 0, 0.99, 0.995)
-    surface = TimeSurface(ts.astype(float), np.ones((h, w), np.int8), 1.0, 0.04)
+    surface = TimeSurface(ts.astype(float), 1.0, 0.04)
     records, stats = extract_normal_flows(surface, INTR)
     # high rejection rate; no guarantee on survivors
     assert stats.emitted <= 0.2 * stats.candidates
@@ -167,7 +192,7 @@ def test_extract_counts_collinear_support_as_degenerate():
     # a one-pixel-wide horizontal line of fired pixels, x = 10 .. 69
     ts = np.full((INTR.height, INTR.width), UNFIRED)
     ts[30, 10:70] = 0.99 + 1e-5 * np.arange(60)
-    surface = TimeSurface(ts, np.ones(ts.shape, np.int8), 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0, 0.04)
     cfg = ExtractionConfig(min_support=5)
     obs, stats = extract_normal_flows(surface, INTR, cfg)
     # the two end pixels see only 4 line pixels in their 7x7 window
@@ -180,7 +205,7 @@ def test_extract_counts_collinear_support_as_degenerate():
 
 def test_extract_shape_mismatch():
     ts = np.full((10, 10), UNFIRED)
-    surface = TimeSurface(ts, np.zeros((10, 10), np.int8), 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0, 0.04)
     with pytest.raises(ValueError):
         extract_normal_flows(surface, INTR)
 
@@ -195,8 +220,7 @@ def test_extract_from_event_stream_end_to_end():
     ys, xs = np.nonzero(oracle.fired_mask())
     ts = oracle.timestamps[ys, xs]
     order = np.argsort(ts, kind="stable")
-    events = [Event(t=float(ts[i]), x=int(xs[i]), y=int(ys[i]), p=1)
-              for i in order]
+    events = EventArray(ts[order], xs[order], ys[order], np.ones(ts.size))
     surface = build_time_surface(events, t_ref=0.5, temporal_window=0.5,
                                  shape=(INTR.height, INTR.width))
     assert np.array_equal(surface.timestamps, oracle.timestamps)
@@ -588,7 +612,7 @@ def test_support_box_sum_equals_gathered_support(side):
     h, w = 17, 23
     ts = np.where(rng.random((h, w)) < 0.4, rng.uniform(0.0, 1.0, (h, w)),
                   UNFIRED)
-    surface = TimeSurface(ts, np.ones((h, w), np.int8), 1.0, 0.5)
+    surface = TimeSurface(ts, 1.0, 0.5)
     cfg = ExtractionConfig(spatial_window=side, temporal_window=0.5)
     recent = ts > surface.t_ref - cfg.temporal_window
     py, px = np.mgrid[-side:h + side, -side:w + side].reshape(2, -1)

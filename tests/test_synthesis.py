@@ -370,3 +370,13 @@ def test_noise_sweep_rejects_bad_grid():
         with pytest.raises(ValueError):
             run_noise_sweep(ModelKind.ANGULAR_VELOCITY, noise_grid_px=grid,
                             trials=2, samples=50)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_noise_sweep_rejects_no_trials(trials, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a dataset was drawn")
+    monkeypatch.setattr("evnormalflow.synthesis.generate_dataset", draw)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_noise_sweep(ModelKind.ANGULAR_VELOCITY, noise_grid_px=(0.1,),
+                        trials=trials, samples=100)
