@@ -44,7 +44,7 @@ from .synthesis import (ConstantMotion, GroundTruth, MovingEdge, NoiseSpec,
                         StepMotion, SweepResult, ToyRegistrationResult,
                         TwoWallsScene, generate_dataset, run_noise_sweep,
                         sample_normal_flow, surface_from_edges,
-                        synthesize_time_surface, toy_registration)
+                        toy_registration)
 
 __version__ = "0.1.0"
 

@@ -103,27 +103,29 @@ def _manifest(args):
     }
 
 
-def _load_intrinsics(path):
+def _intrinsics(data):
+    return Intrinsics(fx=float(data["fx"]), fy=float(data["fy"]),
+                      cx=float(data["cx"]), cy=float(data["cy"]),
+                      width=int(data["width"]), height=int(data["height"]))
+
+
+def _velocity(data):
+    return Velocity(nu=np.asarray(data["nu"], dtype=float),
+                    omega=np.asarray(data["omega"], dtype=float))
+
+
+def _load_json(path, what, build, default=None):
+    """build(data) for the JSON data in the file at path, or default when
+    path is None.  A file that is not JSON, lacks a key or holds a value of
+    the wrong type or size is an InputError naming the file as `what`."""
     if path is None:
-        return DEFAULT_INTRINSICS
+        return default
     with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return Intrinsics(fx=float(data["fx"]), fy=float(data["fy"]),
-                          cx=float(data["cx"]), cy=float(data["cy"]),
-                          width=int(data["width"]), height=int(data["height"]))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad intrinsics file {path}: {exc}") from exc
-
-
-def _load_velocity(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return Velocity(nu=np.asarray(data["nu"], dtype=float),
-                        omega=np.asarray(data["omega"], dtype=float))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad velocity file {path}: {exc}") from exc
+        try:
+            return build(json.load(fh))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad {what} file {path}: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
 
 def _floats(count=None):
@@ -160,6 +162,7 @@ def _checked(convert, ok, rule):
 
 _seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
 def _read_config(path):
@@ -209,7 +212,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_flows(args, kind):
     """(observations, depths, intrinsics) from --flows and --intrinsics."""
     records, depths = read_flows_csv(args.flows)
-    intr = _load_intrinsics(args.intrinsics)
+    intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
+                      DEFAULT_INTRINSICS)
     obs = records_to_obs(records, intr)
     if kind is ModelKind.SIX_DOF and depths is None:
         raise InputError(f"six-dof {args.command} requires a Z column in the "
@@ -232,9 +236,10 @@ def cmd_extract(args):
     cfg = ExtractionConfig(
         spatial_window=args.spatial_window, temporal_window=args.temporal_window,
         plane_thresh=args.plane_thresh, plane_iters=args.plane_iters,
-        min_support=args.min_support, max_flow=args.max_flow,
-        min_gradient=args.min_gradient, seed=args.seed)
-    intr = _load_intrinsics(args.intrinsics)
+        min_support=args.min_support, min_gradient=args.min_gradient,
+        seed=args.seed)
+    intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
+                      DEFAULT_INTRINSICS)
     events = read_events(args.events, width=intr.width, height=intr.height)
     t_ref = args.t_ref
     if t_ref is None:
@@ -286,7 +291,7 @@ def _homography_extras(theta):
 def cmd_solve(args):
     kind = KINDS[args.kind]
     obs, depths, intr = _load_flows(args, kind)
-    velocity = _load_velocity(args.velocity) if args.velocity else None
+    velocity = _load_json(args.velocity, "velocity", _velocity)
     report = {"model": kind.value, "n_obs": len(obs)}
     if kind in _PER_PIXEL:
         if velocity is None:
@@ -317,11 +322,6 @@ _TRACE_NAMES = {ModelKind.ANGULAR_VELOCITY: ["wx", "wy", "wz"],
 
 def cmd_fit_spline(args):
     kind = KINDS[args.kind]
-    if kind not in _TRACE_NAMES:
-        raise InputError("fit-spline supports angular-velocity and six-dof")
-    if not (math.isfinite(args.knot_spacing) and args.knot_spacing > 0):
-        raise InputError(
-            f"--knot-spacing must be positive and finite, got {args.knot_spacing}")
     obs, depths, intr = _load_flows(args, kind)
     if not obs:
         raise UnderDetermined("no observations in flows CSV")
@@ -403,7 +403,8 @@ def _motion_json(motion):
 def cmd_simulate(args):
     scene = _build_scene(args)
     motion = _build_motion(args)
-    intr = _load_intrinsics(args.intrinsics)
+    intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
+                      DEFAULT_INTRINSICS)
     noise = NoiseSpec(sigma_px=args.noise_px, outlier_fraction=args.outlier_fraction)
     observations, truth = generate_dataset(scene, motion, intr=intr,
                                            count=args.count, window=args.window,
@@ -475,9 +476,8 @@ def build_parser():
     fitting.add_argument("--flows", required=True)
     fitting.add_argument("--intrinsics")
     fitting.add_argument("--output", required=True)
-    fitting.add_argument(
-        "--threshold", default=12.0, help=_THRESHOLD_HELP,
-        type=_checked(float, lambda v: 0 < v < math.inf, "positive and finite"))
+    fitting.add_argument("--threshold", type=_positive, default=12.0,
+                         help=_THRESHOLD_HELP)
     fitting.add_argument("--max-iterations", type=_count, default=1000)
     fitting.add_argument("--confidence", default=0.99,
                          type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
@@ -498,7 +498,6 @@ def build_parser():
     p.add_argument("--plane-thresh", type=float, default=1e-5)
     p.add_argument("--plane-iters", type=int, default=50)
     p.add_argument("--min-support", type=int, default=10)
-    p.add_argument("--max-flow", type=float, default=1e4)
     p.add_argument("--min-gradient", type=float, default=1e-4)
     p.add_argument("--polarity", choices=["joint", "pos", "neg"],
                    default="joint")
@@ -515,7 +514,7 @@ def build_parser():
                    required=True)
     p.add_argument("--trace", help="optional trajectory trace CSV")
     p.add_argument("--trace-points", type=_count, default=100)
-    p.add_argument("--knot-spacing", type=float, default=DEFAULT_KNOT_SPACING)
+    p.add_argument("--knot-spacing", type=_positive, default=DEFAULT_KNOT_SPACING)
     p.add_argument("--no-robust", action="store_true",
                    help="disable Huber reweighting")
     p.add_argument("--max-rounds", type=_count, default=20,

@@ -12,8 +12,10 @@ inside a temporal window ending at the reference time, and nothing else.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +128,18 @@ def parse_event_stream(lines, width=None, height=None):
 
 def read_events(path, width=None, height=None):
     """Read an event file (plain text, or gzip when named *.gz) into an
-    EventArray."""
+    EventArray.  A *.gz file that is not a whole gzip stream raises
+    ParseError."""
     name = os.fsdecode(path)
     opener = gzip.open if name.endswith(".gz") else open
-    with opener(name, "rt") as fh:
-        # np.loadtxt reads a file it opens by name in large blocks, but an
-        # open file only line by line; it opens *.gz and plain text files
-        # just as `opener` does.
-        return _parse(name, fh, width, height)
+    try:
+        with opener(name, "rt") as fh:
+            # np.loadtxt reads a file it opens by name in large blocks, but
+            # an open file only line by line; it opens *.gz and plain text
+            # files just as `opener` does.
+            return _parse(name, fh, width, height)
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"unreadable gzip stream {name}: {exc}") from None
 
 
 @dataclass
@@ -164,10 +170,13 @@ def build_time_surface(events, t_ref, temporal_window, shape,
     events are applied max-wise so the result is order-independent.
     `polarity` of +1/-1 folds only the events of that polarity; the default
     folds both.  Of an order violation and an in-window out-of-sensor
-    event, the one earlier in the stream is raised.
+    event, the one earlier in the stream is raised.  t_ref must be finite
+    and temporal_window > 0; an infinite window means no limit.
     """
-    if temporal_window <= 0:
-        raise ValueError("temporal window must be positive")
+    if not math.isfinite(t_ref):
+        raise ValueError(f"reference time must be finite, got {t_ref}")
+    if not temporal_window > 0:         # also rejects NaN
+        raise ValueError(f"temporal window must be positive, got {temporal_window}")
     h, w = shape
     t, x, y = events.t, events.x, events.y
     n = t.size

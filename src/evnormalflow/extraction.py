@@ -53,8 +53,9 @@ class ExtractionConfig:
     plane_thresh     RANSAC inlier threshold on |t - plane(x, y)|, seconds
     plane_iters      RANSAC iterations per pixel
     min_support      minimum fired pixels and minimum consensus size
-    max_flow         flows faster than this are rejected, px/s (inf: none)
-    min_gradient     gradients flatter than this are rejected, s/px
+    min_gradient     gradients flatter than this are rejected, s/px; the
+                     normal flow's speed is 1/|g|, so this caps it at
+                     1/min_gradient px/s
     seed             base seed in [0, 2**64), hashed with each pixel's (x, y)
     """
 
@@ -63,7 +64,6 @@ class ExtractionConfig:
     plane_thresh: float = 1e-5
     plane_iters: int = 50
     min_support: int = 10
-    max_flow: float = 1e4
     min_gradient: float = 1e-4
     seed: int = 0
 
@@ -75,13 +75,13 @@ class ExtractionConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.spatial_window < 3 or self.spatial_window % 2 == 0:
             raise ValueError("spatial_window must be odd and >= 3")
-        for name in ("temporal_window", "plane_thresh", "max_flow", "min_gradient"):
+        for name in ("temporal_window", "plane_thresh", "min_gradient"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number")
             if not value > 0:          # also rejects NaN
                 raise ValueError(f"{name} must be positive")
-        # An infinite temporal_window or max_flow means no limit.
+        # An infinite temporal_window means no limit.
         for name in ("plane_thresh", "min_gradient"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -94,10 +94,6 @@ class ExtractionConfig:
                 or not 0 <= int(self.seed) < 1 << 64):
             raise ValueError("seed must be an int in [0, 2**64)")
         object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def gradient_floor(self):
-        return max(self.min_gradient, 1.0 / self.max_flow)
 
 
 @dataclass(frozen=True)
@@ -363,7 +359,7 @@ def extract_normal_flows(ts, intr, cfg=None):
     fits = _fit_planes(ts, cfg, xs, ys)
     gx, gy = fits.coef[:, 0], fits.coef[:, 1]
     fitted = fits.status == _FITTED
-    flat = fitted & (np.sqrt(gx * gx + gy * gy) < cfg.gradient_floor)
+    flat = fitted & (np.sqrt(gx * gx + gy * gy) < cfg.min_gradient)
     emit = np.flatnonzero(fitted & ~flat)
     px = np.stack([xs[emit], ys[emit]], axis=1).astype(float)
     xy, g = pixel_to_calibrated(px, intr, gradient_px=fits.coef[emit, :2])

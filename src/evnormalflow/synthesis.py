@@ -63,6 +63,14 @@ def _plane_depths(normal, d, xy):
     return d / denom
 
 
+def _check_frustum(normal, d, extent):
+    """Raise unless the plane N^T P = d lies in front of the camera over the
+    whole square of half-side `extent`; depth is linear in x and y, so its
+    four corners decide."""
+    _plane_depths(normal, d, extent * np.array([[-1.0, -1.0], [-1.0, 1.0],
+                                                [1.0, -1.0], [1.0, 1.0]]))
+
+
 @dataclass(frozen=True)
 class PlaneScene:
     """Single plane N^T P = d (unit N, positive depth over the extent)."""
@@ -77,9 +85,7 @@ class PlaneScene:
         object.__setattr__(self, "normal", tuple(n))
         if self.d <= 0:
             raise ValueError("plane distance must be positive")
-        e = self.extent
-        corners = np.array([[sx * e, sy * e] for sx in (-1, 1) for sy in (-1, 1)])
-        _plane_depths(n, self.d, corners)
+        _check_frustum(n, self.d, self.extent)
 
     def sample(self, rng, k):
         xy = rng.uniform(-self.extent, self.extent, (k, 2))
@@ -98,9 +104,7 @@ class TwoWallsScene:
         if not 0 < self.angle < math.pi:
             raise ValueError("angle must be in (0, pi)")
         for n in self._normals():
-            e = self.extent
-            corners = np.array([[sx * e, sy * e] for sx in (-1, 1) for sy in (-1, 1)])
-            _plane_depths(n, self.d, corners)
+            _check_frustum(n, self.d, self.extent)
 
     def _normals(self):
         half = self.angle / 2.0
@@ -180,11 +184,11 @@ class NoiseSpec:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
-def sample_normal_flow(u, g_dir, tol=UNOBSERVABLE_TOL):
+def sample_normal_flow(u, g_dir):
     """Project full flow u onto gradient direction g_dir.
 
     Returns (n, observable); n = (u . ghat) ghat and observable is False
-    when the projection is below tol (aperture-blind direction).
+    when the projection is below UNOBSERVABLE_TOL (aperture-blind direction).
     """
     u = np.asarray(u, dtype=float).reshape(2)
     g = np.asarray(g_dir, dtype=float).reshape(2)
@@ -193,22 +197,18 @@ def sample_normal_flow(u, g_dir, tol=UNOBSERVABLE_TOL):
         raise ValueError("gradient direction must be nonzero")
     ghat = g / norm
     dot = float(u @ ghat)
-    return dot * ghat, abs(dot) >= tol
+    return dot * ghat, abs(dot) >= UNOBSERVABLE_TOL
 
 
 @dataclass
 class GroundTruth:
-    """Everything needed to score estimates on a generated dataset."""
+    """Everything needed to score estimates on a generated dataset; the
+    sample points and times are the Observations' `xy` and `t`."""
 
     scene: object
     motion: object
     intrinsics: Intrinsics
-    window: float
-    noise: NoiseSpec
-    seed: int
-    xy: np.ndarray
     z: np.ndarray
-    t: np.ndarray
     u: np.ndarray
     n_clean: np.ndarray
     outlier_idx: np.ndarray
@@ -285,9 +285,8 @@ def generate_dataset(scene, motion, intr=DEFAULT_INTRINSICS, count=1000,
         [np.cos(out_phi), np.sin(out_phi)], axis=1)
 
     observations = Observations(xy=xy, n=n, t=t)
-    truth = GroundTruth(scene=scene, motion=motion, intrinsics=intr,
-                        window=window, noise=noise, seed=seed, xy=xy, z=z,
-                        t=t, u=u, n_clean=n_clean, outlier_idx=outlier_idx,
+    truth = GroundTruth(scene=scene, motion=motion, intrinsics=intr, z=z,
+                        u=u, n_clean=n_clean, outlier_idx=outlier_idx,
                         resample_rounds=rounds)
     return observations, truth
 
@@ -334,38 +333,6 @@ def surface_from_edges(edges, shape, window, t_ref=None):
         valid = (t_cross >= t_ref - window) & (t_cross <= t_ref)
         ts = np.where(valid, np.maximum(ts, t_cross), ts)
     return TimeSurface(timestamps=ts, t_ref=t_ref, temporal_window=float(window))
-
-
-def synthesize_time_surface(scene, motion, intr=DEFAULT_INTRINSICS,
-                            window=0.5, edge_spacing_px=40):
-    """Analytic moving-edge surface for a fronto-parallel plane under
-    constant in-plane translation (the only configuration whose surface is
-    exactly planar everywhere).
-
-    Renders a grid of vertical and horizontal line edges sweeping with the
-    uniform pixel flow (-fx nu_x / d, -fy nu_y / d).
-    """
-    if not isinstance(scene, PlaneScene) or not isinstance(motion, ConstantMotion):
-        raise ValueError("exact surfaces need a plane scene and constant motion")
-    normal = np.asarray(scene.normal)
-    v = motion.velocity
-    if abs(abs(normal[2]) - 1.0) > 1e-12 or np.any(v.omega) or v.nu[2] != 0:
-        raise ValueError("exact surfaces need a fronto-parallel plane and "
-                         "in-plane translation")
-    wx = -intr.fx * v.nu[0] / scene.d
-    wy = -intr.fy * v.nu[1] / scene.d
-    edges = []
-    if wx != 0:
-        for x0 in np.arange(-abs(wx) * window, intr.width + abs(wx) * window,
-                            edge_spacing_px):
-            edges.append(MovingEdge(point=(float(x0), 0.0), direction=(0.0, 1.0),
-                                    velocity=(wx, wy)))
-    if wy != 0:
-        for y0 in np.arange(-abs(wy) * window, intr.height + abs(wy) * window,
-                            edge_spacing_px):
-            edges.append(MovingEdge(point=(0.0, float(y0)), direction=(1.0, 0.0),
-                                    velocity=(wx, wy)))
-    return surface_from_edges(edges, (intr.height, intr.width), window)
 
 
 # --------------------------------------------------------------------------

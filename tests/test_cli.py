@@ -441,7 +441,7 @@ def test_extract_polarity_filter(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--plane-thresh", "nan"), ("--temporal-window", "nan"),
-    ("--max-flow", "nan"), ("--min-gradient", "nan"),
+    ("--min-gradient", "nan"),
     ("--plane-thresh", "inf"), ("--min-gradient", "inf"),
     ("--seed", "18446744073709551616"), ("--seed", "-1")])
 def test_extract_bad_config_value_exits_2(tmp_path, capsys, flag, value):
@@ -455,13 +455,27 @@ def test_extract_bad_config_value_exits_2(tmp_path, capsys, flag, value):
     assert not flows_path.exists()
 
 
-def test_extract_infinite_window_and_flow_cap_mean_no_limit(tmp_path):
+def test_extract_infinite_window_means_no_limit(tmp_path):
     events = tmp_path / "events.txt"
     write_edge_events(events)
     flows_path = tmp_path / "flows.csv"
     assert run("extract", "--events", events, "--output", flows_path,
-               "--temporal-window", "inf", "--max-flow", "inf") == 0
+               "--temporal-window", "inf") == 0
     assert read_csv_rows(flows_path)
+
+
+@pytest.mark.parametrize("t_ref", ["nan", "inf", "-inf"])
+def test_extract_non_finite_t_ref_exits_2(tmp_path, capsys, t_ref):
+    events = tmp_path / "events.txt"
+    write_edge_events(events)
+    flows_path = tmp_path / "flows.csv"
+    assert run("extract", "--events", events, "--output", flows_path,
+               f"--t-ref={t_ref}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "reference time" in err
+    assert not flows_path.exists()
+    assert not os.path.exists(f"{flows_path}.stats.json")
 
 
 def test_extract_empty_events(tmp_path):
@@ -484,6 +498,41 @@ def test_extract_bad_event_line(tmp_path):
     events.write_text("0.0 5 5 1\n0.001 banana 5 1\n")
     assert run("extract", "--events", events,
                "--output", tmp_path / "flows.csv") == 2
+
+
+GOOD_INTRINSICS = {"fx": 200.0, "fy": 200.0, "cx": 120.0, "cy": 90.0,
+                   "width": 240, "height": 180}
+
+
+@pytest.mark.parametrize("flag, name, text", [
+    pytest.param("--intrinsics", "intrinsics.json",
+                 json.dumps({**GOOD_INTRINSICS, "fx": None}), id="fx-null"),
+    pytest.param("--intrinsics", "intrinsics.json",
+                 json.dumps(list(GOOD_INTRINSICS.values())), id="intr-list"),
+    pytest.param("--intrinsics", "intrinsics.json",
+                 json.dumps({**GOOD_INTRINSICS, "width": math.inf}),
+                 id="width-inf"),
+    pytest.param("--intrinsics", "intrinsics.json", "{", id="intr-not-json"),
+    pytest.param("--velocity", "velocity.json", "[0.1, 0.2, 0.3]",
+                 id="velocity-list"),
+    pytest.param("--events", "events.txt.gz", "0.1 1 1 1\n", id="not-gzip"),
+])
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, flag, name,
+                                                text):
+    path = tmp_path / name
+    path.write_text(text)
+    if flag == "--events":
+        argv = ["extract", "--events", path]
+    else:
+        data = simulate(tmp_path)
+        argv = ["solve", "--flows", data / "observations.csv", "--kind", "depth",
+                flag, path]
+    capsys.readouterr()
+    assert run(*argv, "--output", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------

@@ -225,8 +225,17 @@ def test_surface_timestamps_bounded_by_t_ref():
 
 
 def test_surface_requires_positive_window():
-    with pytest.raises(ValueError):
-        build_time_surface(EventArray([], [], [], []), 1.0, 0.0, (5, 5))
+    for window in (0.0, -0.04, float("nan")):
+        with pytest.raises(ValueError, match="temporal window"):
+            build_time_surface(EventArray([], [], [], []), 1.0, window, (5, 5))
+
+
+@pytest.mark.parametrize("t_ref", [float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan")])
+def test_surface_requires_finite_t_ref(t_ref):
+    with pytest.raises(ValueError, match="reference time"):
+        build_time_surface(EventArray([0.99], [1], [1], [1]), t_ref, 0.04,
+                           (5, 5))
 
 
 def reference_fold(events, t_ref, window, shape, polarity=None):
@@ -271,6 +280,18 @@ def test_surface_matches_reference_fold(polarity):
     ts = reference_fold(events, 0.99, 0.04, shape, polarity)
     assert np.isfinite(ts).sum() > 100
     surface = build_time_surface(events, 0.99, 0.04, shape, polarity=polarity)
+    assert surface.timestamps.tobytes() == ts.tobytes()
+
+
+def test_surface_keeps_the_latest_time_over_a_later_regressed_event():
+    # The last event at (1, 1) regresses inside the budget: the surface
+    # keeps the earlier, larger timestamp, not the one that came last.
+    b = JITTER_BUDGET
+    events = EventArray([0.97, 0.975, 0.98, 0.98 - 0.5 * b],
+                        [1, 2, 1, 1], [1, 3, 1, 1], [1, -1, 1, 1])
+    ts = reference_fold(events, 0.99, 0.04, (5, 5))
+    assert ts[1, 1] == 0.98 and ts[3, 2] == 0.975
+    surface = build_time_surface(events, 0.99, 0.04, (5, 5))
     assert surface.timestamps.tobytes() == ts.tobytes()
 
 

@@ -71,7 +71,7 @@ def test_extract_counts_flat_patch_below_min_gradient():
     assert len(obs) == 0
     assert stats.candidates == SMALL.width * SMALL.height
     assert stats.below_min_gradient == stats.candidates
-    # the floor is max(min_gradient, 1 / max_flow) = 1e-4 s/px
+    # the floor is min_gradient = 1e-4 s/px, a speed cap of 1e4 px/s
     for g, flat in ((0.9e-4, True), (1.1e-4, False)):
         obs, stats = extract_ramp(g, 0.0)
         assert stats.candidates == SMALL.width * SMALL.height
@@ -418,11 +418,10 @@ def test_config_validation():
         ExtractionConfig(temporal_window=-1.0)
     with pytest.raises(ValueError):
         ExtractionConfig(min_support=2)
-    assert ExtractionConfig(max_flow=100.0).gradient_floor == pytest.approx(0.01)
 
 
 @pytest.mark.parametrize("field", ["temporal_window", "plane_thresh",
-                                   "max_flow", "min_gradient"])
+                                   "min_gradient"])
 def test_config_rejects_nan(field):
     with pytest.raises(ValueError, match=field):
         ExtractionConfig(**{field: float("nan")})
@@ -432,9 +431,8 @@ def test_config_infinite_values():
     for field in ("plane_thresh", "min_gradient"):
         with pytest.raises(ValueError, match=field):
             ExtractionConfig(**{field: float("inf")})
-    # An infinite temporal window or flow cap means no limit.
-    cfg = ExtractionConfig(temporal_window=float("inf"), max_flow=float("inf"))
-    assert cfg.gradient_floor == cfg.min_gradient
+    # An infinite temporal window means no limit.
+    cfg = ExtractionConfig(temporal_window=float("inf"))
     surface = ramp_surface(0.01, 0.0, window=2.0)
     obs, stats = extract_normal_flows(surface, INTR, cfg)
     assert stats.candidates == INTR.width * INTR.height and len(obs) > 0
@@ -442,7 +440,7 @@ def test_config_infinite_values():
 
 @pytest.mark.parametrize("field, value", [
     ("plane_iters", 2.5), ("spatial_window", 7.0), ("min_support", 10.5),
-    ("plane_iters", True), ("temporal_window", True), ("max_flow", "1e4"),
+    ("plane_iters", True), ("temporal_window", True), ("min_gradient", "1e-4"),
     ("plane_thresh", None)])
 def test_config_rejects_wrong_type(field, value):
     with pytest.raises(ValueError, match=field):

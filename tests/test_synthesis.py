@@ -11,8 +11,7 @@ from evnormalflow import (
     RandomPointsScene, RankDeficient, SplineMotion, SplineTrajectory,
     StepMotion, TwoWallsScene, Velocity, generate_dataset,
     matrix_c, motion_field, run_noise_sweep,
-    sample_normal_flow, surface_from_edges, synthesize_time_surface,
-    toy_registration, ModelKind,
+    sample_normal_flow, surface_from_edges, toy_registration, ModelKind,
 )
 from evnormalflow.events import UNFIRED
 
@@ -72,6 +71,10 @@ def test_plane_scene_normalizes_normal_and_checks_frustum():
         PlaneScene(normal=(1.0, 0.0, 0.0), d=1.0)  # crosses the frustum
     with pytest.raises(ValueError):
         PlaneScene(d=-1.0)
+    # in front of the camera over x in [-0.45, 0.45], not over [-0.6, 0.6]
+    PlaneScene(normal=(1.0, 0.0, 0.5), d=1.0, extent=0.45)
+    with pytest.raises(ValueError, match="frustum"):
+        PlaneScene(normal=(1.0, 0.0, 0.5), d=1.0, extent=0.6)
 
 
 def test_plane_scene_depths_match_plane_equation():
@@ -103,6 +106,8 @@ def test_two_walls_scene_has_two_depth_populations():
     assert z[left].std() > 1e-3 and z[right].std() > 1e-3
     with pytest.raises(ValueError):
         TwoWallsScene(angle=0.0)
+    with pytest.raises(ValueError, match="frustum"):
+        TwoWallsScene(angle=3.0)     # near edge-on walls cross the frustum
 
 
 def test_step_motion_switches_at_t_switch():
@@ -273,34 +278,6 @@ def test_edge_direction_must_be_nonzero():
     with pytest.raises(ValueError):
         surface_from_edges([MovingEdge(point=(0, 0), direction=(0, 0),
                                        velocity=(1, 0))], shape=(10, 10), window=0.1)
-
-
-def test_synthesize_time_surface_requires_frontoparallel_translation():
-    plane = PlaneScene(normal=(0.0, 0.0, 1.0), d=2.0)
-    with pytest.raises(ValueError):
-        synthesize_time_surface(RandomPointsScene(),
-                                ConstantMotion(Velocity(nu=(1, 0, 0), omega=(0, 0, 0))))
-    with pytest.raises(ValueError):
-        synthesize_time_surface(plane,
-                                ConstantMotion(Velocity(nu=(1, 0, 0), omega=(0, 0, 0.1))))
-    with pytest.raises(ValueError):
-        synthesize_time_surface(PlaneScene(normal=(0.2, 0.0, 1.0), d=2.0),
-                                ConstantMotion(Velocity(nu=(1, 0, 0), omega=(0, 0, 0))))
-
-
-def test_synthesize_time_surface_pixel_speed():
-    plane = PlaneScene(normal=(0.0, 0.0, 1.0), d=2.0)
-    motion = ConstantMotion(Velocity(nu=(-1.0, 0, 0), omega=(0, 0, 0)))
-    surface = synthesize_time_surface(plane, motion, window=0.1)
-    # pixel flow is -fx nu_x / d = 100 px/s; every fired row is a ramp of
-    # slope 1/100 in x (vertical edges only, since nu_y = 0)
-    row = surface.timestamps[0]
-    fired = np.nonzero(np.isfinite(row))[0]
-    assert fired.size > 0
-    runs = np.split(fired, np.nonzero(np.diff(fired) > 1)[0] + 1)
-    for run in runs:
-        if run.size >= 2:
-            assert np.allclose(np.diff(row[run]), 0.01, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
