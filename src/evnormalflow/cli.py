@@ -306,6 +306,7 @@ def cmd_solve(args):
             "n_inliers": int(len(fit_report.inliers)),
             "rms": fit_report.rms, "cond": fit_report.cond,
             "iterations": fit_report.iterations,
+            "rows_scored": fit_report.rows_scored,
             "hit_cap": fit_report.hit_cap,
             "inlier_ratio": fit_report.inlier_ratio,
             "threshold": fit_report.threshold})

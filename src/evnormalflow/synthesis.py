@@ -140,6 +140,11 @@ class StepMotion:
     after: Velocity
     t_switch: float
 
+    def __post_init__(self):
+        # a NaN switch time would compare false everywhere: no switch at all
+        if not math.isfinite(self.t_switch):
+            raise ValueError("t_switch must be finite")
+
     def at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         late = (t >= self.t_switch)[:, None]
@@ -243,8 +248,8 @@ def generate_dataset(scene, motion, intr=DEFAULT_INTRINSICS, count=1000,
     drawn as unit deviates and scaled, so datasets at different noise
     levels share their underlying randomness.
     """
-    if count < 1 or window <= 0:
-        raise ValueError("count must be >= 1 and window positive")
+    if count < 1 or not (math.isfinite(window) and window > 0):
+        raise ValueError("count must be >= 1 and window positive and finite")
     rng = np.random.default_rng(seed)
     xy, z = scene.sample(rng, count)
     t = rng.uniform(0.0, window, count)

@@ -100,6 +100,18 @@ def test_simulate_step_motion_requires_after(tmp_path):
     assert truth["motion"]["t_switch"] == 0.25
 
 
+@pytest.mark.parametrize("flags", [
+    ("--window", "nan"), ("--window", "inf"),
+    ("--motion", "step", "--nu-after", "0,0,0", "--omega-after", "0,0,2",
+     "--t-switch", "nan")])
+def test_simulate_non_finite_time_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    assert run("simulate", "--output-dir", out, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flags[-2][2:].replace("-", "_") in err
+    assert not out.exists()
+
+
 def test_simulate_bad_scene_parameter(tmp_path):
     code = run("simulate", "--output-dir", tmp_path / "x",
                "--scene", "plane", "--plane-d", -1)
@@ -132,6 +144,8 @@ def test_solve_reports_ransac_run(tmp_path):
     report = read_json(report_path)
     assert report["hit_cap"] is False
     assert report["inlier_ratio"] == report["n_inliers"] / report["n_obs"]
+    # too few flows for the probe: every hypothesis is scored on every row
+    assert report["rows_scored"] == report["iterations"] * report["n_obs"]
     # the threshold comes from the data: about 3 sigma of the 0.5 px noise
     # over a 200 px focal length, well below the 9 px/s default bound
     assert 1.0 / 200 < report["threshold"] < 3.0 / 200

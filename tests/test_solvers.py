@@ -17,6 +17,7 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           solve_angular_velocity, solve_depth,
                           solve_diff_homography, solve_optical_flow,
                           stack_and_solve)
+from evnormalflow import solvers
 from evnormalflow.geometry import FOV_LIMIT, as_observations
 from evnormalflow.solvers import (FitReport, _draws, _flow_model, _GroupRows,
                                   _ransac_groups)
@@ -737,6 +738,9 @@ def test_ransac_matches_one_hypothesis_loop(kind):
     theta, inliers, iterations, hit_cap, threshold, rms = ransac_loop(
         obs, kind, cfg, depths)
     assert (report.iterations, report.hit_cap) == (iterations, hit_cap)
+    # too few observations for the probe: every hypothesis scores every row
+    assert len(obs) < solvers._PROBE_MIN
+    assert report.rows_scored == iterations * len(obs)
     assert np.array_equal(report.inliers, inliers)
     assert np.linalg.norm(report.theta - theta) <= 1e-10 * np.linalg.norm(theta)
     assert report.threshold == pytest.approx(threshold, rel=1e-10)
@@ -745,7 +749,7 @@ def test_ransac_matches_one_hypothesis_loop(kind):
 
 def test_group_draws_are_those_of_lone_calls():
     sizes = np.array([7, 300, 7, 12])
-    draws = _draws(11, 4, sizes, 3)
+    draws = _draws([11, 4], sizes, 3)
     for k, row in zip(sizes.tolist(), draws):
         lone = np.random.default_rng([11, 4]).choice(k, 3, replace=False)
         assert np.array_equal(row, lone)
@@ -766,6 +770,15 @@ def test_group_medians_equal_np_median():
     for j in range(3):
         part = slice(rows.starts[j], rows.starts[j] + rows.sizes[j])
         assert medians[j] == np.median(values[part][mask[part]])
+
+
+def assert_same_report(ours, theirs, skip=()):
+    for field in dataclasses.fields(FitReport):
+        if field.name in skip:
+            continue
+        mine, lone = getattr(ours, field.name), getattr(theirs, field.name)
+        assert type(mine) is type(lone)
+        assert np.array_equal(mine, lone), field.name
 
 
 def test_ransac_groups_isolate_failing_groups():
@@ -796,8 +809,54 @@ def test_ransac_groups_isolate_failing_groups():
                 ransac_estimate(group, kind, cfg)
             assert str(lone.value) == str(result)
             continue
-        lone = ransac_estimate(group, kind, cfg)
-        for field in dataclasses.fields(FitReport):
-            ours, theirs = getattr(result, field.name), getattr(lone, field.name)
-            assert type(ours) is type(theirs)
-            assert np.array_equal(ours, theirs), field.name
+        assert_same_report(result, ransac_estimate(group, kind, cfg))
+
+
+# --------------------------------------------------------------------------
+# the probe: a bail-out test before a hypothesis is scored on all rows
+
+def robust_case(kind, sigma_px, count=20000, seed=1):
+    """The robust-solve benchmark's data: K observations, 30% outliers."""
+    v = Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15))
+    scene = (PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0)
+             if kind is ModelKind.DIFF_HOMOGRAPHY
+             else RandomPointsScene(depth_range=(1.0, 5.0)))
+    obs, truth = generate_dataset(
+        scene, ConstantMotion(v), count=count, seed=seed,
+        noise=NoiseSpec(sigma_px=sigma_px, outlier_fraction=0.3))
+    return obs, (truth.z if kind is ModelKind.SIX_DOF else None)
+
+
+@pytest.mark.parametrize("sigma_px", [0.5, 3.0])
+@pytest.mark.parametrize("kind", [ModelKind.SIX_DOF, ModelKind.DIFF_HOMOGRAPHY])
+def test_probe_changes_no_result(monkeypatch, kind, sigma_px):
+    # a hypothesis the probe lets through is scored on all rows, so probe
+    # on and probe off give the same fit bit for bit, on far fewer rows
+    obs, depths = robust_case(kind, sigma_px)
+    probed = ransac_estimate(obs, kind, depths=depths)
+    monkeypatch.setattr(solvers, "_PROBE_MIN", len(obs) + 1)
+    full = ransac_estimate(obs, kind, depths=depths)
+    assert_same_report(probed, full, skip={"rows_scored"})
+    assert full.rows_scored == full.iterations * len(obs)
+    # every hypothesis after the first is probed, and some of them are
+    # scored on all rows
+    scores, rest = divmod(probed.rows_scored - (probed.iterations - 1)
+                          * solvers._PROBE_ROWS, len(obs))
+    assert rest == 0 and 1 <= scores < probed.iterations
+
+
+def test_probed_group_beside_small_ones_equals_lone_calls():
+    kind = ModelKind.DIFF_HOMOGRAPHY
+    big, _ = robust_case(kind, 0.5, count=solvers._PROBE_MIN + 1000, seed=2)
+    small = [robust_case(kind, 0.5, count=count, seed=seed)[0]
+             for count, seed in ((300, 3), (500, 4))]
+    groups = [small[0], big, small[1]]
+    cfg = RansacConfig(seed=8)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    results = _ransac_groups(as_observations(groups), kind, bounds, cfg)
+    for group, result in zip(groups, results):
+        assert_same_report(result, ransac_estimate(group, kind, cfg))
+    # the probe rejected hypotheses in the big group alone
+    assert results[1].rows_scored < results[1].iterations * len(big)
+    for group, result in zip(small, results[::2]):
+        assert result.rows_scored == result.iterations * len(group)

@@ -122,6 +122,14 @@ def test_step_motion_switches_at_t_switch():
     assert np.allclose(motion.at(0.3)[1], [(0, 0, 2.0)])
 
 
+@pytest.mark.parametrize("t_switch", [math.nan, math.inf, -math.inf])
+def test_step_motion_rejects_non_finite_switch_time(t_switch):
+    with pytest.raises(ValueError, match="t_switch"):
+        StepMotion(before=Velocity(nu=(0, 0, 0), omega=(0, 0, 0.5)),
+                   after=Velocity(nu=(0, 0, 0), omega=(0, 0, 2.0)),
+                   t_switch=t_switch)
+
+
 def test_spline_motion_dims():
     traj3 = SplineTrajectory(np.tile([0.1, 0.2, 0.3], (5, 1)), t0=-0.05, dt=0.2)
     nu, omega = SplineMotion(traj3).at(0.3)
@@ -215,6 +223,9 @@ def test_dataset_validation():
         generate_dataset(scene, motion, count=0)
     with pytest.raises(ValueError):
         generate_dataset(scene, motion, window=0.0)
+    for window in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="window"):
+            generate_dataset(scene, motion, window=window)
     with pytest.raises(ValueError):
         NoiseSpec(sigma_px=-1.0)
     with pytest.raises(ValueError):
