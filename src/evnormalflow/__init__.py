@@ -8,10 +8,10 @@ flow vector to the instantaneous motion field
 which is linear in every unknown it is solved for here: per-pixel full
 flow and depth, angular velocity, joint translation + rotation, and the
 differential homography of a planar scene.  The package covers the whole
-pipeline: extracting normal flow from event time surfaces, robustly
-fitting the five models, decomposing homographies into plane + motion,
-fitting continuous-time B-spline trajectories, and generating synthetic
-data with exact ground truth.
+pipeline: extracting normal flow from event time surfaces, solving the
+five models (the three global ones robustly), decomposing homographies
+into plane + motion, fitting continuous-time B-spline trajectories, and
+generating synthetic data with exact ground truth.
 """
 from .errors import (BoundsError, DegenerateConfiguration, DegenerateDepth,
                      EventOrderError, EvnfError, InputError,

@@ -1,22 +1,25 @@
 """Linear least-squares solvers on the normal-flow constraint.
 
-Every model is a flow u = O(x) theta (+ a known flow) and a set of linear
-equations  n^T O(x) theta = |n|^2  built per observation:
+A global model is a flow u = O(x) theta that one parameter vector predicts
+at every observation, and a set of linear equations  n^T O(x) theta =
+|n|^2  built per observation:
 
-  optical flow      per-pixel 2x2: the constraint row plus the
-                    differential epipolar row (known velocity)
-  depth             per-pixel closed form (known velocity)
   angular velocity  theta = omega,       rows n^T B(x)
   six dof           theta = (nu, omega), rows n^T [A(x)/Z | B(x)]
   homography        theta = vec(H),      rows n^T C(x); the stacked system
                     is rank-deficient by one (H and H + eps I produce the
                     same flow), resolved by the minimum-norm solution
 
-Each model's flow is written once, in _flow_model, as K-length columns;
-geometry's interaction matrices A, B, C and D are the paper's notation
-for the same flows.  build_rows derives the constraint rows from
-_flow_model: row j is the normal component of the flow that unit
-parameter j predicts.
+Given the camera's motion, flow and depth are closed forms per pixel:
+solve_optical_flow solves each pixel's 2x2 system, the constraint row plus
+the differential epipolar row, and solve_depth gives
+Z = n^T A(x) nu / (|n|^2 - n^T B(x) omega).
+
+Each global model's flow is written once, in _flow_model, as K-length
+columns over positions; geometry's interaction matrices A, B, C and D are
+the paper's notation for the same flows.  build_rows derives the
+constraint rows from _flow_model: row j is the normal component of the
+flow that unit parameter j predicts.
 
 Every solver takes an Observations; a sequence of Observations (such as
 one-row sets) is concatenated once on entry.  The per-pixel solvers work
@@ -279,10 +282,11 @@ def solve_depth(observations, v):
     violates cheirality; it is reported, not clamped.
     """
     obs = as_observations(observations)
-    flow, offset = _flow_model(obs, ModelKind.DEPTH, velocity=v)
-    a, den = _rows(obs, ModelKind.DEPTH, flow, offset)
-    num = a[:, 0]
-    a_nu = np.stack(flow([1.0]), axis=1)
+    x, y, n0, n1 = obs.xy[:, 0], obs.xy[:, 1], obs.n[:, 0], obs.n[:, 1]
+    a_nu = matrix_a(x, y) @ v.nu
+    b_om = matrix_b(x, y) @ v.omega
+    num = n0 * a_nu[:, 0] + n1 * a_nu[:, 1]
+    den = obs.mag2 - (n0 * b_om[:, 0] + n1 * b_om[:, 1])
     num_scale = np.linalg.norm(obs.n, axis=1) * np.linalg.norm(a_nu, axis=1)
     valid = (np.abs(num) > _REL_TOL * num_scale) & (num_scale > 0)
     valid &= np.abs(den) > _REL_TOL * obs.mag2
@@ -291,48 +295,41 @@ def solve_depth(observations, v):
     return z, valid
 
 
-def _flow_model(obs, kind, velocity=None, depths=None):
-    """(flow, offset): the one place where each model's flow is written.
-
-    flow maps theta to (ux, uy), the flow O(x) theta that the parameters
-    predict at every observation, written out over K-length columns so
-    that no (K, 2, p) operator is built.  offset is the flow that does not
-    depend on theta: the known rotation B(x) omega for DEPTH, None for
-    every other kind.  The full predicted flow is flow(theta) + offset.
-    build_rows derives the constraint rows from both; ransac_estimate
-    builds those rows once per call to solve its hypotheses, and scores
-    them on the same flow.  geometry's interaction matrices are the same
-    models in the paper's notation.
+def _flow_model(xy, kind, depths=None):
+    """The one place where each global model's flow is written: a function
+    that maps theta to (ux, uy), the flow O(x) theta that the parameters
+    predict at every position of xy (K, 2), written out over K-length
+    columns so that no (K, 2, p) operator is built.  build_rows derives the
+    constraint rows from it; ransac_estimate builds those rows once per
+    call to solve its hypotheses, and scores them on the same flow.
+    geometry's interaction matrices are the same models in the paper's
+    notation.  The per-pixel kinds share no parameters across pixels:
+    ValueError, naming the closed form that solves them.
     """
-    x, y = obs.xy[:, 0], obs.xy[:, 1]
     if kind is ModelKind.OPTICAL_FLOW:
-        return (lambda u: (np.full(len(x), u[0]), np.full(len(x), u[1]))), None
+        raise ValueError("optical flow is per pixel: solve_optical_flow")
     if kind is ModelKind.DEPTH:
-        if velocity is None:
-            raise ValueError("depth rows need a known velocity")
-        a_nu = matrix_a(x, y) @ velocity.nu
-        b_om = matrix_b(x, y) @ velocity.omega
-        return ((lambda inv_z: (inv_z[0] * a_nu[:, 0], inv_z[0] * a_nu[:, 1])),
-                (b_om[:, 0], b_om[:, 1]))
+        raise ValueError("depth is per pixel: solve_depth")
+    x, y = xy[:, 0], xy[:, 1]
     if kind is ModelKind.DIFF_HOMOGRAPHY:
         def homography(h):
             w = h[6] * x + h[7] * y + h[8]
             return (h[0] * x + h[1] * y + h[2] - x * w,
                     h[3] * x + h[4] * y + h[5] - y * w)
-        return homography, None
+        return homography
 
     def rotational(w):
         xy = x * y
         return (xy * w[0] - (1.0 + x * x) * w[1] + y * w[2],
                 (1.0 + y * y) * w[0] - xy * w[1] - x * w[2])
     if kind is ModelKind.ANGULAR_VELOCITY:
-        return rotational, None
+        return rotational
     if kind is not ModelKind.SIX_DOF:
         raise ValueError(f"unknown kind {kind}")
     if depths is None:
         raise ValueError("six-dof rows need per-observation depths")
     z = np.asarray(depths, dtype=float).reshape(-1)
-    if z.size != len(obs):
+    if z.size != len(x):
         raise ValueError("depths length must match observations")
     if np.any(~(z > 0)):
         raise DegenerateDepth("depth must be positive to form D(x)")
@@ -344,43 +341,32 @@ def _flow_model(obs, kind, velocity=None, depths=None):
         ux += (x * theta[2] - theta[0]) / z
         uy += (y * theta[2] - theta[1]) / z
         return ux, uy
-    return six_dof, None
+    return six_dof
 
 
-def _rows(obs, kind, flow, offset):
-    """(a, b) with a theta = b: row j of a is n . flow(e_j), the normal
-    component of the flow that unit parameter j predicts, and b is |n|^2
-    less the normal component of offset."""
-    n0, n1 = obs.n[:, 0], obs.n[:, 1]
-
-    def normal(u):
-        return n0 * u[0] + n1 * u[1]
-    a = np.stack([normal(flow(e)) for e in np.eye(kind.param_dim)], axis=1)
-    return a, obs.mag2 if offset is None else obs.mag2 - normal(offset)
-
-
-def build_rows(observations, kind, velocity=None, depths=None):
-    """Stack per-observation constraint rows (a, b) with a theta = b,
-    derived from the kind's flow model in _flow_model, the one place it is
-    written; ransac_estimate builds them once per call.  DEPTH needs
-    velocity and SIX_DOF positive per-observation depths."""
+def build_rows(observations, kind, depths=None):
+    """Stack per-observation constraint rows (a, b) with a theta = b: row j
+    of a is n . flow(e_j), the normal component of the flow that unit
+    parameter j predicts under the kind's model in _flow_model, the one
+    place it is written, and b is |n|^2.  ransac_estimate builds them once
+    per call.  SIX_DOF needs positive per-observation depths; the per-pixel
+    kinds have no such rows (ValueError)."""
     obs = as_observations(observations)
-    return _rows(obs, kind, *_flow_model(obs, kind, velocity, depths))
+    flow = _flow_model(obs.xy, kind, depths)
+    n0, n1 = obs.n[:, 0], obs.n[:, 1]
+    a = np.stack([n0 * ux + n1 * uy
+                  for ux, uy in map(flow, np.eye(kind.param_dim))], axis=1)
+    return a, obs.mag2
 
 
-def _observations(observations, kind):
-    """observations as an Observations; TooFewObservations when it holds
-    fewer than kind's minimal sample."""
+def _solve_stacked(observations, kind, depths=None):
+    """Least-squares theta of kind's stacked rows at its required rank;
+    TooFewObservations below kind's minimal sample."""
     obs = as_observations(observations)
     c = kind.minimal_samples
     if len(obs) < c:
         raise TooFewObservations(f"need >= {c} observations, got {len(obs)}")
-    return obs
-
-
-def _solve_stacked(observations, kind, depths=None):
-    """Least-squares theta of kind's stacked rows at its required rank."""
-    a, b = build_rows(_observations(observations, kind), kind, depths=depths)
+    a, b = build_rows(obs, kind, depths=depths)
     theta, _ = stack_and_solve(a, b, min_rank=kind.required_rank)
     return theta
 
@@ -460,9 +446,11 @@ _PROBE_MIN = 4000
 _DELTA = 1e-4
 
 
-def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
+def ransac_estimate(observations, kind, cfg=None, depths=None):
     """MSAC with a local-optimisation refit over normal-flow observations,
-    for any ModelKind.
+    for a global model: ANGULAR_VELOCITY, SIX_DOF (with positive
+    per-observation depths) or DIFF_HOMOGRAPHY; the per-pixel kinds raise
+    ValueError.
 
     A hypothesis theta predicts a flow u at every observation; it is scored
     on e = |n . u - |n|^2| / |u|, the distance from the measured normal flow
@@ -497,9 +485,9 @@ def ransac_estimate(observations, kind, cfg=None, velocity=None, depths=None):
     reported inlier, and no other observation, satisfies
     e <= report.threshold.  This is the one-group case of _ransac_groups.
     """
-    obs = _observations(observations, kind)
+    obs = as_observations(observations)
     result, = _ransac_groups(obs, kind, [0, len(obs)], cfg or RansacConfig(),
-                             velocity, depths)
+                             depths)
     if isinstance(result, SolverDegeneracy):
         raise result
     return result
@@ -542,16 +530,16 @@ def _solve_minimal(a, b):
 
 class _GroupRows:
     """The rows of some groups (ascending group indices), in group order,
-    with their constraint rows a, b and the flow model written over them;
-    with picks, only the rows picks[j] of the j-th group, offsets within it.
+    with their constraint rows a, their |n|^2 (the right-hand side of a)
+    and the flow model written over them; with picks, only the rows
+    picks[j] of the j-th group, offsets within it.
 
     A single contiguous range of rows is a view, not a copy.  gid gives each
     row its group's position among groups, starts each group's first row
     here and first its first row in obs.
     """
 
-    def __init__(self, obs, kind, velocity, depths, a, b, bounds, groups,
-                 picks=None):
+    def __init__(self, obs, kind, depths, a, bounds, groups, picks=None):
         lo, hi = bounds[groups], bounds[groups + 1]
         sizes = hi - lo if picks is None else np.full(len(groups), picks.shape[1])
         self.groups, self.sizes, self.first = groups, sizes, lo[:, None]
@@ -563,18 +551,16 @@ class _GroupRows:
             index = slice(lo[0], hi[-1])
         else:
             index = np.repeat(lo - self.starts, sizes) + np.arange(len(self.gid))
-        rows = obs[index]
-        self.n0, self.n1, self.mag2 = rows.n[:, 0], rows.n[:, 1], rows.mag2
-        self.a, self.b = a[index], b[index]
-        self.flow, self.offset = _flow_model(
-            rows, kind, velocity, None if depths is None else depths[index])
+        n = obs.n[index]
+        self.n0, self.n1, self.mag2 = n[:, 0], n[:, 1], obs.mag2[index]
+        self.a = a[index]
+        self.flow = _flow_model(obs.xy[index], kind,
+                                None if depths is None else depths[index])
 
     def residual(self, theta):
         """(r, s2) = (n . u - |n|^2, |u|^2) at every row, for the flow u that
         row g of theta predicts over group g's rows."""
         ux, uy = self.flow(self.per_row(theta.T))
-        if self.offset is not None:
-            ux, uy = ux + self.offset[0], uy + self.offset[1]
         return self.n0 * ux + self.n1 * uy - self.mag2, ux * ux + uy * uy
 
     def per_row(self, values):
@@ -605,7 +591,7 @@ class _GroupRows:
         return (table[g, (m - 1) // 2] + table[g, m // 2]) / 2
 
 
-def _ransac_groups(obs, kind, bounds, cfg, velocity=None, depths=None):
+def _ransac_groups(obs, kind, bounds, cfg, depths=None):
     """ransac_estimate on every contiguous group obs[bounds[g]:bounds[g+1]]
     at once: a list holding, per group, its FitReport or the
     SolverDegeneracy that ransac_estimate raises on that group alone.
@@ -624,7 +610,9 @@ def _ransac_groups(obs, kind, bounds, cfg, velocity=None, depths=None):
     bounds = np.asarray(bounds, dtype=np.intp)
     sizes = np.diff(bounds)
     c = kind.minimal_samples
-    a, b = _rows(obs, kind, *_flow_model(obs, kind, velocity, depths))
+    a, b = build_rows(obs, kind, depths)
+    # an array, so that the probe's index arrays can index it
+    depths = None if depths is None else np.asarray(depths).reshape(-1)
     results = [None] * len(sizes)
     drawn = sizes >= 2 * c
     for g in np.flatnonzero(~drawn):
@@ -634,8 +622,7 @@ def _ransac_groups(obs, kind, bounds, cfg, velocity=None, depths=None):
             NoConsensus(f"{sizes[g]} observations < {2 * c}: no consensus"))
 
     def rows_of(groups, picks=None):
-        return _GroupRows(obs, kind, velocity, depths, a, b, bounds, groups,
-                          picks)
+        return _GroupRows(obs, kind, depths, a, bounds, groups, picks)
 
     t2 = cfg.threshold ** 2
     best_cost = np.full(len(sizes), np.inf)
@@ -753,8 +740,8 @@ def _ransac_groups(obs, kind, bounds, cfg, velocity=None, depths=None):
                 return results
         sel = np.flatnonzero(inliers)
         theta, _, cond, errors = _solve_groups(
-            rows.a, rows.b, sel, rows.gid[sel], len(live), kind.required_rank,
-            weight=1.0 / np.sqrt(s2[sel]))
+            rows.a, rows.mag2, sel, rows.gid[sel], len(live),
+            kind.required_rank, weight=1.0 / np.sqrt(s2[sel]))
         failed = np.array([err is not None for err in errors])
         if failed.any():
             for j in np.flatnonzero(failed):

@@ -267,38 +267,33 @@ def _scaled_solve(gram, rhs):
     return np.linalg.solve(scaled, rhs * d) * d, scaled
 
 
-def _starved(seg_counts, n_ctrl):
-    """Control points all of whose supporting segments are empty."""
-    n_seg = seg_counts.size
-    starved = []
-    for i in range(n_ctrl):
-        segs = range(max(0, i - 3), min(n_seg, i + 1))
-        if all(seg_counts[j] == 0 for j in segs):
-            starved.append(i)
-    return starved
+def _starved(seg_counts):
+    """Control points all of whose supporting segments are empty: point i
+    is supported by segments i - 3 .. i."""
+    return np.flatnonzero(np.convolve(seg_counts, np.ones(4)) == 0).tolist()
 
 
 def _regularization_rows(starved, n_ctrl, dim, weight):
-    rows = []
-    for i in starved:
-        row = np.zeros(n_ctrl)
-        if 0 < i < n_ctrl - 1:
-            row[i - 1], row[i], row[i + 1] = -0.5, 1.0, -0.5
-        elif i == 0:
-            row[0], row[1] = 1.0, -1.0
-        else:
-            row[i], row[i - 1] = 1.0, -1.0
-        rows.append(row * weight)
-    if not rows:
-        return np.zeros((0, n_ctrl * dim))
-    base = np.array(rows)
-    return np.kron(base, np.eye(dim))
+    """One smoothness row per starved control point i, times weight: c_i
+    less the mean of its two neighbours, or at an end c_i less its one
+    neighbour."""
+    i = np.asarray(starved, dtype=np.intp)[:, None]
+    j = np.arange(n_ctrl)
+    end = (i == 0) | (i == n_ctrl - 1)
+    base = np.where(j == i, 1.0, np.where(np.abs(j - i) == 1,
+                                          np.where(end, -1.0, -0.5), 0.0))
+    return np.kron(base * weight, np.eye(dim))
 
 
 def _huber_objective(r, delta):
+    """sum of r^2 / 2 where |r| <= delta, delta (|r| - delta / 2) beyond;
+    the linear branch is evaluated only where it applies, so delta = inf
+    gives the plain sum of squares."""
     a = np.abs(r)
-    quad = a <= delta
-    return float(np.sum(np.where(quad, 0.5 * r * r, delta * a - 0.5 * delta * delta)))
+    out = 0.5 * r * r
+    lin = a > delta
+    out[lin] = delta * a[lin] - 0.5 * delta * delta
+    return float(np.sum(out))
 
 
 def fit(problem, init):
@@ -332,7 +327,7 @@ def fit(problem, init):
 
     rows = _BlockRows(obs, depths, problem.kind, init)
     seg_counts = np.bincount(rows.seg, minlength=n_ctrl - 3)
-    starved_cp = _starved(seg_counts, n_ctrl)
+    starved_cp = _starved(seg_counts)
     row_scale = float(np.median(np.linalg.norm(rows.vals, axis=1))) or 1.0
     reg = _regularization_rows(starved_cp, n_ctrl, dim, REG_WEIGHT * row_scale)
     reg_gram = reg.T @ reg

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from evnormalflow.cli import main
+from evnormalflow.cli import _atomic_write, main
 
 
 def run(*argv):
@@ -112,6 +112,31 @@ def test_simulate_non_finite_time_exits_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_simulate_two_walls(tmp_path):
+    out = simulate(tmp_path, "--scene", "two-walls")
+    truth = read_json(out / "ground_truth.json")
+    # two planes: no one homography, and a six-dof fit on the depths
+    # recovers the default motion
+    assert truth["hd"] is None and len(truth["z"]) == 400
+    assert min(truth["z"]) > 0
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "six-dof", "--output", report_path) == 0
+    assert np.allclose(read_json(report_path)["theta"],
+                       [0.2, -0.1, 0.3, 0.1, -0.2, 0.15], atol=1e-5)
+
+
+def test_atomic_write_leaves_nothing_when_the_writer_raises(tmp_path):
+    def writer(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(tmp_path / "out.json", writer)
+    assert os.listdir(tmp_path) == []
+
+
 def test_simulate_bad_scene_parameter(tmp_path):
     code = run("simulate", "--output-dir", tmp_path / "x",
                "--scene", "plane", "--plane-d", -1)
@@ -147,7 +172,7 @@ def test_solve_reports_ransac_run(tmp_path):
     # too few flows for the probe: every hypothesis is scored on every row
     assert report["rows_scored"] == report["iterations"] * report["n_obs"]
     # the threshold comes from the data: about 3 sigma of the 0.5 px noise
-    # over a 200 px focal length, well below the 9 px/s default bound
+    # over a 200 px focal length, well below the 12 px/s default bound
     assert 1.0 / 200 < report["threshold"] < 3.0 / 200
     assert report["rms"] < report["threshold"]
 
@@ -232,11 +257,17 @@ def test_solve_homography_reports_decomposition(tmp_path):
         assert np.isclose(np.linalg.norm(cand["normal"]), 1.0, atol=1e-9)
 
 
+def velocity_file(tmp_path):
+    """The simulated default motion as a --velocity file."""
+    path = tmp_path / "velocity.json"
+    path.write_text(json.dumps({"nu": [0.2, -0.1, 0.3],
+                                "omega": [0.1, -0.2, 0.15]}))
+    return path
+
+
 def test_solve_depth_per_pixel(tmp_path):
     out = simulate(tmp_path)
-    velocity_path = tmp_path / "velocity.json"
-    velocity_path.write_text(json.dumps(
-        {"nu": [0.2, -0.1, 0.3], "omega": [0.1, -0.2, 0.15]}))
+    velocity_path = velocity_file(tmp_path)
     report_path = tmp_path / "depth.json"
     code = run("solve", "--flows", out / "observations.csv", "--kind", "depth",
                "--velocity", velocity_path, "--output", report_path)
@@ -248,6 +279,51 @@ def test_solve_depth_per_pixel(tmp_path):
     assert len(solved) == report["stats"]["solved"] > 350
     est, true = np.array(solved).T
     assert np.median(np.abs(est - true) / true) < 1e-6
+
+
+def test_solve_optical_flow_per_pixel(tmp_path):
+    out = simulate(tmp_path)
+    report_path = tmp_path / "flow.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "optical-flow", "--velocity", velocity_file(tmp_path),
+               "--output", report_path) == 0
+    report = read_json(report_path)
+    assert report["model"] == "optical_flow" and report["n_obs"] == 400
+    truth = read_json(out / "ground_truth.json")
+    solved = [(entry["u"], u_true) for entry, u_true
+              in zip(report["per_obs"], truth["u"]) if entry["u"] is not None]
+    assert len(solved) == report["stats"]["solved"] > 350
+    assert report["stats"]["solved"] + report["stats"]["failed"] == 400
+    est, true = (np.array(part) for part in zip(*solved))
+    rel = np.linalg.norm(est - true, axis=1) / np.linalg.norm(true, axis=1)
+    assert np.median(rel) < 1e-6
+
+
+def test_solve_homography_pure_rotation(tmp_path):
+    # no translation: H_d = -[omega]_x has no plane to decompose, and the
+    # report carries omega instead of candidates
+    out = simulate(tmp_path, "--scene", "plane", "--nu", "0,0,0")
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "diff-homography", "--output", report_path) == 0
+    report = read_json(report_path)
+    assert report["degenerate"] == "pure-rotation"
+    assert report["candidates"] is None
+    assert np.allclose(report["omega"], [0.1, -0.2, 0.15], atol=1e-6)
+
+
+def test_solve_homography_rank_one(tmp_path):
+    # translation along the normal of the fronto-parallel plane, no
+    # rotation: H_d is rank one and has no unique decomposition
+    out = simulate(tmp_path, "--scene", "plane", "--nu", "0,0,0.3",
+                   "--omega", "0,0,0")
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "diff-homography", "--output", report_path) == 0
+    report = read_json(report_path)
+    assert report["degenerate"] == "rank-one"
+    assert report["candidates"] is None and "omega" not in report
+    assert np.linalg.matrix_rank(np.array(report["h_d"]), tol=1e-6) == 1
 
 
 def test_solve_per_pixel_requires_velocity(tmp_path):

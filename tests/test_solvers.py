@@ -344,7 +344,8 @@ def test_diff_homography_eps_shift_invisible():
 # --------------------------------------------------------------------------
 # one flow model per kind
 
-MODEL_VELOCITY = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+GLOBAL_KINDS = [ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF,
+                ModelKind.DIFF_HOMOGRAPHY]
 
 
 def field_observations(seed, k=500):
@@ -358,43 +359,49 @@ def field_observations(seed, k=500):
 
 def matrix_rows(obs, kind, depths):
     """Constraint rows from geometry's interaction matrices."""
-    n, mag2, v = obs.n, obs.mag2, MODEL_VELOCITY
     x, y = obs.xy[:, 0], obs.xy[:, 1]
-    if kind is ModelKind.OPTICAL_FLOW:
-        return n, mag2
-    if kind is ModelKind.DEPTH:
-        return (np.sum(n * (matrix_a(x, y) @ v.nu), axis=1)[:, None],
-                mag2 - np.sum(n * (matrix_b(x, y) @ v.omega), axis=1))
     matrix = {ModelKind.ANGULAR_VELOCITY: lambda: matrix_b(x, y),
               ModelKind.SIX_DOF: lambda: matrix_d(x, y, depths),
               ModelKind.DIFF_HOMOGRAPHY: lambda: matrix_c(x, y)}[kind]()
-    return np.einsum("ki,kij->kj", n, matrix), mag2
+    return np.einsum("ki,kij->kj", obs.n, matrix), obs.mag2
 
 
-@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("kind", GLOBAL_KINDS)
 def test_build_rows_equal_interaction_matrix_rows(kind):
     obs, depths = field_observations(50)
-    a, b = build_rows(obs, kind, velocity=MODEL_VELOCITY, depths=depths)
+    a, b = build_rows(obs, kind, depths=depths)
     a_ref, b_ref = matrix_rows(obs, kind, depths)
     assert a.shape == (len(obs), kind.param_dim)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
 
 
-@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("kind", GLOBAL_KINDS)
 def test_rows_give_the_flow_model_residual(kind):
     # a @ theta - b is the n . u - |n|^2 that RANSAC scores, so solving and
     # scoring use one model
     obs, depths = field_observations(51)
-    a, b = build_rows(obs, kind, velocity=MODEL_VELOCITY, depths=depths)
-    flow, offset = _flow_model(obs, kind, MODEL_VELOCITY, depths)
+    a, b = build_rows(obs, kind, depths=depths)
+    flow = _flow_model(obs.xy, kind, depths)
     for theta in np.random.default_rng(52).normal(size=(5, kind.param_dim)):
         ux, uy = flow(theta)
-        if offset is not None:
-            ux, uy = ux + offset[0], uy + offset[1]
         r = obs.n[:, 0] * ux + obs.n[:, 1] * uy - obs.mag2
         scale = np.abs(a) @ np.abs(theta) + np.abs(b)
         assert np.all(np.abs(a @ theta - b - r) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind, solver", [
+    (ModelKind.OPTICAL_FLOW, "solve_optical_flow"),
+    (ModelKind.DEPTH, "solve_depth")])
+def test_per_pixel_kinds_have_no_global_model(kind, solver):
+    # flow and depth under a known motion share no parameters across
+    # pixels: the global-model path refuses them and names their closed form
+    obs, _ = field_observations(53, k=20)
+    for call in (lambda: _flow_model(obs.xy, kind),
+                 lambda: build_rows(obs, kind),
+                 lambda: ransac_estimate(obs, kind)):
+        with pytest.raises(ValueError, match=solver):
+            call()
 
 
 # --------------------------------------------------------------------------
@@ -471,30 +478,22 @@ def test_ransac_threshold_follows_the_noise(sigma_px):
         assert report.threshold == pytest.approx(floor, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", [ModelKind.DEPTH, ModelKind.SIX_DOF,
+@pytest.mark.parametrize("kind", [ModelKind.SIX_DOF,
                                   ModelKind.DIFF_HOMOGRAPHY,
-                                  ModelKind.ANGULAR_VELOCITY,
-                                  ModelKind.OPTICAL_FLOW])
+                                  ModelKind.ANGULAR_VELOCITY])
 def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
     # the solver's closed-form flows agree with geometry's interaction
     # matrices: its inliers lie within report.threshold of the lines there
     v = Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15))
     if kind is ModelKind.ANGULAR_VELOCITY:
         v = Velocity(nu=(0, 0, 0), omega=v.omega)
-    elif kind is ModelKind.OPTICAL_FLOW:
-        # in-plane translation past a fronto-parallel plane: one flow
-        v = Velocity(nu=(0.2, -0.1, 0), omega=(0, 0, 0))
-    scene = RandomPointsScene() if kind in (
-        ModelKind.SIX_DOF, ModelKind.ANGULAR_VELOCITY) else \
-        PlaneScene(normal=(0, 0, 1.0), d=2.0)
+    scene = (PlaneScene(normal=(0, 0, 1.0), d=2.0)
+             if kind is ModelKind.DIFF_HOMOGRAPHY else RandomPointsScene())
     noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.3)
     obs, truth = generate_dataset(scene, ConstantMotion(v), count=600,
                                   noise=noise, seed=41)
     x, y = obs.xy[:, 0], obs.xy[:, 1]
-    if kind is ModelKind.DEPTH:
-        report = ransac_estimate(obs, kind, RansacConfig(seed=2), velocity=v)
-        u = motion_field(x, y, np.full(len(obs), 1.0 / report.theta[0]), v)
-    elif kind is ModelKind.SIX_DOF:
+    if kind is ModelKind.SIX_DOF:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2),
                                  depths=truth.z)
         u = motion_field(x, y, truth.z, Velocity(nu=report.theta[:3],
@@ -502,12 +501,9 @@ def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
     elif kind is ModelKind.DIFF_HOMOGRAPHY:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2))
         u = homography_flow(report.theta.reshape(3, 3), x, y)
-    elif kind is ModelKind.ANGULAR_VELOCITY:
-        report = ransac_estimate(obs, kind, RansacConfig(seed=2))
-        u = matrix_b(x, y) @ report.theta
     else:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2))
-        u = np.tile(report.theta, (len(obs), 1))
+        u = matrix_b(x, y) @ report.theta
     e = line_distance(obs, u)
     assert np.all(e[report.inliers] <= report.threshold)
     recall = np.isin(np.flatnonzero(truth.inlier_mask), report.inliers).mean()
@@ -515,20 +511,28 @@ def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
 
 
 def test_ransac_zero_predicted_flow_is_an_outlier():
-    # under forward translation the image centre is the focus of expansion:
-    # every depth hypothesis predicts exactly zero flow there, which scores
-    # as e = inf, an outlier, and raises no division warning
-    v = Velocity(nu=(0, 0, 0.4), omega=(0, 0, 0))
-    scene = PlaneScene(normal=(0, 0, 1.0), d=2.0)
-    obs, _ = generate_dataset(scene, ConstantMotion(v), count=200, seed=42)
+    # a rotation about the optical axis predicts exactly zero flow at the
+    # image centre, which scores as e = inf, an outlier, and raises no
+    # division warning; the fit's hypotheses, near that rotation, predict
+    # almost no flow there and leave the centre out too
+    kind = ModelKind.ANGULAR_VELOCITY
+    v = Velocity(nu=(0, 0, 0), omega=(0, 0, 1.0))
+    obs, _ = generate_dataset(RandomPointsScene(), ConstantMotion(v),
+                              count=200, seed=42)
     centre = Observations(xy=[(0.0, 0.0)], n=[(0.01, 0.0)], t=[0.0])
+    obs = as_observations([centre, obs])
+    a, _ = build_rows(obs, kind)
+    rows = _GroupRows(obs, kind, None, a, np.array([0, 201]), np.array([0]))
     with np.errstate(all="raise"):
-        report = ransac_estimate([centre, obs], ModelKind.DEPTH,
-                                 RansacConfig(seed=1), velocity=v)
+        r, s2 = rows.residual(v.omega[None, :])
+        e2 = solvers._squared_distance(r, s2)
+        report = ransac_estimate(obs, kind, RansacConfig(seed=1))
+    assert s2[0] == 0 and e2[0] == np.inf
+    assert np.all(e2[1:] < 1e-20)
     assert 0 not in report.inliers
     assert len(report.inliers) == 200
     assert np.isfinite(report.rms)
-    assert report.theta[0] == pytest.approx(0.5, abs=1e-9)
+    assert np.allclose(report.theta, v.omega, atol=1e-12)
 
 
 def test_ransac_reports_hitting_the_cap():
@@ -600,18 +604,6 @@ def test_ransac_six_dof_with_outliers():
     assert np.linalg.norm(report.theta - gt) / np.linalg.norm(gt) < 1e-8
 
 
-def test_ransac_depth_kind_shared_inverse_depth():
-    # on a fronto-parallel plane all observations share one depth, so the
-    # single-parameter depth model theta = 1/Z fits every inlier
-    v = Velocity(nu=(0.3, -0.2, 0.0), omega=(0.05, -0.1, 0.2))
-    scene = PlaneScene(normal=(0, 0, 1.0), d=2.0)
-    obs, _ = generate_dataset(scene, ConstantMotion(v), count=200, seed=14)
-    report = ransac_estimate(obs, ModelKind.DEPTH, RansacConfig(seed=14),
-                             velocity=v)
-    assert report.theta[0] == pytest.approx(0.5, abs=1e-9)
-    assert len(report.inliers) == 200
-
-
 def test_minimal_sample_sizes():
     assert ModelKind.OPTICAL_FLOW.minimal_samples == 1
     assert ModelKind.DEPTH.minimal_samples == 1
@@ -668,7 +660,7 @@ def ransac_loop(obs, kind, cfg, depths=None):
     (theta, inliers, iterations, hit_cap, threshold, rms)."""
     k, c = len(obs), kind.minimal_samples
     a, b = build_rows(obs, kind, depths=depths)
-    flow, _ = _flow_model(obs, kind, depths=depths)
+    flow = _flow_model(obs.xy, kind, depths)
 
     def residual(theta):
         ux, uy = flow(theta)
@@ -760,9 +752,9 @@ def test_group_medians_equal_np_median():
     obs = Observations(xy=rng.uniform(-0.5, 0.5, (40, 2)),
                        n=rng.uniform(-1, 1, (40, 2)), t=np.zeros(40))
     kind = ModelKind.ANGULAR_VELOCITY
-    a, b = build_rows(obs, kind)
+    a, _ = build_rows(obs, kind)
     bounds = np.array([0, 9, 10, 24, 40])
-    rows = _GroupRows(obs, kind, None, None, a, b, bounds, np.array([0, 2, 3]))
+    rows = _GroupRows(obs, kind, None, a, bounds, np.array([0, 2, 3]))
     values = rng.exponential(size=len(rows.gid))
     mask = rng.random(len(rows.gid)) < 0.6
     mask[rows.starts] = True
@@ -843,6 +835,13 @@ def test_probe_changes_no_result(monkeypatch, kind, sigma_px):
     scores, rest = divmod(probed.rows_scored - (probed.iterations - 1)
                           * solvers._PROBE_ROWS, len(obs))
     assert rest == 0 and 1 <= scores < probed.iterations
+
+
+def test_probed_fit_takes_depths_as_a_sequence():
+    kind = ModelKind.SIX_DOF
+    obs, depths = robust_case(kind, 0.5, count=solvers._PROBE_MIN)
+    assert_same_report(ransac_estimate(obs, kind, depths=depths.tolist()),
+                       ransac_estimate(obs, kind, depths=depths))
 
 
 def test_probed_group_beside_small_ones_equals_lone_calls():

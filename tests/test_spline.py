@@ -249,6 +249,68 @@ def test_fit_starved_segment_flagged_and_bounded():
     assert np.allclose(vals[:, 2], 1.0, atol=1e-6)  # constant bridges the gap
 
 
+def test_starved_points_and_their_smoothness_rows():
+    # point i rests on segments i - 3 .. i; an end point is tied to its one
+    # neighbour, an inner one to the mean of both
+    counts = np.array([0, 0, 5, 0, 0, 0, 0, 2, 0])
+    assert _starved(counts) == [0, 1, 6, 11]
+    reg = _regularization_rows([0, 1, 6, 11], 12, 1, 2.0)
+    want = np.zeros((4, 12))
+    want[0, :2] = 2.0, -2.0
+    want[1, :3] = -1.0, 2.0, -1.0
+    want[2, 5:8] = -1.0, 2.0, -1.0
+    want[3, 10:] = -2.0, 2.0
+    assert np.array_equal(reg, want)
+    assert np.array_equal(_regularization_rows([6], 12, 3, 1.0),
+                          np.kron(want[2:3] / 2, np.eye(3)))
+    assert _regularization_rows([], 12, 3, 1.0).shape == (0, 36)
+
+
+def test_fit_holds_empty_end_segments_at_their_neighbours():
+    # a user init one segment wider than the data on each side: the end
+    # control points rest on empty segments alone, so only their smoothness
+    # rows hold them, each equal to its neighbour
+    motion = ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0, 0, 1.0)))
+    obs, _ = rotation_dataset(motion, count=2000, seed=73)
+    obs = obs[(obs.t >= 0.05) & (obs.t < 0.35)]
+    init = SplineTrajectory(np.tile((0.1, -0.1, 0.8), (11, 1)), t0=-0.05,
+                            dt=0.05)
+    problem = SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY)
+    traj, report = fit(problem, init)
+    assert report.starved_segments == [0, 7]
+    assert report.starved_control_points == [0, 10]
+    cp = traj.control_points
+    assert np.allclose(cp, (0.0, 0.0, 1.0), atol=1e-9)
+    assert np.allclose(cp[0], cp[1], atol=1e-12)
+    assert np.allclose(cp[-1], cp[-2], atol=1e-12)
+    # lstsq on the dense design holds the weakly tied end points less
+    # tightly than the Jacobi-scaled normal equations
+    want, rounds = dense_fit(problem, init)
+    assert report.irls_rounds == rounds
+    assert np.max(np.abs(cp - want)) < 1e-7
+
+
+def test_fit_from_an_exact_init_has_no_huber_scale():
+    # every residual of an exact init is zero to rounding, so the Huber
+    # scale is infinite and the objective is the plain sum of squares,
+    # computed without an inf * 0
+    rng = np.random.default_rng(74)
+    xy = rng.uniform(-0.5, 0.5, (400, 2))
+    t = rng.uniform(0.0, 0.3, 400)
+    # a rotation about z has flow (y, -x); (y, 0) is its normal component
+    obs = Observations(xy=xy, n=np.c_[xy[:, 1], np.zeros(400)], t=t)
+    t0, n_ctrl = trajectory_covering(t.min(), t.max(), 0.05)
+    init = SplineTrajectory(np.tile((0.0, 0.0, 1.0), (n_ctrl, 1)), t0=t0,
+                            dt=0.05)
+    with np.errstate(all="raise"):
+        traj, report = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY),
+                           init)
+    assert all(np.isfinite(report.objective_history))
+    assert np.allclose(traj.control_points, (0.0, 0.0, 1.0), atol=1e-9)
+    assert _huber_objective(np.array([0.0, -3.0, 4.0]), np.inf) == 12.5
+    assert _huber_objective(np.array([0.0, -3.0, 4.0]), 2.0) == 10.0
+
+
 def test_fit_six_dof_kind():
     v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
     obs, truth = generate_dataset(RandomPointsScene(), ConstantMotion(v),
@@ -377,7 +439,7 @@ def dense_fit(problem, init):
     n_ctrl, dim = init.n_ctrl, init.dim
     a, rhs, seg = dense_design(obs, depths, problem.kind, init)
     seg_counts = np.bincount(seg, minlength=n_ctrl - 3)
-    starved_cp = _starved(seg_counts, n_ctrl)
+    starved_cp = _starved(seg_counts)
     row_scale = float(np.median(np.linalg.norm(a, axis=1))) or 1.0
     reg = _regularization_rows(starved_cp, n_ctrl, dim, REG_WEIGHT * row_scale)
     reg_rhs = np.zeros(len(reg))
