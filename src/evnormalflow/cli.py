@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -240,18 +241,27 @@ def cmd_extract(args):
         seed=args.seed)
     intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
                       DEFAULT_INTRINSICS)
+    start = time.perf_counter()
     events = read_events(args.events, width=intr.width, height=intr.height)
+    read = time.perf_counter()
     t_ref = args.t_ref
     if t_ref is None:
         t_ref = float(events.t[-1]) if len(events) else 0.0
     polarity = {"joint": None, "pos": 1, "neg": -1}[args.polarity]
     surface = build_time_surface(events, t_ref, cfg.temporal_window,
                                  (intr.height, intr.width), polarity=polarity)
+    built = time.perf_counter()
     obs, stats = extract_normal_flows(surface, intr, cfg)
+    extracted = time.perf_counter()
     _atomic_write(args.output, lambda tmp: write_flows_csv(tmp, obs))
+    written = time.perf_counter()
     stats_path = args.stats or f"{args.output}.stats.json"
     _atomic_write_json(stats_path, {
-        "n_events": len(events), "t_ref": t_ref, "stats": stats.to_dict(),
+        "n_events": len(events), "fired_px": int(surface.fired_mask().sum()),
+        "t_ref": t_ref, "stats": stats.to_dict(),
+        "timings": {"read_s": read - start, "surface_s": built - read,
+                    "extract_s": extracted - built,
+                    "write_s": written - extracted},
         "manifest": _manifest(args)})
     return 0
 

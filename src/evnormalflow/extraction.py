@@ -9,14 +9,17 @@ reject neighbouring pixels belonging to other structures.
 All candidate pixels are fit together.  One box sum over the recent mask
 gives each pixel's support k, the recently fired pixels in its window;
 pixels of equal k are fit as one group, a chunk of CHUNK_BYTES at a time,
-on (P, k) support arrays with no padding.  Minimal samples are drawn by
-hashing a counter with each pixel's own uint64 key (a counter-based
-stream: Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011), the minimal planes solved in closed form by Cramer's rule and
-scored with one batched product, and one batched 3x3 normal-equation
-refit.  A pixel's key depends only on the seed and its coordinates, and
-`fit_local_plane` runs the same code on one pixel with the same k, so
-results do not depend on batching.
+on (P, k) support arrays with no padding.  The surface is padded once
+with a window-wide margin of unfired pixels, so a chunk's windows are one
+flat gather.  Minimal samples are drawn by hashing a counter with each
+pixel's own uint64 key (a counter-based stream: Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011), in place; the minimal
+planes are solved in closed form by Cramer's rule, scored a block of
+SCORE_BYTES of residuals at a time so that the passes over them stay in
+cache, and refit by one batched 3x3 normal-equation solve.  A pixel's key
+depends only on the seed and its coordinates, and `fit_local_plane` runs
+the same code on one pixel with the same k, so results do not depend on
+batching.
 
 The flows come out as one Observations with the pixel locations and fit
 diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow;
@@ -34,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateConfiguration, InsufficientSupport
+from .events import UNFIRED
 from .geometry import Observations, pixel_to_calibrated
 
 # One row of a flows CSV; simulated data add a depth column Z.
@@ -121,9 +125,13 @@ class ExtractionStats:
 # Outcome of one pixel's plane fit.
 _FITTED, _INSUFFICIENT, _DEGENERATE = 0, 1, 2
 
-# Pixels fit together hold (plane_iters, k) float64 arrays of
-# hypothesis-by-support values; a chunk of pixels keeps each near this size.
+# A chunk of pixels fit together has (plane_iters, k) hypothesis-by-support
+# residuals per pixel; a chunk keeps them near this size in float64.
 CHUNK_BYTES = 1 << 22
+# They are formed and scored a block of pixels at a time, in buffers of
+# about this size: half of a 2 MiB per-core L2 cache, so that the passes
+# over them stay in it.
+SCORE_BYTES = 1 << 20
 
 
 class _PlaneFits(NamedTuple):
@@ -148,30 +156,56 @@ def _support_counts(ts, cfg, px, py):
     return total[y1, x1] - total[y0, x1] - total[y1, x0] + total[y0, x0]
 
 
-def _gather_support(ts, cfg, px, py, k):
+class _PaddedSurface(NamedTuple):
+    """A surface laid out so that a window is one flat gather."""
+    times: np.ndarray     # (H + 2s, W + 2s) times relative to t_ref where a
+                          # pixel fired recently, UNFIRED elsewhere, s = side
+    offsets: np.ndarray   # (s*s,) flat offsets of a window's pixels from its
+                          # top-left corner, row-major
+    rows: np.ndarray      # (s*s, 3) float rows [dx dy 1] of those pixels
+
+
+def _pad_surface(ts, cfg):
+    """The surface's recent times on a margin of one window width of
+    UNFIRED.  The window of a centre up to half a window off the sensor lies
+    inside it, and so does that of a centre one pixel further off, onto
+    which `_gather_support` clips any centre further still."""
+    side, half = cfg.spatial_window, cfg.spatial_window // 2
+    recent = ts.timestamps > ts.t_ref - cfg.temporal_window
+    h, w = ts.shape
+    times = np.full((h + 2 * side, w + 2 * side), UNFIRED)
+    times[side:side + h, side:side + w][recent] = ts.timestamps[recent] - ts.t_ref
+    off_y, off_x = np.divmod(np.arange(side * side), side)
+    rows = np.stack([off_x - half, off_y - half, np.ones_like(off_x)], axis=1)
+    return _PaddedSurface(times, off_y * times.shape[1] + off_x,
+                          rows.astype(float))
+
+
+def _gather_support(padded, cfg, px, py, k):
     """The k recently fired pixels in each pixel's window, in row-major
     order; every pixel (px, py) has exactly k of them.
 
-    Returns (P, k) integer offsets (dx, dy) to the centre and times t
-    relative to t_ref.
+    `padded` is the `_pad_surface` of the surface.  Returns the (P, k, 3)
+    float rows [dx dy 1], (dx, dy) the integer offset to the centre, and
+    the (P, k) times t relative to t_ref.
     """
-    side = cfg.spatial_window
-    h, w = ts.shape
-    off_y, off_x = np.divmod(np.arange(side * side), side)
-    off_x, off_y = off_x - side // 2, off_y - side // 2
-    qx, qy = px[:, None] + off_x, py[:, None] + off_y
-    inside = (qx >= 0) & (qx < w) & (qy >= 0) & (qy < h)
-    t = ts.timestamps[np.clip(qy, 0, h - 1), np.clip(qx, 0, w - 1)]
-    recent = inside & (t > ts.t_ref - cfg.temporal_window)
+    side, half = cfg.spatial_window, cfg.spatial_window // 2
+    h, w = padded.times.shape[0] - 2 * side, padded.times.shape[1] - 2 * side
+    # A centre with its whole window off the sensor sees only margin.
+    left = np.clip(px, -half - 1, w + half) + side - half
+    top = np.clip(py, -half - 1, h + half) + side - half
+    corner = top * padded.times.shape[1] + left
+    t = padded.times.ravel().take(corner[:, None] + padded.offsets)
+    recent = t != UNFIRED
     # nonzero walks the mask in row-major order: each row's k slots in turn.
     slot = np.nonzero(recent)[1].reshape(px.size, k)
-    t = np.take_along_axis(t, slot, axis=1) - ts.t_ref
-    return off_x[slot], off_y[slot], t
+    return padded.rows.take(slot, axis=0), t[recent].reshape(px.size, k)
 
 
-def _collinear(dx, dy):
-    """Rank of the [dx dy 1] design below 3, in exact integer arithmetic:
+def _collinear(design):
+    """Rank of the [dx dy 1] design below 3, exact on integer offsets:
     every support pixel lies on the line through the first two."""
+    dx, dy = design[:, :, 0], design[:, :, 1]
     ex, ey = dx[:, 1:2] - dx[:, :1], dy[:, 1:2] - dy[:, :1]
     cross = (dx - dx[:, :1]) * ey - (dy - dy[:, :1]) * ex
     return ~np.any(cross, axis=1)
@@ -187,12 +221,14 @@ _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
 
 
 def _mix(z):
-    """SplitMix64 finaliser of a uint64 array, in place (wrapping)."""
-    z ^= z >> _S30
+    """SplitMix64 finaliser of a uint64 array, in place (wrapping), with
+    one scratch array for the shifts."""
+    tmp = np.empty_like(z)
+    z ^= np.right_shift(z, _S30, out=tmp)
     z *= _MUL1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=tmp)
     z *= _MUL2
-    z ^= z >> _S31
+    z ^= np.right_shift(z, _S31, out=tmp)
     return z
 
 
@@ -203,7 +239,7 @@ def _pixel_keys(seed, px, py):
     return _mix(_mix(z))
 
 
-def _sample_triples(cfg, px, py, k):
+def _sample_triples(cfg, keys, k):
     """Per pixel and iteration, three distinct support slots below k.
 
     Draw j of iteration i hashes the pixel's key with the counter 3i + j,
@@ -211,39 +247,50 @@ def _sample_triples(cfg, px, py, k):
     (h*m) >> 32.  The slots come from Floyd's sampling without replacement
     (Bentley & Floyd, CACM 1987): r0 below k-2; r1 below k-1, or k-2 if it
     repeats r0; r2 below k, or k-1 if it repeats r0 or r1.  So a pixel's
-    draws depend only on the seed and its own coordinates.  Returns three
-    (P, plane_iters) index arrays.
+    draws depend only on the seed and its own coordinates, through its
+    `_pixel_keys` key.  Returns the (3, P, plane_iters) int64 slots r0, r1
+    and r2.
     """
-    counter = np.arange(3 * cfg.plane_iters, dtype=np.uint64)
+    iters = cfg.plane_iters
+    # counter[j, i] = (3i + j) * gamma
+    counter = np.arange(3 * iters, dtype=np.uint64).reshape(iters, 3).T.copy()
     counter *= _GAMMA_U64
-    h = _pixel_keys(cfg.seed, px, py)[:, None] + counter
-    h = _mix(h).reshape(px.size, cfg.plane_iters, 3) >> _S32
-    # (P, 3) bounds k-2, k-1 and k of the three draws.
-    bound = k.astype(np.uint64)[:, None] - np.arange(3, dtype=np.uint64)[::-1]
-    r0, r1, r2 = np.moveaxis((h * bound[:, None, :]) >> _S32, 2, 0)
-    k_2, k_1 = bound[:, :1], bound[:, 1:2]
-    r1 = np.where(r1 == r0, k_2, r1)
-    r2 = np.where((r2 == r0) | (r2 == r1), k_1, r2)
-    return [r.astype(np.intp) for r in (r0, r1, r2)]
+    h = _mix(keys[:, None] + counter[:, None, :])
+    h >>= _S32
+    # (3, P) bounds k-2, k-1 and k of the three draws.
+    bound = k.astype(np.uint64) - np.arange(3, dtype=np.uint64)[::-1, None]
+    h *= bound[:, :, None]
+    h >>= _S32
+    # Every slot is below 2**32, so its bits read the same as int64.
+    slots = h.view(np.int64)
+    r0, r1, r2 = slots
+    np.copyto(r1, (k - 2)[:, None], where=r1 == r0)
+    np.copyto(r2, (k - 1)[:, None], where=(r2 == r0) | (r2 == r1))
+    return slots
 
 
-def _minimal_planes(dx, dy, t, picks):
+def _minimal_planes(design, t, picks):
     """Plane (a, b, c) through each minimal sample, by Cramer's rule.
 
-    Returns (P, 3, iters) coefficients and the (P, iters) mask of samples
-    that span a plane.  Integer offsets make the determinant exact, so a
-    sample is degenerate exactly when it is 0; its coefficients are
-    finite and meaningless.
+    `design` holds the (P, k, 3) rows [dx dy 1], `t` the (P, k) times and
+    `picks` the (3, P, iters) slots of each sample.  Returns (P, 3, iters)
+    coefficients and the (P, iters) mask of samples that span a plane.
+    Integer offsets make the determinant exact, so a sample is degenerate
+    exactly when it is 0; its coefficients are finite and meaningless.
     """
-    n, slots = dx.shape
-    flat = [r + np.arange(0, n * slots, slots)[:, None] for r in picks]
-    (x0, x1, x2), (y0, y1, y2), (t0, t1, t2) = (
-        [v.ravel().take(f) for f in flat] for v in (dx, dy, t))
-    x1, x2, y1, y2 = x1 - x0, x2 - x0, y1 - y0, y2 - y0
-    t1, t2 = t1 - t0, t2 - t0
+    n, slots = t.shape
+    flat = picks + np.arange(0, n * slots, slots)[:, None]
+    t0, t1, t2 = t.ravel().take(flat)
+    rows = design.ravel()
+    flat *= 3
+    x0, x1, x2 = rows.take(flat)
+    flat += 1
+    y0, y1, y2 = rows.take(flat)
+    for v, v0 in ((x1, x0), (x2, x0), (y1, y0), (y2, y0), (t1, t0), (t2, t0)):
+        v -= v0
     det = x1 * y2 - x2 * y1
     ok = det != 0
-    det = np.where(ok, det, 1)
+    det[~ok] = 1.0
     a = (t1 * y2 - t2 * y1) / det
     b = (x1 * t2 - x2 * t1) / det
     return np.stack([a, b, t0 - a * x0 - b * y0], axis=1), ok
@@ -257,16 +304,37 @@ def _best_consensus(cfg, design, t, planes, ok):
     Returns each pixel's best consensus size (-1 when every sample was
     degenerate) and its inlier mask over the k slots; ties go to the
     lowest iteration.
+
+    The pixels are scored a block at a time, the block's residuals held
+    slot-major, (k, block, iters), in buffers of about SCORE_BYTES reused
+    from block to block, so that every pass over them stays in cache and
+    the count over the slots adds whole rows.  Each pixel's product is
+    the one an unblocked product gives, bit for bit.
     """
-    rows = np.arange(design.shape[0])
-    resid = design @ planes                                 # (P, k, iters)
-    resid -= t[:, :, None]
-    inlier = np.abs(resid, out=resid) <= cfg.plane_thresh
+    n, k, iters = t.shape[0], t.shape[1], planes.shape[2]
+    block = max(1, min(n, SCORE_BYTES // (8 * k * iters)))
+    resid = np.empty(k * block * iters)
+    inlier = np.empty(k * block * iters, dtype=bool)
     # The narrowest signed type that holds -k sums bools fastest.
-    counts = inlier.sum(axis=1, dtype=np.min_scalar_type(-design.shape[1]))
-    counts[~ok] = -1
-    best = counts.argmax(axis=1)
-    return counts[rows, best], inlier[rows, :, best]
+    counts = np.empty(block * iters, dtype=np.min_scalar_type(-k))
+    best_count = np.empty(n, dtype=counts.dtype)
+    weight = np.empty((n, k), dtype=bool)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        size = k * (hi - lo) * iters
+        r = resid[:size].reshape(k, hi - lo, iters)
+        mask = inlier[:size].reshape(k, hi - lo, iters)
+        count = counts[:size // k].reshape(hi - lo, iters)
+        np.matmul(design[lo:hi], planes[lo:hi], out=r.transpose(1, 0, 2))
+        r -= t[lo:hi].T[:, :, None]
+        np.less_equal(np.abs(r, out=r), cfg.plane_thresh, out=mask)
+        mask.sum(axis=0, dtype=count.dtype, out=count)
+        count[~ok[lo:hi]] = -1
+        best = count.argmax(axis=1)
+        rows = np.arange(hi - lo)
+        best_count[lo:hi] = count[rows, best]
+        weight[lo:hi] = mask[:, rows, best].T
+    return best_count, weight
 
 
 def _refit(design, t, weight):
@@ -274,7 +342,11 @@ def _refit(design, t, weight):
     normal-equation solve.  Returns (P, 3) coefficients and residual rms."""
     weighted = (design * weight[:, :, None]).transpose(0, 2, 1)
     coef = np.linalg.solve(weighted @ design, weighted @ t[:, :, None])[..., 0]
-    res = np.sum(design * coef[:, None, :], axis=2) - t
+    # dx a + dy b + c - t, summed left to right as np.sum sums three terms
+    res = design[:, :, 0] * coef[:, None, 0]
+    res += design[:, :, 1] * coef[:, None, 1]
+    res += coef[:, None, 2]
+    res -= t
     rms = np.sqrt(np.sum(res * res * weight, axis=1) / weight.sum(axis=1))
     return coef, rms
 
@@ -291,6 +363,8 @@ def _fit_planes(ts, cfg, px, py):
     fits = _PlaneFits(status=np.full(n, _INSUFFICIENT, dtype=np.int8),
                       support=k, inliers=np.zeros(n, dtype=np.int64),
                       coef=np.zeros((n, 3)), rms=np.zeros(n))
+    padded = _pad_surface(ts, cfg)
+    keys = _pixel_keys(cfg.seed, px, py)
     order = np.argsort(k, kind="stable")
     sizes, starts = np.unique(k[order], return_index=True)
     for size, start, stop in zip(sizes.tolist(), starts.tolist(),
@@ -300,14 +374,14 @@ def _fit_planes(ts, cfg, px, py):
         chunk = max(1, CHUNK_BYTES // (8 * cfg.plane_iters * size))
         for lo in range(start, stop, chunk):
             idx = order[lo:min(lo + chunk, stop)]
-            dx, dy, t = _gather_support(ts, cfg, px[idx], py[idx], size)
-            degenerate = _collinear(dx, dy)
-            fits.status[idx[degenerate]] = _DEGENERATE
-            run = ~degenerate
-            idx, dx, dy, t = idx[run], dx[run], dy[run], t[run]
-            design = np.stack([dx, dy, np.ones_like(dx)], axis=2).astype(float)
-            picks = _sample_triples(cfg, px[idx], py[idx], k[idx])
-            planes, ok = _minimal_planes(dx, dy, t, picks)
+            design, t = _gather_support(padded, cfg, px[idx], py[idx], size)
+            degenerate = _collinear(design)
+            if degenerate.any():
+                fits.status[idx[degenerate]] = _DEGENERATE
+                run = ~degenerate
+                idx, design, t = idx[run], design[run], t[run]
+            picks = _sample_triples(cfg, keys[idx], k[idx])
+            planes, ok = _minimal_planes(design, t, picks)
             count, weight = _best_consensus(cfg, design, t, planes, ok)
             fits.inliers[idx] = np.maximum(count, 0)
             good = count >= cfg.min_support

@@ -101,7 +101,9 @@ def decompose_hd(h_d, tol=_DEGENERACY_TOL):
     and the candidates are (j |k|, k/|k|, .) and (k |j|, j/|j|, .), each
     omega read off the remaining skew part.  Raises PureRotationDegenerate
     (carrying omega) when M vanishes and RankOneDegenerate when nu is
-    parallel to N, which collapses both candidates.
+    parallel to N, which collapses both candidates.  Raises ValueError when
+    M's middle eigenvalue is not 0 within tol of its largest magnitude, as
+    for a linear-solver H_L not yet passed through `recover_true_hd`.
     """
     h = h_d.h if isinstance(h_d, DiffHomography) else np.asarray(h_d, dtype=float)
     m = -(h + h.T)
@@ -110,7 +112,12 @@ def decompose_hd(h_d, tol=_DEGENERACY_TOL):
         raise PureRotationDegenerate(
             "no visible plane: H_d is purely rotational", omega=-vee(h))
     eigvals, eigvecs = np.linalg.eigh(m)       # ascending
-    l_min, l_max = float(eigvals[0]), float(eigvals[2])
+    l_min, l_mid, l_max = (float(v) for v in eigvals)
+    if abs(l_mid) > tol * max(abs(l_min), abs(l_max)):
+        raise ValueError(
+            f"-(H + H^T) has middle eigenvalue {l_mid:.6g}, not 0, so H is no "
+            "differential homography; a linear-solver H_L needs "
+            "recover_true_hd first")
     if min(abs(l_min), abs(l_max)) <= tol * max(abs(l_min), abs(l_max)):
         raise RankOneDegenerate(
             "translation parallel to the plane normal: candidates coincide")

@@ -512,6 +512,12 @@ def test_extract_pipeline(tmp_path):
     assert stats["n_events"] == 60 * 24
     assert stats["t_ref"] == 0.295          # the last event's time
     assert stats["stats"]["emitted"] == len(rows)
+    # the 0.04 s window ending at 0.295 s holds the last 8 steps' columns
+    assert stats["fired_px"] == 8 * 24
+    assert set(stats["timings"]) == {"read_s", "surface_s", "extract_s",
+                                     "write_s"}
+    assert all(isinstance(v, float) and v >= 0
+               for v in stats["timings"].values())
     assert no_tmp_left(tmp_path)
 
 
@@ -576,6 +582,7 @@ def test_extract_empty_events(tmp_path):
     assert read_csv_rows(flows_path) == []
     stats = read_json(tmp_path / "flows.csv.stats.json")
     assert stats["n_events"] == 0 and stats["t_ref"] == 0.0
+    assert stats["fired_px"] == 0 and len(stats["timings"]) == 4
 
 
 def test_extract_missing_events_file(tmp_path):

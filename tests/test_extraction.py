@@ -1,4 +1,5 @@
 """Local plane fitting and normal-flow extraction from time surfaces."""
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from evnormalflow import (DegenerateConfiguration, EventArray,
 from evnormalflow import extraction
 from evnormalflow.events import TimeSurface, UNFIRED
 from evnormalflow.extraction import (FLOWS_DTYPE, _minimal_planes,
-                                     _sample_triples)
+                                     _pixel_keys, _sample_triples)
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60)
 
@@ -510,7 +511,8 @@ def test_sampler_matches_python_integer_reference(seed):
     px = np.array([0, 1, 239, 5000, 123456])
     py = np.array([0, 0, 179, 3, 654321])
     k = np.array([3, 10, 49, 17, 4])
-    picks = np.stack(_sample_triples(cfg, px, py, k), axis=2)
+    picks = np.stack(_sample_triples(cfg, _pixel_keys(seed, px, py), k),
+                     axis=2)
     for row, (x, y, m) in enumerate(zip(px.tolist(), py.tolist(), k.tolist())):
         assert picks[row].tolist() == [list(t) for t in reference_triples(
             seed, x, y, m, cfg.plane_iters)]
@@ -520,7 +522,7 @@ def test_sampler_three_distinct_slots_below_k():
     cfg = ExtractionConfig(seed=11)
     ks = np.arange(3, 50)
     px, py = np.arange(ks.size) * 7, np.arange(ks.size) * 3
-    r0, r1, r2 = _sample_triples(cfg, px, py, ks)
+    r0, r1, r2 = _sample_triples(cfg, _pixel_keys(cfg.seed, px, py), ks)
     assert r0.shape == (ks.size, cfg.plane_iters)
     for r in (r0, r1, r2):
         assert np.all((r >= 0) & (r < ks[:, None]))
@@ -533,9 +535,9 @@ def test_sampler_slot_frequencies_uniform():
     # Floyd step that swapped in the wrong slot puts it in the thousands.
     cfg = ExtractionConfig(seed=0, plane_iters=50)
     n = 2000
-    px, py = np.arange(n) % 80, np.arange(n) // 80
+    keys = _pixel_keys(cfg.seed, np.arange(n) % 80, np.arange(n) // 80)
     for k in range(3, 50):
-        picks = _sample_triples(cfg, px, py, np.full(n, k))
+        picks = _sample_triples(cfg, keys, np.full(n, k))
         counts = np.bincount(np.concatenate([p.ravel() for p in picks]),
                              minlength=k)
         expected = 3 * n * cfg.plane_iters / k
@@ -562,13 +564,18 @@ def random_minimal_samples(rng, n=400, slots=49, iters=50):
     dy = rng.integers(-3, 4, (n, slots))
     t = rng.uniform(-0.04, 0.0, (n, slots))
     order = np.argsort(rng.random((n, iters, slots)), axis=2)
-    return dx, dy, t, [order[..., j] for j in range(3)]
+    return dx, dy, t, np.moveaxis(order[..., :3], 2, 0)
+
+
+def design_rows(dx, dy):
+    """The (P, k, 3) float rows [dx dy 1] that extraction fits on."""
+    return np.stack([dx, dy, np.ones_like(dx)], axis=2).astype(float)
 
 
 def test_minimal_planes_match_lapack_oracle():
     dx, dy, t, picks = random_minimal_samples(np.random.default_rng(21))
     with np.errstate(all="raise"):
-        coef, ok = _minimal_planes(dx, dy, t, picks)
+        coef, ok = _minimal_planes(design_rows(dx, dy), t, picks)
     want, want_ok = lapack_planes(dx, dy, t, picks)
     assert np.array_equal(ok, want_ok) and 0 < (~ok).sum() < ok.size // 4
     got = coef.transpose(0, 2, 1)[ok]
@@ -580,7 +587,7 @@ def test_minimal_planes_flag_collinear_samples_without_warnings():
     dx, _, t, picks = random_minimal_samples(np.random.default_rng(22), n=50)
     dy = 2 * dx - 1            # every support pixel on one line, many repeated
     with np.errstate(all="raise"):
-        coef, ok = _minimal_planes(dx, dy, t, picks)
+        coef, ok = _minimal_planes(design_rows(dx, dy), t, picks)
     assert not ok.any() and np.all(np.isfinite(coef))
 
 
@@ -592,13 +599,28 @@ def extraction_outputs(surface, cfg):
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
 def test_extract_bitwise_independent_of_chunk_size(monkeypatch, chunk_bytes):
+    # Each chunk size is scored one pixel per block and in one block.
     surface, _, _ = jittered_edge_surface(3)
     cfg = ExtractionConfig(seed=3)
     want, want_stats = extraction_outputs(surface, cfg)
     monkeypatch.setattr(extraction, "CHUNK_BYTES", chunk_bytes)
-    got, stats = extraction_outputs(surface, cfg)
-    assert stats == want_stats and want_stats["insufficient_support"] > 0
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for score_bytes in (1, 1 << 30):
+        monkeypatch.setattr(extraction, "SCORE_BYTES", score_bytes)
+        got, stats = extraction_outputs(surface, cfg)
+        assert stats == want_stats and want_stats["insufficient_support"] > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_extract_leaves_surface_unchanged():
+    # A read-only surface makes any in-place step on it raise.
+    surface, _, _ = jittered_edge_surface(5)
+    before = surface.timestamps.copy()
+    surface.timestamps.flags.writeable = False
+    for cfg in (ExtractionConfig(seed=5),
+                ExtractionConfig(seed=5, temporal_window=math.inf)):
+        obs, stats = extract_normal_flows(surface, INTR, cfg)
+        assert stats.emitted == len(obs) > 0
+    assert np.array_equal(surface.timestamps, before)
 
 
 @pytest.mark.parametrize("side", [3, 5, 7, 9])
@@ -615,15 +637,19 @@ def test_support_box_sum_equals_gathered_support(side):
     recent = ts > surface.t_ref - cfg.temporal_window
     py, px = np.mgrid[-side:h + side, -side:w + side].reshape(2, -1)
     k = extraction._support_counts(surface, cfg, px, py)
+    padded = extraction._pad_surface(surface, cfg)
     half = side // 2
     for x, y, count in zip(px.tolist(), py.tolist(), k.tolist()):
         window = recent[max(y - half, 0):max(y + half + 1, 0),
                         max(x - half, 0):max(x + half + 1, 0)]
         assert count == window.sum(), (x, y)
-        dx, dy, t = extraction._gather_support(surface, cfg, np.array([x]),
+        design, t = extraction._gather_support(padded, cfg, np.array([x]),
                                                np.array([y]), count)
         assert t.shape == (1, count) and np.all(t > -cfg.temporal_window)
+        assert design.shape == (1, count, 3) and np.all(design[..., 2] == 1)
+        dx, dy = design[0, :, 0].astype(int), design[0, :, 1].astype(int)
         assert np.all(recent[y + dy, x + dx])
+        assert np.array_equal(t[0], ts[y + dy, x + dx] - surface.t_ref)
 
 
 @pytest.mark.parametrize("center", [(-4, 10), (10, -4), (-4, -4), (83, 30),
@@ -650,20 +676,22 @@ def test_fit_centre_just_off_sensor_uses_its_on_sensor_support(center):
 def test_extract_many_support_sizes_chunk_free_and_equal_to_single_fits(
         monkeypatch):
     # Edges plus dense background put the candidates in many support
-    # groups; one pixel per chunk and one chunk for everything give the
-    # same output, and each flow is its pixel's single fit.
+    # groups; one pixel per chunk, and one chunk for everything scored one
+    # pixel per block or in one block, give the default's output, and each
+    # flow is its pixel's single fit.
     surface, _, _ = jittered_edge_surface(6, background=0.4)
     cfg = ExtractionConfig(seed=6)
     ys, xs = np.nonzero(surface.timestamps > surface.t_ref - cfg.temporal_window)
     sizes = np.unique(extraction._support_counts(surface, cfg, xs, ys))
     assert np.sum(sizes >= cfg.min_support) >= 25
-    results = []
-    for chunk_bytes in (1, 1 << 30):
+    want, want_stats = extraction_outputs(surface, cfg)
+    assert want_stats["insufficient_support"] > 0
+    for chunk_bytes, score_bytes in ((1, 1), (1 << 30, 1), (1 << 30, 1 << 30)):
         monkeypatch.setattr(extraction, "CHUNK_BYTES", chunk_bytes)
-        results.append(extraction_outputs(surface, cfg))
-    (got, stats), (want, want_stats) = results
-    assert stats == want_stats and want_stats["insufficient_support"] > 0
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        monkeypatch.setattr(extraction, "SCORE_BYTES", score_bytes)
+        got, stats = extraction_outputs(surface, cfg)
+        assert stats == want_stats
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     _, flows, _, _, pixels, consensus, residuals = want
     assert len(pixels) > 0.5 * stats["candidates"]
     for (x, y), n, inliers, rms in zip(pixels.tolist(), flows.tolist(),

@@ -121,6 +121,20 @@ def test_decompose_rank_one_degenerate():
         decompose_hd(hd)
 
 
+def test_decompose_linear_solver_h_without_recovery_raises():
+    # H_L = H_d + eps I shifts every eigenvalue of -(H + H^T) by -2 eps, so
+    # the middle one is no longer 0 and no factorisation exists.
+    with pytest.raises(ValueError, match="recover_true_hd"):
+        decompose_hd(-np.eye(3) + 0.01 * np.arange(9).reshape(3, 3))
+    rng = np.random.default_rng(54)
+    omega, v, n = random_structure(rng)
+    h_l = compose_hd(omega, v, n).h + 0.3 * np.eye(3)
+    with pytest.raises(ValueError, match="recover_true_hd"):
+        decompose_hd(h_l)
+    rec, _ = recover_true_hd(h_l)
+    assert len(decompose_hd(rec).candidates) == 2
+
+
 def test_end_to_end_eps_range():
     rng = np.random.default_rng(53)
     for _ in range(100):
