@@ -130,8 +130,8 @@ def _load_json(path, what, build, default=None):
 
 
 def _floats(count=None):
-    """argparse type: comma-separated numbers, exactly `count` of them when
-    given, else any number with empty items skipped."""
+    """argparse type: comma-separated finite numbers, exactly `count` of
+    them when given, else any number with empty items skipped."""
     def parse(text):
         parts = text.split(",")
         if count is None:
@@ -143,6 +143,9 @@ def _floats(count=None):
         if count is not None and len(values) != count:
             raise argparse.ArgumentTypeError(
                 f"expected {count} comma-separated numbers")
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite numbers, got {text!r}")
         return values
     return parse
 
@@ -164,6 +167,8 @@ def _checked(convert, ok, rule):
 _seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_non_negative = _checked(float, lambda v: 0 <= v < math.inf,
+                         "non-negative and finite")
 
 
 def _read_config(path):
@@ -539,7 +544,7 @@ def build_parser():
     p.add_argument("--motion", choices=["constant", "step"], default="constant")
     p.add_argument("--count", type=_count, default=1000)
     p.add_argument("--window", type=float, default=0.5)
-    p.add_argument("--noise-px", type=float, default=0.0)
+    p.add_argument("--noise-px", type=_non_negative, default=0.0)
     p.add_argument("--outlier-fraction", type=float, default=0.0)
     p.add_argument("--nu", type=_floats(3), default=[0.2, -0.1, 0.3])
     p.add_argument("--omega", type=_floats(3), default=[0.1, -0.2, 0.15])
@@ -547,11 +552,11 @@ def build_parser():
     p.add_argument("--omega-after", type=_floats(3))
     p.add_argument("--t-switch", type=float, default=0.25)
     p.add_argument("--plane-normal", type=_floats(3), default=[0.0, 0.0, 1.0])
-    p.add_argument("--plane-d", type=float, default=2.0)
+    p.add_argument("--plane-d", type=_positive, default=2.0)
     p.add_argument("--depth-range", type=_floats(2), default=[1.0, 5.0])
-    p.add_argument("--points-count", type=int)
+    p.add_argument("--points-count", type=_count)
     p.add_argument("--walls-angle", type=float, default=0.5)
-    p.add_argument("--extent", type=float, default=0.45)
+    p.add_argument("--extent", type=_positive, default=0.45)
     p.add_argument("--intrinsics")
 
     p = sub.add_parser("bench-noise", parents=[common],

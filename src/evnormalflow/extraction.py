@@ -9,17 +9,26 @@ reject neighbouring pixels belonging to other structures.
 All candidate pixels are fit together.  One box sum over the recent mask
 gives each pixel's support k, the recently fired pixels in its window;
 pixels of equal k are fit as one group, a chunk of CHUNK_BYTES at a time,
-on (P, k) support arrays with no padding.  The surface is padded once
-with a window-wide margin of unfired pixels, so a chunk's windows are one
-flat gather.  Minimal samples are drawn by hashing a counter with each
-pixel's own uint64 key (a counter-based stream: Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011), in place; the minimal
-planes are solved in closed form by Cramer's rule, scored a block of
-SCORE_BYTES of residuals at a time so that the passes over them stay in
-cache, and refit by one batched 3x3 normal-equation solve.  A pixel's key
-depends only on the seed and its coordinates, and `fit_local_plane` runs
-the same code on one pixel with the same k, so results do not depend on
-batching.
+on (P, k) support arrays.  A support size with fewer than GROUP_PIXELS
+pixels joins the next larger size present, so that every group pays its
+fixed cost in NumPy calls for enough pixels; its pixels' extra slots are
+padding that never counts as an inlier and never enters the refit.  The
+surface is padded once with a window-wide margin of unfired pixels, so a
+chunk's windows are one flat gather.  Minimal samples are drawn by
+hashing a counter with each pixel's own uint64 key (a counter-based
+stream: Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), in place; the minimal planes are solved in closed form by
+Cramer's rule, scored a block of SCORE_BYTES of residuals at a time so
+that the passes over them stay in cache, and refit by one batched 3x3
+normal-equation solve on each pixel's own k slots.
+
+RANSAC runs in two stages: the first STAGE_ITERS iterations for every
+pixel, then the rest only for the pixels whose best consensus is below
+their support k, in chunks of those pixels alone.  A consensus
+of k cannot be beaten and ties go to the earliest iteration, so the rest
+could not change the other pixels' fits.  A pixel's key depends only on
+the seed and its coordinates, and `fit_local_plane` runs the same code on
+one pixel, so results do not depend on batching or on the stages.
 
 The flows come out as one Observations with the pixel locations and fit
 diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow;
@@ -55,7 +64,9 @@ class ExtractionConfig:
     spatial_window   side of the square fit neighbourhood, pixels (odd)
     temporal_window  events older than this are ignored, seconds (inf: none)
     plane_thresh     RANSAC inlier threshold on |t - plane(x, y)|, seconds
-    plane_iters      RANSAC iterations per pixel
+    plane_iters      RANSAC iterations per pixel; a pixel whose first few
+                     hypotheses hold its whole support skips the rest,
+                     which could not change its fit
     min_support      minimum fired pixels and minimum consensus size
     min_gradient     gradients flatter than this are rejected, s/px; the
                      normal flow's speed is 1/|g|, so this caps it at
@@ -112,11 +123,17 @@ class PlaneFit:
 
 @dataclass
 class ExtractionStats:
+    """Candidate pixels, emitted flows and rejections by reason.
+    whole_consensus counts the pixels whose first STAGE_ITERS hypotheses
+    held their whole support, so that RANSAC skipped the rest (none when
+    plane_iters leaves no second stage)."""
+
     candidates: int = 0
     emitted: int = 0
     insufficient_support: int = 0
     degenerate_configuration: int = 0
     below_min_gradient: int = 0
+    whole_consensus: int = 0
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -132,6 +149,13 @@ CHUNK_BYTES = 1 << 22
 # about this size: half of a 2 MiB per-core L2 cache, so that the passes
 # over them stay in it.
 SCORE_BYTES = 1 << 20
+# RANSAC's first stage: these iterations run for every pixel, the rest only
+# for the pixels they leave short of their whole support.  With fewer than
+# two iterations left there is one stage: NumPy forms a one-hypothesis
+# product as a matrix-vector product, which adds in another order.
+STAGE_ITERS = 4
+# A support size with fewer pixels joins the next larger size present.
+GROUP_PIXELS = 128
 
 
 class _PlaneFits(NamedTuple):
@@ -140,6 +164,7 @@ class _PlaneFits(NamedTuple):
     inliers: np.ndarray   # (P,) best consensus size, 0 where RANSAC did not run
     coef: np.ndarray      # (P, 3) plane (a, b, c), c relative to t_ref
     rms: np.ndarray       # (P,) residual rms of the final fit
+    stopped: np.ndarray   # (P,) whole support held after the first stage
 
 
 def _support_counts(ts, cfg, px, py):
@@ -149,7 +174,10 @@ def _support_counts(ts, cfg, px, py):
     recent = ts.timestamps > ts.t_ref - cfg.temporal_window
     h, w = recent.shape
     total = np.zeros((h + 1, w + 1), dtype=np.int64)
-    total[1:, 1:] = recent.cumsum(axis=0).cumsum(axis=1)
+    total[1:, 1:] = recent
+    # In place on int64, twice as fast as a cumsum of the bool mask.
+    np.cumsum(total, axis=1, out=total)
+    np.cumsum(total, axis=0, out=total)
     half = cfg.spatial_window // 2
     x0, x1 = np.clip(px - half, 0, w), np.clip(px + half + 1, 0, w)
     y0, y1 = np.clip(py - half, 0, h), np.clip(py + half + 1, 0, h)
@@ -181,13 +209,17 @@ def _pad_surface(ts, cfg):
                           rows.astype(float))
 
 
-def _gather_support(padded, cfg, px, py, k):
-    """The k recently fired pixels in each pixel's window, in row-major
-    order; every pixel (px, py) has exactly k of them.
+def _gather_support(padded, cfg, px, py, k, width):
+    """The recently fired pixels in each pixel's window, in row-major
+    order, on K = width slots; pixel (px, py) has k <= K of them, the (P,)
+    support counts.
 
-    `padded` is the `_pad_surface` of the surface.  Returns the (P, k, 3)
+    `padded` is the `_pad_surface` of the surface.  Returns the (P, K, 3)
     float rows [dx dy 1], (dx, dy) the integer offset to the centre, and
-    the (P, k) times t relative to t_ref.
+    the (P, K) times t relative to t_ref.  A pixel's slots past its k are
+    padding: the row of its first slot, which leaves its support exactly
+    as collinear as it was, and time NaN, which is never within a
+    threshold of a plane.
     """
     side, half = cfg.spatial_window, cfg.spatial_window // 2
     h, w = padded.times.shape[0] - 2 * side, padded.times.shape[1] - 2 * side
@@ -198,8 +230,18 @@ def _gather_support(padded, cfg, px, py, k):
     t = padded.times.ravel().take(corner[:, None] + padded.offsets)
     recent = t != UNFIRED
     # nonzero walks the mask in row-major order: each row's k slots in turn.
-    slot = np.nonzero(recent)[1].reshape(px.size, k)
-    return padded.rows.take(slot, axis=0), t[recent].reshape(px.size, k)
+    pixel, slot = np.nonzero(recent)
+    if k.min() == width:
+        return (padded.rows.take(slot.reshape(px.size, width), axis=0),
+                t[recent].reshape(px.size, width))
+    first = np.cumsum(k) - k
+    dest = pixel * width + np.arange(slot.size) - first.repeat(k)
+    slots = np.repeat(slot[first], width)
+    slots[dest] = slot
+    times = np.full(px.size * width, np.nan)
+    times[dest] = t[recent]
+    return (padded.rows.take(slots.reshape(px.size, width), axis=0),
+            times.reshape(px.size, width))
 
 
 def _collinear(design):
@@ -239,8 +281,9 @@ def _pixel_keys(seed, px, py):
     return _mix(_mix(z))
 
 
-def _sample_triples(cfg, keys, k):
-    """Per pixel and iteration, three distinct support slots below k.
+def _sample_triples(keys, k, start, stop):
+    """Per pixel and iteration start <= i < stop, three distinct support
+    slots below k.
 
     Draw j of iteration i hashes the pixel's key with the counter 3i + j,
     h = mix(key + (3i + j)*gamma) >> 32, and maps it below m as
@@ -248,12 +291,13 @@ def _sample_triples(cfg, keys, k):
     (Bentley & Floyd, CACM 1987): r0 below k-2; r1 below k-1, or k-2 if it
     repeats r0; r2 below k, or k-1 if it repeats r0 or r1.  So a pixel's
     draws depend only on the seed and its own coordinates, through its
-    `_pixel_keys` key.  Returns the (3, P, plane_iters) int64 slots r0, r1
-    and r2.
+    `_pixel_keys` key, and on the iteration, not on the range drawn.
+    Returns the (3, P, stop - start) int64 slots r0, r1 and r2.
     """
-    iters = cfg.plane_iters
-    # counter[j, i] = (3i + j) * gamma
-    counter = np.arange(3 * iters, dtype=np.uint64).reshape(iters, 3).T.copy()
+    iters = stop - start
+    # counter[j, i - start] = (3i + j) * gamma
+    counter = np.arange(3 * start, 3 * stop,
+                        dtype=np.uint64).reshape(iters, 3).T.copy()
     counter *= _GAMMA_U64
     h = _mix(keys[:, None] + counter[:, None, :])
     h >>= _S32
@@ -337,58 +381,129 @@ def _best_consensus(cfg, design, t, planes, ok):
     return best_count, weight
 
 
-def _refit(design, t, weight):
+def _runs(k):
+    """(value, slice) of each run of equal values in the ascending k."""
+    values, starts = np.unique(k, return_index=True)
+    stops = starts[1:].tolist() + [k.size]
+    return [(value, slice(lo, hi)) for value, lo, hi in
+            zip(values.tolist(), starts.tolist(), stops)]
+
+
+def _refit(design, t, weight, k):
     """Least-squares planes on the weighted slots: one batched 3x3
-    normal-equation solve.  Returns (P, 3) coefficients and residual rms."""
+    normal-equation solve.  The pixels come in ascending support k, and
+    each sum over slots runs over a pixel's own k slots, the pixels of one
+    k at a time: padding would change how BLAS and np.sum block the sums.
+    Returns (P, 3) coefficients and residual rms."""
+    runs = _runs(k)
     weighted = (design * weight[:, :, None]).transpose(0, 2, 1)
-    coef = np.linalg.solve(weighted @ design, weighted @ t[:, :, None])[..., 0]
+    normal, moment = np.empty((k.size, 3, 3)), np.empty((k.size, 3, 1))
+    for size, rows in runs:
+        np.matmul(weighted[rows, :, :size], design[rows, :size],
+                  out=normal[rows])
+        np.matmul(weighted[rows, :, :size], t[rows, :size, None],
+                  out=moment[rows])
+    coef = np.linalg.solve(normal, moment)[..., 0]
     # dx a + dy b + c - t, summed left to right as np.sum sums three terms
     res = design[:, :, 0] * coef[:, None, 0]
     res += design[:, :, 1] * coef[:, None, 1]
     res += coef[:, None, 2]
     res -= t
-    rms = np.sqrt(np.sum(res * res * weight, axis=1) / weight.sum(axis=1))
-    return coef, rms
+    res *= res
+    res *= weight
+    total = np.empty(k.size)
+    for size, rows in runs:
+        np.sum(res[rows, :size], axis=1, out=total[rows])
+    return coef, np.sqrt(total / weight.sum(axis=1))
+
+
+def _support_groups(k, min_support):
+    """Index arrays of the pixels fit together, in ascending support k:
+    pixels of equal k, a size with fewer than GROUP_PIXELS pixels joined
+    by the next larger sizes present until the group has that many.
+    Sizes below min_support are not fit."""
+    order = np.argsort(k, kind="stable")
+    groups, lo = [], None
+    for size, run in _runs(k[order]):
+        if size < min_support:
+            continue
+        lo = run.start if lo is None else lo
+        if run.stop - lo >= GROUP_PIXELS:
+            groups.append(order[lo:run.stop])
+            lo = None
+    if lo is not None:
+        groups.append(order[lo:])
+    return groups
+
+
+def _chunks(idx, iters, width):
+    """`idx` in chunks whose (iters, width) residuals per pixel come to
+    about CHUNK_BYTES."""
+    chunk = max(1, CHUNK_BYTES // (8 * iters * width))
+    return [idx[lo:lo + chunk] for lo in range(0, idx.size, chunk)]
+
+
+def _consensus(cfg, keys, k, design, t, start, stop):
+    """The best consensus size and inlier mask of iterations start..stop-1
+    (see `_best_consensus`)."""
+    picks = _sample_triples(keys, k, start, stop)
+    planes, ok = _minimal_planes(design, t, picks)
+    return _best_consensus(cfg, design, t, planes, ok)
 
 
 def _fit_planes(ts, cfg, px, py):
     """Plane RANSAC at the pixels (px, py).
 
-    The pixels are grouped by their support k and each group is fit, a
-    chunk at a time, on exactly k slots.  A pixel fit alone has the same
-    k, so nothing a pixel gets depends on which pixels share its chunk.
+    The pixels are fit in `_support_groups`, a chunk at a time, on as many
+    slots as the group's largest support.  The first STAGE_ITERS iterations
+    run for every pixel of a chunk sized for them, so it holds about
+    plane_iters / STAGE_ITERS times as many pixels as a chunk of every
+    iteration would.  The rest run, in full-size chunks of their own, for
+    its pixels whose best consensus is still below their k, and replace
+    that best only with a larger one.  A pixel fit alone has the same
+    draws, consensus and refit, so nothing a pixel gets depends on which
+    pixels share its group or chunk.
     """
     n = px.size
     k = _support_counts(ts, cfg, px, py)
     fits = _PlaneFits(status=np.full(n, _INSUFFICIENT, dtype=np.int8),
                       support=k, inliers=np.zeros(n, dtype=np.int64),
-                      coef=np.zeros((n, 3)), rms=np.zeros(n))
+                      coef=np.zeros((n, 3)), rms=np.zeros(n),
+                      stopped=np.zeros(n, dtype=bool))
     padded = _pad_surface(ts, cfg)
     keys = _pixel_keys(cfg.seed, px, py)
-    order = np.argsort(k, kind="stable")
-    sizes, starts = np.unique(k[order], return_index=True)
-    for size, start, stop in zip(sizes.tolist(), starts.tolist(),
-                                 starts[1:].tolist() + [n]):
-        if size < cfg.min_support:
-            continue
-        chunk = max(1, CHUNK_BYTES // (8 * cfg.plane_iters * size))
-        for lo in range(start, stop, chunk):
-            idx = order[lo:min(lo + chunk, stop)]
-            design, t = _gather_support(padded, cfg, px[idx], py[idx], size)
+    iters = cfg.plane_iters
+    split = STAGE_ITERS if iters - STAGE_ITERS >= 2 else iters
+    for group in _support_groups(k, cfg.min_support):
+        width = int(k[group[-1]])
+        for idx in _chunks(group, split, width):
+            design, t = _gather_support(padded, cfg, px[idx], py[idx], k[idx],
+                                        width)
             degenerate = _collinear(design)
             if degenerate.any():
                 fits.status[idx[degenerate]] = _DEGENERATE
                 run = ~degenerate
                 idx, design, t = idx[run], design[run], t[run]
-            picks = _sample_triples(cfg, keys[idx], k[idx])
-            planes, ok = _minimal_planes(design, t, picks)
-            count, weight = _best_consensus(cfg, design, t, planes, ok)
+            count, weight = _consensus(cfg, keys[idx], k[idx], design, t,
+                                       0, split)
+            if split < iters:
+                whole = count == k[idx]
+                fits.stopped[idx] = whole
+                # The second stage, in chunks of the pixels short of their k.
+                short = np.flatnonzero(~whole)
+                for rows in _chunks(short, iters - split, width):
+                    more, more_weight = _consensus(
+                        cfg, keys[idx[rows]], k[idx[rows]], design[rows],
+                        t[rows], split, iters)
+                    better = more > count[rows]
+                    count[rows[better]] = more[better]
+                    weight[rows[better]] = more_weight[better]
             fits.inliers[idx] = np.maximum(count, 0)
             good = count >= cfg.min_support
             fitted = idx[good]
             fits.status[fitted] = _FITTED
             fits.coef[fitted], fits.rms[fitted] = _refit(
-                design[good], t[good], weight[good])
+                design[good], t[good], weight[good], k[fitted])
     return fits
 
 
@@ -446,7 +561,8 @@ def extract_normal_flows(ts, intr, cfg=None):
         candidates=int(xs.size), emitted=int(emit.size),
         insufficient_support=int(np.sum(fits.status == _INSUFFICIENT)),
         degenerate_configuration=int(np.sum(fits.status == _DEGENERATE)),
-        below_min_gradient=int(flat.sum()))
+        below_min_gradient=int(flat.sum()),
+        whole_consensus=int(fits.stopped.sum()))
     return obs, stats
 
 

@@ -41,8 +41,11 @@ class RandomPointsScene:
 
     def __post_init__(self):
         lo, hi = self.depth_range
-        if not (0 < lo <= hi):
-            raise ValueError("depth_range must be positive and ordered")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("depth_range must be positive, finite and ordered")
+        if self.count is not None and not self.count >= 1:
+            raise ValueError("count must be None or >= 1")
+        _check_extent(self.extent)
 
     def sample(self, rng, k):
         lo, hi = self.depth_range
@@ -63,10 +66,18 @@ def _plane_depths(normal, d, xy):
     return d / denom
 
 
+def _check_extent(extent):
+    if not 0 < extent < math.inf:          # also rejects NaN
+        raise ValueError("extent must be positive and finite")
+
+
 def _check_frustum(normal, d, extent):
     """Raise unless the plane N^T P = d lies in front of the camera over the
     whole square of half-side `extent`; depth is linear in x and y, so its
     four corners decide."""
+    if not 0 < d < math.inf:
+        raise ValueError("plane distance must be positive and finite")
+    _check_extent(extent)
     _plane_depths(normal, d, extent * np.array([[-1.0, -1.0], [-1.0, 1.0],
                                                 [1.0, -1.0], [1.0, 1.0]]))
 
@@ -81,10 +92,11 @@ class PlaneScene:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
-        n = n / np.linalg.norm(n)
+        norm = np.linalg.norm(n)
+        if not 0 < norm < math.inf:
+            raise ValueError("plane normal must be nonzero and finite")
+        n = n / norm
         object.__setattr__(self, "normal", tuple(n))
-        if self.d <= 0:
-            raise ValueError("plane distance must be positive")
         _check_frustum(n, self.d, self.extent)
 
     def sample(self, rng, k):
@@ -183,8 +195,8 @@ class NoiseSpec:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_px < 0:
-            raise ValueError("sigma_px must be >= 0")
+        if not 0 <= self.sigma_px < math.inf:
+            raise ValueError("sigma_px must be >= 0 and finite")
         if not 0 <= self.outlier_fraction < 1:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
@@ -429,8 +441,10 @@ def run_noise_sweep(kind, noise_grid_px=(0.01, 0.1, 1.0, 10.0, 100.0),
     surely monotone function of the noise level.
     """
     grid = np.asarray(noise_grid_px, dtype=float)
-    if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("noise grid must be non-negative, strictly increasing")
+    if (grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid < 0)
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError("noise grid must be finite, non-negative and "
+                         "strictly increasing")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     scene, motion = _sweep_setup(kind)

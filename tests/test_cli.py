@@ -112,6 +112,31 @@ def test_simulate_non_finite_time_exits_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--scene", "plane", "--plane-d", "nan"], "--plane-d"),
+    (["simulate", "--scene", "two-walls", "--plane-d", "inf"], "--plane-d"),
+    (["simulate", "--extent", "nan"], "--extent"),
+    (["simulate", "--extent", "0"], "--extent"),
+    (["simulate", "--depth-range", "1,inf"], "--depth-range"),
+    (["simulate", "--depth-range", "nan,2"], "--depth-range"),
+    (["simulate", "--noise-px", "nan"], "--noise-px"),
+    (["simulate", "--noise-px", "inf"], "--noise-px"),
+    (["simulate", "--nu", "nan,0,0"], "--nu"),
+    (["simulate", "--points-count", "0"], "--points-count"),
+    (["bench-noise", "--kind", "depth", "--grid", "nan"], "--grid"),
+    (["bench-noise", "--kind", "depth", "--grid", "0.1,inf"], "--grid")])
+def test_bad_number_flag_is_one_error_line_naming_it(tmp_path, monkeypatch,
+                                                    capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    rest = {"simulate": ["--output-dir", "out", "--count", 10],
+            "bench-noise": ["--output", "out", "--trials", 1]}[argv[0]]
+    assert run(*argv, *rest) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert argv[-1] in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_simulate_two_walls(tmp_path):
     out = simulate(tmp_path, "--scene", "two-walls")
     truth = read_json(out / "ground_truth.json")

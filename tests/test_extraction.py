@@ -201,7 +201,8 @@ def test_extract_counts_collinear_support_as_degenerate():
     assert stats.to_dict() == {"candidates": 60, "emitted": 0,
                                "insufficient_support": 2,
                                "degenerate_configuration": 58,
-                               "below_min_gradient": 0}
+                               "below_min_gradient": 0,
+                               "whole_consensus": 0}
 
 
 def test_extract_shape_mismatch():
@@ -511,18 +512,22 @@ def test_sampler_matches_python_integer_reference(seed):
     px = np.array([0, 1, 239, 5000, 123456])
     py = np.array([0, 0, 179, 3, 654321])
     k = np.array([3, 10, 49, 17, 4])
-    picks = np.stack(_sample_triples(cfg, _pixel_keys(seed, px, py), k),
-                     axis=2)
+    keys = _pixel_keys(seed, px, py)
+    picks = np.stack(_sample_triples(keys, k, 0, cfg.plane_iters), axis=2)
     for row, (x, y, m) in enumerate(zip(px.tolist(), py.tolist(), k.tolist())):
         assert picks[row].tolist() == [list(t) for t in reference_triples(
             seed, x, y, m, cfg.plane_iters)]
+    # A range of iterations draws what those iterations draw in the whole.
+    later = np.stack(_sample_triples(keys, k, 5, cfg.plane_iters), axis=2)
+    assert np.array_equal(later, picks[:, 5:])
 
 
 def test_sampler_three_distinct_slots_below_k():
     cfg = ExtractionConfig(seed=11)
     ks = np.arange(3, 50)
     px, py = np.arange(ks.size) * 7, np.arange(ks.size) * 3
-    r0, r1, r2 = _sample_triples(cfg, _pixel_keys(cfg.seed, px, py), ks)
+    r0, r1, r2 = _sample_triples(_pixel_keys(cfg.seed, px, py), ks, 0,
+                                 cfg.plane_iters)
     assert r0.shape == (ks.size, cfg.plane_iters)
     for r in (r0, r1, r2):
         assert np.all((r >= 0) & (r < ks[:, None]))
@@ -537,7 +542,7 @@ def test_sampler_slot_frequencies_uniform():
     n = 2000
     keys = _pixel_keys(cfg.seed, np.arange(n) % 80, np.arange(n) // 80)
     for k in range(3, 50):
-        picks = _sample_triples(cfg, keys, np.full(n, k))
+        picks = _sample_triples(keys, np.full(n, k), 0, cfg.plane_iters)
         counts = np.bincount(np.concatenate([p.ravel() for p in picks]),
                              minlength=k)
         expected = 3 * n * cfg.plane_iters / k
@@ -643,8 +648,8 @@ def test_support_box_sum_equals_gathered_support(side):
         window = recent[max(y - half, 0):max(y + half + 1, 0),
                         max(x - half, 0):max(x + half + 1, 0)]
         assert count == window.sum(), (x, y)
-        design, t = extraction._gather_support(padded, cfg, np.array([x]),
-                                               np.array([y]), count)
+        design, t = extraction._gather_support(
+            padded, cfg, np.array([x]), np.array([y]), np.array([count]), count)
         assert t.shape == (1, count) and np.all(t > -cfg.temporal_window)
         assert design.shape == (1, count, 3) and np.all(design[..., 2] == 1)
         dx, dy = design[0, :, 0].astype(int), design[0, :, 1].astype(int)
@@ -715,3 +720,138 @@ def test_extract_constructs_no_generator(monkeypatch):
         warnings.simplefilter("error")
         obs, stats = extract_normal_flows(surface, INTR, cfg)
     assert stats.emitted == len(obs) > 0.9 * stats.candidates
+
+
+# --------------------------------------------------------------------------
+# the two RANSAC stages and the merged sparse support sizes
+
+def planar_patch_surface(seed):
+    """A surface of a few planar patches with random gradients, part of
+    their pixels fired, plus scattered pixels at random times."""
+    rng = np.random.default_rng(seed)
+    h, w = INTR.height, INTR.width
+    ts = np.full((h, w), UNFIRED)
+    for _ in range(4):
+        y0, x0 = rng.integers(0, h - 8), rng.integers(0, w - 8)
+        y1, x1 = y0 + rng.integers(8, 30), x0 + rng.integers(8, 40)
+        qy, qx = np.mgrid[y0:min(y1, h), x0:min(x1, w)]
+        a, b = rng.uniform(-2e-3, 2e-3, 2)
+        plane = np.round(0.97 + a * (qx - x0) + b * (qy - y0)
+                         + rng.normal(0.0, 2e-6, qx.shape), 9)
+        keep = rng.random(qx.shape) < rng.uniform(0.6, 1.0)
+        ts[qy[keep], qx[keep]] = np.minimum(plane[keep], 1.0)
+    scattered = rng.random((h, w)) < 0.1
+    ts[scattered] = rng.uniform(0.9, 1.0, scattered.sum())
+    return TimeSurface(ts, 1.0, 0.1)
+
+
+def plane_fits(surface, cfg):
+    ys, xs = np.nonzero(surface.timestamps > surface.t_ref
+                        - cfg.temporal_window)
+    return extraction._fit_planes(surface, cfg, xs, ys)
+
+
+STAGED = extraction.STAGE_ITERS
+
+
+@pytest.mark.parametrize("iters", sorted({1, 2, 3, STAGED, STAGED + 1,
+                                          STAGED + 2, 50}))
+def test_staged_ransac_equals_single_stage(monkeypatch, iters):
+    # The oracle runs every iteration for every pixel in one stage.
+    surfaces = [(jittered_edge_surface(3)[0], 0.04),
+                (jittered_edge_surface(8, background=0.4)[0], 0.04),
+                (planar_patch_surface(1), 0.1), (planar_patch_surface(2), 0.1)]
+    for surface, window in surfaces:
+        cfg = ExtractionConfig(plane_iters=iters, temporal_window=window,
+                               seed=iters)
+        fits = plane_fits(surface, cfg)
+        got, stats = extraction_outputs(surface, cfg)
+        monkeypatch.setattr(extraction, "STAGE_ITERS", iters)
+        want_fits = plane_fits(surface, cfg)
+        want, want_stats = extraction_outputs(surface, cfg)
+        monkeypatch.undo()
+        for name in ("status", "support", "inliers", "coef", "rms"):
+            assert np.array_equal(getattr(fits, name),
+                                  getattr(want_fits, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert want_stats.pop("whole_consensus") == 0
+        assert stats.pop("whole_consensus") == fits.stopped.sum()
+        assert stats == want_stats
+        if iters - STAGED >= 2:
+            # Some pixels stop after the first stage, all with consensus k.
+            assert 0 < fits.stopped.sum() < fits.stopped.size
+            assert np.all(fits.inliers[fits.stopped]
+                          == fits.support[fits.stopped])
+        else:
+            assert not fits.stopped.any()
+
+
+def test_all_degenerate_first_stage_runs_the_second():
+    # A fired line with one fired pixel below it on the same time plane:
+    # in each line pixel's window only triples holding that pixel span a
+    # plane, so the first stage of some pixels draws none that does.
+    ts = np.full((INTR.height, INTR.width), UNFIRED)
+    x = np.arange(10, 70)
+    ts[30, 10:70] = 0.99 + 1e-4 * x
+    ts[31, 12:70:6] = 0.99 + 1e-4 * np.arange(12, 70, 6) + 5e-5
+    surface = TimeSurface(ts, 1.0, 0.04)
+    cfg = ExtractionConfig(min_support=5, seed=4)
+    fits = plane_fits(surface, cfg)
+    ys, xs = np.nonzero(ts > 0.0)
+    padded = extraction._pad_surface(surface, cfg)
+    first_ok = np.zeros(xs.size, dtype=bool)
+    for i, k in enumerate(fits.support.tolist()):
+        if k >= cfg.min_support:
+            px, py, k = xs[i:i + 1], ys[i:i + 1], fits.support[i:i + 1]
+            design, t = extraction._gather_support(padded, cfg, px, py, k,
+                                                   k[0])
+            picks = _sample_triples(_pixel_keys(cfg.seed, px, py), k, 0,
+                                    STAGED)
+            first_ok[i] = _minimal_planes(design, t, picks)[1].any()
+    late = (fits.status == extraction._FITTED) & ~first_ok
+    assert late.sum() >= 3
+    # Their whole support was found in the second stage.
+    assert np.all(fits.inliers[late] == fits.support[late])
+    assert not fits.stopped[late].any()
+    for px, py in zip(xs[late].tolist(), ys[late].tolist()):
+        fit = fit_local_plane(surface, (px, py), cfg)
+        i = np.flatnonzero((xs == px) & (ys == py))[0]
+        assert fit.inlier_count == fits.inliers[i]
+        assert tuple(fit.gradient) == tuple(fits.coef[i, :2])
+
+
+def test_sparse_support_sizes_share_their_fits(monkeypatch):
+    # Sizes with few pixels are scored together with the next larger
+    # sizes on padded slots, and every pixel keeps its single fit.
+    surface, _, _ = jittered_edge_surface(6, background=0.4)
+    cfg = ExtractionConfig(seed=6)
+    ys, xs = np.nonzero(surface.timestamps > surface.t_ref
+                        - cfg.temporal_window)
+    k = extraction._support_counts(surface, cfg, xs, ys)
+    sizes, counts = np.unique(k[k >= cfg.min_support], return_counts=True)
+    sparse = sizes[counts < extraction.GROUP_PIXELS]
+    assert sparse.size >= 10
+    first_stage = []
+    best_consensus = extraction._best_consensus
+
+    def counted(cfg, design, t, planes, ok):
+        if planes.shape[2] == STAGED:
+            # The real supports are the slots that are not NaN padding.
+            first_stage.append(set(np.sum(~np.isnan(t), axis=1).tolist()))
+        return best_consensus(cfg, design, t, planes, ok)
+
+    monkeypatch.setattr(extraction, "_best_consensus", counted)
+    fits = extraction._fit_planes(surface, cfg, xs, ys)
+    monkeypatch.undo()
+    # Far fewer first-stage runs than support sizes; of the sparse sizes
+    # only the largest may be left with no larger one to join.
+    assert len(first_stage) <= sizes.size // 2
+    alone = [s for s in sparse.tolist() if {s} in first_stage]
+    assert alone in ([], [sizes[-1]])
+    # Every pixel of a sparse size is fit as it is alone.
+    for i in np.flatnonzero(np.isin(k, sparse)).tolist():
+        one = extraction._fit_planes(surface, cfg, xs[i:i + 1], ys[i:i + 1])
+        for name in ("status", "support", "inliers", "coef", "rms",
+                     "stopped"):
+            assert np.array_equal(getattr(one, name)[0],
+                                  getattr(fits, name)[i]), name

@@ -232,6 +232,32 @@ def test_dataset_validation():
         NoiseSpec(outlier_fraction=1.0)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: NoiseSpec(sigma_px=math.nan), "sigma_px"),
+    (lambda: NoiseSpec(sigma_px=math.inf), "sigma_px"),
+    (lambda: PlaneScene(d=math.nan), "distance"),
+    (lambda: PlaneScene(d=math.inf), "distance"),
+    (lambda: PlaneScene(extent=math.nan), "extent"),
+    (lambda: PlaneScene(normal=(0.0, 0.0, 0.0)), "normal"),
+    (lambda: PlaneScene(normal=(math.nan, 0.0, 1.0)), "normal"),
+    (lambda: TwoWallsScene(d=math.nan), "distance"),
+    (lambda: RandomPointsScene(depth_range=(1.0, math.inf)), "depth_range"),
+    (lambda: RandomPointsScene(depth_range=(math.nan, 2.0)), "depth_range"),
+    (lambda: RandomPointsScene(extent=math.nan), "extent"),
+    (lambda: RandomPointsScene(extent=0.0), "extent"),
+    (lambda: RandomPointsScene(count=0), "count"),
+    (lambda: run_noise_sweep(ModelKind.ANGULAR_VELOCITY,
+                             noise_grid_px=[math.nan], trials=1, samples=10),
+     "noise grid"),
+    (lambda: run_noise_sweep(ModelKind.ANGULAR_VELOCITY,
+                             noise_grid_px=[0.1, math.inf], trials=1,
+                             samples=10), "noise grid")])
+def test_bad_scene_and_noise_values_refused(build, match):
+    # A NaN passes any "<= 0" check; these reach rng.uniform otherwise.
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_ground_truth_bundle_properties():
     plane = PlaneScene(normal=(0.0, 0.0, 1.0), d=2.0)
     motion = ConstantMotion(Velocity(nu=(0.2, 0, 0), omega=(0, 0, 0)))
