@@ -23,8 +23,8 @@ that the passes over them stay in cache, and refit by one batched 3x3
 normal-equation solve on each pixel's own k slots.
 
 RANSAC runs in two stages: the first STAGE_ITERS iterations for every
-pixel, then the rest only for the pixels whose best consensus is below
-their support k, in chunks of those pixels alone.  A consensus
+pixel of a chunk, then the rest only for its pixels whose best consensus
+is below their support k, in chunks of those pixels alone.  A consensus
 of k cannot be beaten and ties go to the earliest iteration, so the rest
 could not change the other pixels' fits.  A pixel's key depends only on
 the seed and its coordinates, and `fit_local_plane` runs the same code on
@@ -142,8 +142,9 @@ class ExtractionStats:
 # Outcome of one pixel's plane fit.
 _FITTED, _INSUFFICIENT, _DEGENERATE = 0, 1, 2
 
-# A chunk of pixels fit together has (plane_iters, k) hypothesis-by-support
-# residuals per pixel; a chunk keeps them near this size in float64.
+# A chunk of pixels fit together has (iters, k) hypothesis-by-support
+# residuals per pixel, and its gather a float64 time and an int64 index per
+# window pixel; a chunk keeps the larger of the two near this size.
 CHUNK_BYTES = 1 << 22
 # They are formed and scored a block of pixels at a time, in buffers of
 # about this size: half of a 2 MiB per-core L2 cache, so that the passes
@@ -231,12 +232,10 @@ def _gather_support(padded, cfg, px, py, k, width):
     recent = t != UNFIRED
     # nonzero walks the mask in row-major order: each row's k slots in turn.
     pixel, slot = np.nonzero(recent)
-    if k.min() == width:
-        return (padded.rows.take(slot.reshape(px.size, width), axis=0),
-                t[recent].reshape(px.size, width))
     first = np.cumsum(k) - k
     dest = pixel * width + np.arange(slot.size) - first.repeat(k)
-    slots = np.repeat(slot[first], width)
+    # argmax finds each row's first recent slot, or slot 0 if it has none.
+    slots = np.repeat(recent.argmax(axis=1), width)
     slots[dest] = slot
     times = np.full(px.size * width, np.nan)
     times[dest] = t[recent]
@@ -436,10 +435,11 @@ def _support_groups(k, min_support):
     return groups
 
 
-def _chunks(idx, iters, width):
-    """`idx` in chunks whose (iters, width) residuals per pixel come to
-    about CHUNK_BYTES."""
-    chunk = max(1, CHUNK_BYTES // (8 * iters * width))
+def _chunks(idx, cfg, iters, width):
+    """`idx` in chunks of about CHUNK_BYTES of (iters, width) residuals or
+    of window gather per pixel, whichever is larger."""
+    side = cfg.spatial_window
+    chunk = max(1, CHUNK_BYTES // max(8 * iters * width, 16 * side * side))
     return [idx[lo:lo + chunk] for lo in range(0, idx.size, chunk)]
 
 
@@ -456,13 +456,12 @@ def _fit_planes(ts, cfg, px, py):
 
     The pixels are fit in `_support_groups`, a chunk at a time, on as many
     slots as the group's largest support.  The first STAGE_ITERS iterations
-    run for every pixel of a chunk sized for them, so it holds about
-    plane_iters / STAGE_ITERS times as many pixels as a chunk of every
-    iteration would.  The rest run, in full-size chunks of their own, for
-    its pixels whose best consensus is still below their k, and replace
-    that best only with a larger one.  A pixel fit alone has the same
-    draws, consensus and refit, so nothing a pixel gets depends on which
-    pixels share its group or chunk.
+    run for every pixel of a chunk sized for them.  The rest run, in
+    full-size chunks of their own, for its pixels whose best consensus is
+    still below their k, and replace that best only with a larger one; then
+    the chunk is refit in one batch.  A pixel fit alone has the same draws,
+    consensus and refit, so nothing a pixel gets depends on which pixels
+    share its group or chunk.
     """
     n = px.size
     k = _support_counts(ts, cfg, px, py)
@@ -476,7 +475,7 @@ def _fit_planes(ts, cfg, px, py):
     split = STAGE_ITERS if iters - STAGE_ITERS >= 2 else iters
     for group in _support_groups(k, cfg.min_support):
         width = int(k[group[-1]])
-        for idx in _chunks(group, split, width):
+        for idx in _chunks(group, cfg, split, width):
             design, t = _gather_support(padded, cfg, px[idx], py[idx], k[idx],
                                         width)
             degenerate = _collinear(design)
@@ -491,7 +490,7 @@ def _fit_planes(ts, cfg, px, py):
                 fits.stopped[idx] = whole
                 # The second stage, in chunks of the pixels short of their k.
                 short = np.flatnonzero(~whole)
-                for rows in _chunks(short, iters - split, width):
+                for rows in _chunks(short, cfg, iters - split, width):
                     more, more_weight = _consensus(
                         cfg, keys[idx[rows]], k[idx[rows]], design[rows],
                         t[rows], split, iters)

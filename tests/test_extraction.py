@@ -681,9 +681,10 @@ def test_fit_centre_just_off_sensor_uses_its_on_sensor_support(center):
 def test_extract_many_support_sizes_chunk_free_and_equal_to_single_fits(
         monkeypatch):
     # Edges plus dense background put the candidates in many support
-    # groups; one pixel per chunk, and one chunk for everything scored one
-    # pixel per block or in one block, give the default's output, and each
-    # flow is its pixel's single fit.
+    # groups; one pixel per chunk, chunks of 64 KiB (three groups then span
+    # three first-stage chunks each, and more second-stage ones), and one
+    # chunk for everything scored one pixel per block or in one block, give
+    # the default's output, and each flow is its pixel's single fit.
     surface, _, _ = jittered_edge_surface(6, background=0.4)
     cfg = ExtractionConfig(seed=6)
     ys, xs = np.nonzero(surface.timestamps > surface.t_ref - cfg.temporal_window)
@@ -691,7 +692,8 @@ def test_extract_many_support_sizes_chunk_free_and_equal_to_single_fits(
     assert np.sum(sizes >= cfg.min_support) >= 25
     want, want_stats = extraction_outputs(surface, cfg)
     assert want_stats["insufficient_support"] > 0
-    for chunk_bytes, score_bytes in ((1, 1), (1 << 30, 1), (1 << 30, 1 << 30)):
+    for chunk_bytes, score_bytes in ((1, 1), (1 << 16, 1 << 20),
+                                     (1 << 30, 1), (1 << 30, 1 << 30)):
         monkeypatch.setattr(extraction, "CHUNK_BYTES", chunk_bytes)
         monkeypatch.setattr(extraction, "SCORE_BYTES", score_bytes)
         got, stats = extraction_outputs(surface, cfg)
@@ -855,3 +857,27 @@ def test_sparse_support_sizes_share_their_fits(monkeypatch):
                      "stopped"):
             assert np.array_equal(getattr(one, name)[0],
                                   getattr(fits, name)[i]), name
+
+
+def test_chunk_gather_kept_within_chunk_bytes(monkeypatch):
+    # A dense random surface has small supports, so few residuals per
+    # first-stage pixel; its chunks are then sized by the window gather, a
+    # float64 time and an int64 index per window pixel.
+    rng = np.random.default_rng(9)
+    fired = rng.random((INTR.height, INTR.width)) < 0.3
+    ts = np.where(fired, rng.uniform(0.97, 1.0, fired.shape), UNFIRED)
+    surface = TimeSurface(ts, 1.0, 0.04)
+    cfg = ExtractionConfig(seed=9)
+    gathered = []
+    gather = extraction._gather_support
+
+    def counted(padded, cfg, px, py, k, width):
+        gathered.append(px.size)
+        return gather(padded, cfg, px, py, k, width)
+
+    monkeypatch.setattr(extraction, "CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(extraction, "_gather_support", counted)
+    fits = plane_fits(surface, cfg)
+    assert np.median(fits.support) < 20
+    side = cfg.spatial_window
+    assert 1 < max(gathered) <= extraction.CHUNK_BYTES // (16 * side * side)
