@@ -13,17 +13,16 @@ five models (the three global ones robustly), decomposing homographies
 into plane + motion, fitting continuous-time B-spline trajectories, and
 generating synthetic data with exact ground truth.
 """
-from .errors import (BoundsError, DegenerateConfiguration, DegenerateDepth,
-                     EventOrderError, EvnfError, InputError,
-                     InsufficientSupport, NoConsensus, OutOfBounds,
+from .errors import (BoundsError, DegenerateDepth, EventOrderError,
+                     EvnfError, InputError, NoConsensus, OutOfBounds,
                      OutOfDomain, ParseError, PureRotation,
                      PureRotationDegenerate, RankDeficient, RankOneDegenerate,
                      SolverDegeneracy, TooFewObservations, UnderDetermined)
 from .events import (EventArray, TimeSurface, build_time_surface,
                      parse_event_stream, read_events)
-from .extraction import (ExtractionConfig, ExtractionStats, PlaneFit,
-                         extract_normal_flows, fit_local_plane,
-                         read_flows_csv, records_to_obs, write_flows_csv)
+from .extraction import (ExtractionConfig, ExtractionStats,
+                         extract_normal_flows, read_flows_csv, records_to_obs,
+                         write_flows_csv)
 from .geometry import (DiffHomography, Intrinsics, Observations, Velocity,
                        as_observations, calibrated_to_pixel, epipolar_terms,
                        homography_flow, matrix_a, matrix_b, matrix_c, matrix_d,

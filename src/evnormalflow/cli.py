@@ -164,7 +164,7 @@ def _checked(convert, ok, rule):
     return parse
 
 
-_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_seed = _checked(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _non_negative = _checked(float, lambda v: 0 <= v < math.inf,
@@ -509,12 +509,17 @@ def build_parser():
                    help="stats JSON path (default <output>.stats.json)")
     p.add_argument("--t-ref", type=float,
                    help="reference time (default: last event)")
-    p.add_argument("--temporal-window", type=float, default=0.04)
-    p.add_argument("--spatial-window", type=int, default=7)
-    p.add_argument("--plane-thresh", type=float, default=1e-5)
-    p.add_argument("--plane-iters", type=int, default=50)
-    p.add_argument("--min-support", type=int, default=10)
-    p.add_argument("--min-gradient", type=float, default=1e-4)
+    p.add_argument("--temporal-window", default=0.04,
+                   type=_checked(float, lambda v: v > 0, "positive"),
+                   help="seconds; inf means no limit")
+    p.add_argument("--spatial-window", default=7,
+                   type=_checked(int, lambda v: v >= 3 and v % 2 == 1,
+                                 "an odd integer >= 3"))
+    p.add_argument("--plane-thresh", type=_positive, default=1e-5)
+    p.add_argument("--plane-iters", type=_count, default=50)
+    p.add_argument("--min-support", default=10,
+                   type=_checked(int, lambda v: v >= 3, "an integer >= 3"))
+    p.add_argument("--min-gradient", type=_positive, default=1e-4)
     p.add_argument("--polarity", choices=["joint", "pos", "neg"],
                    default="joint")
 
@@ -543,19 +548,23 @@ def build_parser():
                    default="random-points")
     p.add_argument("--motion", choices=["constant", "step"], default="constant")
     p.add_argument("--count", type=_count, default=1000)
-    p.add_argument("--window", type=float, default=0.5)
+    p.add_argument("--window", type=_positive, default=0.5)
     p.add_argument("--noise-px", type=_non_negative, default=0.0)
-    p.add_argument("--outlier-fraction", type=float, default=0.0)
+    p.add_argument("--outlier-fraction", default=0.0,
+                   type=_checked(float, lambda v: 0 <= v < 1, "in [0, 1)"))
     p.add_argument("--nu", type=_floats(3), default=[0.2, -0.1, 0.3])
     p.add_argument("--omega", type=_floats(3), default=[0.1, -0.2, 0.15])
     p.add_argument("--nu-after", type=_floats(3))
     p.add_argument("--omega-after", type=_floats(3))
-    p.add_argument("--t-switch", type=float, default=0.25)
+    p.add_argument("--t-switch", default=0.25,
+                   type=_checked(float, math.isfinite, "finite"))
     p.add_argument("--plane-normal", type=_floats(3), default=[0.0, 0.0, 1.0])
     p.add_argument("--plane-d", type=_positive, default=2.0)
     p.add_argument("--depth-range", type=_floats(2), default=[1.0, 5.0])
     p.add_argument("--points-count", type=_count)
-    p.add_argument("--walls-angle", type=float, default=0.5)
+    p.add_argument("--walls-angle", default=0.5,
+                   type=_checked(float, lambda v: 0 < v < math.pi,
+                                 "in (0, pi)"))
     p.add_argument("--extent", type=_positive, default=0.45)
     p.add_argument("--intrinsics")
 
@@ -577,7 +586,7 @@ _COMMANDS = {"extract": cmd_extract, "solve": cmd_solve,
 
 
 def _env_seed():
-    """The seed from $EVNF_SEED: a non-negative integer, 0 when unset."""
+    """The seed from $EVNF_SEED: an integer in [0, 2**64), 0 when unset."""
     try:
         return _seed(os.environ.get("EVNF_SEED") or "0")
     except argparse.ArgumentTypeError as exc:

@@ -64,14 +64,6 @@ class UnderDetermined(SolverDegeneracy):
     """Fewer observations than unknowns in a batch fit."""
 
 
-class InsufficientSupport(SolverDegeneracy):
-    """Too few usable pixels for a local plane fit."""
-
-
-class DegenerateConfiguration(SolverDegeneracy):
-    """Support pixels in a degenerate (e.g. collinear) arrangement."""
-
-
 class PureRotationDegenerate(SolverDegeneracy):
     """Differential homography has no visible plane; only rotation is
     recoverable.  Carries the recovered angular velocity."""

@@ -6,29 +6,32 @@ image speed along the gradient direction, so the normal flow in pixel
 units is n = g / |g|^2.  Local planes are fit with a small RANSAC to
 reject neighbouring pixels belonging to other structures.
 
-All candidate pixels are fit together.  One box sum over the recent mask
-gives each pixel's support k, the recently fired pixels in its window;
-pixels of equal k are fit as one group, a chunk of CHUNK_BYTES at a time,
-on (P, k) support arrays.  A support size with fewer than GROUP_PIXELS
-pixels joins the next larger size present, so that every group pays its
-fixed cost in NumPy calls for enough pixels; its pixels' extra slots are
-padding that never counts as an inlier and never enters the refit.  The
-surface is padded once with a window-wide margin of unfired pixels, so a
-chunk's windows are one flat gather.  Minimal samples are drawn by
-hashing a counter with each pixel's own uint64 key (a counter-based
-stream: Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011), in place; the minimal planes are solved in closed form by
-Cramer's rule, scored a block of SCORE_BYTES of residuals at a time so
-that the passes over them stay in cache, and refit by one batched 3x3
-normal-equation solve on each pixel's own k slots.
+All candidate pixels are fit together.  The surface is compared with the
+temporal window once, into a recent mask and times padded with a margin
+of half a window of unfired pixels, inside which every sensor pixel's
+window lies whole: one box sum over the mask gives each pixel's support
+k, the recently fired pixels in its window, and a chunk's windows are
+one flat gather.  Pixels of equal k are fit as one group, a chunk of
+CHUNK_BYTES at a time, on (P, k) support arrays.  A support size with
+fewer than GROUP_PIXELS pixels joins the next larger size present, so
+that every group pays its fixed cost in NumPy calls for enough pixels;
+its pixels' extra slots are padding that never counts as an inlier and
+never enters the refit.  Minimal samples are drawn by hashing a counter
+with each pixel's own uint64 key (a counter-based stream: Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), in place; the
+minimal planes are solved in closed form by Cramer's rule, scored a
+block of SCORE_BYTES of residuals at a time so that the passes over them
+stay in cache, and refit by one batched 3x3 normal-equation solve on
+each pixel's own k slots.
 
 RANSAC runs in two stages: the first STAGE_ITERS iterations for every
 pixel of a chunk, then the rest only for its pixels whose best consensus
 is below their support k, in chunks of those pixels alone.  A consensus
 of k cannot be beaten and ties go to the earliest iteration, so the rest
-could not change the other pixels' fits.  A pixel's key depends only on
-the seed and its coordinates, and `fit_local_plane` runs the same code on
-one pixel, so results do not depend on batching or on the stages.
+could not change the other pixels' fits.  A pixel's draws depend only on
+its key, hashed from the seed and its coordinates, and its sums only on
+its own k slots, so results do not depend on batching or on the stages;
+the tests check this bit for bit against pixels fit one at a time.
 
 The flows come out as one Observations with the pixel locations and fit
 diagnostics filled in.  The flows CSV holds one FLOWS_DTYPE row per flow;
@@ -45,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, InsufficientSupport
 from .events import UNFIRED
 from .geometry import Observations, pixel_to_calibrated
 
@@ -111,16 +113,6 @@ class ExtractionConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class PlaneFit:
-    """Local plane t(q) ~ gradient . (q - center) + offset, gradient in s/px."""
-
-    gradient: np.ndarray
-    offset: float
-    inlier_count: int
-    rms: float
-
-
 @dataclass
 class ExtractionStats:
     """Candidate pixels, emitted flows and rejections by reason.
@@ -161,59 +153,59 @@ GROUP_PIXELS = 128
 
 class _PlaneFits(NamedTuple):
     status: np.ndarray    # (P,) _FITTED, _INSUFFICIENT or _DEGENERATE
-    support: np.ndarray   # (P,) recently fired pixels in the window
     inliers: np.ndarray   # (P,) best consensus size, 0 where RANSAC did not run
     coef: np.ndarray      # (P, 3) plane (a, b, c), c relative to t_ref
     rms: np.ndarray       # (P,) residual rms of the final fit
     stopped: np.ndarray   # (P,) whole support held after the first stage
 
 
-def _support_counts(ts, cfg, px, py):
-    """Recently fired pixels in the window of each pixel (px, py): one box
-    sum over the cumulative sums of the recent mask.  The window is clipped
-    to the sensor, so off it nothing counts and no index wraps."""
-    recent = ts.timestamps > ts.t_ref - cfg.temporal_window
-    h, w = recent.shape
-    total = np.zeros((h + 1, w + 1), dtype=np.int64)
-    total[1:, 1:] = recent
-    # In place on int64, twice as fast as a cumsum of the bool mask.
-    np.cumsum(total, axis=1, out=total)
-    np.cumsum(total, axis=0, out=total)
-    half = cfg.spatial_window // 2
-    x0, x1 = np.clip(px - half, 0, w), np.clip(px + half + 1, 0, w)
-    y0, y1 = np.clip(py - half, 0, h), np.clip(py + half + 1, 0, h)
-    return total[y1, x1] - total[y0, x1] - total[y1, x0] + total[y0, x0]
-
-
 class _PaddedSurface(NamedTuple):
     """A surface laid out so that a window is one flat gather."""
-    times: np.ndarray     # (H + 2s, W + 2s) times relative to t_ref where a
-                          # pixel fired recently, UNFIRED elsewhere, s = side
+    recent: np.ndarray    # (H + s - 1, W + s - 1) pixels fired within the
+                          # temporal window, on a margin of s // 2, s = side
+    times: np.ndarray     # times relative to t_ref where recent, UNFIRED
+                          # elsewhere, same shape
     offsets: np.ndarray   # (s*s,) flat offsets of a window's pixels from its
                           # top-left corner, row-major
     rows: np.ndarray      # (s*s, 3) float rows [dx dy 1] of those pixels
 
 
 def _pad_surface(ts, cfg):
-    """The surface's recent times on a margin of one window width of
-    UNFIRED.  The window of a centre up to half a window off the sensor lies
-    inside it, and so does that of a centre one pixel further off, onto
-    which `_gather_support` clips any centre further still."""
+    """The surface's recently fired pixels and their times on a margin of
+    half a window of unfired pixels, inside which the window of every pixel
+    on the sensor lies whole.  The one place the surface is compared with
+    the temporal window."""
     side, half = cfg.spatial_window, cfg.spatial_window // 2
-    recent = ts.timestamps > ts.t_ref - cfg.temporal_window
     h, w = ts.shape
-    times = np.full((h + 2 * side, w + 2 * side), UNFIRED)
-    times[side:side + h, side:side + w][recent] = ts.timestamps[recent] - ts.t_ref
+    recent = np.zeros((h + side - 1, w + side - 1), dtype=bool)
+    inside = recent[half:half + h, half:half + w]
+    np.greater(ts.timestamps, ts.t_ref - cfg.temporal_window, out=inside)
+    times = np.full(recent.shape, UNFIRED)
+    times[recent] = ts.timestamps[inside] - ts.t_ref
     off_y, off_x = np.divmod(np.arange(side * side), side)
     rows = np.stack([off_x - half, off_y - half, np.ones_like(off_x)], axis=1)
-    return _PaddedSurface(times, off_y * times.shape[1] + off_x,
+    return _PaddedSurface(recent, times, off_y * times.shape[1] + off_x,
                           rows.astype(float))
 
 
-def _gather_support(padded, cfg, px, py, k, width):
-    """The recently fired pixels in each pixel's window, in row-major
-    order, on K = width slots; pixel (px, py) has k <= K of them, the (P,)
-    support counts.
+def _support_counts(padded, cfg, px, py):
+    """Recently fired pixels in the window of each sensor pixel (px, py):
+    one box sum over the cumulative sums of the padded recent mask, in
+    which pixel (px, py)'s window has its top-left corner at (px, py)."""
+    h, w = padded.recent.shape
+    total = np.zeros((h + 1, w + 1), dtype=np.int64)
+    total[1:, 1:] = padded.recent
+    # In place on int64, twice as fast as a cumsum of the bool mask.
+    np.cumsum(total, axis=1, out=total)
+    np.cumsum(total, axis=0, out=total)
+    x1, y1 = px + cfg.spatial_window, py + cfg.spatial_window
+    return total[y1, x1] - total[py, x1] - total[y1, px] + total[py, px]
+
+
+def _gather_support(padded, px, py, k, width):
+    """The recently fired pixels in the window of each sensor pixel, in
+    row-major order, on K = width slots; pixel (px, py) has k <= K of
+    them, the (P,) support counts.
 
     `padded` is the `_pad_surface` of the surface.  Returns the (P, K, 3)
     float rows [dx dy 1], (dx, dy) the integer offset to the centre, and
@@ -222,12 +214,7 @@ def _gather_support(padded, cfg, px, py, k, width):
     as collinear as it was, and time NaN, which is never within a
     threshold of a plane.
     """
-    side, half = cfg.spatial_window, cfg.spatial_window // 2
-    h, w = padded.times.shape[0] - 2 * side, padded.times.shape[1] - 2 * side
-    # A centre with its whole window off the sensor sees only margin.
-    left = np.clip(px, -half - 1, w + half) + side - half
-    top = np.clip(py, -half - 1, h + half) + side - half
-    corner = top * padded.times.shape[1] + left
+    corner = py * padded.times.shape[1] + px
     t = padded.times.ravel().take(corner[:, None] + padded.offsets)
     recent = t != UNFIRED
     # nonzero walks the mask in row-major order: each row's k slots in turn.
@@ -451,8 +438,9 @@ def _consensus(cfg, keys, k, design, t, start, stop):
     return _best_consensus(cfg, design, t, planes, ok)
 
 
-def _fit_planes(ts, cfg, px, py):
-    """Plane RANSAC at the pixels (px, py).
+def _fit_planes(padded, cfg, px, py):
+    """Plane RANSAC at the sensor pixels (px, py) of the `_pad_surface`
+    `padded`.
 
     The pixels are fit in `_support_groups`, a chunk at a time, on as many
     slots as the group's largest support.  The first STAGE_ITERS iterations
@@ -464,19 +452,18 @@ def _fit_planes(ts, cfg, px, py):
     share its group or chunk.
     """
     n = px.size
-    k = _support_counts(ts, cfg, px, py)
+    k = _support_counts(padded, cfg, px, py)
     fits = _PlaneFits(status=np.full(n, _INSUFFICIENT, dtype=np.int8),
-                      support=k, inliers=np.zeros(n, dtype=np.int64),
+                      inliers=np.zeros(n, dtype=np.int64),
                       coef=np.zeros((n, 3)), rms=np.zeros(n),
                       stopped=np.zeros(n, dtype=bool))
-    padded = _pad_surface(ts, cfg)
     keys = _pixel_keys(cfg.seed, px, py)
     iters = cfg.plane_iters
     split = STAGE_ITERS if iters - STAGE_ITERS >= 2 else iters
     for group in _support_groups(k, cfg.min_support):
         width = int(k[group[-1]])
         for idx in _chunks(group, cfg, split, width):
-            design, t = _gather_support(padded, cfg, px[idx], py[idx], k[idx],
+            design, t = _gather_support(padded, px[idx], py[idx], k[idx],
                                         width)
             degenerate = _collinear(design)
             if degenerate.any():
@@ -506,30 +493,6 @@ def _fit_planes(ts, cfg, px, py):
     return fits
 
 
-def fit_local_plane(ts, center_px, cfg):
-    """RANSAC-fit t = a x + b y + c over fired pixels near center_px.
-
-    Returns a PlaneFit whose gradient is (a, b) in s/px.  Raises
-    InsufficientSupport when too few pixels fired recently (or consensus is
-    below min_support) and DegenerateConfiguration when the support pixels
-    are collinear.  This is the batched fit of `extract_normal_flows` run
-    on one pixel, so both give bit-identical results.
-    """
-    fits = _fit_planes(ts, cfg, np.array([int(center_px[0])]),
-                       np.array([int(center_px[1])]))
-    status, support, consensus = fits.status[0], fits.support[0], fits.inliers[0]
-    if support < cfg.min_support:
-        raise InsufficientSupport(f"{support} recent pixels < {cfg.min_support}")
-    if status == _DEGENERATE:
-        raise DegenerateConfiguration("support pixels are collinear")
-    if status == _INSUFFICIENT:
-        raise InsufficientSupport(
-            f"best consensus {consensus} < {cfg.min_support}")
-    return PlaneFit(gradient=fits.coef[0, :2].copy(),
-                    offset=float(fits.coef[0, 2] + ts.t_ref),
-                    inlier_count=int(consensus), rms=float(fits.rms[0]))
-
-
 def extract_normal_flows(ts, intr, cfg=None):
     """Extract calibrated normal flows from every recently fired pixel.
 
@@ -542,9 +505,10 @@ def extract_normal_flows(ts, intr, cfg=None):
     cfg = cfg or ExtractionConfig()
     if (intr.height, intr.width) != ts.shape:
         raise ValueError("intrinsics sensor size does not match surface shape")
-    recent = ts.timestamps > ts.t_ref - cfg.temporal_window
-    ys, xs = np.nonzero(recent)
-    fits = _fit_planes(ts, cfg, xs, ys)
+    padded = _pad_surface(ts, cfg)
+    half = cfg.spatial_window // 2
+    ys, xs = np.nonzero(padded.recent[half:-half, half:-half])
+    fits = _fit_planes(padded, cfg, xs, ys)
     gx, gy = fits.coef[:, 0], fits.coef[:, 1]
     fitted = fits.status == _FITTED
     flat = fitted & (np.sqrt(gx * gx + gy * gy) < cfg.min_gradient)
