@@ -13,7 +13,7 @@ five models (the three global ones robustly), decomposing homographies
 into plane + motion, fitting continuous-time B-spline trajectories, and
 generating synthetic data with exact ground truth.
 """
-from .errors import (BoundsError, DegenerateDepth, EventOrderError,
+from .errors import (BadNumber, BoundsError, DegenerateDepth, EventOrderError,
                      EvnfError, InputError, NoConsensus, OutOfBounds,
                      OutOfDomain, ParseError, PureRotation,
                      PureRotationDegenerate, RankDeficient, RankOneDegenerate,

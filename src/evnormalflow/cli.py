@@ -23,21 +23,24 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EvnfError, InputError, SolverDegeneracy, UnderDetermined
+from .errors import (BadNumber, EvnfError, InputError, PureRotationDegenerate,
+                     RankOneDegenerate, SolverDegeneracy, UnderDetermined,
+                     finite, integer, interval, non_negative, positive,
+                     positive_or_inf, uint64)
 from .events import build_time_surface, read_events
 from .extraction import (ExtractionConfig, extract_normal_flows,
                          read_flows_csv, records_to_obs, write_flows_csv)
 from .geometry import Intrinsics, Velocity, calibrated_to_pixel
 from .homography import decompose_hd, recover_true_hd
-from .errors import PureRotationDegenerate, RankOneDegenerate
 from .solvers import (ModelKind, RansacConfig, ransac_estimate, solve_depth,
                       solve_optical_flow)
 from .spline import (DEFAULT_KNOT_SPACING, SplineFitProblem, evaluate, fit,
@@ -89,7 +92,9 @@ def _atomic_write_json(path, payload):
 
 
 def _manifest(args):
-    config = {key: value for key, value in vars(args).items()
+    # JSON has no infinity; "inf" reads back from a --config file
+    config = {key: "inf" if value == math.inf else value
+              for key, value in vars(args).items()
               if key not in ("command", "config")}
     blob = json.dumps(config, sort_keys=True, default=str)
     return {
@@ -102,12 +107,6 @@ def _manifest(args):
             "python": sys.version.split()[0],
         },
     }
-
-
-def _intrinsics(data):
-    return Intrinsics(fx=float(data["fx"]), fy=float(data["fy"]),
-                      cx=float(data["cx"]), cy=float(data["cy"]),
-                      width=int(data["width"]), height=int(data["height"]))
 
 
 def _velocity(data):
@@ -129,46 +128,52 @@ def _load_json(path, what, build, default=None):
                              f"{type(exc).__name__}: {exc}") from exc
 
 
-def _floats(count=None):
-    """argparse type: comma-separated finite numbers, exactly `count` of
-    them when given, else any number with empty items skipped."""
-    def parse(text):
-        parts = text.split(",")
-        if count is None:
-            parts = [p for p in parts if p.strip() != ""]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        if count is not None and len(values) != count:
-            raise argparse.ArgumentTypeError(
-                f"expected {count} comma-separated numbers")
-        if not all(map(math.isfinite, values)):
-            raise argparse.ArgumentTypeError(
-                f"must be finite numbers, got {text!r}")
-        return values
-    return parse
+def _intrinsics(path):
+    """The Intrinsics in the JSON file at path; the defaults when None."""
+    return _load_json(path, "intrinsics", lambda data: Intrinsics(
+        **{field.name: data[field.name] for field in fields(Intrinsics)}),
+        DEFAULT_INTRINSICS)
 
 
-def _checked(convert, ok, rule):
-    """argparse type: the text converted by convert and accepted by ok; any
-    other text is refused as "must be <rule>, got '<text>'"."""
+def _checked(check, *args, **kwargs):
+    """argparse type: a number (an int for integer and uint64, else a float)
+    passed by check(name, number, *args), a rule of errors.py; other text
+    is refused in the rule's words: "must be <rule>, got '<text>'"."""
+    convert = int if check in (integer, uint64) else float
+
     def parse(text):
         try:
             value = convert(text)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-        return value
+            value = text                 # no number: the rule refuses it
+        try:
+            return check("", value, *args, **kwargs)
+        except BadNumber as exc:
+            raise argparse.ArgumentTypeError(
+                f"must be {exc.rule}, got {text!r}") from None
     return parse
 
 
-_seed = _checked(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
-_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
-_non_negative = _checked(float, lambda v: 0 <= v < math.inf,
-                         "non-negative and finite")
+def _floats(count=None, check=finite):
+    """argparse type: comma-separated numbers, each a _checked float,
+    exactly `count` of them when given, else any number, skipping empties."""
+    number = _checked(check)
+
+    def parse(text):
+        parts = [p for p in text.split(",") if count or p.strip()]
+        if count and len(parts) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {count} comma-separated numbers, got {text!r}")
+        try:
+            return [number(p) for p in parts]
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
+    return parse
+
+
+_seed = _checked(uint64)
+_count = _checked(integer, 1)
+_positive = _checked(positive)
 
 
 def _read_config(path):
@@ -211,6 +216,11 @@ def _config_flags(argv, parser):
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors raise InputError (exit code 2)."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse took only -1 and -1.5 as values, not -1e-5, -inf or -1,2,3
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
     def error(self, message):
         raise InputError(message)
 
@@ -218,8 +228,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_flows(args, kind):
     """(observations, depths, intrinsics) from --flows and --intrinsics."""
     records, depths = read_flows_csv(args.flows)
-    intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
-                      DEFAULT_INTRINSICS)
+    intr = _intrinsics(args.intrinsics)
     obs = records_to_obs(records, intr)
     if kind is ModelKind.SIX_DOF and depths is None:
         raise InputError(f"six-dof {args.command} requires a Z column in the "
@@ -239,13 +248,10 @@ def _ransac_config(args, intr):
 # subcommands
 
 def cmd_extract(args):
-    cfg = ExtractionConfig(
-        spatial_window=args.spatial_window, temporal_window=args.temporal_window,
-        plane_thresh=args.plane_thresh, plane_iters=args.plane_iters,
-        min_support=args.min_support, min_gradient=args.min_gradient,
-        seed=args.seed)
-    intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
-                      DEFAULT_INTRINSICS)
+    # each field of the config is a flag of extract
+    cfg = ExtractionConfig(**{field.name: getattr(args, field.name)
+                              for field in fields(ExtractionConfig)})
+    intr = _intrinsics(args.intrinsics)
     start = time.perf_counter()
     events = read_events(args.events, width=intr.width, height=intr.height)
     read = time.perf_counter()
@@ -386,23 +392,19 @@ def _build_scene(args):
         return RandomPointsScene(count=args.points_count,
                                  depth_range=tuple(args.depth_range),
                                  extent=args.extent)
-    if args.scene == "two-walls":
-        return TwoWallsScene(angle=args.walls_angle, d=args.plane_d,
-                             extent=args.extent)
-    raise InputError(f"unknown scene {args.scene}")
+    return TwoWallsScene(angle=args.walls_angle, d=args.plane_d,
+                         extent=args.extent)
 
 
 def _build_motion(args):
     first = Velocity(nu=args.nu, omega=args.omega)
     if args.motion == "constant":
         return ConstantMotion(first)
-    if args.motion == "step":
-        if args.nu_after is None or args.omega_after is None:
-            raise InputError("step motion requires --nu-after and --omega-after")
-        return StepMotion(before=first,
-                          after=Velocity(nu=args.nu_after, omega=args.omega_after),
-                          t_switch=args.t_switch)
-    raise InputError(f"unknown motion {args.motion}")
+    if args.nu_after is None or args.omega_after is None:
+        raise InputError("step motion requires --nu-after and --omega-after")
+    return StepMotion(before=first,
+                      after=Velocity(nu=args.nu_after, omega=args.omega_after),
+                      t_switch=args.t_switch)
 
 
 def _motion_json(motion):
@@ -419,8 +421,7 @@ def _motion_json(motion):
 def cmd_simulate(args):
     scene = _build_scene(args)
     motion = _build_motion(args)
-    intr = _load_json(args.intrinsics, "intrinsics", _intrinsics,
-                      DEFAULT_INTRINSICS)
+    intr = _intrinsics(args.intrinsics)
     noise = NoiseSpec(sigma_px=args.noise_px, outlier_fraction=args.outlier_fraction)
     observations, truth = generate_dataset(scene, motion, intr=intr,
                                            count=args.count, window=args.window,
@@ -444,11 +445,9 @@ def cmd_simulate(args):
         "outlier_idx": truth.outlier_idx.tolist(),
         "resample_rounds": truth.resample_rounds,
         "seed": args.seed,
-        "noise": {"sigma_px": noise.sigma_px,
-                  "outlier_fraction": noise.outlier_fraction}})
-    _atomic_write_json(os.path.join(args.output_dir, "intrinsics.json"), {
-        "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-        "width": intr.width, "height": intr.height})
+        "noise": asdict(noise)})
+    _atomic_write_json(os.path.join(args.output_dir, "intrinsics.json"),
+                       asdict(intr))
     _atomic_write_json(os.path.join(args.output_dir, "manifest.json"),
                        _manifest(args))
     return 0
@@ -495,8 +494,7 @@ def build_parser():
     fitting.add_argument("--threshold", type=_positive, default=12.0,
                          help=_THRESHOLD_HELP)
     fitting.add_argument("--max-iterations", type=_count, default=1000)
-    fitting.add_argument("--confidence", default=0.99,
-                         type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
+    fitting.add_argument("--confidence", type=_checked(interval, 0, 1), default=0.99)
 
     p = sub.add_parser("extract", parents=[common],
                        help="events -> normal-flow CSV")
@@ -507,18 +505,14 @@ def build_parser():
     p.add_argument("--output", required=True, help="flows CSV path")
     p.add_argument("--stats",
                    help="stats JSON path (default <output>.stats.json)")
-    p.add_argument("--t-ref", type=float,
+    p.add_argument("--t-ref", type=_checked(finite),
                    help="reference time (default: last event)")
-    p.add_argument("--temporal-window", default=0.04,
-                   type=_checked(float, lambda v: v > 0, "positive"),
-                   help="seconds; inf means no limit")
-    p.add_argument("--spatial-window", default=7,
-                   type=_checked(int, lambda v: v >= 3 and v % 2 == 1,
-                                 "an odd integer >= 3"))
+    p.add_argument("--temporal-window", type=_checked(positive_or_inf),
+                   default=0.04, help="seconds; inf means no limit")
+    p.add_argument("--spatial-window", type=_checked(integer, 3, odd=True), default=7)
     p.add_argument("--plane-thresh", type=_positive, default=1e-5)
     p.add_argument("--plane-iters", type=_count, default=50)
-    p.add_argument("--min-support", default=10,
-                   type=_checked(int, lambda v: v >= 3, "an integer >= 3"))
+    p.add_argument("--min-support", type=_checked(integer, 3), default=10)
     p.add_argument("--min-gradient", type=_positive, default=1e-4)
     p.add_argument("--polarity", choices=["joint", "pos", "neg"],
                    default="joint")
@@ -549,22 +543,20 @@ def build_parser():
     p.add_argument("--motion", choices=["constant", "step"], default="constant")
     p.add_argument("--count", type=_count, default=1000)
     p.add_argument("--window", type=_positive, default=0.5)
-    p.add_argument("--noise-px", type=_non_negative, default=0.0)
+    p.add_argument("--noise-px", type=_checked(non_negative), default=0.0)
     p.add_argument("--outlier-fraction", default=0.0,
-                   type=_checked(float, lambda v: 0 <= v < 1, "in [0, 1)"))
+                   type=_checked(interval, 0, 1, closed=True))
     p.add_argument("--nu", type=_floats(3), default=[0.2, -0.1, 0.3])
     p.add_argument("--omega", type=_floats(3), default=[0.1, -0.2, 0.15])
     p.add_argument("--nu-after", type=_floats(3))
     p.add_argument("--omega-after", type=_floats(3))
-    p.add_argument("--t-switch", default=0.25,
-                   type=_checked(float, math.isfinite, "finite"))
+    p.add_argument("--t-switch", default=0.25, type=_checked(finite))
     p.add_argument("--plane-normal", type=_floats(3), default=[0.0, 0.0, 1.0])
     p.add_argument("--plane-d", type=_positive, default=2.0)
-    p.add_argument("--depth-range", type=_floats(2), default=[1.0, 5.0])
+    p.add_argument("--depth-range", type=_floats(2, positive),
+                   default=[1.0, 5.0])
     p.add_argument("--points-count", type=_count)
-    p.add_argument("--walls-angle", default=0.5,
-                   type=_checked(float, lambda v: 0 < v < math.pi,
-                                 "in (0, pi)"))
+    p.add_argument("--walls-angle", type=_checked(interval, 0, math.pi), default=0.5)
     p.add_argument("--extent", type=_positive, default=0.45)
     p.add_argument("--intrinsics")
 
@@ -572,7 +564,7 @@ def build_parser():
                        help="noise robustness sweep")
     p.add_argument("--kind", choices=sorted(KINDS), required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--grid", type=_floats(),
+    p.add_argument("--grid", type=_floats(check=non_negative),
                    default=[0.01, 0.1, 1.0, 10.0, 100.0])
     p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--samples", type=_count, default=1000)

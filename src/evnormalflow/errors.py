@@ -1,9 +1,14 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the rules for scalars.
 
 Three families matter to callers (and to the CLI exit-code mapping):
 input/configuration problems, solver degeneracies, and everything else.
+Every scalar that a constructor, function or CLI flag takes passes one of
+the rules at the end; no bool does, since True is no length, count or seed.
 """
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class EvnfError(Exception):
@@ -80,3 +85,45 @@ class RankOneDegenerate(SolverDegeneracy):
 
 class OutOfDomain(SolverDegeneracy):
     """Query time outside the spline's evaluable domain."""
+
+
+class BadNumber(ValueError):
+    """A scalar that breaks its rule; `rule` is the rule in words."""
+
+    def __init__(self, name, rule, value):
+        super().__init__(f"{name} must be {rule}, got {value!r}")
+        self.rule = rule
+
+
+def _rule(convert, rule, ok):
+    """check(name, value): convert(value) if ok accepts it, else BadNumber."""
+    kind = numbers.Integral if convert is int else numbers.Real
+
+    def check(name, value):
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or not ok(convert(value))):       # ok is False for NaN
+            raise BadNumber(name, rule, value)
+        return convert(value)
+    return check
+
+
+positive = _rule(float, "positive and finite", lambda v: 0 < v < math.inf)
+positive_or_inf = _rule(float, "positive", lambda v: v > 0)   # inf: no limit
+non_negative = _rule(float, "non-negative and finite", lambda v: 0 <= v < math.inf)
+finite = _rule(float, "finite", math.isfinite)
+uint64 = _rule(int, "an integer in [0, 2**64)", lambda v: 0 <= v < 1 << 64)
+
+
+def interval(name, value, low, high, closed=False):
+    """A number in (low, high), or in [low, high) when closed."""
+    bounds = ", ".join("pi" if b == math.pi else f"{b:g}" for b in (low, high))
+    check = _rule(float, f"in {'[' if closed else '('}{bounds})",
+                  lambda v: (low <= v if closed else low < v) and v < high)
+    return check(name, value)
+
+
+def integer(name, value, low, odd=False):
+    """A Python or NumPy integer >= low, and odd when odd."""
+    check = _rule(int, f"an {'odd ' if odd else ''}integer >= {low}",
+                  lambda v: v >= low and (v % 2 == 1 or not odd))
+    return check(name, value)

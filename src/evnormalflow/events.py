@@ -12,7 +12,6 @@ inside a temporal window ending at the reference time, and nothing else.
 from __future__ import annotations
 
 import gzip
-import math
 import os
 import warnings
 import zlib
@@ -20,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, EventOrderError, ParseError
+from .errors import (BoundsError, EventOrderError, ParseError, finite,
+                     positive_or_inf)
 
 # Timestamps may regress by at most this much (sensor arbitration jitter)
 # before the stream is considered corrupt.
@@ -173,10 +173,8 @@ def build_time_surface(events, t_ref, temporal_window, shape,
     event, the one earlier in the stream is raised.  t_ref must be finite
     and temporal_window > 0; an infinite window means no limit.
     """
-    if not math.isfinite(t_ref):
-        raise ValueError(f"reference time must be finite, got {t_ref}")
-    if not temporal_window > 0:         # also rejects NaN
-        raise ValueError(f"temporal window must be positive, got {temporal_window}")
+    finite("t_ref", t_ref)
+    positive_or_inf("temporal_window", temporal_window)
     h, w = shape
     t, x, y = events.t, events.x, events.y
     n = t.size

@@ -40,14 +40,13 @@ scalars, and read with one np.loadtxt.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import integer, positive, positive_or_inf, uint64
 from .events import UNFIRED
 from .geometry import Observations, pixel_to_calibrated
 
@@ -85,32 +84,14 @@ class ExtractionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # bool is a number too, but True is no window, count or threshold
-        for name in ("spatial_window", "plane_iters", "min_support"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.spatial_window < 3 or self.spatial_window % 2 == 0:
-            raise ValueError("spatial_window must be odd and >= 3")
-        for name in ("temporal_window", "plane_thresh", "min_gradient"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number")
-            if not value > 0:          # also rejects NaN
-                raise ValueError(f"{name} must be positive")
-        # An infinite temporal_window means no limit.
-        for name in ("plane_thresh", "min_gradient"):
-            if math.isinf(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.plane_iters < 1 or self.min_support < 3:
-            raise ValueError("plane_iters >= 1 and min_support >= 3 required")
-        # The pixel keys hash the seed as one uint64, from a Python int so
-        # that no NumPy scalar arithmetic can overflow.
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or not 0 <= int(self.seed) < 1 << 64):
-            raise ValueError("seed must be an int in [0, 2**64)")
-        object.__setattr__(self, "seed", int(self.seed))
+        integer("spatial_window", self.spatial_window, 3, odd=True)
+        positive_or_inf("temporal_window", self.temporal_window)
+        positive("plane_thresh", self.plane_thresh)
+        integer("plane_iters", self.plane_iters, 1)
+        integer("min_support", self.min_support, 3)
+        positive("min_gradient", self.min_gradient)
+        # a Python int, so that no NumPy scalar arithmetic on it can overflow
+        object.__setattr__(self, "seed", uint64("seed", self.seed))
 
 
 @dataclass

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateDepth, OutOfBounds
+from .errors import (DegenerateDepth, OutOfBounds, integer, interval,
+                     positive)
 
 # Calibrated coordinates beyond this magnitude correspond to rays >71deg
 # off-axis; no supported sensor reaches them and the interaction matrices
@@ -41,12 +42,11 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point outside the sensor")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("sensor dimensions must be positive")
+        positive("fx", self.fx)
+        positive("fy", self.fy)
+        # the principal point lies on the sensor
+        interval("cx", self.cx, 0, integer("width", self.width, 1), closed=True)
+        interval("cy", self.cy, 0, integer("height", self.height, 1), closed=True)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PureRotationDegenerate, RankOneDegenerate
+from .errors import PureRotationDegenerate, RankOneDegenerate, non_negative, positive
 from .geometry import DiffHomography, skew, vee
 
 _DEGENERACY_TOL = 1e-8
@@ -57,8 +57,7 @@ def compose_hd(omega, nu_over_d, normal):
 
 def hd_from_plane(v, normal, d):
     """Differential homography of the plane N^T P = d under velocity v."""
-    if d <= 0:
-        raise ValueError("plane distance must be positive")
+    positive("d", d)
     return compose_hd(v.omega, v.nu / d, normal)
 
 
@@ -105,6 +104,7 @@ def decompose_hd(h_d, tol=_DEGENERACY_TOL):
     M's middle eigenvalue is not 0 within tol of its largest magnitude, as
     for a linear-solver H_L not yet passed through `recover_true_hd`.
     """
+    non_negative("tol", tol)       # a NaN tol would pass every test below
     h = h_d.h if isinstance(h_d, DiffHomography) else np.asarray(h_d, dtype=float)
     m = -(h + h.T)
     scale = max(np.linalg.norm(h), np.finfo(float).tiny)

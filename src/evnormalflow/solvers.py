@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateDepth, NoConsensus, PureRotation,
-                     RankDeficient, SolverDegeneracy, TooFewObservations)
+                     RankDeficient, SolverDegeneracy, TooFewObservations,
+                     integer, interval, positive, uint64)
 from .geometry import (DiffHomography, Velocity, as_observations,
                        epipolar_terms, matrix_a, matrix_b)
 
@@ -111,20 +111,10 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("threshold", "confidence"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number")
-        if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError("threshold must be positive and finite")
-        if not 0 < self.confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
-        for name, low in (("max_iterations", 1), ("seed", 0)):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no iteration count or seed
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}")
+        positive("threshold", self.threshold)
+        interval("confidence", self.confidence, 0, 1)
+        integer("max_iterations", self.max_iterations, 1)
+        uint64("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,13 @@ its rounds without meeting that rule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (OutOfDomain, RankDeficient, SolverDegeneracy,
-                     UnderDetermined)
+                     UnderDetermined, finite, integer, non_negative,
+                     positive)
 from .geometry import Observations, as_observations
 from .solvers import ModelKind, RansacConfig, _ransac_groups, build_rows
 # Not called here: init_from_linear runs _ransac_groups.  perfbench/calls.py
@@ -77,7 +77,8 @@ class SplineTrajectory:
         cp = np.atleast_2d(np.asarray(self.control_points, dtype=float))
         if cp.shape[0] < 4:
             raise ValueError("need at least 4 control points")
-        _check_knot_spacing(self.dt)
+        finite("t0", self.t0)
+        positive("dt", self.dt)
         object.__setattr__(self, "control_points", cp)
 
     @property
@@ -98,19 +99,20 @@ class SplineTrajectory:
 
 
 def _locate(traj, t):
-    """Map times to (segment index, local u); raises OutOfDomain."""
+    """Map times to (segment index, local u); raises OutOfDomain, for NaN too."""
     t = np.asarray(t, dtype=float)
     s = (t - traj.t0) / traj.dt
     # Snap away float rounding so the advertised domain bounds behave as
     # written (inclusive below, exclusive above).
     snap = np.rint(s)
     tol = 32.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(snap))
-    s = np.where(np.abs(s - snap) <= tol, snap, s)
+    with np.errstate(invalid="ignore"):          # inf - inf at an infinite t
+        s = np.where(np.abs(s - snap) <= tol, snap, s)
     lo, hi = 1.0, traj.n_ctrl - 2.0
-    if np.any(s < lo) or np.any(s >= hi):
-        bad = t[(s < lo) | (s >= hi)]
+    outside = ~((s >= lo) & (s < hi))            # NaN is outside too
+    if np.any(outside):
         raise OutOfDomain(
-            f"t={np.atleast_1d(bad)[0]} outside [{traj.domain[0]}, {traj.domain[1]})")
+            f"t={t[outside][0]} outside [{traj.domain[0]}, {traj.domain[1]})")
     base = np.floor(s)
     return base.astype(int) - 1, s - base
 
@@ -125,21 +127,15 @@ def evaluate(traj, t):
     return vals[0] if scalar else vals
 
 
-def _check_knot_spacing(dt):
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"knot spacing must be positive and finite, got {dt}")
-
-
 def trajectory_covering(t_min, t_max, dt):
     """(t0, n_ctrl) of the smallest uniform spline whose evaluable domain
     contains [t_min, t_max]."""
-    _check_knot_spacing(dt)
-    if t_max < t_min:
-        raise ValueError("t_max < t_min")
-    span = t_max - t_min
+    dt = positive("dt", dt)
+    t_min = finite("t_min", t_min)
+    span = non_negative("t_max - t_min", finite("t_max", t_max) - t_min)
     # Domain is [t_min, t_min + (n-3) dt); floor + 4 is the smallest n with
     # (n-3) dt strictly above the span.
-    n_ctrl = int(math.floor(span / dt + 1e-12)) + 4
+    n_ctrl = int(math.floor(finite("(t_max - t_min) / dt", span / dt) + 1e-12)) + 4
     return t_min - dt, n_ctrl
 
 
@@ -160,11 +156,7 @@ class SplineFitProblem:
     def __post_init__(self):
         if self.kind not in _SPLINE_KINDS:
             raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {self.kind}")
-        if (isinstance(self.max_rounds, bool)
-                or not isinstance(self.max_rounds, numbers.Integral)
-                or self.max_rounds < 1):
-            raise ValueError(
-                f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+        integer("max_rounds", self.max_rounds, 1)
         object.__setattr__(self, "observations",
                            as_observations(self.observations))
         if self.depths is not None:
@@ -296,6 +288,11 @@ def _huber_objective(r, delta):
     return float(np.sum(out))
 
 
+def _check_determined(n_obs, n_ctrl, dim):
+    if n_obs < n_ctrl * dim:
+        raise UnderDetermined(f"{n_obs} observations < {n_ctrl * dim:.6g} unknowns")
+
+
 def fit(problem, init):
     """Refine an initial trajectory against the normal-flow constraint.
 
@@ -321,9 +318,7 @@ def fit(problem, init):
     n_ctrl, dim = init.n_ctrl, init.dim
     if dim != problem.kind.param_dim:
         raise ValueError(f"init dim {dim} != model dim {problem.kind.param_dim}")
-    if len(obs) < n_ctrl * dim:
-        raise UnderDetermined(
-            f"{len(obs)} observations < {n_ctrl * dim} unknowns")
+    _check_determined(len(obs), n_ctrl, dim)
 
     rows = _BlockRows(obs, depths, problem.kind, init)
     seg_counts = np.bincount(rows.seg, minlength=n_ctrl - 3)
@@ -407,7 +402,8 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     every control point is the single linear estimate.
     depths, when given, must hold one positive depth per observation:
     ValueError on a length mismatch, DegenerateDepth on a depth that is
-    not positive.
+    not positive.  Fewer observations than the trajectory's n_ctrl * dim
+    unknowns raise UnderDetermined, as in fit, before any segment is made.
     """
     if kind not in _SPLINE_KINDS:
         raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {kind}")
@@ -424,6 +420,7 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     t = obs.t
     t0, n_ctrl = trajectory_covering(float(t.min()), float(t.max()), dt)
     dim = kind.param_dim
+    _check_determined(len(obs), n_ctrl, dim)
     n_seg = n_ctrl - 3
 
     s = (t - t0) / dt

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import (finite, integer, interval, non_negative, positive,
+                     uint64)
 from .events import TimeSurface, UNFIRED
 from .geometry import (Intrinsics, Observations, Velocity, matrix_a, matrix_b,
                        squared_norms)
@@ -43,9 +45,9 @@ class RandomPointsScene:
         lo, hi = self.depth_range
         if not 0 < lo <= hi < math.inf:
             raise ValueError("depth_range must be positive, finite and ordered")
-        if self.count is not None and not self.count >= 1:
-            raise ValueError("count must be None or >= 1")
-        _check_extent(self.extent)
+        if self.count is not None:
+            integer("count", self.count, 1)
+        positive("extent", self.extent)
 
     def sample(self, rng, k):
         lo, hi = self.depth_range
@@ -66,18 +68,12 @@ def _plane_depths(normal, d, xy):
     return d / denom
 
 
-def _check_extent(extent):
-    if not 0 < extent < math.inf:          # also rejects NaN
-        raise ValueError("extent must be positive and finite")
-
-
 def _check_frustum(normal, d, extent):
     """Raise unless the plane N^T P = d lies in front of the camera over the
     whole square of half-side `extent`; depth is linear in x and y, so its
     four corners decide."""
-    if not 0 < d < math.inf:
-        raise ValueError("plane distance must be positive and finite")
-    _check_extent(extent)
+    positive("d", d)
+    positive("extent", extent)
     _plane_depths(normal, d, extent * np.array([[-1.0, -1.0], [-1.0, 1.0],
                                                 [1.0, -1.0], [1.0, 1.0]]))
 
@@ -113,8 +109,7 @@ class TwoWallsScene:
     extent: float = 0.45
 
     def __post_init__(self):
-        if not 0 < self.angle < math.pi:
-            raise ValueError("angle must be in (0, pi)")
+        interval("angle", self.angle, 0, math.pi)
         for n in self._normals():
             _check_frustum(n, self.d, self.extent)
 
@@ -154,8 +149,7 @@ class StepMotion:
 
     def __post_init__(self):
         # a NaN switch time would compare false everywhere: no switch at all
-        if not math.isfinite(self.t_switch):
-            raise ValueError("t_switch must be finite")
+        finite("t_switch", self.t_switch)
 
     def at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -195,10 +189,8 @@ class NoiseSpec:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.sigma_px < math.inf:
-            raise ValueError("sigma_px must be >= 0 and finite")
-        if not 0 <= self.outlier_fraction < 1:
-            raise ValueError("outlier_fraction must be in [0, 1)")
+        non_negative("sigma_px", self.sigma_px)
+        interval("outlier_fraction", self.outlier_fraction, 0, 1, closed=True)
 
 
 def sample_normal_flow(u, g_dir):
@@ -260,9 +252,9 @@ def generate_dataset(scene, motion, intr=DEFAULT_INTRINSICS, count=1000,
     drawn as unit deviates and scaled, so datasets at different noise
     levels share their underlying randomness.
     """
-    if count < 1 or not (math.isfinite(window) and window > 0):
-        raise ValueError("count must be >= 1 and window positive and finite")
-    rng = np.random.default_rng(seed)
+    integer("count", count, 1)
+    positive("window", window)
+    rng = np.random.default_rng(uint64("seed", seed))
     xy, z = scene.sample(rng, count)
     t = rng.uniform(0.0, window, count)
     nu, omega = motion.at(t)
@@ -330,7 +322,8 @@ def surface_from_edges(edges, shape, window, t_ref=None):
     extraction has to reject).
     """
     h, w = shape
-    t_ref = float(window) if t_ref is None else float(t_ref)
+    window = positive("window", window)
+    t_ref = window if t_ref is None else finite("t_ref", t_ref)
     qx, qy = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
     ts = np.full((h, w), UNFIRED)
     for edge in edges:
@@ -445,8 +438,9 @@ def run_noise_sweep(kind, noise_grid_px=(0.01, 0.1, 1.0, 10.0, 100.0),
             or np.any(np.diff(grid) <= 0)):
         raise ValueError("noise grid must be finite, non-negative and "
                          "strictly increasing")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    integer("trials", trials, 1)
+    integer("samples", samples, 1)
+    uint64("seed", seed)
     scene, motion = _sweep_setup(kind)
     kind_idx = _SWEEP_KIND_INDEX[kind]
     trial_seeds = [

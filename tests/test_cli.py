@@ -139,7 +139,10 @@ def test_simulate_step_motion_requires_after(tmp_path):
     (["simulate", "--scene", "two-walls", "--walls-angle", "nan"],
      "--walls-angle"),
     (["simulate", "--scene", "two-walls", "--walls-angle", "3.1416"],
-     "--walls-angle")])
+     "--walls-angle"),
+    # negative numbers in exponent form, given as the next word
+    (["extract", "--plane-thresh", "-1e-5"], "--plane-thresh"),
+    (["solve", "--threshold", "-1e3"], "--threshold")])
 def test_bad_number_flag_is_one_error_line_naming_it(tmp_path, monkeypatch,
                                                     capsys, argv, flag):
     events = tmp_path / "events.txt"
@@ -149,12 +152,150 @@ def test_bad_number_flag_is_one_error_line_naming_it(tmp_path, monkeypatch,
     monkeypatch.chdir(work)
     rest = {"simulate": ["--output-dir", "out", "--count", 10],
             "bench-noise": ["--output", "out", "--trials", 1],
-            "extract": ["--events", events, "--output", "flows.csv"]}[argv[0]]
+            "extract": ["--events", events, "--output", "flows.csv"],
+            "solve": ["--flows", events, "--kind", "six-dof",
+                      "--output", "fit.json"]}[argv[0]]
     assert run(*argv, *rest) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
     assert argv[-1] in err
     assert os.listdir(work) == []
+
+
+POSITIVE = "positive and finite"
+COUNT = "an integer >= 1"
+SEED = "an integer in [0, 2**64)"
+FINITE = "finite"
+# (subcommand, flag, the words of its rule, the probe texts it accepts)
+NUMBER_FLAGS = [
+    *[(command, flag, words, accepted)
+      for command in ("solve", "fit-spline")
+      for flag, words, accepted in [
+          ("--threshold", POSITIVE, {"1.5"}), ("--max-iterations", COUNT, ()),
+          ("--confidence", "in (0, 1)", ()), ("--seed", SEED, {"0"})]],
+    ("fit-spline", "--trace-points", COUNT, ()),
+    ("fit-spline", "--knot-spacing", POSITIVE, {"1.5"}),
+    ("fit-spline", "--max-rounds", COUNT, ()),
+    ("bench-noise", "--grid", "non-negative and finite", {"0", "1.5"}),
+    ("bench-noise", "--trials", COUNT, ()),
+    ("bench-noise", "--samples", COUNT, ()),
+    ("bench-noise", "--seed", SEED, {"0"}),
+    ("extract", "--seed", SEED, {"0"}),
+    ("extract", "--t-ref", FINITE, {"0", "-1", "1.5", "-1e-5"}),
+    ("extract", "--temporal-window", "positive", {"inf", "1.5"}),
+    ("extract", "--spatial-window", "an odd integer >= 3", ()),
+    ("extract", "--plane-thresh", POSITIVE, {"1.5"}),
+    ("extract", "--plane-iters", COUNT, ()),
+    ("extract", "--min-support", "an integer >= 3", ()),
+    ("extract", "--min-gradient", POSITIVE, {"1.5"}),
+    ("simulate", "--seed", SEED, {"0"}),
+    ("simulate", "--count", COUNT, ()),
+    ("simulate", "--window", POSITIVE, {"1.5"}),
+    ("simulate", "--noise-px", "non-negative and finite", {"0", "1.5"}),
+    ("simulate", "--outlier-fraction", "in [0, 1)", {"0"}),
+    ("simulate", "--t-switch", FINITE, {"0", "-1", "1.5", "-1e-5"}),
+    ("simulate", "--plane-d", POSITIVE, {"1.5"}),
+    ("simulate", "--points-count", COUNT, ()),
+    ("simulate", "--walls-angle", "in (0, pi)", {"1.5"}),
+    ("simulate", "--extent", POSITIVE, {"1.5"}),
+]
+NUMBER_PROBES = ["nan", "inf", "-inf", "0", "-1", "1.5", "true", "", "-1e-5"]
+
+
+def strict_json(path):
+    """The JSON in path, refusing the NaN and Infinity that json writes."""
+    def refuse(token):
+        raise AssertionError(f"{token} in {path}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@pytest.fixture(scope="module")
+def number_inputs(tmp_path_factory):
+    """A simulated flows CSV with depths, and an event file."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run("simulate", "--output-dir", root / "data", "--count", 300,
+               "--seed", 3) == 0
+    write_edge_events(root / "events.txt")
+    return {"solve": ["--flows", root / "data" / "observations.csv",
+                      "--kind", "six-dof", "--output", "fit.json"],
+            "fit-spline": ["--flows", root / "data" / "observations.csv",
+                           "--kind", "six-dof", "--output", "spline.json",
+                           "--trace", "trace.csv"],
+            "bench-noise": ["--kind", "depth", "--output", "noise.csv",
+                            "--trials", 1, "--samples", 30],
+            "extract": ["--events", root / "events.txt",
+                        "--output", "flows.csv"],
+            "simulate": ["--output-dir", "out", "--count", 20]}
+
+
+@pytest.mark.parametrize("probe", NUMBER_PROBES)
+@pytest.mark.parametrize("command, flag, words, accepted", NUMBER_FLAGS,
+                         ids=[f"{c[0]}{c[1]}" for c in NUMBER_FLAGS])
+def test_every_number_flag_refused_in_its_rule_words_or_run(
+        tmp_path, monkeypatch, capsys, number_inputs, command, flag, words,
+        accepted, probe):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = run(command, *number_inputs[command], flag, probe)
+    err = capsys.readouterr().err
+    if probe in accepted:
+        # finite output, or a degeneracy (a knot spacing beyond the data)
+        assert code in (0, 3), err
+        assert code == 0 or err.startswith("degenerate:")
+        for path in work.rglob("*.json"):
+            strict_json(path)
+        return
+    expected = f"must be {words}, got {probe!r}"
+    if flag == "--grid":
+        expected += f" in {probe!r}"
+    expected = f"error: argument {flag}: {expected}"
+    if flag == "--grid" and probe == "":
+        # an empty list is a list of numbers; the sweep refuses it
+        expected = ("error: noise grid must be finite, non-negative and "
+                    "strictly increasing")
+    assert code == 2 and err == expected + "\n"
+    assert os.listdir(work) == []
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("fx", "Infinity", "fx must be positive and finite, got inf"),
+    ("fy", "NaN", "fy must be positive and finite, got nan"),
+    ("cx", "-1", "cx must be in [0, 240), got -1"),
+    ("width", "2.5", "width must be an integer >= 1, got 2.5"),
+    ("height", "true", "height must be an integer >= 1, got True")])
+@pytest.mark.parametrize("command", ["simulate", "solve", "extract"])
+def test_bad_intrinsics_file_is_one_error_line_naming_it(
+        tmp_path, monkeypatch, capsys, number_inputs, command, field, value,
+        rule):
+    camera = {"fx": 200, "fy": 200, "cx": 120, "cy": 90, "width": 240,
+              "height": 180}
+    intrinsics = tmp_path / "intrinsics.json"
+    intrinsics.write_text(json.dumps(camera)[:-1] + f', "{field}": {value}}}')
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(command, *number_inputs[command],
+               "--intrinsics", intrinsics) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: bad intrinsics file {intrinsics}: ")
+    assert err.endswith(rule + "\n")
+    assert os.listdir(work) == []
+
+
+def test_knot_grid_beyond_the_data_is_a_degeneracy(tmp_path, capsys):
+    # 1e-300 s knots over 0.5 s are about 1e300 control points: refused
+    # before the spline init allocates them, and without a RuntimeWarning
+    data = simulate(tmp_path)
+    out = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", data / "observations.csv",
+               "--kind", "angular-velocity", "--knot-spacing", "1e-300",
+               "--output", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate: 400 observations < ")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_simulate_two_walls(tmp_path):
@@ -598,7 +739,7 @@ def test_extract_non_finite_t_ref_exits_2(tmp_path, capsys, t_ref):
                f"--t-ref={t_ref}") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "reference time" in err
+    assert err.startswith("error: argument --t-ref: must be finite, got ")
     assert not flows_path.exists()
     assert not os.path.exists(f"{flows_path}.stats.json")
 

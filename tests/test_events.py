@@ -226,14 +226,14 @@ def test_surface_timestamps_bounded_by_t_ref():
 
 def test_surface_requires_positive_window():
     for window in (0.0, -0.04, float("nan")):
-        with pytest.raises(ValueError, match="temporal window"):
+        with pytest.raises(ValueError, match="temporal_window must be positive"):
             build_time_surface(EventArray([], [], [], []), 1.0, window, (5, 5))
 
 
 @pytest.mark.parametrize("t_ref", [float("nan"), float("inf"), -float("inf"),
                                    np.float64("nan")])
 def test_surface_requires_finite_t_ref(t_ref):
-    with pytest.raises(ValueError, match="reference time"):
+    with pytest.raises(ValueError, match="t_ref must be finite"):
         build_time_surface(EventArray([0.99], [1], [1], [1]), t_ref, 0.04,
                            (5, 5))
 

@@ -99,9 +99,9 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         SplineTrajectory(np.zeros((3, 3)), t0=0.0, dt=0.1)
     for dt in (0.0, -0.05, np.nan, np.inf):
-        with pytest.raises(ValueError, match="knot spacing"):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
             SplineTrajectory(np.zeros((4, 3)), t0=0.0, dt=dt)
-        with pytest.raises(ValueError, match="knot spacing"):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
             trajectory_covering(0.0, 1.0, dt)
 
 

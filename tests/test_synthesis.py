@@ -235,12 +235,12 @@ def test_dataset_validation():
 @pytest.mark.parametrize("build, match", [
     (lambda: NoiseSpec(sigma_px=math.nan), "sigma_px"),
     (lambda: NoiseSpec(sigma_px=math.inf), "sigma_px"),
-    (lambda: PlaneScene(d=math.nan), "distance"),
-    (lambda: PlaneScene(d=math.inf), "distance"),
+    (lambda: PlaneScene(d=math.nan), "d must be positive"),
+    (lambda: PlaneScene(d=math.inf), "d must be positive"),
     (lambda: PlaneScene(extent=math.nan), "extent"),
     (lambda: PlaneScene(normal=(0.0, 0.0, 0.0)), "normal"),
     (lambda: PlaneScene(normal=(math.nan, 0.0, 1.0)), "normal"),
-    (lambda: TwoWallsScene(d=math.nan), "distance"),
+    (lambda: TwoWallsScene(d=math.nan), "d must be positive"),
     (lambda: RandomPointsScene(depth_range=(1.0, math.inf)), "depth_range"),
     (lambda: RandomPointsScene(depth_range=(math.nan, 2.0)), "depth_range"),
     (lambda: RandomPointsScene(extent=math.nan), "extent"),
@@ -391,6 +391,6 @@ def test_noise_sweep_rejects_no_trials(trials, monkeypatch):
     def draw(*args, **kwargs):
         raise AssertionError("a dataset was drawn")
     monkeypatch.setattr("evnormalflow.synthesis.generate_dataset", draw)
-    with pytest.raises(ValueError, match="trials must be >= 1"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
         run_noise_sweep(ModelKind.ANGULAR_VELOCITY, noise_grid_px=(0.1,),
                         trials=trials, samples=100)
