@@ -18,8 +18,7 @@ from .errors import (BadNumber, BoundsError, DegenerateDepth, EventOrderError,
                      OutOfDomain, ParseError, PureRotation,
                      PureRotationDegenerate, RankDeficient, RankOneDegenerate,
                      SolverDegeneracy, TooFewObservations, UnderDetermined)
-from .events import (EventArray, TimeSurface, build_time_surface,
-                     parse_event_stream, read_events)
+from .events import EventArray, TimeSurface, build_time_surface, read_events
 from .extraction import (ExtractionConfig, ExtractionStats,
                          extract_normal_flows, read_flows_csv, records_to_obs,
                          write_flows_csv)
@@ -42,8 +41,7 @@ from .synthesis import (ConstantMotion, GroundTruth, MovingEdge, NoiseSpec,
                         PlaneScene, RandomPointsScene, SplineMotion,
                         StepMotion, SweepResult, ToyRegistrationResult,
                         TwoWallsScene, generate_dataset, run_noise_sweep,
-                        sample_normal_flow, surface_from_edges,
-                        toy_registration)
+                        surface_from_edges, toy_registration)
 
 __version__ = "0.1.0"
 

@@ -3,8 +3,9 @@
 Events arrive as text lines "t x y p" with timestamps in seconds and
 polarity tokens 0 (off, mapped to -1) and 1 (on, mapped to +1); -1 is
 accepted as off too.  Blank lines are skipped and '#' starts a comment,
-on its own line or after the four fields.  A stream is parsed in one
-`np.loadtxt` call into a columnar `EventArray`, the only event type.
+on its own line or after the four fields.  `read_events`, the one
+parser, reads a file in one `np.loadtxt` call into a columnar
+`EventArray`, the only event type, and checks it column by column.
 
 A time surface holds, per pixel, the timestamp of the latest event
 inside a temporal window ending at the reference time, and nothing else.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundsError, EventOrderError, ParseError, finite,
-                     positive_or_inf)
+                     integer, positive_or_inf)
 
 # Timestamps may regress by at most this much (sensor arbitration jitter)
 # before the stream is considered corrupt.
@@ -65,7 +66,8 @@ class EventArray:
 def _raise_first_bad_line(lines, width, height):
     """Re-check lines one by one and raise for the first bad one.
 
-    Runs only after the columnar parse has failed, to name the line.
+    Runs only after the columnar parse or its checks have failed, to name
+    the line.
     """
     for line_no, line in enumerate(lines, start=1):
         parts = line.split("#", 1)[0].split()
@@ -90,68 +92,66 @@ def _raise_first_bad_line(lines, width, height):
             raise BoundsError(f"line {line_no}: y={y} outside [0, {height})")
 
 
-def _parse(source, lines, width, height):
-    """Parse `source` with np.loadtxt; if that fails or a value is out of
-    range, check `lines`, the same text, line by line to name the culprit."""
-    error = None
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(source, dtype=_LINE_DTYPE, comments="#", ndmin=1)
-    except ValueError as exc:
-        error = exc
-    else:
-        t, x, y, p = rows["t"], rows["x"], rows["y"], rows["p"]
-        valid = np.isfinite(t) & ((p == 0) | (p == 1) | (p == -1))
-        if width is not None:
-            valid &= (x >= 0) & (x < width)
-        if height is not None:
-            valid &= (y >= 0) & (y < height)
-        if valid.all():
-            return EventArray(t, x, y, np.where(p == 1, 1, -1))
-    _raise_first_bad_line(lines, width, height)
-    # np.loadtxt rejected a number that Python's own parsing accepts (such
-    # as "1_000"); there is no line number to report.
-    raise ParseError(f"unparseable event stream: {error}")
-
-
-def parse_event_stream(lines, width=None, height=None):
-    """Parse an iterable of "t x y p" lines into an EventArray.
-
-    Malformed lines raise ParseError with the 1-based line number;
-    out-of-range pixels raise BoundsError when sensor bounds are given.
-    """
-    if not isinstance(lines, (list, tuple)):
-        lines = list(lines)
-    return _parse(lines, lines, width, height)
-
-
 def read_events(path, width=None, height=None):
     """Read an event file (plain text, or gzip when named *.gz) into an
-    EventArray.  A *.gz file that is not a whole gzip stream raises
-    ParseError."""
+    EventArray.
+
+    Malformed lines raise ParseError with the 1-based line number of the
+    first one; with sensor bounds given (None: no bound), an out-of-range
+    pixel raises BoundsError naming its line.  A *.gz file that is not a
+    whole gzip stream raises ParseError.
+    """
+    if width is not None:
+        width = integer("width", width, 1)
+    if height is not None:
+        height = integer("height", height, 1)
     name = os.fsdecode(path)
     opener = gzip.open if name.endswith(".gz") else open
+    error = None
     try:
         with opener(name, "rt") as fh:
             # np.loadtxt reads a file it opens by name in large blocks, but
             # an open file only line by line; it opens *.gz and plain text
             # files just as `opener` does.
-            return _parse(name, fh, width, height)
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(name, dtype=_LINE_DTYPE, comments="#",
+                                      ndmin=1)
+            except ValueError as exc:
+                error = exc
+            else:
+                t, x, y, p = rows["t"], rows["x"], rows["y"], rows["p"]
+                if not rows.size or (
+                        np.isfinite(t).all() and -1 <= p.min() <= p.max() <= 1
+                        and (width is None or 0 <= x.min() <= x.max() < width)
+                        and (height is None
+                             or 0 <= y.min() <= y.max() < height)):
+                    p[p == 0] = -1
+                    return EventArray(t, x, y, p)
+            # The parse or a check failed: re-read the lines one by one to
+            # name the first bad one.
+            _raise_first_bad_line(fh, width, height)
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ParseError(f"unreadable gzip stream {name}: {exc}") from None
+    # np.loadtxt rejected a number that Python's own parsing accepts (such
+    # as "1_000"); there is no line number to report.
+    raise ParseError(f"unparseable event stream: {error}")
 
 
 @dataclass
 class TimeSurface:
-    """Per-pixel latest event timestamp within (t_ref - window, t_ref].
+    """Per-pixel latest timestamp of the events folded at reference time
+    t_ref.
 
     timestamps: (H, W) float64, -inf where no event fired; no polarity.
+    The window that chose the events is not kept: extraction has its own,
+    ExtractionConfig.temporal_window.
     """
 
     timestamps: np.ndarray
     t_ref: float
-    temporal_window: float
 
     @property
     def shape(self):
@@ -202,5 +202,4 @@ def build_time_surface(events, t_ref, temporal_window, shape,
     idx = np.flatnonzero(keep)
     ts = np.full(h * w, UNFIRED)
     np.maximum.at(ts, y[idx] * w + x[idx], t[idx])
-    return TimeSurface(timestamps=ts.reshape(h, w), t_ref=float(t_ref),
-                       temporal_window=float(temporal_window))
+    return TimeSurface(timestamps=ts.reshape(h, w), t_ref=float(t_ref))

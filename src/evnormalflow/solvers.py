@@ -121,7 +121,6 @@ class RansacConfig:
 class SolveInfo:
     rank: int
     cond: float
-    rms: float
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,7 @@ def stack_and_solve(a, b, min_rank=None):
         a, b, np.arange(len(b)), np.zeros(len(b), dtype=np.intp), 1, min_rank)
     if errors[0] is not None:
         raise errors[0]
-    rms = float(np.sqrt(np.mean((a @ theta[0] - b) ** 2)))
-    return theta[0], SolveInfo(rank=int(rank[0]), cond=float(cond[0]), rms=rms)
+    return theta[0], SolveInfo(rank=int(rank[0]), cond=float(cond[0]))
 
 
 # A group's rows are padded with zero rows to a multiple of _PAD_ROWS rows:

@@ -193,22 +193,6 @@ class NoiseSpec:
         interval("outlier_fraction", self.outlier_fraction, 0, 1, closed=True)
 
 
-def sample_normal_flow(u, g_dir):
-    """Project full flow u onto gradient direction g_dir.
-
-    Returns (n, observable); n = (u . ghat) ghat and observable is False
-    when the projection is below UNOBSERVABLE_TOL (aperture-blind direction).
-    """
-    u = np.asarray(u, dtype=float).reshape(2)
-    g = np.asarray(g_dir, dtype=float).reshape(2)
-    norm = np.linalg.norm(g)
-    if norm == 0:
-        raise ValueError("gradient direction must be nonzero")
-    ghat = g / norm
-    dot = float(u @ ghat)
-    return dot * ghat, abs(dot) >= UNOBSERVABLE_TOL
-
-
 @dataclass
 class GroundTruth:
     """Everything needed to score estimates on a generated dataset; the
@@ -342,7 +326,7 @@ def surface_from_edges(edges, shape, window, t_ref=None):
         t_cross = ((qx - px) * dy - (qy - py) * dx) / den + (t_ref - window)
         valid = (t_cross >= t_ref - window) & (t_cross <= t_ref)
         ts = np.where(valid, np.maximum(ts, t_cross), ts)
-    return TimeSurface(timestamps=ts, t_ref=t_ref, temporal_window=float(window))
+    return TimeSurface(timestamps=ts, t_ref=t_ref)
 
 
 # --------------------------------------------------------------------------

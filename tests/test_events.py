@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from evnormalflow import (BoundsError, EventArray, EventOrderError,
-                          ParseError, build_time_surface, parse_event_stream,
-                          read_events)
+                          ParseError, build_time_surface, read_events)
 from evnormalflow.events import JITTER_BUDGET, UNFIRED
 
 
@@ -20,47 +19,6 @@ def columns(events):
 def concat(*parts):
     return EventArray(*(np.concatenate([getattr(e, name) for e in parts])
                         for name in ("t", "x", "y", "p")))
-
-
-def test_parse_single_line():
-    events = parse_event_stream(["0.001 120 84 1"])
-    assert columns(events) == ([0.001], [120], [84], [1])
-
-
-def test_parse_polarity_mapping():
-    events = parse_event_stream(["0.1 0 0 0", "0.2 0 0 1", "0.3 0 0 -1"])
-    assert events.p.tolist() == [-1, 1, -1]
-
-
-def test_parse_missing_field():
-    with pytest.raises(ParseError) as err:
-        parse_event_stream(["0.001 120 84"])
-    assert "4 fields" in str(err.value)
-    assert err.value.line_no == 1
-
-
-def test_parse_error_reports_line_number():
-    lines = ["0.1 1 1 1", "# comment", "", "garbage here x y"]
-    with pytest.raises(ParseError) as err:
-        parse_event_stream(lines)
-    assert err.value.line_no == 4
-
-
-def test_parse_empty_input():
-    assert len(parse_event_stream([])) == 0
-    assert len(parse_event_stream(["# only a comment", "   "])) == 0
-
-
-def test_parse_bounds_check():
-    with pytest.raises(BoundsError):
-        parse_event_stream(["0.1 240 0 1"], width=240, height=180)
-    with pytest.raises(BoundsError):
-        parse_event_stream(["0.1 0 -1 1"], width=240, height=180)
-
-
-def test_parse_bad_polarity_token():
-    with pytest.raises(ParseError):
-        parse_event_stream(["0.1 0 0 7"])
 
 
 def test_read_events_gzip(tmp_path):
@@ -84,6 +42,63 @@ def event_file(request, tmp_path):
             path.write_text(text)
         return path
     return write
+
+
+def test_parse_single_line(event_file):
+    events = read_events(event_file("0.001 120 84 1\n"))
+    assert columns(events) == ([0.001], [120], [84], [1])
+
+
+def test_parse_polarity_mapping(event_file):
+    events = read_events(event_file("0.1 0 0 0\n0.2 0 0 1\n0.3 0 0 -1\n"))
+    assert events.p.tolist() == [-1, 1, -1]
+
+
+def test_parse_missing_field(event_file):
+    with pytest.raises(ParseError) as err:
+        read_events(event_file("0.001 120 84\n"))
+    assert "4 fields" in str(err.value)
+    assert err.value.line_no == 1
+
+
+def test_parse_error_reports_line_number(event_file):
+    with pytest.raises(ParseError) as err:
+        read_events(event_file("0.1 1 1 1\n# comment\n\ngarbage here x y\n"))
+    assert err.value.line_no == 4
+
+
+def test_parse_empty_input(event_file):
+    assert len(read_events(event_file(""))) == 0
+    assert len(read_events(event_file("# only a comment\n   \n"))) == 0
+
+
+def test_parse_bounds_check(event_file):
+    with pytest.raises(BoundsError):
+        read_events(event_file("0.1 240 0 1\n"), width=240, height=180)
+    with pytest.raises(BoundsError):
+        read_events(event_file("0.1 0 -1 1\n"), width=240, height=180)
+
+
+def test_parse_bad_polarity_token(event_file):
+    with pytest.raises(ParseError):
+        read_events(event_file("0.1 0 0 7\n"))
+
+
+def test_read_events_without_trailing_newline(event_file):
+    events = read_events(event_file("0.1 1 2 1\n0.2 3 4 0"))
+    assert columns(events) == ([0.1, 0.2], [1, 3], [2, 4], [1, -1])
+
+
+@pytest.mark.parametrize("last, error, match", [
+    ("9.9999 5 5 2", ParseError, "line 10000: polarity token"),
+    ("9.9999 240 5 1", BoundsError, "line 10000: x=240 outside"),
+    ("9.9999 5 180 1", BoundsError, "line 10000: y=180 outside")])
+def test_read_events_names_a_fault_on_the_last_of_many_lines(
+        event_file, last, error, match):
+    lines = [f"{i * 1e-3:.4f} {i % 240} {i % 180} {i % 2}" for i in range(9999)]
+    path = event_file("\n".join(lines + [last]) + "\n")
+    with pytest.raises(error, match=match):
+        read_events(path, width=240, height=180)
 
 
 def test_read_events_columns_and_indexing(event_file):
@@ -137,7 +152,10 @@ def test_read_events_empty_without_warning(event_file, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         events = read_events(path)
+        # no rows to reduce: the bounds have nothing to check
+        bounded = read_events(path, width=240, height=180)
     assert len(events) == 0 and not events
+    assert len(bounded) == 0 and bounded.p.dtype == np.int8
 
 
 def test_read_events_trailing_comment_accepted(event_file):

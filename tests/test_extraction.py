@@ -28,7 +28,7 @@ def ramp_surface(gx, gy, shape=(60, 80), t_ref=0.0, window=1.0):
     ts += (t_ref - window / 2) - ts.mean()
     lo, hi = ts.min(), ts.max()
     assert lo > t_ref - window and hi <= t_ref
-    return TimeSurface(timestamps=ts, t_ref=t_ref, temporal_window=window)
+    return TimeSurface(timestamps=ts, t_ref=t_ref)
 
 
 class PixelFit(NamedTuple):
@@ -70,7 +70,7 @@ def test_plane_fit_general_gradient():
 
 def test_plane_fit_flat_patch_gives_zero_gradient():
     ts = np.full((20, 20), 0.5)
-    surface = TimeSurface(ts, t_ref=0.5, temporal_window=1.0)
+    surface = TimeSurface(ts, t_ref=0.5)
     fit = fit_pixel(surface, ExtractionConfig(temporal_window=1.0), 10, 10)
     assert fit.status == extraction._FITTED
     assert np.allclose(fit.gradient, [0.0, 0.0], atol=1e-12)
@@ -88,7 +88,7 @@ def extract_ramp(gx, gy):
 
 def test_extract_counts_flat_patch_below_min_gradient():
     cfg = ExtractionConfig(temporal_window=1.0)
-    surface = TimeSurface(np.full((SMALL.height, SMALL.width), 0.5), 0.5, 1.0)
+    surface = TimeSurface(np.full((SMALL.height, SMALL.width), 0.5), 0.5)
     obs, stats = extract_normal_flows(surface, SMALL, cfg)
     assert len(obs) == 0
     assert stats.candidates == SMALL.width * SMALL.height
@@ -106,7 +106,7 @@ def test_plane_fit_insufficient_support():
     ts[10, 10] = 0.5
     ts[10, 11] = 0.5
     ts[11, 10] = 0.5
-    surface = TimeSurface(ts, 0.5, 1.0)
+    surface = TimeSurface(ts, 0.5)
     fit = fit_pixel(surface, ExtractionConfig(temporal_window=1.0), 10, 10)
     assert (fit.status, fit.k, fit.inliers) == (
         extraction._INSUFFICIENT, 3, 0)
@@ -116,7 +116,7 @@ def test_plane_fit_collinear_pixels_degenerate():
     ts = np.full((20, 20), UNFIRED)
     ts[10, 7:14] = 0.5  # a horizontal line of fired pixels
     ts[10, 7:14] += np.linspace(0, 1e-4, 7)
-    surface = TimeSurface(ts, 0.5, 1.0)
+    surface = TimeSurface(ts, 0.5)
     cfg = ExtractionConfig(temporal_window=1.0, min_support=5)
     fit = fit_pixel(surface, cfg, 10, 10)
     assert (fit.status, fit.k) == (extraction._DEGENERATE, 7)
@@ -127,7 +127,7 @@ def test_plane_fit_rejects_second_structure():
     surface = ramp_surface(0.01, 0.0, window=2.0)
     ts = surface.timestamps.copy()
     ts[28:31, 38:40] = ts[28:31, 38:40] - 0.4  # stale structure
-    noisy = TimeSurface(ts, surface.t_ref, 2.0)
+    noisy = TimeSurface(ts, surface.t_ref)
     fit = fit_pixel(noisy, ExtractionConfig(temporal_window=2.0), 40, 30)
     assert fit.status == extraction._FITTED
     assert np.allclose(fit.gradient, [0.01, 0.0], atol=1e-12)
@@ -172,7 +172,7 @@ def test_extract_vertical_edge_100px_s():
 
 def test_extract_empty_surface():
     ts = np.full((INTR.height, INTR.width), UNFIRED)
-    surface = TimeSurface(ts, 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0)
     obs, stats = extract_normal_flows(surface, INTR)
     assert len(obs) == 0 and stats.candidates == 0
 
@@ -182,7 +182,7 @@ def test_extract_repetitive_texture_rejected():
     h, w = INTR.height, INTR.width
     qx = np.meshgrid(np.arange(w), np.arange(h))[0]
     ts = np.where(qx % 2 == 0, 0.99, 0.995)
-    surface = TimeSurface(ts.astype(float), 1.0, 0.04)
+    surface = TimeSurface(ts.astype(float), 1.0)
     records, stats = extract_normal_flows(surface, INTR)
     # high rejection rate; no guarantee on survivors
     assert stats.emitted <= 0.2 * stats.candidates
@@ -216,7 +216,7 @@ def test_extract_counts_collinear_support_as_degenerate():
     # a one-pixel-wide horizontal line of fired pixels, x = 10 .. 69
     ts = np.full((INTR.height, INTR.width), UNFIRED)
     ts[30, 10:70] = 0.99 + 1e-5 * np.arange(60)
-    surface = TimeSurface(ts, 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0)
     cfg = ExtractionConfig(min_support=5)
     obs, stats = extract_normal_flows(surface, INTR, cfg)
     # the two end pixels see only 4 line pixels in their 7x7 window
@@ -230,7 +230,7 @@ def test_extract_counts_collinear_support_as_degenerate():
 
 def test_extract_shape_mismatch():
     ts = np.full((10, 10), UNFIRED)
-    surface = TimeSurface(ts, 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0)
     with pytest.raises(ValueError):
         extract_normal_flows(surface, INTR)
 
@@ -662,7 +662,7 @@ def test_support_box_sum_equals_gathered_support(side):
     ts = np.where(rng.random((h, w)) < 0.4, rng.uniform(0.0, 1.0, (h, w)),
                   UNFIRED)
     # The surface was built with a wider window than the extraction's.
-    surface = TimeSurface(ts, 1.0, 1.0)
+    surface = TimeSurface(ts, 1.0)
     cfg = ExtractionConfig(spatial_window=side, temporal_window=0.5)
     recent = ts > surface.t_ref - cfg.temporal_window
     padded = extraction._pad_surface(surface, cfg)
@@ -757,7 +757,7 @@ def planar_patch_surface(seed):
         ts[qy[keep], qx[keep]] = np.minimum(plane[keep], 1.0)
     scattered = rng.random((h, w)) < 0.1
     ts[scattered] = rng.uniform(0.9, 1.0, scattered.sum())
-    return TimeSurface(ts, 1.0, 0.1)
+    return TimeSurface(ts, 1.0)
 
 
 def plane_fits(surface, cfg):
@@ -812,7 +812,7 @@ def test_all_degenerate_first_stage_runs_the_second():
     x = np.arange(10, 70)
     ts[30, 10:70] = 0.99 + 1e-4 * x
     ts[31, 12:70:6] = 0.99 + 1e-4 * np.arange(12, 70, 6) + 5e-5
-    surface = TimeSurface(ts, 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0)
     cfg = ExtractionConfig(min_support=5, seed=4)
     fits, support = plane_fits(surface, cfg)
     ys, xs = np.nonzero(ts > 0.0)
@@ -881,7 +881,7 @@ def test_chunk_gather_kept_within_chunk_bytes(monkeypatch):
     rng = np.random.default_rng(9)
     fired = rng.random((INTR.height, INTR.width)) < 0.3
     ts = np.where(fired, rng.uniform(0.97, 1.0, fired.shape), UNFIRED)
-    surface = TimeSurface(ts, 1.0, 0.04)
+    surface = TimeSurface(ts, 1.0)
     cfg = ExtractionConfig(seed=9)
     gathered = []
     gather = extraction._gather_support

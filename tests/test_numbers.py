@@ -19,7 +19,7 @@ from evnormalflow import (ConstantMotion, EventArray, ExtractionConfig,
                           TwoWallsScene, Velocity, build_time_surface,
                           compose_hd, decompose_hd, evaluate,
                           generate_dataset, hd_from_plane,
-                          init_from_linear, run_noise_sweep,
+                          init_from_linear, read_events, run_noise_sweep,
                           surface_from_edges, trajectory_covering)
 from evnormalflow.errors import BadNumber, OutOfDomain, UnderDetermined
 
@@ -126,6 +126,11 @@ CASES = [
     ("run_noise_sweep", "seed", "seed",
      lambda v: run_noise_sweep(ModelKind.DEPTH, (0.1,), trials=1,
                                samples=20, seed=v)),
+    # the bounds are checked before the file is opened, so it need not exist
+    ("read_events", "width", ">= 1",
+     lambda v: read_events("absent.txt", width=v, height=180)),
+    ("read_events", "height", ">= 1",
+     lambda v: read_events("absent.txt", width=240, height=v)),
     ("build_time_surface", "t_ref", "finite",
      lambda v: build_time_surface(EventArray([], [], [], []), v, 0.04,
                                   (5, 5))),

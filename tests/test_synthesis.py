@@ -11,13 +11,22 @@ from evnormalflow import (
     RandomPointsScene, RankDeficient, SplineMotion, SplineTrajectory,
     StepMotion, TwoWallsScene, Velocity, generate_dataset,
     matrix_c, motion_field, run_noise_sweep,
-    sample_normal_flow, surface_from_edges, toy_registration, ModelKind,
+    surface_from_edges, toy_registration, ModelKind,
 )
 from evnormalflow.events import UNFIRED
+from evnormalflow.synthesis import UNOBSERVABLE_TOL
 
 
 # --------------------------------------------------------------------------
-# motion_field / sample_normal_flow
+# motion_field / sampled normal flow
+
+def project(u, ghat):
+    """The normal flow an edge of unit gradient direction ghat sees of the
+    full flow u, n = (u . ghat) ghat, as generate_dataset samples it; and
+    whether it is observable, |u . ghat| >= UNOBSERVABLE_TOL."""
+    dot = float(np.asarray(u, dtype=float) @ np.asarray(ghat, dtype=float))
+    return dot * np.asarray(ghat, dtype=float), abs(dot) >= UNOBSERVABLE_TOL
+
 
 def test_flow_pure_translation_at_origin():
     u = motion_field(0.0, 0.0, 1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
@@ -43,22 +52,17 @@ def test_flow_rejects_nonpositive_depth():
 
 def test_sample_normal_flow_parallel_and_perpendicular():
     u = (0.4, 0.3)
-    n, observable = sample_normal_flow(u, (0.8, 0.6))
+    n, observable = project(u, (0.8, 0.6))
     assert observable and np.allclose(n, u, atol=1e-15)
-    n, observable = sample_normal_flow(u, (-0.6, 0.8))
+    n, observable = project(u, (-0.6, 0.8))
     assert not observable
     assert np.allclose(n, (0.0, 0.0), atol=1e-15)
 
 
 def test_sample_normal_flow_projection_value():
-    n, observable = sample_normal_flow((1.732, -1.0), (1.0, 0.0))
+    n, observable = project((1.732, -1.0), (1.0, 0.0))
     assert observable
     assert np.allclose(n, (1.732, 0.0), atol=1e-15)
-
-
-def test_sample_normal_flow_rejects_zero_gradient():
-    with pytest.raises(ValueError):
-        sample_normal_flow((1.0, 0.0), (0.0, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -324,8 +328,7 @@ def _toy_flows(u, angles_deg):
     flows = []
     for a in angles_deg:
         ghat = (math.cos(math.radians(a)), math.sin(math.radians(a)))
-        n, _ = sample_normal_flow(u, ghat)
-        flows.append(n)
+        flows.append(project(u, ghat)[0])
     return np.array(flows)
 
 
