@@ -27,6 +27,7 @@ import re
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -89,6 +90,15 @@ def _atomic_write_text(path, text):
 
 def _atomic_write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def _stage(timings, name):
+    """Record the wall time of the with-block, by time.perf_counter, as
+    timings[name] in seconds."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
 
 
 def _manifest(args):
@@ -252,27 +262,25 @@ def cmd_extract(args):
     cfg = ExtractionConfig(**{field.name: getattr(args, field.name)
                               for field in fields(ExtractionConfig)})
     intr = _intrinsics(args.intrinsics)
-    start = time.perf_counter()
-    events = read_events(args.events, width=intr.width, height=intr.height)
-    read = time.perf_counter()
+    timings = {}
+    with _stage(timings, "read_s"):
+        events = read_events(args.events, width=intr.width, height=intr.height)
     t_ref = args.t_ref
     if t_ref is None:
         t_ref = float(events.t[-1]) if len(events) else 0.0
     polarity = {"joint": None, "pos": 1, "neg": -1}[args.polarity]
-    surface = build_time_surface(events, t_ref, cfg.temporal_window,
-                                 (intr.height, intr.width), polarity=polarity)
-    built = time.perf_counter()
-    obs, stats = extract_normal_flows(surface, intr, cfg)
-    extracted = time.perf_counter()
-    _atomic_write(args.output, lambda tmp: write_flows_csv(tmp, obs))
-    written = time.perf_counter()
+    with _stage(timings, "surface_s"):
+        surface = build_time_surface(events, t_ref, cfg.temporal_window,
+                                     (intr.height, intr.width),
+                                     polarity=polarity)
+    with _stage(timings, "extract_s"):
+        obs, stats = extract_normal_flows(surface, intr, cfg)
+    with _stage(timings, "write_s"):
+        _atomic_write(args.output, lambda tmp: write_flows_csv(tmp, obs))
     stats_path = args.stats or f"{args.output}.stats.json"
     _atomic_write_json(stats_path, {
         "n_events": len(events), "fired_px": int(surface.fired_mask().sum()),
-        "t_ref": t_ref, "stats": stats.to_dict(),
-        "timings": {"read_s": read - start, "surface_s": built - read,
-                    "extract_s": extracted - built,
-                    "write_s": written - extracted},
+        "t_ref": t_ref, "stats": stats.to_dict(), "timings": timings,
         "manifest": _manifest(args)})
     return 0
 
@@ -311,16 +319,20 @@ def _homography_extras(theta):
 
 def cmd_solve(args):
     kind = KINDS[args.kind]
-    obs, depths, intr = _load_flows(args, kind)
-    velocity = _load_json(args.velocity, "velocity", _velocity)
+    timings = {}
+    with _stage(timings, "read_s"):
+        obs, depths, intr = _load_flows(args, kind)
+        velocity = _load_json(args.velocity, "velocity", _velocity)
     report = {"model": kind.value, "n_obs": len(obs)}
     if kind in _PER_PIXEL:
         if velocity is None:
             raise InputError(f"kind {args.kind} requires --velocity")
-        report.update(_solve_per_pixel(kind, obs, velocity))
+        with _stage(timings, "solve_s"):
+            report.update(_solve_per_pixel(kind, obs, velocity))
     else:
-        fit_report = ransac_estimate(obs, kind, _ransac_config(args, intr),
-                                     depths=depths)
+        with _stage(timings, "solve_s"):
+            fit_report = ransac_estimate(obs, kind, _ransac_config(args, intr),
+                                         depths=depths)
         report.update({
             "theta": fit_report.theta.tolist(),
             "inliers": fit_report.inliers.tolist(),
@@ -333,6 +345,7 @@ def cmd_solve(args):
             "threshold": fit_report.threshold})
         if kind is ModelKind.DIFF_HOMOGRAPHY:
             report.update(_homography_extras(fit_report.theta))
+    report["timings"] = timings
     report["manifest"] = _manifest(args)
     _atomic_write_json(args.output, report)
     return 0
@@ -344,7 +357,9 @@ _TRACE_NAMES = {ModelKind.ANGULAR_VELOCITY: ["wx", "wy", "wz"],
 
 def cmd_fit_spline(args):
     kind = KINDS[args.kind]
-    obs, depths, intr = _load_flows(args, kind)
+    timings = {}
+    with _stage(timings, "read_s"):
+        obs, depths, intr = _load_flows(args, kind)
     if not obs:
         raise UnderDetermined("no observations in flows CSV")
     span = float(obs.t.max() - obs.t.min())
@@ -355,10 +370,12 @@ def cmd_fit_spline(args):
     problem = SplineFitProblem(observations=obs, kind=kind, depths=depths,
                                robust=not args.no_robust,
                                max_rounds=args.max_rounds)
-    init, init_report = init_from_linear(obs, kind, dt=args.knot_spacing,
-                                         cfg=_ransac_config(args, intr),
-                                         depths=depths)
-    traj, fit_report = fit(problem, init)
+    with _stage(timings, "init_s"):
+        init, init_report = init_from_linear(obs, kind, dt=args.knot_spacing,
+                                             cfg=_ransac_config(args, intr),
+                                             depths=depths)
+    with _stage(timings, "fit_s"):
+        traj, fit_report = fit(problem, init)
     lo, hi = traj.domain
     _atomic_write_json(args.output, {
         "model": kind.value, "t0": traj.t0, "dt": traj.dt,
@@ -372,7 +389,7 @@ def cmd_fit_spline(args):
         "starved_control_points": fit_report.starved_control_points,
         "irls_rounds": fit_report.irls_rounds,
         "irls_hit_cap": fit_report.hit_cap, "cond": fit_report.cond,
-        "manifest": _manifest(args)})
+        "timings": timings, "manifest": _manifest(args)})
     if args.trace:
         ts = np.linspace(lo, hi, args.trace_points, endpoint=False)
         vals = evaluate(traj, ts)

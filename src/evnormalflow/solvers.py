@@ -33,14 +33,18 @@ it takes from the noise of the data.
 
 Both run on groups of rows.  _ransac_groups fits every contiguous group
 of observations in lockstep: each round draws one minimal sample per
-running group, exactly as a lone call would, solves the samples as one
-stack, and scores them in one pass over the rows of the groups still
-running; the refits then solve all groups together.  A group of
-_PROBE_MIN rows or more first scores each hypothesis on a fixed probe of
-_PROBE_ROWS of its rows, once it has a best: a hypothesis whose probe
-cost cannot beat the best's, at confidence 1 - _DELTA, is not scored on
-the rest (a bail-out test, Capel 2005), and when every group's hypothesis
-is rejected the pass over all rows is skipped.  _solve_groups is
+running group, exactly as a lone call would, and scores the hypotheses in
+one pass over the rows of the groups still running; the refits then solve
+all groups together.  A group of _PROBE_MIN rows or more first scores each
+hypothesis on a fixed probe of _PROBE_ROWS of its rows, once it has a
+best: a hypothesis whose probe cost cannot beat the best's, at confidence
+1 - _DELTA, is not scored on the rest (a bail-out test, Capel 2005), and
+when every group's hypothesis is rejected the pass over all rows is
+skipped.  The rounds run in batches of up to _BATCH (after Nister's
+preemptive RANSAC, 2003): a batch's samples are drawn, solved as one stack
+and probed in one pass, then the rounds are replayed in order against the
+best so far, so the draws and every result are those of one round at a
+time.  _solve_groups is
 the least-squares solve behind stack_and_solve and the refits: groups of
 similar size share one stacked QR.  Every sum, median and solve takes
 one group's rows alone, so a group's result does not depend on the
@@ -393,8 +397,9 @@ def _adaptive_iterations(inlier_ratio, c, confidence):
 def _squared_distance(r, s2):
     """e^2 = r^2 / s2: the squared distance from each measured normal flow to
     the constraint line of its predicted flow u, given r = n . u - |n|^2 and
-    s2 = |u|^2; inf where u is zero or not finite."""
-    e2 = np.full(len(r), np.inf)
+    s2 = |u|^2, arrays of any one shape; inf where u is zero or not
+    finite."""
+    e2 = np.full(r.shape, np.inf)
     np.divide(r * r, s2, out=e2, where=(s2 > 0) & (s2 < np.inf))
     return e2
 
@@ -432,6 +437,10 @@ _PROBE_MIN = 4000
 # The chance that the probe rejects a hypothesis whose full cost would beat
 # the best: a call meets a handful of such hypotheses, one per new best.
 _DELTA = 1e-4
+# The most rounds drawn, solved and probed together.  16 read the same
+# robust-solve pass_ref as 8 (seed 2, three pairs of 35 s runs): past 8 a
+# call's time is its draws, full scorings and refits, which no batch shares.
+_BATCH = 8
 
 
 def ransac_estimate(observations, kind, cfg=None, depths=None):
@@ -458,6 +467,9 @@ def ransac_estimate(observations, kind, cfg=None, depths=None):
     that would beat the best is rejected with probability at most delta.
     A hypothesis the probe passes is scored on all rows, so the probe
     changes report.rows_scored, and the fit only with that probability.
+    Up to 8 rounds are drawn, solved and probed at once, then accepted or
+    rejected one by one in order; the draws and the report, iterations and
+    rows_scored included, are those of one round at a time.
 
     The inlier threshold comes from the data; cfg.threshold is only its
     upper bound.  The noise scale sigma = 1.4826 * median(e) is first
@@ -547,19 +559,20 @@ class _GroupRows:
 
     def residual(self, theta):
         """(r, s2) = (n . u - |n|^2, |u|^2) at every row, for the flow u that
-        row g of theta predicts over group g's rows."""
+        theta[g] predicts over group g's rows; theta (G, B, p), B hypotheses
+        per group, gives r and s2 (B, rows), one row per hypothesis."""
         ux, uy = self.flow(self.per_row(theta.T))
         return self.n0 * ux + self.n1 * uy - self.mag2, ux * ux + uy * uy
 
     def per_row(self, values):
-        """values[..., g] for each row's group g; one group's values
-        broadcast instead."""
-        return values[..., 0] if len(self.groups) == 1 else values[..., self.gid]
+        """values[..., g] for each row's group g; one group's values, kept
+        as a last axis of length 1, broadcast instead."""
+        return values[..., :1] if len(self.groups) == 1 else values[..., self.gid]
 
     def sums(self, values):
-        """Per-group sums of a row column, each added over its group's rows
-        in order."""
-        return np.add.reduceat(values, self.starts)
+        """Per-group sums along the last axis of values, each added over its
+        group's rows in order."""
+        return np.add.reduceat(values, self.starts, axis=-1)
 
     def medians(self, values, mask):
         """Per-group median of values over the rows where mask holds, equal
@@ -586,12 +599,19 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
 
     Rows and the flow model are built once.  The groups run MSAC in
     lockstep: round i draws each running group's sample as a lone call
-    would, solves the minimal systems as one stack and scores them in one
-    pass over the rows of the groups still running, with costs, counts and
-    adaptive stops kept per group.  The refits then run for all groups
-    together, and a group stops refitting once its inliers settle.  Each
-    sum, median and solve takes one group's rows
-    alone, so a group's result does not depend on the groups beside it.
+    would and scores the hypotheses in one pass over the rows of the groups
+    still running, with costs, counts and adaptive stops kept per group.
+    Rounds run in batches of B = min(_BATCH, rounds left), the rounds left
+    being the fewest that a running group has before its adaptive count or
+    the cap, and one while a group has no best: the batch's minimal
+    systems, B per group, are solved as one stack and its hypotheses probed
+    in one pass.  The rounds are then replayed in order, each against the
+    best so far; a new best that lowers a group's count stops it within the
+    batch, and its hypotheses left there are neither counted nor scored.
+    The refits then run for all groups together, and a group stops
+    refitting once its inliers settle.  Each sum, median and solve takes
+    one group's rows alone, so a group's result does not depend on the
+    groups beside it.
     A group smaller than twice the minimal sample can hold no consensus,
     and draws no sample.
     """
@@ -632,44 +652,76 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
     # replacement, exceeds the mean over all rows by more than this with
     # probability at most _DELTA
     margin = t2 * math.sqrt(math.log(1 / _DELTA) / (2 * _PROBE_ROWS))
+
+    def runs(groups):
+        """The rows of the running groups, the positions of the probed ones
+        among them, and those groups' probe rows."""
+        at = np.flatnonzero(probed[groups])
+        return rows_of(groups), at, (
+            rows_of(groups[at], picks[groups[at]]) if at.size else None)
+
+    p = kind.param_dim
     running = np.flatnonzero(drawn)
-    rows = None
+    if running.size:
+        rows, at, probe = runs(running)
     i = 0
     while running.size:
-        if rows is None or len(rows.groups) != len(running):
-            rows = rows_of(running)
-            at = np.flatnonzero(probed[running])
-            probe = rows_of(running[at], picks[running[at]]) if at.size else None
-        samples = rows.first + _draws([cfg.seed, i], rows.sizes, c)
-        i += 1
-        theta, ok = _solve_minimal(a[samples], b[samples])
-        # a hypothesis is scored on all rows unless its group's probe
-        # rejects it: its mean MSAC term there is too high to beat the best
-        full = ok.copy()
-        if probe is not None:
-            best = best_cost[probe.groups]
-            tested = ok[at] & (best < np.inf)
-            if tested.any():
-                e2 = _squared_distance(*probe.residual(theta[at]))
-                mean = probe.sums(np.minimum(e2, t2)) / _PROBE_ROWS
-                full[at] &= ~tested | (
-                    mean <= best / sizes[probe.groups] + margin)
-                scored[probe.groups[tested]] += _PROBE_ROWS
-        if full.any():
-            scored[running[full]] += rows.sizes[full]
-            e2 = _squared_distance(*rows.residual(theta))
-            cost = rows.sums(np.minimum(e2, t2))
-            better = full & (cost < best_cost[running])
-            if better.any():
-                count = rows.sums(e2 <= t2)
-                for j in np.flatnonzero(better):
-                    g = running[j]
-                    best_cost[g], best_theta[g] = cost[j], theta[j]
-                    best_count[g] = count[j]
-                    needed[g] = _adaptive_iterations(
-                        int(count[j]) / int(sizes[g]), c, cfg.confidence)
-        iterations[running] = i
-        running = running[i < np.minimum(needed[running], cfg.max_iterations)]
+        # a batch of the rounds that every running group runs unless a new
+        # best lowers its count; one round while a group has no best
+        n_batch = 1 if np.isinf(best_cost[running]).any() else int(min(
+            _BATCH, min(needed[running].min(), cfg.max_iterations) - i))
+        samples = np.stack(
+            [rows.first + _draws([cfg.seed, i + j], rows.sizes, c)
+             for j in range(n_batch)], axis=1)
+        thetas, oks = _solve_minimal(a[samples].reshape(-1, c, p),
+                                     b[samples].reshape(-1, c))
+        thetas = thetas.reshape(len(running), n_batch, p)
+        oks = oks.reshape(len(running), n_batch)
+        # the probe's mean MSAC term of every hypothesis it may test; read
+        # below only where a test falls
+        if probe is not None and (
+                oks[at] & (best_cost[probe.groups] < np.inf)[:, None]).any():
+            e2 = _squared_distance(*probe.residual(thetas[at]))
+            means = np.zeros((n_batch, len(running)))
+            means[:, at] = probe.sums(np.minimum(e2, t2)) / _PROBE_ROWS
+        # the rounds replayed in order; col gives the running groups'
+        # columns in the batch
+        batch, col, probe_col = running, slice(None), at
+        for j in range(n_batch):
+            theta, full = thetas[col, j], oks[col, j].copy()
+            # a hypothesis is scored on all rows unless its group's probe
+            # rejects it: its mean MSAC term there is too high to beat the best
+            if probe is not None:
+                best = best_cost[probe.groups]
+                tested = full[at] & (best < np.inf)
+                if tested.any():
+                    full[at] &= ~tested | (means[j, probe_col] <= best / sizes[
+                        probe.groups] + margin)
+                    scored[probe.groups[tested]] += _PROBE_ROWS
+            if full.any():
+                scored[running[full]] += rows.sizes[full]
+                e2 = _squared_distance(*rows.residual(theta))
+                cost = rows.sums(np.minimum(e2, t2))
+                better = full & (cost < best_cost[running])
+                if better.any():
+                    count = rows.sums(e2 <= t2)
+                    for k in np.flatnonzero(better):
+                        g = running[k]
+                        best_cost[g], best_theta[g] = cost[k], theta[k]
+                        best_count[g] = count[k]
+                        needed[g] = _adaptive_iterations(
+                            int(count[k]) / int(sizes[g]), c, cfg.confidence)
+            i += 1
+            iterations[running] = i
+            stay = i < np.minimum(needed[running], cfg.max_iterations)
+            if not stay.all():
+                # a stopped group's hypotheses left in the batch are dropped
+                running = running[stay]
+                if not running.size:
+                    break
+                rows, at, probe = runs(running)
+                col = np.searchsorted(batch, running)
+                probe_col = col[at]
 
     for g in np.flatnonzero(drawn & (best_count < 2 * c)):
         results[g] = NoConsensus(f"best consensus {best_count[g]} < {2 * c} "

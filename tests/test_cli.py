@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -666,6 +667,53 @@ def test_fit_spline_bad_depth_exits_3(tmp_path, depth):
     assert run("fit-spline", "--flows", out / "observations.csv",
                "--kind", "six-dof", "--output", tmp_path / "spline.json") == 3
     assert not (tmp_path / "spline.json").exists()
+
+
+# --------------------------------------------------------------------------
+# stage timings
+
+def timed_extract(tmp_path):
+    events = tmp_path / "events.txt"
+    write_edge_events(events)
+    flows = tmp_path / "flows.csv"
+    return (["extract", "--events", events, "--output", flows],
+            tmp_path / "flows.csv.stats.json",
+            {"read_s", "surface_s", "extract_s", "write_s"})
+
+
+def timed_solve(tmp_path, *argv):
+    flows = simulate(tmp_path, "--outlier-fraction", 0.2) / "observations.csv"
+    return (["solve", "--flows", flows, "--output", tmp_path / "fit.json",
+             *argv], tmp_path / "fit.json", {"read_s", "solve_s"})
+
+
+def timed_fit_spline(tmp_path):
+    flows = step_dataset(tmp_path) / "observations.csv"
+    return (["fit-spline", "--flows", flows, "--kind", "angular-velocity",
+             "--output", tmp_path / "spline.json"], tmp_path / "spline.json",
+            {"read_s", "init_s", "fit_s"})
+
+
+TIMED = {
+    "extract": timed_extract,
+    "solve-six-dof": lambda tmp_path: timed_solve(tmp_path, "--kind",
+                                                  "six-dof"),
+    "solve-depth": lambda tmp_path: timed_solve(
+        tmp_path, "--kind", "depth", "--velocity", velocity_file(tmp_path)),
+    "fit-spline": timed_fit_spline,
+}
+
+
+@pytest.mark.parametrize("command", sorted(TIMED))
+def test_stage_timings_lie_within_the_command(tmp_path, command):
+    argv, output, keys = TIMED[command](tmp_path)
+    start = time.perf_counter()
+    assert run(*argv) == 0
+    wall = time.perf_counter() - start
+    timings = read_json(output)["timings"]
+    assert set(timings) == keys
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+    assert sum(timings.values()) <= wall
 
 
 # --------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           ModelKind, NoConsensus, NoiseSpec,
                           Observations, PlaneScene, PureRotation,
                           RandomPointsScene, RankDeficient, RansacConfig,
-                          TooFewObservations, Velocity, build_rows,
+                          StepMotion, TooFewObservations, Velocity, build_rows,
                           epipolar_terms, generate_dataset, homography_flow,
-                          matrix_a, matrix_b, matrix_c, matrix_d,
-                          motion_field, ransac_estimate, solve_6dof,
+                          init_from_linear, matrix_a, matrix_b, matrix_c,
+                          matrix_d, motion_field, ransac_estimate, solve_6dof,
                           solve_angular_velocity, solve_depth,
                           solve_diff_homography, solve_optical_flow,
                           stack_and_solve)
@@ -765,7 +765,7 @@ def test_group_medians_equal_np_median():
 
 
 def assert_same_report(ours, theirs, skip=()):
-    for field in dataclasses.fields(FitReport):
+    for field in dataclasses.fields(theirs):
         if field.name in skip:
             continue
         mine, lone = getattr(ours, field.name), getattr(theirs, field.name)
@@ -773,9 +773,8 @@ def assert_same_report(ours, theirs, skip=()):
         assert np.array_equal(mine, lone), field.name
 
 
-def test_ransac_groups_isolate_failing_groups():
-    # groups that fail sit between good ones; each group yields what a
-    # lone ransac_estimate call gives on it, bit for bit
+def failing_groups():
+    """Groups that fail between good ones, with their kind and config."""
     kind = ModelKind.ANGULAR_VELOCITY
     v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))
     noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.2)
@@ -789,9 +788,20 @@ def test_ransac_groups_isolate_failing_groups():
     one_pixel = Observations(xy=np.tile((0.1, -0.2), (40, 1)),
                              n=rng.uniform(-0.5, 0.5, (40, 2)), t=np.zeros(40))
     groups = [good[0], outliers, one_pixel, good[0][:2], good[1], good[0][:5]]
-    cfg = RansacConfig(seed=5, max_iterations=300)
+    return groups, kind, RansacConfig(seed=5, max_iterations=300)
+
+
+def grouped(groups, kind, cfg):
+    """_ransac_groups on the groups, concatenated."""
     bounds = np.cumsum([0] + [len(g) for g in groups])
-    results = _ransac_groups(as_observations(groups), kind, bounds, cfg)
+    return _ransac_groups(as_observations(groups), kind, bounds, cfg)
+
+
+def test_ransac_groups_isolate_failing_groups():
+    # each group yields what a lone ransac_estimate call gives on it, bit
+    # for bit
+    groups, kind, cfg = failing_groups()
+    results = grouped(groups, kind, cfg)
     assert [type(r) for r in results] == [
         FitReport, NoConsensus, NoConsensus, TooFewObservations, FitReport,
         NoConsensus]
@@ -844,18 +854,98 @@ def test_probed_fit_takes_depths_as_a_sequence():
                        ransac_estimate(obs, kind, depths=depths))
 
 
-def test_probed_group_beside_small_ones_equals_lone_calls():
+def probed_beside_small():
+    """A probed group between two small ones, with their kind and config."""
     kind = ModelKind.DIFF_HOMOGRAPHY
     big, _ = robust_case(kind, 0.5, count=solvers._PROBE_MIN + 1000, seed=2)
     small = [robust_case(kind, 0.5, count=count, seed=seed)[0]
              for count, seed in ((300, 3), (500, 4))]
-    groups = [small[0], big, small[1]]
-    cfg = RansacConfig(seed=8)
-    bounds = np.cumsum([0] + [len(g) for g in groups])
-    results = _ransac_groups(as_observations(groups), kind, bounds, cfg)
+    return [small[0], big, small[1]], kind, RansacConfig(seed=8)
+
+
+def test_probed_group_beside_small_ones_equals_lone_calls():
+    groups, kind, cfg = probed_beside_small()
+    results = grouped(groups, kind, cfg)
     for group, result in zip(groups, results):
         assert_same_report(result, ransac_estimate(group, kind, cfg))
     # the probe rejected hypotheses in the big group alone
+    big = groups[1]
     assert results[1].rows_scored < results[1].iterations * len(big)
-    for group, result in zip(small, results[::2]):
+    for group, result in zip(groups[::2], results[::2]):
         assert result.rows_scored == result.iterations * len(group)
+
+
+# --------------------------------------------------------------------------
+# MSAC rounds in batches: drawn, solved and probed together, then replayed
+# in order
+
+def lone_call(kind, count):
+    """ransac_estimate on ransac_case's data (count 600, never probed) or
+    on robust_case's (probed)."""
+    def run():
+        obs, depths = (ransac_case(kind) if count == 600
+                       else robust_case(kind, 0.5, count=count))
+        cfg = RansacConfig(seed=6)
+        return [ransac_estimate(obs, kind, cfg, depths=depths)]
+    return run
+
+
+def spline_init():
+    """init_from_linear on spline-step-like data: omega steps from 0.5 to 2
+    rad/s about z, K = 10 000, 10% outliers, one knot per 0.02 s."""
+    motion = StepMotion(before=Velocity(nu=(0, 0, 0), omega=(0, 0, 0.5)),
+                        after=Velocity(nu=(0, 0, 0), omega=(0, 0, 2.0)),
+                        t_switch=0.5)
+    noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.1)
+    obs, _ = generate_dataset(RandomPointsScene(), motion, count=10000,
+                              window=1.0, noise=noise, seed=1)
+    init, report = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02)
+    return [init.control_points, report]
+
+
+BATCH_CASES = {
+    **{f"{kind.value}-{count}": lone_call(kind, count)
+       for kind in (ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF,
+                    ModelKind.DIFF_HOMOGRAPHY) for count in (600, 20000)},
+    "failing-groups": lambda: grouped(*failing_groups()),
+    "probed-beside-small": lambda: grouped(*probed_beside_small()),
+    "spline-init": spline_init,
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_rounds_change_no_result(monkeypatch, case, batch):
+    # _BATCH = 1 draws, solves and probes one round at a time
+    monkeypatch.setattr(solvers, "_BATCH", 1)
+    rounds = BATCH_CASES[case]()
+    monkeypatch.setattr(solvers, "_BATCH", batch)
+    batched = BATCH_CASES[case]()
+    assert len(batched) == len(rounds)
+    for ours, theirs in zip(batched, rounds):
+        if isinstance(theirs, Exception):
+            assert (type(ours), str(ours)) == (type(theirs), str(theirs))
+        elif isinstance(theirs, np.ndarray):
+            assert np.array_equal(ours, theirs)
+        else:
+            assert_same_report(ours, theirs)
+
+
+def test_stop_inside_a_batch_counts_no_discarded_hypothesis(monkeypatch):
+    # at seed 6 a new best lowers the adaptive count inside a batch of 8:
+    # the hypotheses drawn past the stop count neither as iterations nor as
+    # scored rows
+    kind = ModelKind.ANGULAR_VELOCITY
+    obs, _ = ransac_case(kind)
+    cfg = RansacConfig(seed=6)
+    monkeypatch.setattr(solvers, "_BATCH", 1)
+    rounds = ransac_estimate(obs, kind, cfg)
+    solved = []
+    solve = solvers._solve_minimal
+    monkeypatch.setattr(solvers, "_solve_minimal",
+                        lambda a, b: solved.append(len(a)) or solve(a, b))
+    monkeypatch.setattr(solvers, "_BATCH", 8)
+    batched = ransac_estimate(obs, kind, cfg)
+    assert_same_report(batched, rounds)
+    assert sum(solved) > batched.iterations
+    assert batched.rows_scored == batched.iterations * len(obs)
