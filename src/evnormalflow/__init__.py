@@ -24,9 +24,8 @@ from .extraction import (ExtractionConfig, ExtractionStats,
                          write_flows_csv)
 from .geometry import (DiffHomography, Intrinsics, Observations, Velocity,
                        as_observations, calibrated_to_pixel, epipolar_terms,
-                       homography_flow, matrix_a, matrix_b, matrix_c, matrix_d,
-                       motion_field, nf_residual, pixel_to_calibrated, skew,
-                       vee)
+                       matrix_a, matrix_b, matrix_c, matrix_d,
+                       pixel_to_calibrated, skew, vee)
 from .homography import (DecompositionResult, PlanarStructure, compose_hd,
                          decompose_hd, hd_from_plane, recover_true_hd)
 from .solvers import (FitReport, ModelKind, RansacConfig, SolveInfo,

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import re
+import resource
 import sys
 import tempfile
 import time
@@ -102,6 +103,8 @@ def _stage(timings, name):
 
 
 def _manifest(args):
+    """The run's seed, config and its hash, versions, and the process's
+    peak resident memory so far in MB (ru_maxrss, which Linux gives in KiB)."""
     # JSON has no infinity; "inf" reads back from a --config file
     config = {key: "inf" if value == math.inf else value
               for key, value in vars(args).items()
@@ -116,6 +119,7 @@ def _manifest(args):
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
@@ -342,7 +346,8 @@ def cmd_solve(args):
             "rows_scored": fit_report.rows_scored,
             "hit_cap": fit_report.hit_cap,
             "inlier_ratio": fit_report.inlier_ratio,
-            "threshold": fit_report.threshold})
+            "threshold": fit_report.threshold,
+            "refits": fit_report.refits})
         if kind is ModelKind.DIFF_HOMOGRAPHY:
             report.update(_homography_extras(fit_report.theta))
     report["timings"] = timings

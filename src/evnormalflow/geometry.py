@@ -1,5 +1,5 @@
-"""Calibrated-camera geometry: interaction matrices, epipolar terms, and
-the normal-flow constraint residual.
+"""Calibrated-camera geometry: observations, interaction matrices,
+epipolar terms and the pixel <-> calibrated conversions.
 
 All quantities live in calibrated (focal-length-normalized) coordinates.
 A point x = (x, y) denotes the projection (X/Z, Y/Z); xhat = (x, y, 1).
@@ -9,7 +9,12 @@ and angular velocity omega over depth Z(x) is
     u(x) = A(x) nu / Z + B(x) omega,
 
 and a normal flow vector n (the projection of u onto the local image
-gradient direction) satisfies  n . u = |n|^2.
+gradient direction) satisfies  n . u = |n|^2.  matrix_a/b/c/d write that
+field, and its planar form C(x) vec(H), in the paper's notation: they are
+the oracle that tests hold the runtime to, and no runtime code calls them.
+The runtime evaluates the field in solvers._flow_model.  A caller gets a
+flow as matrix_d(x, y, z) @ np.r_[nu, omega], or as
+matrix_c(x, y) @ h.ravel() for a differential homography h.
 
 Measurements travel as one columnar `Observations` (xy, n, t, mag2
 arrays) from extraction or synthesis to every solver; one measurement is a
@@ -249,35 +254,6 @@ def epipolar_terms(v):
     omega_cross = skew(v.omega)
     s = 0.5 * (nu_cross @ omega_cross + omega_cross @ nu_cross)
     return nu_cross, s
-
-
-def nf_residual(n, u):
-    """Normal-flow constraint residual n . u - |n|^2, row by row."""
-    n = np.asarray(n, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return np.sum(n * u, axis=-1) - np.sum(n * n, axis=-1)
-
-
-def motion_field(x, y, z, v):
-    """Instantaneous image motion u = A(x) nu / Z + B(x) omega, (..., 2)."""
-    z = np.asarray(z, dtype=float)
-    if np.any(~(z > 0)):
-        raise DegenerateDepth("depth must be positive")
-    ut = matrix_a(x, y) @ v.nu / z[..., None]
-    ur = matrix_b(x, y) @ v.omega
-    return ut + ur
-
-
-def homography_flow(h, x, y):
-    """Flow of a differential homography: first two components of
-    (I - xhat e3^T) H xhat, shape (..., 2)."""
-    h = h.h if isinstance(h, DiffHomography) else np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    zero = np.zeros(np.broadcast(x, y).shape)
-    xhat = np.stack([x + zero, y + zero, 1.0 + zero], axis=-1)
-    w = xhat @ h.T
-    return w[..., :2] - xhat[..., :2] * w[..., 2:3]
 
 
 def pixel_to_calibrated(px, intr, gradient_px=None):

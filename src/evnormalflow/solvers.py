@@ -17,9 +17,11 @@ Z = n^T A(x) nu / (|n|^2 - n^T B(x) omega).
 
 Each global model's flow is written once, in _flow_model, as K-length
 columns over positions; geometry's interaction matrices A, B, C and D are
-the paper's notation for the same flows.  build_rows derives the
-constraint rows from _flow_model: row j is the normal component of the
-flow that unit parameter j predicts.
+the paper's notation for the same flows, and no runtime code calls them.
+build_rows derives the constraint rows from _flow_model: row j is the
+normal component of the flow that unit parameter j predicts.  solve_depth
+takes A(x) nu and B(x) omega from the six-dof flow at unit depth, and
+synthesis.generate_dataset its samples' flows from the same model.
 
 Every solver takes an Observations; a sequence of Observations (such as
 one-row sets) is concatenated once on entry.  The per-pixel solvers work
@@ -63,7 +65,7 @@ from .errors import (DegenerateDepth, NoConsensus, PureRotation,
                      RankDeficient, SolverDegeneracy, TooFewObservations,
                      integer, interval, positive, uint64)
 from .geometry import (DiffHomography, Velocity, as_observations,
-                       epipolar_terms, matrix_a, matrix_b)
+                       epipolar_terms)
 
 _REL_TOL = 1e-12
 _EPS = np.finfo(float).eps
@@ -135,7 +137,8 @@ class FitReport:
     adaptive count.  rows_scored counts the rows on which the MSAC loop
     scored the hypotheses: the probe's rows included, none for a
     rank-deficient sample.  It is iterations times the number of
-    observations when no hypothesis is probed and none is rank-deficient."""
+    observations when no hypothesis is probed and none is rank-deficient.
+    refits counts the weighted refits of the consensus, 1 to 10."""
 
     kind: ModelKind
     theta: np.ndarray
@@ -147,6 +150,7 @@ class FitReport:
     hit_cap: bool
     inlier_ratio: float
     threshold: float
+    refits: int
 
 
 def stack_and_solve(a, b, min_rank=None):
@@ -274,12 +278,15 @@ def solve_depth(observations, v):
     violates cheirality; it is reported, not clamped.
     """
     obs = as_observations(observations)
-    x, y, n0, n1 = obs.xy[:, 0], obs.xy[:, 1], obs.n[:, 0], obs.n[:, 1]
-    a_nu = matrix_a(x, y) @ v.nu
-    b_om = matrix_b(x, y) @ v.omega
-    num = n0 * a_nu[:, 0] + n1 * a_nu[:, 1]
-    den = obs.mag2 - (n0 * b_om[:, 0] + n1 * b_om[:, 1])
-    num_scale = np.linalg.norm(obs.n, axis=1) * np.linalg.norm(a_nu, axis=1)
+    n0, n1 = obs.n[:, 0], obs.n[:, 1]
+    # the six-dof flow at unit depth: A(x) nu is that of (nu, 0), and
+    # B(x) omega that of (0, omega)
+    flow = _flow_model(obs.xy, ModelKind.SIX_DOF, np.ones(len(obs)))
+    ax, ay = flow(np.r_[v.nu, 0.0, 0.0, 0.0])
+    bx, by = flow(np.r_[0.0, 0.0, 0.0, v.omega])
+    num = n0 * ax + n1 * ay
+    den = obs.mag2 - (n0 * bx + n1 * by)
+    num_scale = np.linalg.norm(obs.n, axis=1) * np.hypot(ax, ay)
     valid = (np.abs(num) > _REL_TOL * num_scale) & (num_scale > 0)
     valid &= np.abs(den) > _REL_TOL * obs.mag2
     z = np.full(len(obs), np.nan)
@@ -774,7 +781,8 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
                     iterations=int(iterations[g]),
                     rows_scored=int(scored[g]),
                     hit_cap=bool(needed[g] > cfg.max_iterations),
-                    inlier_ratio=m / k, threshold=float(threshold[j]))
+                    inlier_ratio=m / k, threshold=float(threshold[j]),
+                    refits=refit)
             drop(done)
             if not live.size:
                 return results

@@ -197,10 +197,13 @@ class _BlockRows:
     observations sorted by time, so seg is non-decreasing and each segment
     is one run.
 
-    Rows are scaled by 1/|n|: noise on the flow components produces
-    constraint noise proportional to the flow magnitude, so this is the
-    inverse-variance weighting.  It also keeps slow- and fast-motion spans
-    of a trajectory equally constrained per observation.
+    Rows are scaled by 1/|n|, which turns n . u = |n|^2 into
+    (n / |n|) . u = |n|: each residual is the predicted flow's component
+    along the gradient less the measured normal flow's length, in flow
+    units, so slow- and fast-motion spans of a trajectory are equally
+    constrained per observation.  It is not an inverse-variance weight:
+    under isotropic noise of deviation sigma on n the residual deviates by
+    about sigma |u| / |n|, which grows as the flow turns from the gradient.
     """
 
     def __init__(self, obs, depths, kind, traj):
@@ -243,8 +246,9 @@ def _scaled_solve(gram, rhs):
     starved ones held only by the regularisation.  The scaled system is
     solved by one LAPACK call; its Cholesky factorisation serves only as
     the definiteness check.  Returns x and the scaled matrix.  A zero
-    diagonal or a failed factorisation means the fit has no unique
-    solution: RankDeficient.
+    diagonal, a failed factorisation or a solve that finds the matrix
+    singular (rounding can pass the one and fail the other) means the fit
+    has no unique solution: RankDeficient.
     """
     diag = np.diag(gram)
     if not np.all(diag > 0.0):
@@ -254,9 +258,10 @@ def _scaled_solve(gram, rhs):
     scaled = gram * d[:, None] * d[None, :]
     try:
         np.linalg.cholesky(scaled)
+        x = np.linalg.solve(scaled, rhs * d) * d
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"spline normal equations singular: {exc}") from exc
-    return np.linalg.solve(scaled, rhs * d) * d, scaled
+    return x, scaled
 
 
 def _starved(seg_counts):
@@ -309,10 +314,10 @@ def fit(problem, init):
     a^T W a + reg^T reg from each observation's 4*dim nonzero row values,
     summed segment by segment, and solves them after Jacobi scaling; no
     K x (n_ctrl*dim) design is built.  Raises RankDeficient when that
-    matrix is not positive definite (its Cholesky factorisation fails), or
-    is numerically singular at the last solve (smallest eigenvalue of the
-    scaled matrix at most n * eps times the largest); report.cond is that
-    matrix's condition number.
+    matrix is not positive definite (its Cholesky factorisation or the
+    solve fails), or is numerically singular at the last solve (smallest
+    eigenvalue of the scaled matrix at most n * eps times the largest);
+    report.cond is that matrix's condition number.
     """
     obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim

@@ -15,11 +15,11 @@ import numpy as np
 from .errors import (finite, integer, interval, non_negative, positive,
                      uint64)
 from .events import TimeSurface, UNFIRED
-from .geometry import (Intrinsics, Observations, Velocity, matrix_a, matrix_b,
-                       squared_norms)
+from .geometry import Intrinsics, Observations, Velocity, squared_norms
 from .homography import hd_from_plane, recover_true_hd
-from .solvers import (ModelKind, solve_6dof, solve_angular_velocity,
-                      solve_depth, solve_diff_homography, solve_optical_flow,
+from .solvers import (ModelKind, _flow_model, solve_6dof,
+                      solve_angular_velocity, solve_depth,
+                      solve_diff_homography, solve_optical_flow,
                       stack_and_solve)
 from .spline import evaluate as spline_evaluate
 
@@ -242,10 +242,9 @@ def generate_dataset(scene, motion, intr=DEFAULT_INTRINSICS, count=1000,
     xy, z = scene.sample(rng, count)
     t = rng.uniform(0.0, window, count)
     nu, omega = motion.at(t)
-    a = matrix_a(xy[:, 0], xy[:, 1])
-    b = matrix_b(xy[:, 0], xy[:, 1])
-    u = (np.einsum("kij,kj->ki", a, nu) / z[:, None]
-         + np.einsum("kij,kj->ki", b, omega))
+    # each sample's own (nu, omega): a (6, K) parameter of the six-dof flow
+    theta = np.concatenate([nu.T, omega.T])
+    u = np.stack(_flow_model(xy, ModelKind.SIX_DOF, z)(theta), axis=1)
 
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     ghat = np.stack([np.cos(phi), np.sin(phi)], axis=1)

@@ -1,16 +1,32 @@
-"""Motion-field building blocks: the A/B/C/D matrices, residuals, and the
-pixel <-> calibrated conversions."""
+"""Motion-field building blocks: the A/B/C/D matrices, the runtime flow
+model against them, and the pixel <-> calibrated conversions."""
 import numpy as np
 import pytest
 
-from evnormalflow import (DegenerateDepth, DiffHomography, Intrinsics,
+from evnormalflow import (DegenerateDepth, Intrinsics, ModelKind,
                           Observations, OutOfBounds, Velocity,
                           as_observations, calibrated_to_pixel,
-                          epipolar_terms, homography_flow, matrix_a, matrix_b,
-                          matrix_c, matrix_d, motion_field, nf_residual,
-                          pixel_to_calibrated, skew, vee)
+                          epipolar_terms, matrix_a, matrix_b, matrix_c,
+                          matrix_d, pixel_to_calibrated, skew, vee)
+from evnormalflow.solvers import _flow_model
 
 INTR = Intrinsics(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240, height=180)
+
+
+def flow_at(x, y, kind, theta, z=None):
+    """The flow (2,) that theta predicts at (x, y) under kind's model in
+    solvers._flow_model, at depth z for SIX_DOF."""
+    depths = None if z is None else [z]
+    ux, uy = _flow_model(np.array([[x, y]]), kind, depths)(np.asarray(theta))
+    return np.array([ux[0], uy[0]])
+
+
+def six_dof_flow(x, y, z, v):
+    return flow_at(x, y, ModelKind.SIX_DOF, np.r_[v.nu, v.omega], z)
+
+
+def planar_flow(h, x, y):
+    return flow_at(x, y, ModelKind.DIFF_HOMOGRAPHY, np.ravel(h))
 
 
 def test_matrix_a_values():
@@ -59,8 +75,7 @@ def test_matrix_c_matches_direct_flow():
         w = h @ xhat
         direct = w[:2] - xhat[:2] * w[2]
         assert np.allclose(matrix_c(x, y) @ h.reshape(9), direct, atol=1e-12)
-        assert np.allclose(homography_flow(DiffHomography(h), x, y), direct,
-                           atol=1e-12)
+        assert np.allclose(planar_flow(h, x, y), direct, atol=1e-12)
 
 
 def test_matrix_c_identity_null_space():
@@ -92,7 +107,8 @@ def test_nan_depth_is_degenerate():
     with pytest.raises(DegenerateDepth):
         matrix_d([0.0, 0.1], [0.0, 0.2], [2.0, np.nan])
     with pytest.raises(DegenerateDepth):
-        motion_field([0.0, 0.1], [0.0, 0.2], [np.nan, 2.0], v)
+        _flow_model(np.array([[0.0, 0.0], [0.1, 0.2]]), ModelKind.SIX_DOF,
+                    [np.nan, 2.0])(np.r_[v.nu, v.omega])
 
 
 def test_epipolar_terms_hand_case():
@@ -116,18 +132,6 @@ def test_epipolar_terms_symmetric():
         assert np.array_equal(s, s.T)
 
 
-def test_nf_residual():
-    assert abs(nf_residual([1.732, 0.0], np.array([1.732, -1.0]))) < 1e-12
-    n2 = np.array([0.4, -0.3])
-    assert abs(nf_residual(n2, n2)) < 1e-15
-    assert nf_residual([1.0, 0.0], np.array([0.0, 1.0])) == -1.0
-    # (K, 2) arrays give one residual per row
-    n = np.array([[1.732, 0.0], [0.4, -0.3], [1.0, 0.0]])
-    u = np.array([[1.732, -1.0], [0.4, -0.3], [0.0, 1.0]])
-    assert np.array_equal(nf_residual(n, u),
-                          [nf_residual(a, b) for a, b in zip(n, u)])
-
-
 def test_skew_vee_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -146,7 +150,7 @@ def test_motion_field_satisfies_epipolar_constraint():
         x, y = rng.uniform(-1, 1, 2)
         z = rng.uniform(0.5, 5.0)
         v = Velocity(nu=rng.standard_normal(3), omega=rng.standard_normal(3))
-        u = motion_field(x, y, z, v)
+        u = six_dof_flow(x, y, z, v)
         nu_cross, s = epipolar_terms(v)
         xhat = np.array([x, y, 1.0])
         uhat = np.array([u[0], u[1], 0.0])
@@ -161,11 +165,11 @@ def test_planar_flow_matches_homography():
         normal[2] = abs(normal[2]) + 1.0
         normal /= np.linalg.norm(normal)
         d = rng.uniform(0.5, 3.0)
-        hd = DiffHomography(-(skew(v.omega) + np.outer(v.nu / d, normal)))
+        hd = -(skew(v.omega) + np.outer(v.nu / d, normal))
         x, y = rng.uniform(-0.5, 0.5, 2)
         z = d / (normal @ [x, y, 1.0])
         assert z > 0
-        assert np.allclose(motion_field(x, y, z, v), homography_flow(hd, x, y),
+        assert np.allclose(six_dof_flow(x, y, z, v), planar_flow(hd, x, y),
                            atol=1e-10)
 
 
@@ -173,11 +177,11 @@ def test_homography_flow_eps_invariance():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((3, 3))
     for eps in (-10.0, -0.3, 0.0, 2.5, 10.0):
-        shifted = DiffHomography(h + eps * np.eye(3))
+        shifted = h + eps * np.eye(3)
         for _ in range(10):
             x, y = rng.uniform(-1, 1, 2)
-            assert np.allclose(homography_flow(DiffHomography(h), x, y),
-                               homography_flow(shifted, x, y), atol=1e-12)
+            assert np.allclose(planar_flow(h, x, y),
+                               planar_flow(shifted, x, y), atol=1e-12)
 
 
 def test_pixel_to_calibrated_principal_point():

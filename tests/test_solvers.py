@@ -10,10 +10,11 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           ModelKind, NoConsensus, NoiseSpec,
                           Observations, PlaneScene, PureRotation,
                           RandomPointsScene, RankDeficient, RansacConfig,
-                          StepMotion, TooFewObservations, Velocity, build_rows,
-                          epipolar_terms, generate_dataset, homography_flow,
+                          StepMotion, TooFewObservations, TwoWallsScene,
+                          Velocity, build_rows,
+                          epipolar_terms, generate_dataset,
                           init_from_linear, matrix_a, matrix_b, matrix_c,
-                          matrix_d, motion_field, ransac_estimate, solve_6dof,
+                          matrix_d, ransac_estimate, solve_6dof,
                           solve_angular_velocity, solve_depth,
                           solve_diff_homography, solve_optical_flow,
                           stack_and_solve)
@@ -65,6 +66,21 @@ def scalar_depth(obs, v):
             or abs(den) <= 1e-12 * mag2):
         return None
     return num / den
+
+
+def depth_oracle(obs, v, z):
+    """The residual z (|n|^2 - n^T B(x) omega) - n^T A(x) nu of depths z
+    under geometry's interaction matrices, and 4 eps times the magnitudes
+    it sums, row by row: rounding keeps a depth that solves the equation
+    within that bound, however much |n|^2 and n^T B(x) omega cancel."""
+    x, y, n = obs.xy[:, 0], obs.xy[:, 1], obs.n
+    a, b = matrix_a(x, y), matrix_b(x, y)
+    num = np.einsum("ki,kij,j->k", n, a, v.nu)
+    den = obs.mag2 - np.einsum("ki,kij,j->k", n, b, v.omega)
+    terms = (np.einsum("ki,kij,j->k", np.abs(n), np.abs(a), np.abs(v.nu))
+             + np.abs(z) * (obs.mag2 + np.einsum(
+                 "ki,kij,j->k", np.abs(n), np.abs(b), np.abs(v.omega))))
+    return z * den - num, 4 * np.finfo(float).eps * terms
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +149,7 @@ def test_optical_flow_exact_inversion():
     for _ in range(50):
         x, y = rng.uniform(-0.5, 0.5, 2)
         z = rng.uniform(1.0, 5.0)
-        flows.append(motion_field(x, y, z, v))
+        flows.append(matrix_d(x, y, z) @ np.r_[v.nu, v.omega])
         obs.append(make_obs(x, y, flows[-1], 30.0))
     u, valid = solve_optical_flow(obs, v)
     assert valid.all()
@@ -159,7 +175,7 @@ def test_optical_flow_singular_when_parallel_to_epipolar():
 def test_depth_hand_example():
     # x=(0.1, 0), nu = e3, omega = 0, Z = 2  =>  u = (0.05, 0)
     v = Velocity(nu=(0, 0, 1), omega=(0, 0, 0))
-    u = motion_field(0.1, 0.0, 2.0, v)
+    u = matrix_d(0.1, 0.0, 2.0) @ np.r_[v.nu, v.omega]
     assert np.allclose(u, [0.05, 0.0])
     obs = one_obs(0.1, 0.0, u[0], u[1])
     z, valid = solve_depth(obs, v)
@@ -216,8 +232,24 @@ def test_batch_solvers_match_scalar():
         assert (u is not None, z is not None) == (valid_u[i], valid_z[i])
         if valid_u[i]:
             assert np.allclose(u, u_batch[i], atol=1e-12)
-        if valid_z[i]:
-            assert z == pytest.approx(z_batch[i], abs=1e-12)
+    # the batch depths solve the interaction-matrix equation that
+    # scalar_depth divides out, to within rounding
+    r, bound = depth_oracle(obs[valid_z], v, z_batch[valid_z])
+    assert np.all(np.abs(r) <= bound)
+
+
+@pytest.mark.parametrize("scene", [RandomPointsScene(),
+                                   PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0),
+                                   TwoWallsScene()],
+                         ids=["points", "plane", "walls"])
+def test_depth_equals_interaction_matrix_formula(scene):
+    v = Velocity(nu=(0.3, -0.2, 0.5), omega=(0.1, 0.2, -0.3))
+    obs, _ = generate_dataset(scene, ConstantMotion(v), count=2000, seed=32,
+                              noise=NoiseSpec(sigma_px=0.5))
+    z, valid = solve_depth(obs, v)
+    assert valid.all()
+    r, bound = depth_oracle(obs, v, z)
+    assert np.all(np.abs(r) <= bound)
 
 
 def test_batch_flow_pure_rotation_raises():
@@ -327,7 +359,7 @@ def test_diff_homography_eps_shift_invisible():
     rng = np.random.default_rng(36)
     obs_shift = []
     for (x, y), t in zip(obs.xy, obs.t):
-        u = homography_flow(h_shift, x, y)
+        u = matrix_c(x, y) @ h_shift.h.ravel()
         phi = rng.uniform(0, 2 * np.pi)
         g = np.array([np.cos(phi), np.sin(phi)])
         n = (u @ g) * g
@@ -335,8 +367,8 @@ def test_diff_homography_eps_shift_invisible():
     h1 = solve_diff_homography(obs_shift).h
     # flows from the shifted matrix equal flows from the original
     for x, y in obs.xy[:10]:
-        assert np.allclose(homography_flow(h_shift, x, y),
-                           homography_flow(truth.hd, x, y), atol=1e-12)
+        assert np.allclose(matrix_c(x, y) @ h_shift.h.ravel(),
+                           matrix_c(x, y) @ truth.hd.h.ravel(), atol=1e-12)
     diff = h1 - truth.hd.h
     assert np.linalg.norm(diff - np.eye(3) * diff[0, 0]) < 1e-7
 
@@ -435,8 +467,7 @@ def test_ransac_residual_law():
                                   count=400, noise=noise, seed=8)
     cfg = RansacConfig(seed=8)
     report = ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY, cfg)
-    u = motion_field(obs.xy[:, 0], obs.xy[:, 1], np.ones(len(obs)),
-                     Velocity(nu=(0, 0, 0), omega=report.theta))
+    u = matrix_b(obs.xy[:, 0], obs.xy[:, 1]) @ report.theta
     e = line_distance(obs, u)
     # the scale from the data, between its floor and the bound
     floor = 3e-4 * np.sqrt(np.mean(obs.mag2))
@@ -496,11 +527,10 @@ def test_ransac_inliers_within_threshold_of_predicted_flow(kind):
     if kind is ModelKind.SIX_DOF:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2),
                                  depths=truth.z)
-        u = motion_field(x, y, truth.z, Velocity(nu=report.theta[:3],
-                                                 omega=report.theta[3:]))
+        u = matrix_d(x, y, truth.z) @ report.theta
     elif kind is ModelKind.DIFF_HOMOGRAPHY:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2))
-        u = homography_flow(report.theta.reshape(3, 3), x, y)
+        u = matrix_c(x, y) @ report.theta
     else:
         report = ransac_estimate(obs, kind, RansacConfig(seed=2))
         u = matrix_b(x, y) @ report.theta

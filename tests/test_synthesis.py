@@ -10,15 +10,26 @@ from evnormalflow import (
     ConstantMotion, DegenerateDepth, MovingEdge, NoiseSpec, PlaneScene,
     RandomPointsScene, RankDeficient, SplineMotion, SplineTrajectory,
     StepMotion, TwoWallsScene, Velocity, generate_dataset,
-    matrix_c, motion_field, run_noise_sweep,
+    matrix_c, matrix_d, run_noise_sweep,
     surface_from_edges, toy_registration, ModelKind,
 )
 from evnormalflow.events import UNFIRED
+from evnormalflow.solvers import _flow_model
 from evnormalflow.synthesis import UNOBSERVABLE_TOL
+
+EPS = np.finfo(float).eps
 
 
 # --------------------------------------------------------------------------
-# motion_field / sampled normal flow
+# the motion field / sampled normal flow
+
+def six_dof_flow(x, y, z, v):
+    """The six-dof flow (2,) of velocity v at (x, y) and depth z, from the
+    model in solvers._flow_model that generate_dataset evaluates."""
+    ux, uy = _flow_model(np.array([[x, y]]), ModelKind.SIX_DOF, [z])(
+        np.r_[v.nu, v.omega])
+    return np.array([ux[0], uy[0]])
+
 
 def project(u, ghat):
     """The normal flow an edge of unit gradient direction ghat sees of the
@@ -29,25 +40,25 @@ def project(u, ghat):
 
 
 def test_flow_pure_translation_at_origin():
-    u = motion_field(0.0, 0.0, 1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
+    u = six_dof_flow(0.0, 0.0, 1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
     assert np.allclose(u, (-1.0, 0.0), atol=1e-15)
 
 
 def test_flow_pure_rotation_hand_value():
-    u = motion_field(1.0, 0.0, 1.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 1)))
+    u = six_dof_flow(1.0, 0.0, 1.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 1)))
     assert np.allclose(u, (0.0, -1.0), atol=1e-15)
 
 
 def test_flow_zero_motion():
-    u = motion_field(0.3, -0.2, 2.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 0)))
+    u = six_dof_flow(0.3, -0.2, 2.0, Velocity(nu=(0, 0, 0), omega=(0, 0, 0)))
     assert np.allclose(u, (0.0, 0.0))
 
 
 def test_flow_rejects_nonpositive_depth():
     with pytest.raises(DegenerateDepth):
-        motion_field(0.0, 0.0, 0.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
+        six_dof_flow(0.0, 0.0, 0.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
     with pytest.raises(DegenerateDepth):
-        motion_field(0.0, 0.0, -1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
+        six_dof_flow(0.0, 0.0, -1.0, Velocity(nu=(1, 0, 0), omega=(0, 0, 0)))
 
 
 def test_sample_normal_flow_parallel_and_perpendicular():
@@ -180,6 +191,39 @@ def test_dataset_plane_satisfies_homography_constraint():
     c = matrix_c(xy[:, 0], xy[:, 1])
     pred = np.einsum("ki,kij,j->k", n, c, h_vec)
     assert np.allclose(pred, mag2, atol=1e-12)
+
+
+MOTIONS = {
+    "constant": ConstantMotion(Velocity(nu=(0.2, -0.1, 0.3),
+                                        omega=(0.1, -0.2, 0.15))),
+    "step": StepMotion(before=Velocity(nu=(0.2, -0.1, 0.3),
+                                       omega=(0.1, -0.2, 0.15)),
+                       after=Velocity(nu=(-0.1, 0.3, 0.2),
+                                      omega=(0.3, 0.1, -0.4)),
+                       t_switch=0.25),
+    "spline": SplineMotion(SplineTrajectory(
+        np.random.default_rng(0).normal(size=(12, 6)), t0=-0.1, dt=0.06)),
+}
+SCENES = {"points": RandomPointsScene(),
+          "plane": PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0),
+          "walls": TwoWallsScene()}
+
+
+@pytest.mark.parametrize("motion", sorted(MOTIONS))
+@pytest.mark.parametrize("scene", sorted(SCENES))
+def test_dataset_flow_equals_interaction_matrix_flow(motion, scene):
+    # each row's u is D(x) [nu, omega] of its own sample's velocity, to
+    # within 4 eps of the summed magnitudes |D(x)| |[nu, omega]|: where the
+    # translational and rotational flows cancel, rounding is relative to
+    # them, not to the small |u| they leave
+    motion = MOTIONS[motion]
+    obs, truth = generate_dataset(SCENES[scene], motion, count=2000, seed=4,
+                                  noise=NoiseSpec(sigma_px=0.5))
+    theta = np.concatenate(motion.at(obs.t), axis=1)[:, :, None]
+    d = matrix_d(obs.xy[:, 0], obs.xy[:, 1], truth.z)
+    u = (d @ theta)[:, :, 0]
+    bound = 4 * EPS * (np.abs(d) @ np.abs(theta))[:, :, 0]
+    assert np.all(np.abs(truth.u - u) <= bound)
 
 
 def test_dataset_outlier_bookkeeping():
