@@ -90,7 +90,8 @@ def _atomic_write_text(path, text):
 
 
 def _atomic_write_json(path, payload):
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(path, json.dumps(payload, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
 
 
 @contextmanager
@@ -390,6 +391,7 @@ def cmd_fit_spline(args):
         "starved_segments": fit_report.starved_segments,
         "filled_segments": init_report.filled_segments,
         "ransac_iterations": init_report.ransac_iterations,
+        "segment_iterations": init_report.segment_iterations,
         "capped_segments": init_report.capped_segments,
         "starved_control_points": fit_report.starved_control_points,
         "irls_rounds": fit_report.irls_rounds,

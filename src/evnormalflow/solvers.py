@@ -46,12 +46,14 @@ skipped.  The rounds run in batches of up to _BATCH (after Nister's
 preemptive RANSAC, 2003): a batch's samples are drawn, solved as one stack
 and probed in one pass, then the rounds are replayed in order against the
 best so far, so the draws and every result are those of one round at a
-time.  _solve_groups is
-the least-squares solve behind stack_and_solve and the refits: groups of
-similar size share one stacked QR.  Every sum, median and solve takes
-one group's rows alone, so a group's result does not depend on the
-groups beside it; ransac_estimate and stack_and_solve are the one-group
-calls, and the spline init is the many-group one.
+time.  _solve_groups is the least-squares solve behind stack_and_solve and
+the refits, a two-level TSQR in bounded memory: each group's weighted rows
+fill 64-row leaves, a chunk of leaves at a time is factored in one stacked
+QR, and each group's leaf factors once more, so no solve copies all its
+rows.  Every sum, median and solve takes one group's rows alone, so a
+group's result does not depend on the groups beside it; ransac_estimate
+and stack_and_solve are the one-group calls, and the spline init is the
+many-group one.
 """
 from __future__ import annotations
 
@@ -173,10 +175,14 @@ def stack_and_solve(a, b, min_rank=None):
     return theta[0], SolveInfo(rank=int(rank[0]), cond=float(cond[0]))
 
 
-# A group's rows are padded with zero rows to a multiple of _PAD_ROWS rows:
-# groups of similar size then share one stacked QR, while the matrix each
-# group is solved in depends on its own rows alone.
+# A group's weighted rows, zero-padded at its end, fill leaves of _PAD_ROWS
+# rows each, or of the least multiple of it that holds p + 1 rows, so that
+# R of a leaf's [a | b] is square.  Each leaf holds the rows of one group, at
+# the same places whatever groups lie beside it.
 _PAD_ROWS = 64
+# The leaves are copied and factored a chunk of about this many bytes at a
+# time: 2 048 rows of a homography's [a | b].
+_CHUNK_BYTES = 160 * 1024
 
 
 def _solve_groups(a, b, sel, gid, n_groups, min_rank=None, weight=None):
@@ -185,44 +191,60 @@ def _solve_groups(a, b, sel, gid, n_groups, min_rank=None, weight=None):
     is a[sel[i]] theta = b[sel[i]], scaled by weight[i] when given.
 
     errors[g] is None, or the RankDeficient that stack_and_solve raises on
-    group g alone; theta[g] is zero there.  Each group's rows, padded with
-    zero rows to a multiple of _PAD_ROWS, are one matrix of a stacked QR;
-    in exact arithmetic the zero rows change neither the singular values
-    nor the solution.
+    group g alone; theta[g] is zero there.  A two-level TSQR (Demmel,
+    Grigori, Hoemmen and Langou 2012) that never copies all the rows: the
+    leaves, a chunk at a time, are factored in one stacked QR, and each
+    group's leaf factors, stacked, once more; groups with as many leaves
+    share that QR, and a one-leaf group keeps its leaf's factor.  In exact
+    arithmetic neither the zero rows nor the two levels change the singular
+    values or the solution.
     """
     p = a.shape[1]
     first = np.searchsorted(gid, np.arange(n_groups + 1))
     m = np.diff(first)
-    # at least p + 1 rows, so that R of [a | b] is square
-    padded = -(-np.maximum(m, p + 1) // _PAD_ROWS) * _PAD_ROWS
-    # the padded matrices one after another, grouped by size: group g's
-    # starts at row base[g] of the stack
-    by_size = np.argsort(padded, kind="stable")
-    base = np.empty(n_groups, dtype=np.intp)
-    base[by_size] = np.cumsum(padded[by_size]) - padded[by_size]
-    # a padding row is its group's first row times a zero weight
-    filled = by_size[m[by_size] > 0]
-    src = np.repeat(sel[first[filled]], padded[filled])
-    scale = np.zeros(len(src))
-    at = np.arange(len(sel)) + (base - first[:-1])[gid]
-    src[at] = sel
-    scale[at] = 1.0 if weight is None else weight
-    flat = np.empty((len(src), p + 1))
-    flat[:, :p] = a[src]
-    flat[:, p] = b[src]
-    flat *= scale[:, None]
+    leaf = -(-(p + 1) // _PAD_ROWS) * _PAD_ROWS
+    leaves = -(-m // leaf)
+    start = np.cumsum(leaves) - leaves
+    # the leaves laid end to end, group by group: row i goes to row slot[i]
+    slot = np.arange(len(sel)) + (start * leaf - first[:-1])[gid]
+    n_leaves = int(leaves.sum())
+    per_chunk = max(1, _CHUNK_BYTES // (8 * leaf * (p + 1)))
+    cuts = np.searchsorted(slot, np.arange(0, n_leaves + per_chunk, per_chunk)
+                           * leaf).tolist()
+    factors = np.empty((n_leaves, p + 1, p + 1))
+    buf = np.empty((min(per_chunk, n_leaves) * leaf, p + 1))
+    for c, lo in enumerate(range(0, n_leaves, per_chunk)):
+        hi = min(lo + per_chunk, n_leaves)
+        rows = slice(cuts[c], cuts[c + 1])
+        at = slot[rows] - lo * leaf
+        chunk = buf[:(hi - lo) * leaf]
+        # written in place when no padding lies between the chunk's rows
+        dense = at[-1] == len(at) - 1
+        ab = chunk[:len(at)] if dense else np.empty((len(at), p + 1))
+        ab[:, :p] = np.take(a, sel[rows], axis=0)
+        ab[:, p] = np.take(b, sel[rows])
+        if weight is not None:
+            ab *= weight[rows, None]
+        if dense:
+            chunk[len(at):] = 0.0
+        else:
+            chunk.fill(0.0)
+            chunk[at] = ab
+        factors[lo:hi] = np.linalg.qr(chunk.reshape(hi - lo, leaf, p + 1),
+                                      mode="r")
     theta, rank = np.zeros((n_groups, p)), np.zeros(n_groups, dtype=np.intp)
     cond = np.full(n_groups, np.nan)
     errors = [None if k else RankDeficient("all-zero system")
               for k in m.tolist()]
-    for size in np.unique(padded[m > 0]).tolist():
-        groups = np.flatnonzero(padded == size)
-        rows = slice(base[groups[0]], base[groups[0]] + len(groups) * size)
+    for count in np.unique(leaves[m > 0]).tolist():
+        groups = np.flatnonzero(leaves == count)
         # [a | b] = Q R: the top p rows of R hold R_a, with a's singular
         # values, and Q^T b, so a theta = b and R_a theta = Q^T b share their
         # least-squares solutions
-        r_ab = np.linalg.qr(flat[rows].reshape(len(groups), size, p + 1),
-                            mode="r")
+        group_leaves = start[groups, None] + np.arange(count)
+        r_ab = factors[group_leaves].reshape(len(groups), -1, p + 1)
+        if count > 1:
+            r_ab = np.linalg.qr(r_ab, mode="r")
         u, s, vt = np.linalg.svd(r_ab[:, :p, :p])
         kept = s > s[:, :1] * (np.maximum(m[groups], p) * _EPS)[:, None]
         r = kept.sum(axis=1)
@@ -353,8 +375,9 @@ def build_rows(observations, kind, depths=None):
     obs = as_observations(observations)
     flow = _flow_model(obs.xy, kind, depths)
     n0, n1 = obs.n[:, 0], obs.n[:, 1]
-    a = np.stack([n0 * ux + n1 * uy
-                  for ux, uy in map(flow, np.eye(kind.param_dim))], axis=1)
+    a = np.empty((len(obs), kind.param_dim))
+    for j, (ux, uy) in enumerate(map(flow, np.eye(kind.param_dim))):
+        np.add(n0 * ux, n1 * uy, out=a[:, j])
     return a, obs.mag2
 
 

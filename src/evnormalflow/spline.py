@@ -379,14 +379,16 @@ def fit(problem, init):
 
 @dataclass
 class SplineInitReport:
-    """ransac_iterations sums the hypotheses drawn by the per-segment fits
-    that returned; capped_segments lists those that stopped at
-    max_iterations.  Segments whose fit failed are in filled_segments."""
+    """segment_iterations counts the hypotheses each segment's fit drew, 0
+    where it failed, and ransac_iterations sums them; capped_segments lists
+    the fits that stopped at max_iterations.  Segments whose fit failed are
+    in filled_segments."""
 
     segment_estimates: np.ndarray
     good_segments: list
     filled_segments: list
     ransac_iterations: int
+    segment_iterations: list
     capped_segments: list
 
 
@@ -438,13 +440,13 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
                              depths=None if depths is None else depths[order])
     estimates = np.full((n_seg, dim), np.nan)
     is_good = np.zeros(n_seg, dtype=bool)
-    iterations, capped = 0, []
+    iterations, capped = [0] * n_seg, []
     for j, report in enumerate(results):
         if isinstance(report, SolverDegeneracy):
             continue
         estimates[j] = report.theta
         is_good[j] = True
-        iterations += report.iterations
+        iterations[j] = report.iterations
         if report.hit_cap:
             capped.append(j)
     if not is_good.any():
@@ -466,5 +468,6 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     return traj, SplineInitReport(segment_estimates=estimates,
                                   good_segments=good_arr.tolist(),
                                   filled_segments=filled.tolist(),
-                                  ransac_iterations=iterations,
+                                  ransac_iterations=sum(iterations),
+                                  segment_iterations=iterations,
                                   capped_segments=capped)

@@ -2,6 +2,7 @@
 least-squares backend, and the RANSAC wrapper."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,15 +129,95 @@ def test_stack_minimum_norm_when_deficient():
     assert info.rank == 1
 
 
-@pytest.mark.parametrize("shape", [(30, 100), (300, 70), (2, 9)])
+# Row counts on and across the 64-row leaves and the 2 048-row chunks of a
+# nine-parameter system, and a robust-solve refit's size.
+EDGE_ROWS = [63, 64, 65, 2047, 2048, 2049, 14080]
+
+
+def homography_rows(count, seed=5):
+    """Weighted homography rows of a noisy plane, rank 8 of 9."""
+    v = Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15))
+    obs, _ = generate_dataset(PlaneScene(normal=(0.2, -0.1, 1.0), d=2.0),
+                              ConstantMotion(v), count=count, seed=seed,
+                              noise=NoiseSpec(sigma_px=0.5))
+    a, b = build_rows(obs, ModelKind.DIFF_HOMOGRAPHY)
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, count)
+    return a * w[:, None], b * w
+
+
+@pytest.mark.parametrize("shape", [(30, 100), (300, 70), (2, 9)]
+                         + [(k, 9) for k in EDGE_ROWS])
 def test_stack_matches_lstsq_for_any_shape(shape):
-    # more unknowns than a padded block holds rows, or than there are rows
+    # more unknowns than a leaf holds rows, or than there are rows; rows
+    # that fill leaves and chunks exactly, or spill one row into the next
     rng = np.random.default_rng(23)
     a, b = rng.standard_normal(shape), rng.standard_normal(shape[0])
     theta, info = stack_and_solve(a, b)
     ref, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     assert info.rank == rank
     assert np.allclose(theta, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [65, 2049, 14080])
+def test_stack_minimum_norm_of_homography_rows(count):
+    a, b = homography_rows(count)
+    theta, info = stack_and_solve(a, b)
+    ref, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    assert info.rank == rank == 8
+    assert np.allclose(theta, ref, rtol=0, atol=1e-12)
+
+
+def test_group_solves_equal_lone_solves():
+    # each group's solve, weighted, bit for bit that of a lone call on it,
+    # whatever leaves and chunks the groups beside it take; an empty group
+    # fails on its own
+    rng = np.random.default_rng(24)
+    sizes = EDGE_ROWS + [0, 2048, 64]
+    k = sum(sizes)
+    a_h, b_h = homography_rows(1000)
+    a = np.concatenate([rng.standard_normal((k, 9)), a_h])
+    b = np.concatenate([rng.standard_normal(k), b_h])
+    sizes.append(len(b_h))
+    bounds = np.cumsum([0] + sizes)
+    sel = np.arange(bounds[-1])
+    gid = np.repeat(np.arange(len(sizes)), sizes)
+    weight = rng.uniform(0.5, 2.0, len(sel))
+    theta, rank, cond, errors = solvers._solve_groups(
+        a, b, sel, gid, len(sizes), min_rank=8, weight=weight)
+    assert [g for g, e in enumerate(errors) if e is not None] == [7]
+    assert rank.tolist() == [9] * 7 + [0, 9, 9, 8]
+    for g in range(len(sizes)):
+        rows = slice(bounds[g], bounds[g + 1])
+        lone = solvers._solve_groups(
+            a, b, sel[rows], np.zeros(sizes[g], dtype=np.intp), 1,
+            min_rank=8, weight=weight[rows])
+        assert np.array_equal(theta[g], lone[0][0])
+        assert rank[g] == lone[1][0]
+        assert np.array_equal(cond[g], lone[2][0], equal_nan=True)
+        assert type(errors[g]) is type(lone[3][0])
+
+
+def test_group_solve_copies_no_whole_system():
+    # a weighted refit of 140 000 of 200 000 rows stays under a third of the
+    # 25.8 MB that one padded copy of them and a QR's copy of that trace
+    rng = np.random.default_rng(25)
+    a, b = rng.standard_normal((200_000, 9)), rng.standard_normal(200_000)
+    sel = np.sort(rng.choice(200_000, 140_000, replace=False))
+    gid = np.zeros(len(sel), dtype=np.intp)
+    weight = rng.uniform(0.5, 2.0, len(sel))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        theta, rank, _, _ = solvers._solve_groups(a, b, sel, gid, 1,
+                                                  weight=weight)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rank[0] == 9
+    assert peak < 8e6
+    ref = np.linalg.lstsq(a[sel] * weight[:, None], b[sel] * weight,
+                          rcond=None)[0]
+    assert np.allclose(theta[0], ref, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------

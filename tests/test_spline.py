@@ -364,11 +364,16 @@ def test_init_counts_ransac_work_and_caps_no_segment():
     assert n_good == 50 and not report.filled_segments
     assert report.capped_segments == []
     assert n_good <= report.ransac_iterations < 20 * n_good
+    # one count per segment, each at least the one hypothesis every fit draws
+    assert len(report.segment_iterations) == 50
+    assert min(report.segment_iterations) >= 1
+    assert sum(report.segment_iterations) == report.ransac_iterations
     _, capped = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.02,
                                  cfg=RansacConfig(max_iterations=2))
     assert capped.capped_segments == capped.good_segments
     assert all(type(j) is int for j in capped.capped_segments)
     assert capped.ransac_iterations == 2 * len(capped.good_segments)
+    assert capped.segment_iterations == [2] * 50
 
 
 def test_init_requires_observations():
@@ -701,6 +706,10 @@ def test_init_bit_identical_to_per_segment_scan(kind):
     assert report.good_segments == good
     assert report.filled_segments == filled
     assert all(type(j) is int for j in report.good_segments + report.filled_segments)
+    # a failed segment drew no hypothesis that counts
+    iterations = np.array(report.segment_iterations)
+    assert np.all(iterations[filled] == 0) and np.all(iterations[good] >= 1)
+    assert all(type(n) is int for n in report.segment_iterations)
     assert np.array_equal(report.segment_estimates, estimates)
     assert np.array_equal(init.control_points, cp)
 
