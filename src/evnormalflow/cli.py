@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (BadNumber, EvnfError, InputError, PureRotationDegenerate,
                      RankOneDegenerate, SolverDegeneracy, UnderDetermined,
                      finite, integer, interval, non_negative, positive,
@@ -60,14 +61,6 @@ KINDS = {
 }
 
 _PER_PIXEL = (ModelKind.OPTICAL_FLOW, ModelKind.DEPTH)
-
-
-def _package_version():
-    try:
-        from importlib.metadata import version
-        return version("evnormalflow")
-    except Exception:
-        return "unknown"
 
 
 def _atomic_write(path, writer):
@@ -116,7 +109,7 @@ def _manifest(args):
         "config": config,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "versions": {
-            "evnormalflow": _package_version(),
+            "evnormalflow": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
@@ -403,7 +396,8 @@ def cmd_fit_spline(args):
         names = _TRACE_NAMES[kind]
         lines = ["t," + ",".join(names)]
         for tt, row in zip(ts, vals):
-            lines.append(",".join(f"{v:.9g}" for v in [tt, *row]))
+            # t to the nanosecond, at any offset
+            lines.append(",".join([f"{tt:.9f}", *(f"{v:.9g}" for v in row)]))
         _atomic_write_text(args.trace, "\n".join(lines) + "\n")
     return 0
 

@@ -521,7 +521,9 @@ def records_to_obs(records, intr):
 
 
 def write_flows_csv(path, obs, depths=None):
-    """Write flows as CSV with 9 significant digits; optional depth column.
+    """Write flows as CSV: t with 9 decimals (1 ns at any offset, so times
+    in seconds since the epoch survive), the other floats with 9
+    significant digits; optional depth column.
 
     `obs` is an Observations with px, inliers and rms filled in.
     """
@@ -534,8 +536,8 @@ def write_flows_csv(path, obs, depths=None):
     names = FLOWS_HEADER + ["Z"] * (depths is not None)
     # tolist() hands the row format Python scalars, which format several
     # times faster than NumPy scalars.
-    row = ",".join("%d" if name == "inliers" else "%.9g"
-                   for name in names) + "\r\n"
+    formats = {"t": "%.9f", "inliers": "%d"}
+    row = ",".join(formats.get(name, "%.9g") for name in names) + "\r\n"
     rows = zip(*(np.asarray(column).tolist() for column in columns))
     text = ",".join(names) + "\r\n" + "".join([row % values for values in rows])
     with open(path, "w", newline="") as fh:

@@ -11,16 +11,20 @@ with the uniform cubic basis
 
 Full cubic support exists on [t0 + dt, t0 + (n-2) dt).  The normal-flow
 constraint is linear in the control points, so trajectory fitting is one
-linear least-squares problem, optionally robustified by Huber
-iteratively-reweighted least squares.  An observation in segment j touches
-only the 4 * dim unknowns of c_j..c_{j+3}, so the fit keeps just those row
-values, sums their weighted outer products segment by segment into the
-block-banded normal matrix (size (n_ctrl * dim)^2, independent of the
-number of observations), and solves it after symmetric Jacobi scaling,
-with a Cholesky factorisation as the rank check.  The IRLS loop stops
-once a round lowers the objective by at most IRLS_TOL * max(1, objective),
-or after max_rounds rounds; the report's hit_cap says whether it used all
-its rounds without meeting that rule.
+Huber iteratively-reweighted least-squares (IRLS) loop; plain least squares
+is its first round at an infinite Huber scale, where every weight is 1.
+An observation in segment j touches only the 4 * dim unknowns of
+c_j..c_{j+3}, so the fit keeps just those row values, sums their weighted
+outer products segment by segment into the block-banded normal matrix
+(size (n_ctrl * dim)^2, independent of the number of observations), and
+solves it after symmetric Jacobi scaling, one factorisation per round.
+The eigenvalues of the last round's matrix are the rank check.  The IRLS
+loop stops once a round lowers the objective by at most
+IRLS_TOL * max(1, objective), or after max_rounds rounds; the report's
+hit_cap says whether it used all its rounds without meeting that rule.
+Every time maps to its knot interval by one rule, _locate, in the init,
+the fit and evaluation alike: a time on a knot belongs to the interval
+that starts there.
 """
 from __future__ import annotations
 
@@ -90,10 +94,6 @@ class SplineTrajectory:
         return self.control_points.shape[1]
 
     @property
-    def n_segments(self):
-        return self.n_ctrl - 3
-
-    @property
     def domain(self):
         return (self.t0 + self.dt, self.t0 + (self.n_ctrl - 2) * self.dt)
 
@@ -103,10 +103,12 @@ def _locate(traj, t):
     t = np.asarray(t, dtype=float)
     s = (t - traj.t0) / traj.dt
     # Snap away float rounding so the advertised domain bounds behave as
-    # written (inclusive below, exclusive above).
+    # written (inclusive below, exclusive above).  The rounding of t - t0
+    # grows with the size of t and t0, not of s, so the tolerance does too.
     snap = np.rint(s)
-    tol = 32.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(snap))
     with np.errstate(invalid="ignore"):          # inf - inf at an infinite t
+        size = np.abs(snap) + np.maximum(np.abs(t), abs(traj.t0)) / traj.dt
+        tol = 32.0 * np.finfo(float).eps * np.maximum(1.0, size)
         s = np.where(np.abs(s - snap) <= tol, snap, s)
     lo, hi = 1.0, traj.n_ctrl - 2.0
     outside = ~((s >= lo) & (s < hi))            # NaN is outside too
@@ -154,16 +156,25 @@ class SplineFitProblem:
     max_rounds: int = 20
 
     def __post_init__(self):
-        if self.kind not in _SPLINE_KINDS:
-            raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {self.kind}")
+        obs, depths = _spline_inputs(self.observations, self.kind, self.depths)
         integer("max_rounds", self.max_rounds, 1)
-        object.__setattr__(self, "observations",
-                           as_observations(self.observations))
-        if self.depths is not None:
-            d = np.asarray(self.depths, dtype=float).reshape(-1)
-            if d.size != len(self.observations):
-                raise ValueError("depths length must match observations")
-            object.__setattr__(self, "depths", d)
+        object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "depths", depths)
+
+
+def _spline_inputs(observations, kind, depths):
+    """(Observations, float depths or None) for a spline of kind; ValueError
+    on a kind without a spline or on depths whose length does not match.  A
+    depth that is not positive raises DegenerateDepth when the rows are
+    built, before any segment is fitted."""
+    if kind not in _SPLINE_KINDS:
+        raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {kind}")
+    obs = as_observations(observations)
+    if depths is not None:
+        depths = np.asarray(depths, dtype=float).reshape(-1)
+        if depths.size != len(obs):
+            raise ValueError("depths length must match observations")
+    return obs, depths
 
 
 @dataclass
@@ -215,16 +226,19 @@ class _BlockRows:
         self.vals = (w[:, :, None] * rows[:, None, :]).reshape(len(obs), -1)
         self.rhs = rhs * inv
         self.seg = seg
+        self.dim = traj.dim
         self.n_cols = traj.n_ctrl * traj.dim
-        self.cols = seg[:, None] * traj.dim + np.arange(self.vals.shape[1])
         starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
         # (first row, end row, first column) of each segment's run
         self.runs = list(zip(starts.tolist(), np.r_[starts[1:], len(obs)].tolist(),
-                             self.cols[starts, 0].tolist()))
+                             (seg[starts] * traj.dim).tolist()))
 
     def residuals(self, theta):
         """a @ theta - rhs."""
-        return np.einsum("kj,kj->k", self.vals, theta[self.cols]) - self.rhs
+        width = self.vals.shape[1]
+        # row j of windows is theta[j * dim:j * dim + width]: segment j's columns
+        windows = np.lib.stride_tricks.sliding_window_view(theta, width)[::self.dim]
+        return np.einsum("kj,kj->k", self.vals, windows[self.seg]) - self.rhs
 
     def normal_equations(self, wts):
         """(a^T W a, a^T W rhs) for row weights wts, one run at a time."""
@@ -244,11 +258,11 @@ def _scaled_solve(gram, rhs):
     The matrix is scaled to unit diagonal first (symmetric Jacobi), which
     removes the spread between control points with many observations and
     starved ones held only by the regularisation.  The scaled system is
-    solved by one LAPACK call; its Cholesky factorisation serves only as
-    the definiteness check.  Returns x and the scaled matrix.  A zero
-    diagonal, a failed factorisation or a solve that finds the matrix
-    singular (rounding can pass the one and fail the other) means the fit
-    has no unique solution: RankDeficient.
+    solved by one LAPACK call, one LU factorisation.  Returns x and the
+    scaled matrix.  A zero diagonal, or a solve that finds the matrix
+    exactly singular, means the fit has no unique solution: RankDeficient.
+    Near-singular matrices pass here; fit's final eigenvalue check is the
+    one that decides.
     """
     diag = np.diag(gram)
     if not np.all(diag > 0.0):
@@ -257,7 +271,6 @@ def _scaled_solve(gram, rhs):
     d = 1.0 / np.sqrt(diag)
     scaled = gram * d[:, None] * d[None, :]
     try:
-        np.linalg.cholesky(scaled)
         x = np.linalg.solve(scaled, rhs * d) * d
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"spline normal equations singular: {exc}") from exc
@@ -301,23 +314,26 @@ def _check_determined(n_obs, n_ctrl, dim):
 def fit(problem, init):
     """Refine an initial trajectory against the normal-flow constraint.
 
-    Plain linear least squares over control points, or Huber IRLS when
-    problem.robust: weights w_i = min(1, delta/|r_i|), with delta set once
-    to 3x the median absolute residual of the init (in the 1/|n|-scaled
-    units of _BlockRows) and held for the whole loop, so every solve can
-    only decrease the Huber objective.  The loop ends once a round lowers
-    the objective by at most IRLS_TOL * max(1, objective), or after
-    problem.max_rounds rounds; report.hit_cap is True when it ended on
-    that cap instead.
+    Huber IRLS over the control points: weights w_i = min(1, delta/|r_i|),
+    with delta set once to 3x the median absolute residual of the init (in
+    the 1/|n|-scaled units of _BlockRows) and held for the whole loop, so
+    every solve can only decrease the Huber objective.  The loop ends once
+    a round lowers the objective by at most IRLS_TOL * max(1, objective),
+    or after problem.max_rounds rounds; report.hit_cap is True when it
+    ended on that cap instead.  Without problem.robust, or when the init's
+    median residual is 0, delta is infinite: every weight is 1, the first
+    round is the plain least-squares solution and no reweighting can move
+    it, so the loop ends there.  report.objective_history holds the init's
+    objective and each round's.
 
-    Every solve, robust or not, forms the weighted normal equations
-    a^T W a + reg^T reg from each observation's 4*dim nonzero row values,
-    summed segment by segment, and solves them after Jacobi scaling; no
-    K x (n_ctrl*dim) design is built.  Raises RankDeficient when that
-    matrix is not positive definite (its Cholesky factorisation or the
-    solve fails), or is numerically singular at the last solve (smallest
-    eigenvalue of the scaled matrix at most n * eps times the largest);
-    report.cond is that matrix's condition number.
+    Every round forms the weighted normal equations a^T W a + reg^T reg
+    from each observation's 4*dim nonzero row values, summed segment by
+    segment, and solves them after Jacobi scaling; no K x (n_ctrl*dim)
+    design is built.  Raises RankDeficient when that matrix has a zero
+    diagonal or an exactly singular solve, or is numerically singular at
+    the last round (smallest eigenvalue of the scaled matrix at most
+    n * eps times the largest); report.cond is that matrix's condition
+    number.
     """
     obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim
@@ -338,27 +354,22 @@ def fit(problem, init):
 
     theta = init.control_points.reshape(-1).copy()
     r = rows.residuals(theta)
-    history = []
+    delta = 3.0 * float(np.median(np.abs(r))) if problem.robust else np.inf
+    if delta <= 0:
+        delta = np.inf
+    history = [_huber_objective(r, delta)
+               + 0.5 * float(np.sum((reg @ theta) ** 2))]
     hit_cap = False
-    if not problem.robust:
-        theta, scaled = solve(np.ones(len(obs)))
-        rounds = 1
+    for rounds in range(1, problem.max_rounds + 1):
+        wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
+        theta, scaled = solve(wts)
+        r = rows.residuals(theta)
+        obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
+        history.append(obj)
+        if delta == np.inf or history[-2] - obj <= IRLS_TOL * max(1.0, obj):
+            break
     else:
-        delta = 3.0 * float(np.median(np.abs(r)))
-        if delta <= 0:
-            delta = np.inf
-        history.append(_huber_objective(r, delta)
-                       + 0.5 * float(np.sum((reg @ theta) ** 2)))
-        for rounds in range(1, problem.max_rounds + 1):
-            wts = np.minimum(1.0, delta / np.maximum(np.abs(r), 1e-300))
-            theta, scaled = solve(wts)
-            r = rows.residuals(theta)
-            obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
-            history.append(obj)
-            if history[-2] - obj <= IRLS_TOL * max(1.0, obj):
-                break
-        else:
-            hit_cap = True
+        hit_cap = True
     # Rank is set by which rows exist, not by their positive weights, so
     # the last solve tells whether any of them had a unique solution.
     eig = np.linalg.eigvalsh(scaled)
@@ -366,7 +377,6 @@ def fit(problem, init):
         raise RankDeficient(
             "spline normal equations numerically singular "
             f"(eigenvalues {eig[0]:.3g} to {eig[-1]:.3g})")
-    r = rows.residuals(theta)
     traj = SplineTrajectory(theta.reshape(n_ctrl, dim), t0=init.t0, dt=init.dt)
     report = SplineFitReport(
         rms=float(np.sqrt(np.mean(r ** 2))), segment_counts=seg_counts,
@@ -407,31 +417,23 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     would: its weights [1, 23, 23, 1]/48 sum to zero on the alternating
     mode (+1, -1, +1, ...), which it leaves free.  For constant motion
     every control point is the single linear estimate.
+    Each observation falls in the segment that fit and evaluate place it
+    in: one on a knot belongs to the segment that starts there.
     depths, when given, must hold one positive depth per observation:
     ValueError on a length mismatch, DegenerateDepth on a depth that is
     not positive.  Fewer observations than the trajectory's n_ctrl * dim
     unknowns raise UnderDetermined, as in fit, before any segment is made.
     """
-    if kind not in _SPLINE_KINDS:
-        raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {kind}")
-    obs = as_observations(observations)
+    obs, depths = _spline_inputs(observations, kind, depths)
     if not obs:
         raise UnderDetermined("no observations")
-    if depths is not None:
-        # a bad depth raises DegenerateDepth when the rows are built, before
-        # any segment is fitted
-        depths = np.asarray(depths, dtype=float).reshape(-1)
-        if depths.size != len(obs):
-            raise ValueError("depths length must match observations")
     cfg = cfg or RansacConfig()
-    t = obs.t
-    t0, n_ctrl = trajectory_covering(float(t.min()), float(t.max()), dt)
+    t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()), dt)
     dim = kind.param_dim
     _check_determined(len(obs), n_ctrl, dim)
     n_seg = n_ctrl - 3
 
-    s = (t - t0) / dt
-    seg = np.clip(np.floor(s).astype(int) - 1, 0, n_seg - 1)
+    seg, _ = _locate(SplineTrajectory(np.zeros((n_ctrl, 1)), t0=t0, dt=dt), obs.t)
     # Observation indices of segment j, in increasing order, are
     # order[bounds[j]:bounds[j + 1]].
     order = np.argsort(seg, kind="stable")

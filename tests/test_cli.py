@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import evnormalflow
 from evnormalflow.cli import _atomic_write, main
 
 
@@ -79,6 +80,7 @@ def test_simulate_writes_dataset(tmp_path, monkeypatch):
     assert manifest["seed"] == 3
     assert len(manifest["config_sha256"]) == 64
     assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["versions"]["evnormalflow"] == evnormalflow.__version__
     assert no_tmp_left(out)
 
 
@@ -609,6 +611,25 @@ def step_dataset(tmp_path):
                     "--omega-after", "0,0,2", "--count", 1000)
 
 
+def test_fit_spline_from_a_thousand_seconds(tmp_path):
+    # the same step 1 000 s later: the init, the fit and the trace place
+    # every time in the same knot interval however far from zero it lies
+    flows = step_dataset(tmp_path) / "observations.csv"
+    with open(flows, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] = f"{float(row[0]) + 1000:.9f}"
+    with open(flows, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    spline_path, trace_path = tmp_path / "spline.json", tmp_path / "trace.csv"
+    assert run("fit-spline", "--flows", flows, "--kind", "angular-velocity",
+               "--output", spline_path, "--trace", trace_path) == 0
+    lo, hi = read_json(spline_path)["domain"]
+    assert 1000 <= lo < 1000.25 < hi
+    times = [float(r["t"]) for r in read_csv_rows(trace_path)]
+    assert times[0] == lo and np.all(np.diff(times) > 0)
+
+
 def test_fit_spline_ragged_flows_csv_exits_2(tmp_path, capsys):
     out = step_dataset(tmp_path)
     cut_row(out / "observations.csv", 4, keep=4)
@@ -769,10 +790,10 @@ def noisy_step(tmp_path):
 
 
 # The same for the other commands with stages.  In 20 runs on a 2-core host,
-# each in a fresh process, the lowest share was 0.773 for extract, whose
-# first run in a process pays about 20 ms outside its stages, and 0.934
-# for fit-spline; 20 runs back to back in one process read 0.93 to 0.96 and
-# 0.91 to 0.94.
+# each in a fresh process, the lowest share was 0.943 for extract and 0.944
+# for fit-spline (0.911 and 0.938 while the manifest still looked its
+# version up in importlib.metadata); 20 runs back to back in one process
+# read 0.93 to 0.96 and 0.91 to 0.94.
 @pytest.mark.parametrize("command", [edge_stream, noisy_step],
                          ids=["extract", "fit-spline"])
 def test_stages_time_most_of_the_run(tmp_path, command):

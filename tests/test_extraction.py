@@ -340,6 +340,20 @@ def test_flows_csv_round_trip(tmp_path):
     assert np.allclose(depths, [1.5, 2.5])
 
 
+def test_flows_csv_round_trip_keeps_microseconds_since_the_epoch(tmp_path):
+    # nine decimals are finer than half a float's spacing at 1.7e9 s, so
+    # every time reads back as the same float
+    t = 1.7e9 + 1e-6 * np.arange(5)
+    obs = Observations(xy=np.zeros((5, 2)), n=np.tile((0.25, -0.125), (5, 1)),
+                       t=t, px=np.tile((10, 20), (5, 1)), inliers=[12] * 5,
+                       rms=[1e-6] * 5)
+    path = tmp_path / "flows.csv"
+    write_flows_csv(path, obs)
+    back, _ = read_flows_csv(path)
+    assert np.array_equal(back.t, t)
+    assert np.all(np.diff(back.t) > 0)
+
+
 def test_flows_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -382,8 +396,8 @@ def test_records_to_obs_checks_every_row():
 
 
 def test_flows_csv_bytes_match_csv_module_format(tmp_path):
-    # the format the file has always had: csv.writer rows of "%.9g" floats
-    # and an integer inlier count, CRLF line ends
+    # csv.writer rows of "%.9g" floats, t as "%.9f" (nanoseconds at any
+    # offset), an integer inlier count, and CRLF line ends
     import csv
     import io
     obs = two_flows()
@@ -392,7 +406,7 @@ def test_flows_csv_bytes_match_csv_module_format(tmp_path):
     writer = csv.writer(expected)
     writer.writerow(["t", "x_px", "y_px", "nx_cal", "ny_cal", "inliers", "rms", "Z"])
     for i in range(2):
-        writer.writerow([f"{obs.t[i]:.9g}", f"{obs.px[i, 0]:.9g}",
+        writer.writerow([f"{obs.t[i]:.9f}", f"{obs.px[i, 0]:.9g}",
                          f"{obs.px[i, 1]:.9g}", f"{obs.n[i, 0]:.9g}",
                          f"{obs.n[i, 1]:.9g}", str(obs.inliers[i]),
                          f"{obs.rms[i]:.9g}", f"{depths[i]:.9g}"])

@@ -106,19 +106,23 @@ def test_trajectory_validation():
 
 
 def test_trajectory_covering_contains_range():
+    # far from zero too, as event timestamps in seconds since the epoch are:
+    # the spline evaluates at both ends of the range it was made to cover
     rng = np.random.default_rng(62)
-    for _ in range(50):
-        t_min = rng.uniform(-5, 5)
-        span = rng.uniform(0.01, 3.0)
-        dt = rng.uniform(0.01, 0.5)
-        t0, n = trajectory_covering(t_min, t_min + span, dt)
-        traj = SplineTrajectory(np.zeros((n, 1)), t0=t0, dt=dt)
-        lo, hi = traj.domain
-        assert lo <= t_min and t_min + span < hi
-        # minimality: one fewer control point would not cover
-        if n > 4:
-            smaller = SplineTrajectory(np.zeros((n - 1, 1)), t0=t0, dt=dt)
-            assert t_min + span >= smaller.domain[1]
+    for offset in (0.0, 1e3, 1.7e9):
+        for _ in range(50):
+            t_min = offset + rng.uniform(-5, 5)
+            span = rng.uniform(0.01, 3.0)
+            dt = rng.uniform(0.01, 0.5)
+            t0, n = trajectory_covering(t_min, t_min + span, dt)
+            traj = SplineTrajectory(np.zeros((n, 1)), t0=t0, dt=dt)
+            lo, hi = traj.domain
+            assert lo <= t_min and t_min + span < hi
+            evaluate(traj, [t_min, t_min + span])
+            # minimality: one fewer control point would not cover
+            if n > 4:
+                smaller = SplineTrajectory(np.zeros((n - 1, 1)), t0=t0, dt=dt)
+                assert t_min + span >= smaller.domain[1]
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +297,8 @@ def test_fit_holds_empty_end_segments_at_their_neighbours():
 def test_fit_from_an_exact_init_has_no_huber_scale():
     # every residual of an exact init is zero to rounding, so the Huber
     # scale is infinite and the objective is the plain sum of squares,
-    # computed without an inf * 0
+    # computed without an inf * 0; no reweighting can move the first
+    # round's solution, so the loop ends there
     rng = np.random.default_rng(74)
     xy = rng.uniform(-0.5, 0.5, (400, 2))
     t = rng.uniform(0.0, 0.3, 400)
@@ -306,6 +311,7 @@ def test_fit_from_an_exact_init_has_no_huber_scale():
         traj, report = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY),
                            init)
     assert all(np.isfinite(report.objective_history))
+    assert report.irls_rounds == 1 and report.hit_cap is False
     assert np.allclose(traj.control_points, (0.0, 0.0, 1.0), atol=1e-9)
     assert _huber_objective(np.array([0.0, -3.0, 4.0]), np.inf) == 12.5
     assert _huber_objective(np.array([0.0, -3.0, 4.0]), 2.0) == 10.0
@@ -438,8 +444,8 @@ def dense_design(obs, depths, kind, traj):
 def dense_fit(problem, init):
     """The fit as one np.linalg.lstsq per IRLS round on the dense design,
     with one Huber scale from the init, stopped once a round lowers the
-    objective by at most IRLS_TOL * max(1, objective).  Returns (control
-    points, IRLS rounds)."""
+    objective by at most IRLS_TOL * max(1, objective), or after the first
+    round at an infinite scale.  Returns (control points, IRLS rounds)."""
     obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim
     a, rhs, seg = dense_design(obs, depths, problem.kind, init)
@@ -450,11 +456,7 @@ def dense_fit(problem, init):
     reg_rhs = np.zeros(len(reg))
     theta = init.control_points.reshape(-1).copy()
     r = a @ theta - rhs
-    if not problem.robust:
-        theta, *_ = np.linalg.lstsq(np.concatenate([a, reg]),
-                                    np.concatenate([rhs, reg_rhs]), rcond=None)
-        return theta.reshape(n_ctrl, dim), 1
-    delta = 3.0 * float(np.median(np.abs(r)))
+    delta = 3.0 * float(np.median(np.abs(r))) if problem.robust else np.inf
     if delta <= 0:
         delta = np.inf
     history = [_huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))]
@@ -467,7 +469,7 @@ def dense_fit(problem, init):
         r = a @ theta - rhs
         obj = _huber_objective(r, delta) + 0.5 * float(np.sum((reg @ theta) ** 2))
         history.append(obj)
-        if history[-2] - obj <= IRLS_TOL * max(1.0, obj):
+        if delta == np.inf or history[-2] - obj <= IRLS_TOL * max(1.0, obj):
             break
     return theta.reshape(n_ctrl, dim), rounds
 
@@ -503,7 +505,19 @@ def test_fit_matches_dense_oracle_not_robust():
     traj, report = fit(problem, init)
     cp, rounds = dense_fit(problem, init)
     assert report.irls_rounds == rounds == 1
+    assert report.hit_cap is False
     assert rel_diff(traj.control_points, cp) < 1e-9
+    # the init's objective and the one round's: the plain sum of squares
+    # plus the regularisation term at the returned control points
+    a, rhs, _ = dense_design(*_sorted_problem(problem), problem.kind, init)
+    theta = traj.control_points.reshape(-1)
+    reg = _regularization_rows(
+        report.starved_control_points, init.n_ctrl, init.dim,
+        REG_WEIGHT * float(np.median(np.linalg.norm(a, axis=1))))
+    assert len(report.objective_history) == 2
+    assert report.objective_history[-1] == pytest.approx(
+        0.5 * np.sum((a @ theta - rhs) ** 2)
+        + 0.5 * np.sum((reg @ theta) ** 2), rel=1e-12)
 
 
 def test_fit_matches_dense_oracle_six_dof_with_depths():
@@ -626,9 +640,8 @@ def test_fit_rank_deficient_raises():
 def test_fit_two_observations_in_last_interval_raises():
     # the last control point is weighed only by the last knot interval, and
     # two rows cannot fix its three components; rounding decides whether
-    # the Cholesky factorisation fails, the solve after it does (seeds 38,
-    # 55 and 59 among others), or only the final eigenvalue check sees the
-    # singularity, and each must raise
+    # the solve finds the matrix singular or only the final eigenvalue
+    # check sees the singularity, and each must raise
     omega = np.array([0.1, -0.2, 0.5])
     for seed in range(300):
         obs, _ = rotation_dataset(
@@ -655,7 +668,9 @@ def init_reference(obs, kind, dt, cfg=RansacConfig(), depths=None):
     knot."""
     t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()), dt)
     n_seg = n_ctrl - 3
-    seg = np.clip(np.floor((obs.t - t0) / dt).astype(int) - 1, 0, n_seg - 1)
+    # the interval fit and evaluate place each time in
+    seg, _ = _locate(SplineTrajectory(np.zeros((n_ctrl, 1)), t0=t0, dt=dt),
+                     obs.t)
     estimates = np.full((n_seg, kind.param_dim), np.nan)
     good = []
     for j in range(n_seg):
@@ -688,21 +703,35 @@ SIX_DOF_STEP = StepMotion(before=Velocity(nu=(0.2, 0, 0), omega=(0, 0, 0.5)),
                           t_switch=0.25)
 
 
-@pytest.mark.parametrize("kind", [ModelKind.ANGULAR_VELOCITY, ModelKind.SIX_DOF],
-                         ids=lambda kind: kind.value)
-def test_init_bit_identical_to_per_segment_scan(kind):
-    six_dof = kind is ModelKind.SIX_DOF
-    obs, truth = rotation_dataset(SIX_DOF_STEP if six_dof else STEP, count=3000,
-                                  seed=85, noise=NoiseSpec(sigma_px=0.5,
-                                                           outlier_fraction=0.1))
-    # a gap at least 5 segments wide and a sparse stretch leave filled
-    # segments between good ones
-    keep = (obs.t < 0.12) | (obs.t > 0.24) & ((obs.t > 0.3) | (obs.xy[:, 0] > 0.3))
-    obs = obs[keep]
-    depths = truth.z[keep] if six_dof else None
-    init, report = init_from_linear(obs, kind, dt=0.02, depths=depths)
-    cp, estimates, good, filled = init_reference(obs, kind, 0.02, depths=depths)
-    assert len(filled) >= 5 and good
+@pytest.mark.parametrize("case", ["angular_velocity", "six_dof", "on_knots"])
+def test_init_bit_identical_to_per_segment_scan(case):
+    noise = NoiseSpec(sigma_px=0.5, outlier_fraction=0.1)
+    if case == "on_knots":
+        # every time rounded onto the 0.1 s knot grid: each observation lies
+        # in the interval that starts at its knot, as in the fit
+        kind, dt, depths = ModelKind.ANGULAR_VELOCITY, 0.1, None
+        obs, _ = generate_dataset(
+            RandomPointsScene(),
+            ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0.1, -0.2, 0.5))),
+            count=3000, window=2.0, seed=86, noise=noise)
+        obs = Observations(xy=obs.xy, n=obs.n, t=np.round(obs.t * 10) / 10)
+    else:
+        kind, dt = ModelKind(case), 0.02
+        six_dof = kind is ModelKind.SIX_DOF
+        obs, truth = rotation_dataset(SIX_DOF_STEP if six_dof else STEP,
+                                      count=3000, seed=85, noise=noise)
+        # a gap at least 5 segments wide and a sparse stretch leave filled
+        # segments between good ones
+        keep = (obs.t < 0.12) | (obs.t > 0.24) & ((obs.t > 0.3) | (obs.xy[:, 0] > 0.3))
+        obs = obs[keep]
+        depths = truth.z[keep] if six_dof else None
+    init, report = init_from_linear(obs, kind, dt=dt, depths=depths)
+    cp, estimates, good, filled = init_reference(obs, kind, dt, depths=depths)
+    if case == "on_knots":
+        # the last knot, t = 2.0, starts the last segment
+        assert good == list(range(21)) and not filled
+    else:
+        assert len(filled) >= 5 and good
     assert report.good_segments == good
     assert report.filled_segments == filled
     assert all(type(j) is int for j in report.good_segments + report.filled_segments)
