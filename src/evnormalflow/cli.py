@@ -370,9 +370,9 @@ def cmd_fit_spline(args):
                                robust=not args.no_robust,
                                max_rounds=args.max_rounds)
     with _stage(timings, "init_s"):
-        init, init_report = init_from_linear(obs, kind, dt=args.knot_spacing,
-                                             cfg=_ransac_config(args, intr),
-                                             depths=depths)
+        init, init_report = init_from_linear(
+            problem.observations, kind, dt=args.knot_spacing,
+            cfg=_ransac_config(args, intr), depths=problem.depths)
     with _stage(timings, "fit_s"):
         traj, fit_report = fit(problem, init)
     lo, hi = traj.domain

@@ -112,6 +112,7 @@ positive_or_inf = _rule(float, "positive", lambda v: v > 0)   # inf: no limit
 non_negative = _rule(float, "non-negative and finite", lambda v: 0 <= v < math.inf)
 finite = _rule(float, "finite", math.isfinite)
 uint64 = _rule(int, "an integer in [0, 2**64)", lambda v: 0 <= v < 1 << 64)
+sign = _rule(int, "+1 or -1", lambda v: v in (1, -1))
 
 
 def interval(name, value, low, high, closed=False):

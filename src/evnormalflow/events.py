@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundsError, EventOrderError, ParseError, finite,
-                     integer, positive_or_inf)
+                     integer, positive_or_inf, sign)
 
 # Timestamps may regress by at most this much (sensor arbitration jitter)
 # before the stream is considered corrupt.
@@ -169,12 +169,15 @@ def build_time_surface(events, t_ref, temporal_window, shape,
     must be time-ordered up to JITTER_BUDGET; within the budget, out-of-order
     events are applied max-wise so the result is order-independent.
     `polarity` of +1/-1 folds only the events of that polarity; the default
-    folds both.  Of an order violation and an in-window out-of-sensor
-    event, the one earlier in the stream is raised.  t_ref must be finite
-    and temporal_window > 0; an infinite window means no limit.
+    folds both.  Any other polarity, a bool included, is a ValueError.  Of
+    an order violation and an in-window out-of-sensor event, the one
+    earlier in the stream is raised.  t_ref must be finite and
+    temporal_window > 0; an infinite window means no limit.
     """
     finite("t_ref", t_ref)
     positive_or_inf("temporal_window", temporal_window)
+    if polarity is not None:
+        polarity = sign("polarity", polarity)
     h, w = shape
     t, x, y = events.t, events.x, events.y
     n = t.size

@@ -551,10 +551,8 @@ def _solve_minimal(a, b):
     # dividing by inf zeroes the rank-deficient systems without a warning
     s[~ok] = np.inf
     theta = (((b[:, None, :] @ u) / s[:, None, :]) @ vt)[:, 0]
-    # one sum screens the whole stack; rows are checked only if it fails
-    if not math.isfinite(theta.sum()):
-        ok &= np.isfinite(theta).all(axis=1)
-        theta[~ok] = 0.0
+    ok &= np.isfinite(theta).all(axis=1)
+    theta[~ok] = 0.0
     return theta, ok
 
 

@@ -24,7 +24,10 @@ IRLS_TOL * max(1, objective), or after max_rounds rounds; the report's
 hit_cap says whether it used all its rounds without meeting that rule.
 Every time maps to its knot interval by one rule, _locate, in the init,
 the fit and evaluation alike: a time on a knot belongs to the interval
-that starts there.
+that starts there.  The observations have one order too, by t, x, y,
+then n and depth, set where they enter (SplineFitProblem and
+init_from_linear), so the init's draws and the fit's sums, and with them
+the trajectory, do not depend on how the caller ordered the rows.
 """
 from __future__ import annotations
 
@@ -146,7 +149,9 @@ class SplineFitProblem:
     """Observations plus the model kind evaluated along the trajectory.
 
     Only ANGULAR_VELOCITY (dim 3) and SIX_DOF (dim 6, needs per-observation
-    depths) vary meaningfully within an event window.
+    depths) vary meaningfully within an event window.  observations and
+    depths are stored sorted by t, x, y, then n and depth, whatever order
+    they came in.
     """
 
     observations: Observations
@@ -163,10 +168,12 @@ class SplineFitProblem:
 
 
 def _spline_inputs(observations, kind, depths):
-    """(Observations, float depths or None) for a spline of kind; ValueError
-    on a kind without a spline or on depths whose length does not match.  A
-    depth that is not positive raises DegenerateDepth when the rows are
-    built, before any segment is fitted."""
+    """(Observations, float depths or None) for a spline of kind, both
+    sorted by t, x, y, then n and depth: the one order of the spline's
+    observations, so nothing downstream depends on how the caller ordered
+    them.  ValueError on a kind without a spline or on depths whose length
+    does not match.  A depth that is not positive raises DegenerateDepth
+    when the rows are built, before any segment is fitted."""
     if kind not in _SPLINE_KINDS:
         raise ValueError(f"spline fitting supports {_SPLINE_KINDS}, got {kind}")
     obs = as_observations(observations)
@@ -174,7 +181,30 @@ def _spline_inputs(observations, kind, depths):
         depths = np.asarray(depths, dtype=float).reshape(-1)
         if depths.size != len(obs):
             raise ValueError("depths length must match observations")
-    return obs, depths
+    # The first of these that puts every row in order: the rows as given
+    # (a SplineFitProblem's are); a quicksort by time, several times
+    # cheaper than a lexsort, which only tied times can leave out of order;
+    # the lexsort by (t, x, y); the lexsort by every key.
+    keys = [obs.t, *obs.xy.T, *obs.n.T] + ([] if depths is None else [depths])
+    for m in (0, 1, 3, len(keys)):
+        order = (np.lexsort(keys[m - 1::-1]) if m > 1
+                 else np.argsort(obs.t) if m else slice(None))
+        if _in_order(keys, order):
+            break
+    return obs[order], None if depths is None else depths[order]
+
+
+def _in_order(keys, order):
+    """Whether the rows taken in order are sorted by keys, first key first."""
+    tied = True                             # adjacent rows equal so far
+    for k in keys:
+        d = np.diff(k[order])
+        if np.any(tied & (d < 0)):
+            return False
+        tied = tied & (d == 0)
+        if not tied.any():
+            return True
+    return True
 
 
 @dataclass
@@ -189,24 +219,15 @@ class SplineFitReport:
     hit_cap: bool   # IRLS ran max_rounds rounds without converging
 
 
-def _sorted_problem(problem):
-    """Fixed accumulation order: sort by (t, x, y) so results do not depend
-    on how the caller ordered the observations."""
-    obs = problem.observations
-    key = np.lexsort((obs.xy[:, 1], obs.xy[:, 0], obs.t))
-    depths = problem.depths[key] if problem.depths is not None else None
-    return obs[key], depths
-
-
 class _BlockRows:
     """The design rows of a spline fit, kept as their nonzero blocks.
 
     Observation k in segment j = seg[k] constrains only c_j..c_{j+3}, the
     4 * dim columns from j * dim of the flattened control points; vals[k]
     holds its row there and rhs[k] its right-hand side.  The normal
-    equations are summed over runs of rows with one segment; fit passes
-    observations sorted by time, so seg is non-decreasing and each segment
-    is one run.
+    equations are summed over runs of rows with one segment; a
+    SplineFitProblem holds its observations sorted by time, so seg is
+    non-decreasing and each segment is one run.
 
     Rows are scaled by 1/|n|, which turns n . u = |n|^2 into
     (n / |n|) . u = |n|: each residual is the predicted flow's component
@@ -333,9 +354,11 @@ def fit(problem, init):
     diagonal or an exactly singular solve, or is numerically singular at
     the last round (smallest eigenvalue of the scaled matrix at most
     n * eps times the largest); report.cond is that matrix's condition
-    number.
+    number.  The rows are summed in the problem's order (by t, x, y, n and
+    depth), so the result does not depend on the order the caller gave
+    them in.
     """
-    obs, depths = _sorted_problem(problem)
+    obs, depths = problem.observations, problem.depths
     n_ctrl, dim = init.n_ctrl, init.dim
     if dim != problem.kind.param_dim:
         raise ValueError(f"init dim {dim} != model dim {problem.kind.param_dim}")
@@ -418,7 +441,10 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     mode (+1, -1, +1, ...), which it leaves free.  For constant motion
     every control point is the single linear estimate.
     Each observation falls in the segment that fit and evaluate place it
-    in: one on a knot belongs to the segment that starts there.
+    in: one on a knot belongs to the segment that starts there.  The
+    observations are sorted first, as in SplineFitProblem, so each
+    segment's rows, and the draws RANSAC makes among them, do not depend
+    on how the caller ordered them.
     depths, when given, must hold one positive depth per observation:
     ValueError on a length mismatch, DegenerateDepth on a depth that is
     not positive.  Fewer observations than the trajectory's n_ctrl * dim
@@ -428,18 +454,15 @@ def init_from_linear(observations, kind, dt=DEFAULT_KNOT_SPACING, cfg=None,
     if not obs:
         raise UnderDetermined("no observations")
     cfg = cfg or RansacConfig()
-    t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()), dt)
+    t0, n_ctrl = trajectory_covering(float(obs.t[0]), float(obs.t[-1]), dt)
     dim = kind.param_dim
     _check_determined(len(obs), n_ctrl, dim)
     n_seg = n_ctrl - 3
 
     seg, _ = _locate(SplineTrajectory(np.zeros((n_ctrl, 1)), t0=t0, dt=dt), obs.t)
-    # Observation indices of segment j, in increasing order, are
-    # order[bounds[j]:bounds[j + 1]].
-    order = np.argsort(seg, kind="stable")
-    bounds = np.searchsorted(seg[order], np.arange(n_seg + 1))
-    results = _ransac_groups(obs[order], kind, bounds, cfg,
-                             depths=None if depths is None else depths[order])
+    # The rows are in time order, so segment j's are obs[bounds[j]:bounds[j + 1]].
+    bounds = np.searchsorted(seg, np.arange(n_seg + 1))
+    results = _ransac_groups(obs, kind, bounds, cfg, depths=depths)
     estimates = np.full((n_seg, dim), np.nan)
     is_good = np.zeros(n_seg, dtype=bool)
     iterations, capped = [0] * n_seg, []

@@ -630,6 +630,30 @@ def test_fit_spline_from_a_thousand_seconds(tmp_path):
     assert times[0] == lo and np.all(np.diff(times) > 0)
 
 
+def test_fit_spline_independent_of_row_order(tmp_path):
+    # the init's draws and the fit see the rows in one order, whatever the
+    # order of the flows CSV
+    out = simulate(tmp_path, "--motion", "step", "--nu", "0,0,0",
+                   "--omega", "0,0,0.5", "--nu-after", "0,0,0",
+                   "--omega-after", "0,0,2", "--count", 2000,
+                   "--noise-px", 0.5, "--outlier-fraction", 0.1)
+    flows, shuffled = out / "observations.csv", tmp_path / "shuffled.csv"
+    with open(flows, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    np.random.default_rng(3).shuffle(rows)
+    with open(shuffled, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    fits = []
+    for path in (flows, shuffled):
+        spline_path = tmp_path / f"{path.stem}.json"
+        assert run("fit-spline", "--flows", path, "--kind", "angular-velocity",
+                   "--output", spline_path) == 0
+        fit = read_json(spline_path)
+        del fit["timings"], fit["manifest"]
+        fits.append(fit)
+    assert fits[0] == fits[1]
+
+
 def test_fit_spline_ragged_flows_csv_exits_2(tmp_path, capsys):
     out = step_dataset(tmp_path)
     cut_row(out / "observations.csv", 4, keep=4)

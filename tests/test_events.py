@@ -191,6 +191,19 @@ def test_surface_polarity_filter():
     neg = build_time_surface(events, 1.0, 0.04, (5, 5), polarity=-1)
     assert pos.fired_mask().sum() == 1 and pos.timestamps[1, 1] == 0.99
     assert neg.fired_mask().sum() == 1 and neg.timestamps[2, 2] == 0.995
+    # a NumPy integer selects as the Python one does
+    assert np.array_equal(build_time_surface(events, 1.0, 0.04, (5, 5),
+                                             polarity=np.int64(-1)).timestamps,
+                          neg.timestamps)
+
+
+@pytest.mark.parametrize("polarity", [0, 2, -2, True, False, "pos", 1.0])
+def test_surface_refuses_bad_polarity(polarity):
+    # only None, +1 and -1 select events; anything else would fold nothing,
+    # or, as True, pass for +1
+    events = EventArray([0.99, 0.995], [1, 2], [1, 2], [1, -1])
+    with pytest.raises(ValueError, match=f"polarity .*got {polarity!r}"):
+        build_time_surface(events, 1.0, 0.04, (5, 5), polarity=polarity)
 
 
 def test_surface_jitter_tolerated_and_order_independent():

@@ -41,6 +41,7 @@ RULES = {
     ">= 3": ("an integer >= 3", set()),
     "odd >= 3": ("an odd integer >= 3", set()),
     "seed": ("an integer in [0, 2**64)", {"0"}),
+    "sign": ("+1 or -1", {"-1"}),
 }
 
 MOTION = ConstantMotion(Velocity(nu=(0.2, -0.1, 0.3), omega=(0.1, -0.2, 0.15)))
@@ -137,6 +138,9 @@ CASES = [
     ("build_time_surface", "temporal_window", "positive_or_inf",
      lambda v: build_time_surface(EventArray([], [], [], []), 1.0, v,
                                   (5, 5))),
+    ("build_time_surface", "polarity", "sign",
+     lambda v: build_time_surface(EventArray([], [], [], []), 1.0, 0.04,
+                                  (5, 5), polarity=v)),
     ("surface_from_edges", "window", "positive",
      lambda v: surface_from_edges(EDGES, (5, 5), v)),
     ("surface_from_edges", "t_ref", "finite",

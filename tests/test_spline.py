@@ -6,8 +6,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 from evnormalflow.spline import (IRLS_TOL, REG_WEIGHT, _huber_objective,
-                                 _locate, _regularization_rows,
-                                 _sorted_problem, _starved)
+                                 _locate, _regularization_rows, _starved)
 
 from evnormalflow import (ConstantMotion, DegenerateDepth, ModelKind,
                           NoiseSpec, Observations, OutOfDomain,
@@ -209,32 +208,71 @@ def test_fit_irls_objective_monotone():
 
 
 def test_fit_bit_stable_under_permutation():
-    from evnormalflow import NoiseSpec
-    motion = ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0.4, -0.2, 0.1)))
-    obs, _ = rotation_dataset(motion, count=500, seed=70,
-                              noise=NoiseSpec(sigma_px=0.5))
-    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.1)
-    rng = np.random.default_rng(71)
-    shuffled = [obs[i] for i in rng.permutation(len(obs))]
-    t1, _ = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY), init)
-    t2, _ = fit(SplineFitProblem(shuffled, ModelKind.ANGULAR_VELOCITY), init)
-    assert np.array_equal(t1.control_points, t2.control_points)
+    # the init is drawn from each order's own rows, so the whole pipeline,
+    # RANSAC's draws included, must not see the order; six-dof's depths
+    # travel with their observations; repeated_rows measures every (t, x, y)
+    # twice, as overlapping flow windows do, so n decides between them
+    for case in ("angular_velocity", "six_dof", "repeated_rows"):
+        kind = (ModelKind.SIX_DOF if case == "six_dof"
+                else ModelKind.ANGULAR_VELOCITY)
+        obs, truth = rotation_dataset(
+            SIX_DOF_STEP if case == "six_dof" else STEP, count=3000, seed=70,
+            noise=NoiseSpec(sigma_px=0.5, outlier_fraction=0.1))
+        depths = truth.z if case == "six_dof" else None
+        if case == "repeated_rows":
+            obs = Observations(xy=np.r_[obs.xy, obs.xy], t=np.r_[obs.t, obs.t],
+                               n=np.r_[obs.n, obs.n * 1.01])
+        perm = np.random.default_rng(71).permutation(len(obs))
+        runs = []
+        for o, d in ((obs, depths),
+                     (obs[perm], None if depths is None else depths[perm])):
+            init, report = init_from_linear(o, kind, dt=0.05, depths=d)
+            traj, fit_report = fit(SplineFitProblem(o, kind, depths=d), init)
+            runs.append((init.control_points, report.segment_iterations,
+                         traj.control_points, fit_report.objective_history))
+        (init1, its1, cp1, hist1), (init2, its2, cp2, hist2) = runs
+        assert np.array_equal(init1, init2) and its1 == its2, case
+        assert np.array_equal(cp1, cp2) and hist1 == hist2, case
 
 
-def test_sorted_problem_matches_python_sort_with_ties():
-    # few distinct times and locations, so (t, x) and (t, x, y) ties abound,
-    # including rows that tie on every key
+def row_key(obs, depths=None):
+    """Row i's sort key in the spline's one order: t, x, y, n, depth."""
+    return lambda i: (obs.t[i], *obs.xy[i], *obs.n[i],
+                      *(() if depths is None else (depths[i],)))
+
+
+def test_problem_sorted_like_python_sort():
+    # each case needs one more key of the order than the one before: the
+    # time sort alone, (t, x, y) for equal times, n for equal (t, x, y), the
+    # depth for equal (t, x, y, n)
+    for times, places, normals in (("distinct", "few", "random"),
+                                   ("few", "distinct", "random"),
+                                   ("few", "few", "random"),
+                                   ("few", "few", "few")):
+        check_sorted_like_python_sort(times, places, normals)
+
+
+def check_sorted_like_python_sort(times, places, normals):
     rng = np.random.default_rng(76)
     k = 20_000
-    obs = Observations(xy=rng.integers(-3, 4, (k, 2)) / 10.0,
-                       n=rng.standard_normal((k, 2)),
-                       t=rng.integers(0, 50, k) / 100.0)
+    t = rng.permutation(k) / k if times == "distinct" else rng.integers(0, 50, k) / 100
+    xy = (rng.uniform(-0.3, 0.3, (k, 2)) if places == "distinct"
+          else rng.integers(-3, 4, (k, 2)) / 10)
+    n = (rng.standard_normal((k, 2)) if normals == "random"
+         else rng.integers(1, 3, (k, 2)) / 2)
+    obs = Observations(xy=xy, n=n, t=t)
     depths = rng.uniform(1.0, 5.0, k)
     problem = SplineFitProblem(obs, ModelKind.SIX_DOF, depths=depths)
-    key = sorted(range(k), key=lambda i: (obs.t[i], obs.xy[i, 0], obs.xy[i, 1]))
-    got, got_depths = _sorted_problem(problem)
-    assert np.array_equal(got.n, obs.n[key])
-    assert np.array_equal(got_depths, depths[key])
+    key = sorted(range(k), key=row_key(obs, depths))
+    assert np.array_equal(problem.observations.xy, obs.xy[key])
+    assert np.array_equal(problem.observations.n, obs.n[key])
+    assert np.array_equal(problem.observations.t, obs.t[key])
+    assert np.array_equal(problem.depths, depths[key])
+    # rows already in that order stay as they are
+    again = SplineFitProblem(problem.observations, ModelKind.SIX_DOF,
+                             depths=problem.depths)
+    assert np.array_equal(again.observations.n, problem.observations.n)
+    assert np.array_equal(again.depths, problem.depths)
 
 
 def test_fit_starved_segment_flagged_and_bounded():
@@ -446,9 +484,9 @@ def dense_fit(problem, init):
     with one Huber scale from the init, stopped once a round lowers the
     objective by at most IRLS_TOL * max(1, objective), or after the first
     round at an infinite scale.  Returns (control points, IRLS rounds)."""
-    obs, depths = _sorted_problem(problem)
     n_ctrl, dim = init.n_ctrl, init.dim
-    a, rhs, seg = dense_design(obs, depths, problem.kind, init)
+    a, rhs, seg = dense_design(problem.observations, problem.depths,
+                               problem.kind, init)
     seg_counts = np.bincount(seg, minlength=n_ctrl - 3)
     starved_cp = _starved(seg_counts)
     row_scale = float(np.median(np.linalg.norm(a, axis=1))) or 1.0
@@ -509,7 +547,8 @@ def test_fit_matches_dense_oracle_not_robust():
     assert rel_diff(traj.control_points, cp) < 1e-9
     # the init's objective and the one round's: the plain sum of squares
     # plus the regularisation term at the returned control points
-    a, rhs, _ = dense_design(*_sorted_problem(problem), problem.kind, init)
+    a, rhs, _ = dense_design(problem.observations, problem.depths,
+                             problem.kind, init)
     theta = traj.control_points.reshape(-1)
     reg = _regularization_rows(
         report.starved_control_points, init.n_ctrl, init.dim,
@@ -663,9 +702,9 @@ def test_fit_two_observations_in_last_interval_raises():
 
 def init_reference(obs, kind, dt, cfg=RansacConfig(), depths=None):
     """Control points, segment estimates, good and filled segments from one
-    np.nonzero scan and one ransac_estimate call per segment; each control
-    point is the mean of the estimates of the segments meeting at its
-    knot."""
+    np.nonzero scan and one ransac_estimate call per segment, on that
+    segment's observations in the spline's row order; each control point
+    is the mean of the estimates of the segments meeting at its knot."""
     t0, n_ctrl = trajectory_covering(float(obs.t.min()), float(obs.t.max()), dt)
     n_seg = n_ctrl - 3
     # the interval fit and evaluate place each time in
@@ -674,7 +713,8 @@ def init_reference(obs, kind, dt, cfg=RansacConfig(), depths=None):
     estimates = np.full((n_seg, kind.param_dim), np.nan)
     good = []
     for j in range(n_seg):
-        idx = np.nonzero(seg == j)[0]
+        idx = np.array(sorted(np.nonzero(seg == j)[0],
+                              key=row_key(obs, depths)), dtype=int)
         if idx.size >= 2 * kind.minimal_samples:
             try:
                 estimates[j] = ransac_estimate(
