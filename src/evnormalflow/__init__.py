@@ -14,10 +14,10 @@ into plane + motion, fitting continuous-time B-spline trajectories, and
 generating synthetic data with exact ground truth.
 """
 from .errors import (BadNumber, BoundsError, DegenerateDepth, EventOrderError,
-                     EvnfError, InputError, NoConsensus, OutOfBounds,
-                     OutOfDomain, ParseError, PureRotation,
-                     PureRotationDegenerate, RankDeficient, RankOneDegenerate,
-                     SolverDegeneracy, TooFewObservations, UnderDetermined)
+                     EvnfError, InputError, NoConsensus, OutOfDomain,
+                     ParseError, PureRotation, PureRotationDegenerate,
+                     RankDeficient, RankOneDegenerate, SolverDegeneracy,
+                     UnderDetermined)
 from .events import EventArray, TimeSurface, build_time_surface, read_events
 from .extraction import (ExtractionConfig, ExtractionStats,
                          extract_normal_flows, read_flows_csv, records_to_obs,

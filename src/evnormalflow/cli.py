@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -52,13 +53,7 @@ from .synthesis import (DEFAULT_INTRINSICS, ConstantMotion, NoiseSpec,
                         PlaneScene, RandomPointsScene, StepMotion,
                         TwoWallsScene, generate_dataset, run_noise_sweep)
 
-KINDS = {
-    "optical-flow": ModelKind.OPTICAL_FLOW,
-    "depth": ModelKind.DEPTH,
-    "angular-velocity": ModelKind.ANGULAR_VELOCITY,
-    "six-dof": ModelKind.SIX_DOF,
-    "diff-homography": ModelKind.DIFF_HOMOGRAPHY,
-}
+KINDS = {kind.value.replace("_", "-"): kind for kind in ModelKind}
 
 _PER_PIXEL = (ModelKind.OPTICAL_FLOW, ModelKind.DEPTH)
 
@@ -117,30 +112,20 @@ def _manifest(args):
     }
 
 
-def _velocity(data):
-    return Velocity(nu=np.asarray(data["nu"], dtype=float),
-                    omega=np.asarray(data["omega"], dtype=float))
-
-
-def _load_json(path, what, build, default=None):
-    """build(data) for the JSON data in the file at path, or default when
-    path is None.  A file that is not JSON, lacks a key or holds a value of
-    the wrong type or size is an InputError naming the file as `what`."""
+def _load_json(path, cls, default=None):
+    """The cls, a dataclass, whose fields are the keys of the JSON object in
+    the file at path, or default when path is None.  A file that is not
+    JSON, lacks a key or holds a value of the wrong type or size is an
+    InputError naming the file by the class: "bad velocity file ..."."""
     if path is None:
         return default
     with open(path) as fh:
         try:
-            return build(json.load(fh))
+            data = json.load(fh)
+            return cls(**{field.name: data[field.name] for field in fields(cls)})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad {what} file {path}: "
+            raise InputError(f"bad {cls.__name__.lower()} file {path}: "
                              f"{type(exc).__name__}: {exc}") from exc
-
-
-def _intrinsics(path):
-    """The Intrinsics in the JSON file at path; the defaults when None."""
-    return _load_json(path, "intrinsics", lambda data: Intrinsics(
-        **{field.name: data[field.name] for field in fields(Intrinsics)}),
-        DEFAULT_INTRINSICS)
 
 
 def _checked(check, *args, **kwargs):
@@ -177,6 +162,14 @@ def _floats(count=None, check=finite):
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
     return parse
+
+
+def _defaults(owner):
+    """The parameter defaults of owner, a library function or dataclass, as
+    attributes: a flag that sets a parameter takes its default from here."""
+    return argparse.Namespace(**{
+        name: param.default
+        for name, param in inspect.signature(owner).parameters.items()})
 
 
 _seed = _checked(uint64)
@@ -236,7 +229,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_flows(args, kind):
     """(observations, depths, intrinsics) from --flows and --intrinsics."""
     records, depths = read_flows_csv(args.flows)
-    intr = _intrinsics(args.intrinsics)
+    intr = _load_json(args.intrinsics, Intrinsics, DEFAULT_INTRINSICS)
     obs = records_to_obs(records, intr)
     if kind is ModelKind.SIX_DOF and depths is None:
         raise InputError(f"six-dof {args.command} requires a Z column in the "
@@ -259,7 +252,7 @@ def cmd_extract(args):
     # each field of the config is a flag of extract
     cfg = ExtractionConfig(**{field.name: getattr(args, field.name)
                               for field in fields(ExtractionConfig)})
-    intr = _intrinsics(args.intrinsics)
+    intr = _load_json(args.intrinsics, Intrinsics, DEFAULT_INTRINSICS)
     timings = {}
     with _stage(timings, "read_s"):
         events = read_events(args.events, width=intr.width, height=intr.height)
@@ -320,7 +313,7 @@ def cmd_solve(args):
     timings = {}
     with _stage(timings, "read_s"):
         obs, depths, intr = _load_flows(args, kind)
-        velocity = _load_json(args.velocity, "velocity", _velocity)
+        velocity = _load_json(args.velocity, Velocity)
     report = {"model": kind.value, "n_obs": len(obs)}
     if kind in _PER_PIXEL:
         if velocity is None:
@@ -331,17 +324,12 @@ def cmd_solve(args):
         with _stage(timings, "solve_s"):
             fit_report = ransac_estimate(obs, kind, _ransac_config(args, intr),
                                          depths=depths)
-        report.update({
-            "theta": fit_report.theta.tolist(),
-            "inliers": fit_report.inliers.tolist(),
-            "n_inliers": int(len(fit_report.inliers)),
-            "rms": fit_report.rms, "cond": fit_report.cond,
-            "iterations": fit_report.iterations,
-            "rows_scored": fit_report.rows_scored,
-            "hit_cap": fit_report.hit_cap,
-            "inlier_ratio": fit_report.inlier_ratio,
-            "threshold": fit_report.threshold,
-            "refits": fit_report.refits})
+        # every field of the report but its kind, which "model" names
+        report.update({field.name: getattr(fit_report, field.name)
+                       for field in fields(fit_report) if field.name != "kind"},
+                      theta=fit_report.theta.tolist(),
+                      inliers=fit_report.inliers.tolist(),
+                      n_inliers=int(len(fit_report.inliers)))
         if kind is ModelKind.DIFF_HOMOGRAPHY:
             report.update(_homography_extras(fit_report.theta))
     report["timings"] = timings
@@ -439,7 +427,7 @@ def _motion_json(motion):
 def cmd_simulate(args):
     scene = _build_scene(args)
     motion = _build_motion(args)
-    intr = _intrinsics(args.intrinsics)
+    intr = _load_json(args.intrinsics, Intrinsics, DEFAULT_INTRINSICS)
     noise = NoiseSpec(sigma_px=args.noise_px, outlier_fraction=args.outlier_fraction)
     observations, truth = generate_dataset(scene, motion, intr=intr,
                                            count=args.count, window=args.window,
@@ -509,10 +497,14 @@ def build_parser():
     fitting.add_argument("--flows", required=True)
     fitting.add_argument("--intrinsics")
     fitting.add_argument("--output", required=True)
-    fitting.add_argument("--threshold", type=_positive, default=12.0,
-                         help=_THRESHOLD_HELP)
-    fitting.add_argument("--max-iterations", type=_count, default=1000)
-    fitting.add_argument("--confidence", type=_checked(interval, 0, 1), default=0.99)
+    ransac = _defaults(RansacConfig)
+    fitting.add_argument("--threshold", type=_positive, help=_THRESHOLD_HELP,
+                         default=ransac.threshold * math.sqrt(
+                             DEFAULT_INTRINSICS.fx * DEFAULT_INTRINSICS.fy))
+    fitting.add_argument("--max-iterations", type=_count,
+                         default=ransac.max_iterations)
+    fitting.add_argument("--confidence", type=_checked(interval, 0, 1),
+                         default=ransac.confidence)
 
     p = sub.add_parser("extract", parents=[common],
                        help="events -> normal-flow CSV")
@@ -525,13 +517,16 @@ def build_parser():
                    help="stats JSON path (default <output>.stats.json)")
     p.add_argument("--t-ref", type=_checked(finite),
                    help="reference time (default: last event)")
+    cfg = _defaults(ExtractionConfig)
     p.add_argument("--temporal-window", type=_checked(positive_or_inf),
-                   default=0.04, help="seconds; inf means no limit")
-    p.add_argument("--spatial-window", type=_checked(integer, 3, odd=True), default=7)
-    p.add_argument("--plane-thresh", type=_positive, default=1e-5)
-    p.add_argument("--plane-iters", type=_count, default=50)
-    p.add_argument("--min-support", type=_checked(integer, 3), default=10)
-    p.add_argument("--min-gradient", type=_positive, default=1e-4)
+                   default=cfg.temporal_window, help="seconds; inf means no limit")
+    p.add_argument("--spatial-window", type=_checked(integer, 3, odd=True),
+                   default=cfg.spatial_window)
+    p.add_argument("--plane-thresh", type=_positive, default=cfg.plane_thresh)
+    p.add_argument("--plane-iters", type=_count, default=cfg.plane_iters)
+    p.add_argument("--min-support", type=_checked(integer, 3),
+                   default=cfg.min_support)
+    p.add_argument("--min-gradient", type=_positive, default=cfg.min_gradient)
     p.add_argument("--polarity", choices=["joint", "pos", "neg"],
                    default="joint")
 
@@ -550,7 +545,8 @@ def build_parser():
     p.add_argument("--knot-spacing", type=_positive, default=DEFAULT_KNOT_SPACING)
     p.add_argument("--no-robust", action="store_true",
                    help="disable Huber reweighting")
-    p.add_argument("--max-rounds", type=_count, default=20,
+    p.add_argument("--max-rounds", type=_count,
+                   default=_defaults(SplineFitProblem).max_rounds,
                    help="cap on the IRLS rounds of the Huber fit")
 
     p = sub.add_parser("simulate", parents=[common],
@@ -559,33 +555,37 @@ def build_parser():
     p.add_argument("--scene", choices=["plane", "random-points", "two-walls"],
                    default="random-points")
     p.add_argument("--motion", choices=["constant", "step"], default="constant")
-    p.add_argument("--count", type=_count, default=1000)
-    p.add_argument("--window", type=_positive, default=0.5)
-    p.add_argument("--noise-px", type=_checked(non_negative), default=0.0)
-    p.add_argument("--outlier-fraction", default=0.0,
+    data, noise = _defaults(generate_dataset), _defaults(NoiseSpec)
+    p.add_argument("--count", type=_count, default=data.count)
+    p.add_argument("--window", type=_positive, default=data.window)
+    p.add_argument("--noise-px", type=_checked(non_negative), default=noise.sigma_px)
+    p.add_argument("--outlier-fraction", default=noise.outlier_fraction,
                    type=_checked(interval, 0, 1, closed=True))
     p.add_argument("--nu", type=_floats(3), default=[0.2, -0.1, 0.3])
     p.add_argument("--omega", type=_floats(3), default=[0.1, -0.2, 0.15])
     p.add_argument("--nu-after", type=_floats(3))
     p.add_argument("--omega-after", type=_floats(3))
     p.add_argument("--t-switch", default=0.25, type=_checked(finite))
-    p.add_argument("--plane-normal", type=_floats(3), default=[0.0, 0.0, 1.0])
-    p.add_argument("--plane-d", type=_positive, default=2.0)
+    plane, points = _defaults(PlaneScene), _defaults(RandomPointsScene)
+    p.add_argument("--plane-normal", type=_floats(3), default=plane.normal)
+    p.add_argument("--plane-d", type=_positive, default=plane.d)
     p.add_argument("--depth-range", type=_floats(2, positive),
-                   default=[1.0, 5.0])
+                   default=points.depth_range)
     p.add_argument("--points-count", type=_count)
-    p.add_argument("--walls-angle", type=_checked(interval, 0, math.pi), default=0.5)
-    p.add_argument("--extent", type=_positive, default=0.45)
+    p.add_argument("--walls-angle", type=_checked(interval, 0, math.pi),
+                   default=_defaults(TwoWallsScene).angle)
+    p.add_argument("--extent", type=_positive, default=points.extent)
     p.add_argument("--intrinsics")
 
     p = sub.add_parser("bench-noise", parents=[common],
                        help="noise robustness sweep")
     p.add_argument("--kind", choices=sorted(KINDS), required=True)
     p.add_argument("--output", required=True)
+    sweep = _defaults(run_noise_sweep)
     p.add_argument("--grid", type=_floats(check=non_negative),
-                   default=[0.01, 0.1, 1.0, 10.0, 100.0])
-    p.add_argument("--trials", type=_count, default=20)
-    p.add_argument("--samples", type=_count, default=1000)
+                   default=sweep.noise_grid_px)
+    p.add_argument("--trials", type=_count, default=sweep.trials)
+    p.add_argument("--samples", type=_count, default=sweep.samples)
 
     return parser, sub
 

@@ -30,11 +30,8 @@ class ParseError(InputError):
 
 
 class BoundsError(InputError):
-    """Event pixel coordinate outside the sensor array."""
-
-
-class OutOfBounds(InputError):
-    """Pixel location outside the sensor during coordinate conversion."""
+    """A pixel location off the sensor: an event's, or one converted to
+    calibrated coordinates."""
 
 
 class EventOrderError(InputError):
@@ -57,16 +54,13 @@ class RankDeficient(SolverDegeneracy):
     """Stacked system rank below the model requirement."""
 
 
-class TooFewObservations(SolverDegeneracy):
-    """Fewer observations than the minimal sample size."""
-
-
 class NoConsensus(SolverDegeneracy):
     """RANSAC found no model supported by enough inliers."""
 
 
 class UnderDetermined(SolverDegeneracy):
-    """Fewer observations than unknowns in a batch fit."""
+    """Fewer observations than the unknowns need: below a model's minimal
+    sample, or below a spline's control-point unknowns."""
 
 
 class PureRotationDegenerate(SolverDegeneracy):

@@ -552,7 +552,7 @@ def read_flows_csv(path):
         header = [h.strip() for h in fh.readline().rstrip("\r\n").split(",")]
     if header[:7] != FLOWS_HEADER:
         raise ValueError(f"unrecognized flows CSV header in {path}")
-    has_z = len(header) > 7 and header[7] in ("Z", "depth")
+    has_z = len(header) > 7 and header[7] == "Z"
     dtype = _FLOWS_Z_DTYPE if has_z else FLOWS_DTYPE
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")

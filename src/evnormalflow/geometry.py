@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (DegenerateDepth, OutOfBounds, integer, interval,
+from .errors import (BoundsError, DegenerateDepth, integer, interval,
                      positive)
 
 # Calibrated coordinates beyond this magnitude correspond to rays >71deg
@@ -262,7 +262,7 @@ def pixel_to_calibrated(px, intr, gradient_px=None):
 
     Points map contravariantly, (px - c) / f; gradients of a scalar field
     map covariantly, (fx gx, fy gy), so that gradient-derived flows stay
-    consistent with the calibrated motion field.  Raises OutOfBounds naming
+    consistent with the calibrated motion field.  Raises BoundsError naming
     the first pixel off the sensor.
     """
     px = np.asarray(px, dtype=float)
@@ -270,7 +270,7 @@ def pixel_to_calibrated(px, intr, gradient_px=None):
                     axis=-1)
     if not inside.all():
         bad = tuple(px.reshape(-1, 2)[np.argmin(inside.reshape(-1))].tolist())
-        raise OutOfBounds(f"pixel {bad} outside {intr.width}x{intr.height}")
+        raise BoundsError(f"pixel {bad} outside {intr.width}x{intr.height}")
     xy = (px - np.array([intr.cx, intr.cy])) / np.array([intr.fx, intr.fy])
     if gradient_px is None:
         return xy

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PureRotationDegenerate, RankOneDegenerate, non_negative, positive
+from .errors import PureRotationDegenerate, RankOneDegenerate, positive
 from .geometry import DiffHomography, skew, vee
 
 _DEGENERACY_TOL = 1e-8
@@ -89,7 +89,7 @@ def _candidate(h, first, second):
                            omega=omega)
 
 
-def decompose_hd(h_d, tol=_DEGENERACY_TOL):
+def decompose_hd(h_d):
     """Factor H_d into its two (nu/d, N, omega) interpretations.
 
     M = -(H_d + H_d^T) = j k^T + k j^T with
@@ -101,24 +101,24 @@ def decompose_hd(h_d, tol=_DEGENERACY_TOL):
     omega read off the remaining skew part.  Raises PureRotationDegenerate
     (carrying omega) when M vanishes and RankOneDegenerate when nu is
     parallel to N, which collapses both candidates.  Raises ValueError when
-    M's middle eigenvalue is not 0 within tol of its largest magnitude, as
-    for a linear-solver H_L not yet passed through `recover_true_hd`.
+    M's middle eigenvalue exceeds _DEGENERACY_TOL of its largest magnitude,
+    as for a linear-solver H_L not yet passed through `recover_true_hd`.
     """
-    non_negative("tol", tol)       # a NaN tol would pass every test below
     h = h_d.h if isinstance(h_d, DiffHomography) else np.asarray(h_d, dtype=float)
     m = -(h + h.T)
     scale = max(np.linalg.norm(h), np.finfo(float).tiny)
-    if np.linalg.norm(m) <= tol * scale:
+    if np.linalg.norm(m) <= _DEGENERACY_TOL * scale:
         raise PureRotationDegenerate(
             "no visible plane: H_d is purely rotational", omega=-vee(h))
     eigvals, eigvecs = np.linalg.eigh(m)       # ascending
     l_min, l_mid, l_max = (float(v) for v in eigvals)
-    if abs(l_mid) > tol * max(abs(l_min), abs(l_max)):
+    big = max(abs(l_min), abs(l_max))
+    if abs(l_mid) > _DEGENERACY_TOL * big:
         raise ValueError(
             f"-(H + H^T) has middle eigenvalue {l_mid:.6g}, not 0, so H is no "
             "differential homography; a linear-solver H_L needs "
             "recover_true_hd first")
-    if min(abs(l_min), abs(l_max)) <= tol * max(abs(l_min), abs(l_max)):
+    if min(abs(l_min), abs(l_max)) <= _DEGENERACY_TOL * big:
         raise RankOneDegenerate(
             "translation parallel to the plane normal: candidates coincide")
     q_max = _canonical(eigvecs[:, 2])

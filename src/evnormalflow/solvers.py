@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDepth, NoConsensus, PureRotation,
-                     RankDeficient, SolverDegeneracy, TooFewObservations,
+                     RankDeficient, SolverDegeneracy, UnderDetermined,
                      integer, interval, positive, uint64)
 from .geometry import (DiffHomography, Velocity, as_observations,
                        epipolar_terms)
@@ -383,11 +383,11 @@ def build_rows(observations, kind, depths=None):
 
 def _solve_stacked(observations, kind, depths=None):
     """Least-squares theta of kind's stacked rows at its required rank;
-    TooFewObservations below kind's minimal sample."""
+    UnderDetermined below kind's minimal sample."""
     obs = as_observations(observations)
     c = kind.minimal_samples
     if len(obs) < c:
-        raise TooFewObservations(f"need >= {c} observations, got {len(obs)}")
+        raise UnderDetermined(f"need >= {c} observations, got {len(obs)}")
     a, b = build_rows(obs, kind, depths=depths)
     theta, _ = stack_and_solve(a, b, min_rank=kind.required_rank)
     return theta
@@ -653,7 +653,7 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
     drawn = sizes >= 2 * c
     for g in np.flatnonzero(~drawn):
         results[g] = (
-            TooFewObservations(f"need >= {c} observations, got {sizes[g]}")
+            UnderDetermined(f"need >= {c} observations, got {sizes[g]}")
             if sizes[g] < c else
             NoConsensus(f"{sizes[g]} observations < {2 * c}: no consensus"))
 

@@ -224,7 +224,8 @@ class _BlockRows:
 
     Observation k in segment j = seg[k] constrains only c_j..c_{j+3}, the
     4 * dim columns from j * dim of the flattened control points; vals[k]
-    holds its row there and rhs[k] its right-hand side.  The normal
+    holds its row there and rhs[k] its right-hand side; starved lists the
+    control points that no row reaches (_starved).  The normal
     equations are summed over runs of rows with one segment; a
     SplineFitProblem holds its observations sorted by time, so seg is
     non-decreasing and each segment is one run.
@@ -247,6 +248,7 @@ class _BlockRows:
         self.vals = (w[:, :, None] * rows[:, None, :]).reshape(len(obs), -1)
         self.rhs = rhs * inv
         self.seg = seg
+        self.starved = _starved(seg, w, traj.n_ctrl)
         self.dim = traj.dim
         self.n_cols = traj.n_ctrl * traj.dim
         starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
@@ -298,10 +300,13 @@ def _scaled_solve(gram, rhs):
     return x, scaled
 
 
-def _starved(seg_counts):
-    """Control points all of whose supporting segments are empty: point i
-    is supported by segments i - 3 .. i."""
-    return np.flatnonzero(np.convolve(seg_counts, np.ones(4)) == 0).tolist()
+def _starved(seg, w, n_ctrl):
+    """Control points that no observation's basis weight reaches: an
+    observation in segment seg[k] weighs c_{seg[k] + m} by w[k, m], and
+    its last weight, u^3 / 6, is 0 on a knot, so a last time on a knot
+    leaves the last control point unreached."""
+    reached = (seg[:, None] + np.arange(4))[w > 0]
+    return np.flatnonzero(np.bincount(reached, minlength=n_ctrl) == 0).tolist()
 
 
 def _regularization_rows(starved, n_ctrl, dim, weight):
@@ -366,9 +371,9 @@ def fit(problem, init):
 
     rows = _BlockRows(obs, depths, problem.kind, init)
     seg_counts = np.bincount(rows.seg, minlength=n_ctrl - 3)
-    starved_cp = _starved(seg_counts)
     row_scale = float(np.median(np.linalg.norm(rows.vals, axis=1))) or 1.0
-    reg = _regularization_rows(starved_cp, n_ctrl, dim, REG_WEIGHT * row_scale)
+    reg = _regularization_rows(rows.starved, n_ctrl, dim,
+                               REG_WEIGHT * row_scale)
     reg_gram = reg.T @ reg
 
     def solve(wts):
@@ -404,7 +409,7 @@ def fit(problem, init):
     report = SplineFitReport(
         rms=float(np.sqrt(np.mean(r ** 2))), segment_counts=seg_counts,
         starved_segments=[int(j) for j in np.nonzero(seg_counts == 0)[0]],
-        starved_control_points=starved_cp, irls_rounds=rounds,
+        starved_control_points=rows.starved, irls_rounds=rounds,
         objective_history=history, cond=float(eig[-1] / eig[0]),
         hit_cap=hit_cap)
     return traj, report

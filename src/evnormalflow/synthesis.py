@@ -409,8 +409,8 @@ def _sweep_error(kind, observations, truth):
 
 
 def run_noise_sweep(kind, noise_grid_px=(0.01, 0.1, 1.0, 10.0, 100.0),
-                    trials=20, samples=1000, seed=0, intr=DEFAULT_INTRINSICS):
-    """Median relative estimation error per noise level.
+                    trials=20, samples=1000, seed=0):
+    """Median relative estimation error per noise level, at DEFAULT_INTRINSICS.
 
     Trial datasets reuse the same seeds across levels (only the noise
     scale changes), making the degradation curve a deterministic, almost
@@ -433,7 +433,7 @@ def run_noise_sweep(kind, noise_grid_px=(0.01, 0.1, 1.0, 10.0, 100.0),
     for li, sigma in enumerate(grid):
         for j in range(trials):
             observations, truth = generate_dataset(
-                scene, motion, intr=intr, count=samples, window=0.5,
+                scene, motion, count=samples, window=0.5,
                 noise=NoiseSpec(sigma_px=float(sigma)), seed=trial_seeds[j])
             errs[li, j] = _sweep_error(kind, observations, truth)
     return SweepResult(kind=kind, noise_px=grid,

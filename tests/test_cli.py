@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand through main(argv),
 exit codes, manifest plumbing, and config/environment precedence."""
 import csv
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,11 @@ import numpy as np
 import pytest
 
 import evnormalflow
-from evnormalflow.cli import _atomic_write, main
+from evnormalflow import (ExtractionConfig, NoiseSpec, PlaneScene,
+                          RandomPointsScene, RansacConfig, SplineFitProblem,
+                          TwoWallsScene, generate_dataset, run_noise_sweep)
+from evnormalflow.cli import _atomic_write, build_parser, main
+from evnormalflow.synthesis import DEFAULT_INTRINSICS
 
 
 def run(*argv):
@@ -1154,3 +1159,49 @@ def test_config_value_checked_like_a_flag(tmp_path, capsys, argv, line):
 def test_missing_required_option(tmp_path):
     assert run("solve", "--kind", "angular-velocity",
                "--output", tmp_path / "x.json") == 2
+
+
+# --------------------------------------------------------------------------
+# defaults
+
+def signature_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+# --threshold is in px/s: the library's bound in 1/s at the default focal
+# lengths, which the flag's own conversion takes back to that bound
+PX_PER_CALIBRATED = math.sqrt(DEFAULT_INTRINSICS.fx * DEFAULT_INTRINSICS.fy)
+
+
+@pytest.mark.parametrize("command, dest, want", [
+    *[("extract", name, getattr(ExtractionConfig(), name))
+      for name in ("temporal_window", "spatial_window", "plane_thresh",
+                   "plane_iters", "min_support", "min_gradient")],
+    ("solve", "threshold", RansacConfig().threshold * PX_PER_CALIBRATED),
+    ("solve", "max_iterations", RansacConfig().max_iterations),
+    ("solve", "confidence", RansacConfig().confidence),
+    ("fit-spline", "max_rounds",
+     signature_default(SplineFitProblem, "max_rounds")),
+    ("simulate", "count", signature_default(generate_dataset, "count")),
+    ("simulate", "window", signature_default(generate_dataset, "window")),
+    ("simulate", "noise_px", NoiseSpec().sigma_px),
+    ("simulate", "outlier_fraction", NoiseSpec().outlier_fraction),
+    ("simulate", "plane_normal", PlaneScene().normal),
+    ("simulate", "plane_d", PlaneScene().d),
+    ("simulate", "plane_d", TwoWallsScene().d),
+    ("simulate", "depth_range", RandomPointsScene().depth_range),
+    ("simulate", "walls_angle", TwoWallsScene().angle),
+    *[("simulate", "extent", scene().extent)
+      for scene in (RandomPointsScene, PlaneScene, TwoWallsScene)],
+    ("bench-noise", "grid",
+     signature_default(run_noise_sweep, "noise_grid_px")),
+    ("bench-noise", "trials", signature_default(run_noise_sweep, "trials")),
+    ("bench-noise", "samples", signature_default(run_noise_sweep, "samples")),
+])
+def test_flag_default_is_the_library_default(command, dest, want):
+    got = build_parser()[1].choices[command].get_default(dest)
+    if isinstance(want, tuple):          # a flag's list, a library tuple
+        got, want = list(got), list(want)
+    assert got == want and type(got) is type(want)
+    if dest == "threshold":              # 12 px/s, as the README says
+        assert got == 12.0 and got / PX_PER_CALIBRATED == RansacConfig().threshold

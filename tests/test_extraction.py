@@ -6,8 +6,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from evnormalflow import (EventArray, ExtractionConfig, Intrinsics,
-                          MovingEdge, Observations, OutOfBounds,
+from evnormalflow import (BoundsError, EventArray, ExtractionConfig,
+                          Intrinsics, MovingEdge, Observations,
                           build_time_surface, extract_normal_flows,
                           read_flows_csv, records_to_obs, surface_from_edges,
                           write_flows_csv)
@@ -391,7 +391,7 @@ def test_records_to_obs_checks_every_row():
     records = np.array([(0.1, 1.0, 1.0, 0.3, 0.4, 10, 0.0),
                         (0.2, 2.0, INTR.height, 0.3, 0.4, 10, 0.0)],
                        dtype=FLOWS_DTYPE).view(np.recarray)
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(BoundsError):
         records_to_obs(records, INTR)
 
 

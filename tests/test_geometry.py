@@ -3,8 +3,8 @@ model against them, and the pixel <-> calibrated conversions."""
 import numpy as np
 import pytest
 
-from evnormalflow import (DegenerateDepth, Intrinsics, ModelKind,
-                          Observations, OutOfBounds, Velocity,
+from evnormalflow import (BoundsError, DegenerateDepth, Intrinsics,
+                          ModelKind, Observations, Velocity,
                           as_observations, calibrated_to_pixel,
                           epipolar_terms, matrix_a, matrix_b, matrix_c,
                           matrix_d, pixel_to_calibrated, skew, vee)
@@ -209,12 +209,12 @@ def test_pixel_round_trip():
 
 
 def test_pixel_out_of_bounds():
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(BoundsError):
         pixel_to_calibrated((-1, 10), INTR)
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(BoundsError):
         pixel_to_calibrated((10, INTR.height), INTR)
     # the error names the first pixel off the sensor
-    with pytest.raises(OutOfBounds, match=r"\(5\.0, 180\.0\)"):
+    with pytest.raises(BoundsError, match=r"\(5\.0, 180\.0\)"):
         pixel_to_calibrated([(1, 1), (5, INTR.height), (-1, 0)], INTR)
 
 

@@ -17,8 +17,7 @@ from evnormalflow import (ConstantMotion, EventArray, ExtractionConfig,
                           PlaneScene, RandomPointsScene, RansacConfig,
                           SplineFitProblem, SplineTrajectory, StepMotion,
                           TwoWallsScene, Velocity, build_time_surface,
-                          compose_hd, decompose_hd, evaluate,
-                          generate_dataset, hd_from_plane,
+                          evaluate, generate_dataset, hd_from_plane,
                           init_from_linear, read_events, run_noise_sweep,
                           surface_from_edges, trajectory_covering)
 from evnormalflow.errors import BadNumber, OutOfDomain, UnderDetermined
@@ -191,14 +190,3 @@ def test_spline_evaluate_refuses_a_non_finite_time(t):
         evaluate(traj, t)
     with pytest.raises(OutOfDomain):
         evaluate(traj, [0.2, t])
-
-
-@pytest.mark.parametrize("probe", ["nan", "inf", "-inf", "-1", "True", "empty"])
-def test_decompose_hd_tolerance_refused(probe):
-    # 0 and 1.5 pass the rule; whether H then decomposes is its own matter
-    h = compose_hd((0.1, 0.2, 0.3), (0.2, 0.1, 0.3), (0.0, 0.0, 1.0))
-    value = PROBES[probe]
-    with pytest.raises(BadNumber) as info:
-        decompose_hd(h, tol=value)
-    assert str(info.value) == (
-        f"tol must be non-negative and finite, got {value!r}")

@@ -11,7 +11,7 @@ from evnormalflow import (ConstantMotion, DegenerateDepth, DiffHomography,
                           ModelKind, NoConsensus, NoiseSpec,
                           Observations, PlaneScene, PureRotation,
                           RandomPointsScene, RankDeficient, RansacConfig,
-                          StepMotion, TooFewObservations, TwoWallsScene,
+                          StepMotion, TwoWallsScene, UnderDetermined,
                           Velocity, build_rows,
                           epipolar_terms, generate_dataset,
                           init_from_linear, matrix_a, matrix_b, matrix_c,
@@ -353,7 +353,7 @@ def test_angular_velocity_three_observations():
         u = matrix_b(x, y) @ omega
         obs.append(make_obs(x, y, u, rng.uniform(-60, 60)))
     assert np.allclose(solve_angular_velocity(obs), omega, atol=1e-9)
-    with pytest.raises(TooFewObservations):
+    with pytest.raises(UnderDetermined):
         solve_angular_velocity(obs[:2])
 
 
@@ -383,7 +383,7 @@ def test_six_dof_exact_recovery():
     out = solve_6dof(obs, truth.z)
     assert np.allclose(out.nu, v.nu, atol=1e-9)
     assert np.allclose(out.omega, v.omega, atol=1e-9)
-    with pytest.raises(TooFewObservations):
+    with pytest.raises(UnderDetermined):
         solve_6dof(obs[:5], truth.z[:5])
     with pytest.raises(DegenerateDepth):
         solve_6dof(obs, np.concatenate([[-1.0], truth.z[1:]]))
@@ -426,7 +426,7 @@ def test_diff_homography_recovers_up_to_identity():
     diff = h_l - truth.hd.h
     off_diag = diff - np.eye(3) * diff[0, 0]
     assert np.linalg.norm(off_diag) < 1e-8  # differs only by a multiple of I
-    with pytest.raises(TooFewObservations):
+    with pytest.raises(UnderDetermined):
         solve_diff_homography(obs[:7])
 
 
@@ -670,7 +670,7 @@ def test_ransac_all_inliers_equals_full_solve():
 
 def test_ransac_too_few_observations():
     obs = [one_obs(0.1, 0.1, 0.5, 0.2)] * 2
-    with pytest.raises(TooFewObservations):
+    with pytest.raises(UnderDetermined):
         ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY)
 
 
@@ -914,7 +914,7 @@ def test_ransac_groups_isolate_failing_groups():
     groups, kind, cfg = failing_groups()
     results = grouped(groups, kind, cfg)
     assert [type(r) for r in results] == [
-        FitReport, NoConsensus, NoConsensus, TooFewObservations, FitReport,
+        FitReport, NoConsensus, NoConsensus, UnderDetermined, FitReport,
         NoConsensus]
     for group, result in zip(groups, results):
         if not isinstance(result, FitReport):

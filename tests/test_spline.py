@@ -292,10 +292,16 @@ def test_fit_starved_segment_flagged_and_bounded():
 
 
 def test_starved_points_and_their_smoothness_rows():
-    # point i rests on segments i - 3 .. i; an end point is tied to its one
-    # neighbour, an inner one to the mean of both
-    counts = np.array([0, 0, 5, 0, 0, 0, 0, 2, 0])
-    assert _starved(counts) == [0, 1, 6, 11]
+    # an observation in segment j reaches points j .. j + 3, the last only
+    # off a knot (its weight u^3 / 6 is 0 at u = 0); an end point is tied
+    # to its one neighbour, an inner one to the mean of both
+    seg = np.array([2, 2, 2, 2, 2, 7, 7])
+    u = np.array([0.0, 0.1, 0.5, 0.7, 0.99, 0.3, 0.6])
+    assert _starved(seg, basis_weights(u), 12) == [0, 1, 6, 11]
+    # segment 7's rows on its first knot leave point 10 unreached
+    u[5:] = 0.0
+    assert _starved(seg, basis_weights(u), 12) == [0, 1, 6, 10, 11]
+    assert _starved(seg[:0], basis_weights(u[:0]), 4) == [0, 1, 2, 3]
     reg = _regularization_rows([0, 1, 6, 11], 12, 1, 2.0)
     want = np.zeros((4, 12))
     want[0, :2] = 2.0, -2.0
@@ -462,7 +468,8 @@ def test_problem_rejects_non_integer_max_rounds(value):
 # the block normal equations against the dense lstsq IRLS they replaced
 
 def dense_design(obs, depths, kind, traj):
-    """The dense K x (n_ctrl * dim) design, rows scaled by 1/|n|."""
+    """The dense K x (n_ctrl * dim) design, rows scaled by 1/|n|, and each
+    row's segment and basis weights."""
     rows, rhs = build_rows(obs, kind, depths=depths)
     inv = 1.0 / np.maximum(np.linalg.norm(obs.n, axis=1), 1e-12)
     rows = rows * inv[:, None]
@@ -476,7 +483,7 @@ def dense_design(obs, depths, kind, traj):
             + (seg[:, None, None] + np.arange(4)[None, :, None]) * dim)
     np.put_along_axis(a, cols.reshape(k, -1),
                       (w[:, :, None] * rows[:, None, :]).reshape(k, -1), axis=1)
-    return a, rhs, seg
+    return a, rhs, seg, w
 
 
 def dense_fit(problem, init):
@@ -485,10 +492,9 @@ def dense_fit(problem, init):
     objective by at most IRLS_TOL * max(1, objective), or after the first
     round at an infinite scale.  Returns (control points, IRLS rounds)."""
     n_ctrl, dim = init.n_ctrl, init.dim
-    a, rhs, seg = dense_design(problem.observations, problem.depths,
-                               problem.kind, init)
-    seg_counts = np.bincount(seg, minlength=n_ctrl - 3)
-    starved_cp = _starved(seg_counts)
+    a, rhs, seg, w = dense_design(problem.observations, problem.depths,
+                                  problem.kind, init)
+    starved_cp = _starved(seg, w, n_ctrl)
     row_scale = float(np.median(np.linalg.norm(a, axis=1))) or 1.0
     reg = _regularization_rows(starved_cp, n_ctrl, dim, REG_WEIGHT * row_scale)
     reg_rhs = np.zeros(len(reg))
@@ -547,8 +553,8 @@ def test_fit_matches_dense_oracle_not_robust():
     assert rel_diff(traj.control_points, cp) < 1e-9
     # the init's objective and the one round's: the plain sum of squares
     # plus the regularisation term at the returned control points
-    a, rhs, _ = dense_design(problem.observations, problem.depths,
-                             problem.kind, init)
+    a, rhs, *_ = dense_design(problem.observations, problem.depths,
+                              problem.kind, init)
     theta = traj.control_points.reshape(-1)
     reg = _regularization_rows(
         report.starved_control_points, init.n_ctrl, init.dim,
@@ -662,7 +668,8 @@ def test_fit_memory_independent_of_design_size():
 def test_fit_rank_deficient_raises():
     # every observation at one pixel with one normal: each row is the same
     # 3-vector, so only one direction of each control point is constrained.
-    # Ending on a knot also leaves the last control point with zero weight.
+    # Ending on a knot (t_max = 0.5) leaves the last control point to its
+    # smoothness row alone, which holds it but frees no other point.
     k = 400
     for t_max in (0.5, 0.47):
         obs = Observations(xy=np.tile([0.1, -0.05], (k, 1)),
@@ -695,6 +702,41 @@ def test_fit_two_observations_in_last_interval_raises():
         with pytest.raises(RankDeficient):
             fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
                                  robust=False), init)
+
+
+@pytest.mark.parametrize("robust", [True, False])
+@pytest.mark.parametrize("dt", [0.1, 0.05, 0.02])
+def test_fit_ending_on_a_knot(dt, robust):
+    # the last time on a knot gives the last control point the weight
+    # u^3 / 6 = 0: no observation reaches it, so its smoothness row holds it
+    omega = np.array([0.1, -0.2, 0.5])
+    obs, _ = rotation_dataset(
+        ConstantMotion(Velocity(nu=(0, 0, 0), omega=omega)), count=2000,
+        seed=88, noise=NoiseSpec(sigma_px=0.5, outlier_fraction=0.1))
+    t = obs.t / obs.t.max()
+    t[np.argmin(t)] = 0.0
+    obs = Observations(xy=obs.xy, n=obs.n, t=t)
+    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=dt)
+    traj, report = fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
+                                        robust=robust), init)
+    assert report.starved_control_points == [traj.n_ctrl - 1]
+    err = np.linalg.norm(evaluate(traj, np.linspace(0.0, 1.0, 101)) - omega,
+                         axis=1) / np.linalg.norm(omega)
+    assert np.median(err) < (0.02 if robust else 0.5)
+
+
+def test_fit_with_every_time_on_a_knot_raises():
+    # samples at knots alone fix only the spline's knot values, which leave
+    # its two end conditions free, as for an interpolating cubic spline
+    obs, _ = rotation_dataset(
+        ConstantMotion(Velocity(nu=(0, 0, 0), omega=(0.1, -0.2, 0.5))),
+        count=2000, seed=89)
+    obs = Observations(xy=obs.xy, n=obs.n, t=np.round(obs.t * 10) / 10)
+    init, _ = init_from_linear(obs, ModelKind.ANGULAR_VELOCITY, dt=0.1)
+    for robust in (True, False):
+        with pytest.raises(RankDeficient):
+            fit(SplineFitProblem(obs, ModelKind.ANGULAR_VELOCITY,
+                                 robust=robust), init)
 
 
 # --------------------------------------------------------------------------
