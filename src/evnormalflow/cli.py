@@ -47,8 +47,8 @@ from .geometry import Intrinsics, Velocity, calibrated_to_pixel
 from .homography import decompose_hd, recover_true_hd
 from .solvers import (ModelKind, RansacConfig, ransac_estimate, solve_depth,
                       solve_optical_flow)
-from .spline import (DEFAULT_KNOT_SPACING, SplineFitProblem, evaluate, fit,
-                     init_from_linear)
+from .spline import (_SPLINE_KINDS, DEFAULT_KNOT_SPACING, SplineFitProblem,
+                     evaluate, fit, init_from_linear)
 from .synthesis import (DEFAULT_INTRINSICS, ConstantMotion, NoiseSpec,
                         PlaneScene, RandomPointsScene, StepMotion,
                         TwoWallsScene, generate_dataset, run_noise_sweep)
@@ -77,9 +77,17 @@ def _atomic_write_text(path, text):
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _json_default(value):
+    """json.dumps hook: a NumPy array or scalar as its Python value."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _atomic_write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+                                        separators=(",", ":"),
+                                        default=_json_default) + "\n")
 
 
 @contextmanager
@@ -98,7 +106,7 @@ def _manifest(args):
     config = {key: "inf" if value == math.inf else value
               for key, value in vars(args).items()
               if key not in ("command", "config")}
-    blob = json.dumps(config, sort_keys=True, default=str)
+    blob = json.dumps(config, sort_keys=True, default=_json_default)
     return {
         "seed": config.get("seed"),
         "config": config,
@@ -226,15 +234,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_flows(args, kind):
+def _load_flows(args):
     """(observations, depths, intrinsics) from --flows and --intrinsics."""
     records, depths = read_flows_csv(args.flows)
     intr = _load_json(args.intrinsics, Intrinsics, DEFAULT_INTRINSICS)
-    obs = records_to_obs(records, intr)
-    if kind is ModelKind.SIX_DOF and depths is None:
-        raise InputError(f"six-dof {args.command} requires a Z column in the "
-                         "flows CSV (missing depth)")
-    return obs, depths, intr
+    return records_to_obs(records, intr), depths, intr
 
 
 def _ransac_config(args, intr):
@@ -270,7 +274,7 @@ def cmd_extract(args):
         _atomic_write(args.output, lambda tmp: write_flows_csv(tmp, obs))
     stats_path = args.stats or f"{args.output}.stats.json"
     _atomic_write_json(stats_path, {
-        "n_events": len(events), "fired_px": int(surface.fired_mask().sum()),
+        "n_events": len(events), "fired_px": surface.fired_mask().sum(),
         "t_ref": t_ref, "stats": stats.to_dict(), "timings": timings,
         "manifest": _manifest(args)})
     return 0
@@ -287,22 +291,20 @@ def _solve_per_pixel(kind, obs, velocity):
                for t, (x, y), value, ok in zip(obs.t.tolist(), obs.px.tolist(),
                                                values.tolist(), valid.tolist())]
     return {"per_obs": per_obs,
-            "stats": {"solved": int(valid.sum()), "failed": int((~valid).sum())}}
+            "stats": {"solved": valid.sum(), "failed": (~valid).sum()}}
 
 
 def _homography_extras(theta):
     h_l = theta.reshape(3, 3)
     h_d, eps = recover_true_hd(h_l)
-    extras = {"h_l": h_l.tolist(), "eps": eps, "h_d": h_d.h.tolist(),
+    extras = {"h_l": h_l, "eps": eps, "h_d": h_d.h,
               "candidates": None, "degenerate": None}
     try:
-        decomp = decompose_hd(h_d)
-        extras["candidates"] = [
-            {"nu_over_d": c.nu_over_d.tolist(), "normal": c.normal.tolist(),
-             "omega": c.omega.tolist()} for c in decomp.candidates]
+        extras["candidates"] = [asdict(c)
+                                for c in decompose_hd(h_d).candidates]
     except PureRotationDegenerate as exc:
         extras["degenerate"] = "pure-rotation"
-        extras["omega"] = exc.omega.tolist()
+        extras["omega"] = exc.omega
     except RankOneDegenerate:
         extras["degenerate"] = "rank-one"
     return extras
@@ -312,7 +314,7 @@ def cmd_solve(args):
     kind = KINDS[args.kind]
     timings = {}
     with _stage(timings, "read_s"):
-        obs, depths, intr = _load_flows(args, kind)
+        obs, depths, intr = _load_flows(args)
         velocity = _load_json(args.velocity, Velocity)
     report = {"model": kind.value, "n_obs": len(obs)}
     if kind in _PER_PIXEL:
@@ -327,9 +329,7 @@ def cmd_solve(args):
         # every field of the report but its kind, which "model" names
         report.update({field.name: getattr(fit_report, field.name)
                        for field in fields(fit_report) if field.name != "kind"},
-                      theta=fit_report.theta.tolist(),
-                      inliers=fit_report.inliers.tolist(),
-                      n_inliers=int(len(fit_report.inliers)))
+                      n_inliers=len(fit_report.inliers))
         if kind is ModelKind.DIFF_HOMOGRAPHY:
             report.update(_homography_extras(fit_report.theta))
     report["timings"] = timings
@@ -346,10 +346,8 @@ def cmd_fit_spline(args):
     kind = KINDS[args.kind]
     timings = {}
     with _stage(timings, "read_s"):
-        obs, depths, intr = _load_flows(args, kind)
-    if not obs:
-        raise UnderDetermined("no observations in flows CSV")
-    span = float(obs.t.max() - obs.t.min())
+        obs, depths, intr = _load_flows(args)
+    span = float(np.ptp(obs.t)) if obs else 0.0
     if span < 4 * args.knot_spacing:
         raise UnderDetermined(
             f"timestamps span {span:.4g}s < 4 knot intervals "
@@ -363,30 +361,21 @@ def cmd_fit_spline(args):
             cfg=_ransac_config(args, intr), depths=problem.depths)
     with _stage(timings, "fit_s"):
         traj, fit_report = fit(problem, init)
-    lo, hi = traj.domain
-    _atomic_write_json(args.output, {
-        "model": kind.value, "t0": traj.t0, "dt": traj.dt,
-        "control_points": traj.control_points.tolist(), "domain": [lo, hi],
-        "rms": fit_report.rms,
-        "segment_counts": fit_report.segment_counts.tolist(),
-        "starved_segments": fit_report.starved_segments,
-        "filled_segments": init_report.filled_segments,
-        "ransac_iterations": init_report.ransac_iterations,
-        "segment_iterations": init_report.segment_iterations,
-        "capped_segments": init_report.capped_segments,
-        "starved_control_points": fit_report.starved_control_points,
-        "irls_rounds": fit_report.irls_rounds,
-        "irls_hit_cap": fit_report.hit_cap, "cond": fit_report.cond,
-        "timings": timings, "manifest": _manifest(args)})
+    # every field of the trajectory and of both reports, the fit's hit_cap
+    # as irls_hit_cap
+    report = {"model": kind.value, "domain": traj.domain, **asdict(traj),
+              **asdict(init_report), **asdict(fit_report),
+              "timings": timings, "manifest": _manifest(args)}
+    report["irls_hit_cap"] = report.pop("hit_cap")
+    _atomic_write_json(args.output, report)
     if args.trace:
-        ts = np.linspace(lo, hi, args.trace_points, endpoint=False)
-        vals = evaluate(traj, ts)
+        ts = np.linspace(*traj.domain, args.trace_points, endpoint=False)
         names = _TRACE_NAMES[kind]
-        lines = ["t," + ",".join(names)]
-        for tt, row in zip(ts, vals):
-            # t to the nanosecond, at any offset
-            lines.append(",".join([f"{tt:.9f}", *(f"{v:.9g}" for v in row)]))
-        _atomic_write_text(args.trace, "\n".join(lines) + "\n")
+        # t to the nanosecond, at any offset
+        _atomic_write(args.trace, lambda tmp: np.savetxt(
+            tmp, np.column_stack([ts, evaluate(traj, ts)]), delimiter=",",
+            fmt=["%.9f"] + ["%.9g"] * len(names),
+            header=",".join(["t", *names]), comments=""))
     return 0
 
 
@@ -415,13 +404,11 @@ def _build_motion(args):
 
 def _motion_json(motion):
     if isinstance(motion, ConstantMotion):
-        return {"type": "constant", "nu": motion.velocity.nu.tolist(),
-                "omega": motion.velocity.omega.tolist()}
-    return {"type": "step", "nu": motion.before.nu.tolist(),
-            "omega": motion.before.omega.tolist(),
-            "nu_after": motion.after.nu.tolist(),
-            "omega_after": motion.after.omega.tolist(),
-            "t_switch": motion.t_switch}
+        return {"type": "constant", "nu": motion.velocity.nu,
+                "omega": motion.velocity.omega}
+    return {"type": "step", "nu": motion.before.nu,
+            "omega": motion.before.omega, "nu_after": motion.after.nu,
+            "omega_after": motion.after.omega, "t_switch": motion.t_switch}
 
 
 def cmd_simulate(args):
@@ -443,12 +430,10 @@ def cmd_simulate(args):
     velocity = truth.velocity
     _atomic_write_json(os.path.join(args.output_dir, "ground_truth.json"), {
         "motion": _motion_json(motion),
-        "nu": velocity.nu.tolist() if velocity else None,
-        "omega": velocity.omega.tolist() if velocity else None,
-        "hd": hd.h.tolist() if hd else None,
-        "z": truth.z.tolist(),
-        "u": truth.u.tolist(),
-        "outlier_idx": truth.outlier_idx.tolist(),
+        "nu": velocity.nu if velocity else None,
+        "omega": velocity.omega if velocity else None,
+        "hd": hd.h if hd else None,
+        "z": truth.z, "u": truth.u, "outlier_idx": truth.outlier_idx,
         "resample_rounds": truth.resample_rounds,
         "seed": args.seed,
         "noise": asdict(noise)})
@@ -538,8 +523,8 @@ def build_parser():
 
     p = sub.add_parser("fit-spline", parents=[common, fitting],
                        help="flows CSV -> trajectory JSON")
-    p.add_argument("--kind", choices=["angular-velocity", "six-dof"],
-                   required=True)
+    p.add_argument("--kind", required=True, choices=sorted(
+        name for name, kind in KINDS.items() if kind in _SPLINE_KINDS))
     p.add_argument("--trace", help="optional trajectory trace CSV")
     p.add_argument("--trace-points", type=_count, default=100)
     p.add_argument("--knot-spacing", type=_positive, default=DEFAULT_KNOT_SPACING)
@@ -614,6 +599,10 @@ def main(argv=None):
         if args.seed is None:
             args.seed = _env_seed()
         return _COMMANDS[args.command](args)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but a failure of the numerics, not of the input
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (InputError, ValueError, FileNotFoundError, IsADirectoryError,
             PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -621,7 +610,7 @@ def main(argv=None):
     except SolverDegeneracy as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 3
-    except (EvnfError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (EvnfError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -297,8 +297,11 @@ def solve_depth(observations, v):
     Returns (z, valid).  valid is False, and z NaN, where the translational
     flow along the gradient vanishes or the rotational field alone
     accounts for the normal flow.  A negative depth means the observation
-    violates cheirality; it is reported, not clamped.
+    violates cheirality; it is reported, not clamped.  A zero translation
+    leaves every depth unobservable: PureRotation, as in solve_optical_flow.
     """
+    if not np.any(v.nu):
+        raise PureRotation("translational velocity is zero")
     obs = as_observations(observations)
     n0, n1 = obs.n[:, 0], obs.n[:, 1]
     # the six-dof flow at unit depth: A(x) nu is that of (nu, 0), and

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand through main(argv),
 exit codes, manifest plumbing, and config/environment precedence."""
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -14,8 +15,11 @@ import pytest
 import evnormalflow
 from evnormalflow import (ExtractionConfig, NoiseSpec, PlaneScene,
                           RandomPointsScene, RansacConfig, SplineFitProblem,
+                          SplineFitReport, SplineInitReport, SplineTrajectory,
                           TwoWallsScene, generate_dataset, run_noise_sweep)
-from evnormalflow.cli import _atomic_write, build_parser, main
+from evnormalflow.cli import (_TRACE_NAMES, _atomic_write, _atomic_write_json,
+                              _json_default, build_parser, main)
+from evnormalflow.spline import _SPLINE_KINDS
 from evnormalflow.synthesis import DEFAULT_INTRINSICS
 
 
@@ -420,7 +424,7 @@ def test_bad_ransac_flag_error_names_flag_and_value(tmp_path, capsys, flag,
         f"error: argument {flag}: must be {rule}, got '{value}'\n")
 
 
-def test_solve_six_dof_roundtrip_and_missing_depth(tmp_path):
+def test_solve_six_dof_roundtrip_and_missing_depth(tmp_path, capsys):
     out = simulate(tmp_path)
     report_path = tmp_path / "fit.json"
     code = run("solve", "--flows", out / "observations.csv",
@@ -429,10 +433,13 @@ def test_solve_six_dof_roundtrip_and_missing_depth(tmp_path):
     theta = read_json(report_path)["theta"]
     assert np.allclose(theta, [0.2, -0.1, 0.3, 0.1, -0.2, 0.15], atol=1e-5)
     strip_z_column(out / "observations.csv")
+    capsys.readouterr()
     missing = tmp_path / "missing.json"
     assert run("solve", "--flows", out / "observations.csv",
                "--kind", "six-dof", "--output", missing) == 2
-    assert not missing.exists()
+    assert (capsys.readouterr().err
+            == "error: six-dof rows need per-observation depths\n")
+    assert not missing.exists() and no_tmp_left(tmp_path)
 
 
 def test_solve_homography_reports_decomposition(tmp_path):
@@ -492,6 +499,21 @@ def test_solve_optical_flow_per_pixel(tmp_path):
     est, true = (np.array(part) for part in zip(*solved))
     rel = np.linalg.norm(est - true, axis=1) / np.linalg.norm(true, axis=1)
     assert np.median(rel) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["depth", "optical-flow"])
+def test_solve_per_pixel_pure_rotation_is_degenerate(tmp_path, capsys, kind):
+    # no translation: no pixel's depth or full flow is observable
+    out = simulate(tmp_path)
+    velocity_path = tmp_path / "velocity.json"
+    velocity_path.write_text(json.dumps({"nu": [0, 0, 0],
+                                         "omega": [0.1, -0.2, 0.15]}))
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv", "--kind", kind,
+               "--velocity", velocity_path, "--output", report_path) == 3
+    assert (capsys.readouterr().err
+            == "degenerate: translational velocity is zero\n")
+    assert not report_path.exists()
 
 
 def test_solve_homography_pure_rotation(tmp_path):
@@ -602,6 +624,43 @@ def test_fit_spline_tracks_step(tmp_path):
     assert late and np.allclose(late, 2.0, atol=0.12)
 
 
+def test_fit_spline_json_holds_every_report_field(tmp_path):
+    out = step_dataset(tmp_path)
+    spline_path = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", spline_path) == 0
+    spline = read_json(spline_path)
+    names = {field.name for cls in (SplineTrajectory, SplineInitReport,
+                                    SplineFitReport)
+             for field in dataclasses.fields(cls)}
+    assert set(spline) == (names - {"hit_cap"}) | {
+        "irls_hit_cap", "model", "domain", "timings", "manifest"}
+    n_seg = len(spline["control_points"]) - 3
+    assert np.shape(spline["segment_estimates"]) == (n_seg, 3)
+    assert sorted(spline["good_segments"]
+                  + spline["filled_segments"]) == list(range(n_seg))
+    assert len(spline["objective_history"]) == spline["irls_rounds"] + 1
+
+
+def test_fit_spline_header_only_csv_is_degenerate(tmp_path, capsys):
+    # no observations span no time, below the 4 knot intervals a fit needs
+    out = simulate(tmp_path)
+    flows = out / "observations.csv"
+    flows.write_text(flows.read_text().splitlines()[0] + "\n")
+    spline_path = tmp_path / "spline.json"
+    assert run("fit-spline", "--flows", flows, "--kind", "angular-velocity",
+               "--output", spline_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate: timestamps span 0s < 4 knot intervals")
+    assert len(err.splitlines()) == 1 and not spline_path.exists()
+
+
+def test_trace_names_cover_the_spline_kinds():
+    assert set(_TRACE_NAMES) == set(_SPLINE_KINDS)
+    for kind, names in _TRACE_NAMES.items():
+        assert len(names) == kind.param_dim
+
+
 def test_fit_spline_short_span_degenerate(tmp_path):
     out = simulate(tmp_path, "--nu", "0,0,0", "--omega", "0,0,0.5",
                    "--window", "0.1")
@@ -705,11 +764,15 @@ def test_fit_spline_bad_option_exits_2_and_writes_nothing(tmp_path, capsys,
     assert no_tmp_left(tmp_path)
 
 
-def test_fit_spline_six_dof_needs_depth(tmp_path):
+def test_fit_spline_six_dof_needs_depth(tmp_path, capsys):
     out = simulate(tmp_path)
     strip_z_column(out / "observations.csv")
+    capsys.readouterr()
     assert run("fit-spline", "--flows", out / "observations.csv",
                "--kind", "six-dof", "--output", tmp_path / "spline.json") == 2
+    assert (capsys.readouterr().err
+            == "error: six-dof rows need per-observation depths\n")
+    assert not (tmp_path / "spline.json").exists() and no_tmp_left(tmp_path)
 
 
 @pytest.mark.parametrize("depth", ["0", "-2.5"])
@@ -1128,6 +1191,44 @@ def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "--seed" in err[0] and "-3" in err[0]
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_store_true_key_not_a_boolean_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("no-robust = maybe\n")
+    assert run("fit-spline", "--flows", tmp_path / "flows.csv",
+               "--kind", "angular-velocity", "--output", tmp_path / "x.json",
+               "--config", config) == 2
+    assert (capsys.readouterr().err
+            == f"error: {config}: no-robust: not a boolean: maybe\n")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
+    out = simulate(tmp_path)
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("evnormalflow.cli.ransac_estimate", fail)
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", report_path) == 4
+    assert (capsys.readouterr().err
+            == "numerical failure: SVD did not converge\n")
+    assert not report_path.exists()
+
+
+def test_json_default_converts_numpy_and_refuses_the_rest(tmp_path):
+    assert _json_default(np.array([[1.5, 2.0]])) == [[1.5, 2.0]]
+    value = _json_default(np.int64(7))
+    assert value == 7 and type(value) is int
+    assert _json_default(np.bool_(True)) is True
+    with pytest.raises(TypeError, match="set"):
+        _json_default({1, 2})
+    with pytest.raises(TypeError):
+        _atomic_write_json(tmp_path / "x.json", {"a": {1, 2}})
     assert os.listdir(tmp_path) == []
 
 

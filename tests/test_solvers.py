@@ -340,6 +340,14 @@ def test_batch_flow_pure_rotation_raises():
                            Velocity(nu=(0, 0, 0), omega=(1, 0, 0)))
 
 
+def test_batch_depth_pure_rotation_raises():
+    # no translation: no pixel's depth is observable, as no full flow is
+    with pytest.raises(PureRotation, match="translational velocity is zero"):
+        solve_depth(Observations(xy=np.zeros((3, 2)), n=np.ones((3, 2)),
+                                 t=np.zeros(3)),
+                    Velocity(nu=(0, 0, 0), omega=(1, 0, 0)))
+
+
 # --------------------------------------------------------------------------
 # stacked solvers
 
@@ -681,6 +689,29 @@ def test_ransac_no_consensus_on_scattered_data():
     with pytest.raises(NoConsensus):
         ransac_estimate(obs, ModelKind.ANGULAR_VELOCITY,
                         RansacConfig(threshold=1e-12, max_iterations=50))
+
+
+def nine_noisy_rotation_flows(seed):
+    """Nine flows of a pure rotation, at 2 px noise and half outliers."""
+    v = Velocity(nu=(0, 0, 0), omega=(0.1, -0.2, 0.15))
+    obs, _ = generate_dataset(RandomPointsScene(), ConstantMotion(v), count=9,
+                              noise=NoiseSpec(2.0, 0.5), seed=seed)
+    return obs
+
+
+def test_ransac_consensus_lost_in_refitting():
+    # the refit's threshold, taken from the noise of the consensus, keeps
+    # fewer inliers than two minimal samples
+    with pytest.raises(NoConsensus, match="4 inliers < 6 after refitting"):
+        ransac_estimate(nine_noisy_rotation_flows(1),
+                        ModelKind.ANGULAR_VELOCITY, RansacConfig(seed=1))
+
+
+def test_ransac_refit_on_a_rank_deficient_consensus():
+    # the refit's inliers span only two directions of omega
+    with pytest.raises(RankDeficient, match="numerical rank 2 < required 3"):
+        ransac_estimate(nine_noisy_rotation_flows(837),
+                        ModelKind.ANGULAR_VELOCITY, RansacConfig(seed=837))
 
 
 def test_ransac_deterministic_repeat():

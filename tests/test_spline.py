@@ -431,6 +431,31 @@ def test_init_requires_observations():
         init_from_linear([], ModelKind.ANGULAR_VELOCITY)
 
 
+def flows_at_the_centre(k=400, t_max=1.0, seed=0):
+    """Flows at xy = (0, 0) only, where the rotational flow does not
+    depend on omega_z: no fit can constrain it."""
+    rng = np.random.default_rng(seed)
+    return Observations(xy=np.zeros((k, 2)), n=rng.normal(size=(k, 2)),
+                        t=np.linspace(0.0, t_max, k))
+
+
+def test_init_without_a_good_segment_raises():
+    with pytest.raises(UnderDetermined,
+                       match="no segment supported a linear fit"):
+        init_from_linear(flows_at_the_centre(), ModelKind.ANGULAR_VELOCITY,
+                         dt=0.1)
+
+
+@pytest.mark.parametrize("robust", [True, False])
+def test_fit_with_an_unconstrained_unknown_raises(robust):
+    # omega_z has no row at any observed control point: a zero diagonal
+    t0, n_ctrl = trajectory_covering(0.0, 1.0, 0.1)
+    init = SplineTrajectory(np.zeros((n_ctrl, 3)), t0=t0, dt=0.1)
+    with pytest.raises(RankDeficient, match="spline unknowns unconstrained"):
+        fit(SplineFitProblem(flows_at_the_centre(), ModelKind.ANGULAR_VELOCITY,
+                             robust=robust), init)
+
+
 def test_problem_validation():
     obs, truth = generate_dataset(
         RandomPointsScene(),
