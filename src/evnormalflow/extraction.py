@@ -525,8 +525,13 @@ def write_flows_csv(path, obs, depths=None):
     in seconds since the epoch survive), the other floats with 9
     significant digits; optional depth column.
 
-    `obs` is an Observations with px, inliers and rms filled in.
+    `obs` is an Observations with px, inliers and rms filled in; without
+    them, ValueError naming the missing ones.
     """
+    missing = [name for name in ("px", "inliers", "rms")
+               if getattr(obs, name) is None]
+    if missing:
+        raise ValueError(f"flows CSV needs columns {', '.join(missing)}")
     columns = [obs.t, obs.px[:, 0], obs.px[:, 1], obs.n[:, 0], obs.n[:, 1],
                obs.inliers, obs.rms]
     if depths is not None:

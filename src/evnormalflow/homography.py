@@ -65,9 +65,10 @@ def recover_true_hd(h_l):
     """Strip the eps I ambiguity from a linear-solver homography.
 
     Returns (H_d, eps) with eps equal to half the middle eigenvalue of
-    H_L + H_L^T and H_d = H_L - eps I.
+    H_L + H_L^T and H_d = H_L - eps I.  An array is taken as
+    DiffHomography takes it: a non-finite entry raises ValueError.
     """
-    h = h_l.h if isinstance(h_l, DiffHomography) else np.asarray(h_l, dtype=float)
+    h = DiffHomography(getattr(h_l, "h", h_l)).h
     m_l = h + h.T
     eigvals = np.linalg.eigvalsh(m_l)          # ascending
     eps = float(eigvals[1]) / 2.0
@@ -103,8 +104,10 @@ def decompose_hd(h_d):
     parallel to N, which collapses both candidates.  Raises ValueError when
     M's middle eigenvalue exceeds _DEGENERACY_TOL of its largest magnitude,
     as for a linear-solver H_L not yet passed through `recover_true_hd`.
+    An array is taken as DiffHomography takes it: a non-finite entry raises
+    ValueError.
     """
-    h = h_d.h if isinstance(h_d, DiffHomography) else np.asarray(h_d, dtype=float)
+    h = DiffHomography(getattr(h_d, "h", h_d)).h
     m = -(h + h.T)
     scale = max(np.linalg.norm(h), np.finfo(float).tiny)
     if np.linalg.norm(m) <= _DEGENERACY_TOL * scale:

@@ -195,9 +195,9 @@ def _solve_groups(a, b, sel, gid, n_groups, min_rank=None, weight=None):
     Grigori, Hoemmen and Langou 2012) that never copies all the rows: the
     leaves, a chunk at a time, are factored in one stacked QR, and each
     group's leaf factors, stacked, once more; groups with as many leaves
-    share that QR, and a one-leaf group keeps its leaf's factor.  In exact
-    arithmetic neither the zero rows nor the two levels change the singular
-    values or the solution.
+    share that QR, which returns a one-leaf group's upper triangular factor
+    bit for bit.  In exact arithmetic neither the zero rows nor the two
+    levels change the singular values or the solution.
     """
     p = a.shape[1]
     first = np.searchsorted(gid, np.arange(n_groups + 1))
@@ -242,9 +242,8 @@ def _solve_groups(a, b, sel, gid, n_groups, min_rank=None, weight=None):
         # values, and Q^T b, so a theta = b and R_a theta = Q^T b share their
         # least-squares solutions
         group_leaves = start[groups, None] + np.arange(count)
-        r_ab = factors[group_leaves].reshape(len(groups), -1, p + 1)
-        if count > 1:
-            r_ab = np.linalg.qr(r_ab, mode="r")
+        r_ab = np.linalg.qr(
+            factors[group_leaves].reshape(len(groups), -1, p + 1), mode="r")
         u, s, vt = np.linalg.svd(r_ab[:, :p, :p])
         kept = s > s[:, :1] * (np.maximum(m[groups], p) * _EPS)[:, None]
         r = kept.sum(axis=1)
@@ -638,13 +637,14 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
     systems, B per group, are solved as one stack and its hypotheses probed
     in one pass.  The rounds are then replayed in order, each against the
     best so far; a new best that lowers a group's count stops it within the
-    batch, and its hypotheses left there are neither counted nor scored.
-    The refits then run for all groups together, and a group stops
-    refitting once its inliers settle.  Each sum, median and solve takes
-    one group's rows alone, so a group's result does not depend on the
-    groups beside it.
-    A group smaller than twice the minimal sample can hold no consensus,
-    and draws no sample.
+    batch, and it is masked until the batch ends: its hypotheses left there
+    are compared with no best and counted in neither rows_scored nor
+    iterations.  The running set shrinks after the batch.  The refits then
+    run for all groups together, and a group stops refitting once its
+    inliers settle.  Each sum, median and solve takes one group's rows
+    alone, so a group's result does not depend on the groups beside it.  A
+    group smaller than twice the minimal sample can hold no consensus, and
+    draws no sample.
     """
     bounds = np.asarray(bounds, dtype=np.intp)
     sizes = np.diff(bounds)
@@ -684,19 +684,16 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
     # probability at most _DELTA
     margin = t2 * math.sqrt(math.log(1 / _DELTA) / (2 * _PROBE_ROWS))
 
-    def runs(groups):
-        """The rows of the running groups, the positions of the probed ones
-        among them, and those groups' probe rows."""
-        at = np.flatnonzero(probed[groups])
-        return rows_of(groups), at, (
-            rows_of(groups[at], picks[groups[at]]) if at.size else None)
-
     p = kind.param_dim
-    running = np.flatnonzero(drawn)
-    if running.size:
-        rows, at, probe = runs(running)
+    running, rows = np.flatnonzero(drawn), None
     i = 0
     while running.size:
+        if rows is None or len(rows.groups) > len(running):
+            # the rows of the running groups, the positions of the probed
+            # ones among them, and those groups' probe rows
+            rows = rows_of(running)
+            at = np.flatnonzero(probed[running])
+            probe = rows_of(running[at], picks[running[at]]) if at.size else None
         # a batch of the rounds that every running group runs unless a new
         # best lowers its count; one round while a group has no best
         n_batch = 1 if np.isinf(best_cost[running]).any() else int(min(
@@ -708,26 +705,26 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
                                      b[samples].reshape(-1, c))
         thetas = thetas.reshape(len(running), n_batch, p)
         oks = oks.reshape(len(running), n_batch)
-        # the probe's mean MSAC term of every hypothesis it may test; read
-        # below only where a test falls
+        # the probe's mean MSAC term of every hypothesis it may test, one
+        # column per probed group; read below only where a test falls
         if probe is not None and (
                 oks[at] & (best_cost[probe.groups] < np.inf)[:, None]).any():
             e2 = _squared_distance(*probe.residual(thetas[at]))
-            means = np.zeros((n_batch, len(running)))
-            means[:, at] = probe.sums(np.minimum(e2, t2)) / _PROBE_ROWS
-        # the rounds replayed in order; col gives the running groups'
-        # columns in the batch
-        batch, col, probe_col = running, slice(None), at
+            means = probe.sums(np.minimum(e2, t2)) / _PROBE_ROWS
+        # the rounds replayed in order; going marks the groups still
+        # drawing, and a group that stops keeps its rows until the batch
+        # ends, its hypotheses left there ignored
+        going = np.ones(len(running), dtype=bool)
         for j in range(n_batch):
-            theta, full = thetas[col, j], oks[col, j].copy()
+            theta, full = thetas[:, j], oks[:, j] & going
             # a hypothesis is scored on all rows unless its group's probe
             # rejects it: its mean MSAC term there is too high to beat the best
             if probe is not None:
                 best = best_cost[probe.groups]
                 tested = full[at] & (best < np.inf)
                 if tested.any():
-                    full[at] &= ~tested | (means[j, probe_col] <= best / sizes[
-                        probe.groups] + margin)
+                    full[at] &= ~tested | (
+                        means[j] <= best / sizes[probe.groups] + margin)
                     scored[probe.groups[tested]] += _PROBE_ROWS
             if full.any():
                 scored[running[full]] += rows.sizes[full]
@@ -743,16 +740,9 @@ def _ransac_groups(obs, kind, bounds, cfg, depths=None):
                         needed[g] = _adaptive_iterations(
                             int(count[k]) / int(sizes[g]), c, cfg.confidence)
             i += 1
-            iterations[running] = i
-            stay = i < np.minimum(needed[running], cfg.max_iterations)
-            if not stay.all():
-                # a stopped group's hypotheses left in the batch are dropped
-                running = running[stay]
-                if not running.size:
-                    break
-                rows, at, probe = runs(running)
-                col = np.searchsorted(batch, running)
-                probe_col = col[at]
+            iterations[running[going]] = i
+            going &= i < np.minimum(needed[running], cfg.max_iterations)
+        running = running[going]
 
     for g in np.flatnonzero(drawn & (best_count < 2 * c)):
         results[g] = NoConsensus(f"best consensus {best_count[g]} < {2 * c} "

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (finite, integer, interval, non_negative, positive,
-                     uint64)
+from .errors import (UnderDetermined, finite, integer, interval,
+                     non_negative, positive, uint64)
 from .events import TimeSurface, UNFIRED
 from .geometry import Intrinsics, Observations, Velocity, squared_norms
 from .homography import hd_from_plane, recover_true_hd
@@ -344,9 +344,12 @@ def toy_registration(flows):
     The constraint-based estimate solves n_i . u = |n_i|^2 in least
     squares; the naive estimate averages the normal flow vectors (which
     systematically under-shoots because each n_i only carries the
-    component of u along its own direction).
+    component of u along its own direction).  Fewer than two flows raise
+    UnderDetermined.
     """
     n = np.asarray(getattr(flows, "n", flows), dtype=float).reshape(-1, 2)
+    if len(n) < 2:
+        raise UnderDetermined(f"need >= 2 flows, got {len(n)}")
     mag2 = squared_norms(n)
     naive = n.mean(axis=0)
     if np.all(mag2 == 0):

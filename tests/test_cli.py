@@ -1220,6 +1220,24 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("error", [OverflowError("overflow in exp"),
+                                   evnormalflow.EvnfError("overflow in exp")])
+def test_arithmetic_or_library_failure_exits_4(tmp_path, capsys, monkeypatch,
+                                               error):
+    # neither an input error nor a degeneracy: a numerical failure
+    out = simulate(tmp_path)
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr("evnormalflow.cli.ransac_estimate", fail)
+    report_path = tmp_path / "fit.json"
+    assert run("solve", "--flows", out / "observations.csv",
+               "--kind", "angular-velocity", "--output", report_path) == 4
+    assert capsys.readouterr().err == "numerical failure: overflow in exp\n"
+    assert not report_path.exists()
+
+
 def test_json_default_converts_numpy_and_refuses_the_rest(tmp_path):
     assert _json_default(np.array([[1.5, 2.0]])) == [[1.5, 2.0]]
     value = _json_default(np.int64(7))

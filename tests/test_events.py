@@ -84,6 +84,13 @@ def test_parse_bad_polarity_token(event_file):
         read_events(event_file("0.1 0 0 7\n"))
 
 
+def test_parse_number_only_python_reads(event_file):
+    # np.loadtxt refuses "1_000", which int() accepts, so the line-by-line
+    # re-read finds no bad line to name
+    with pytest.raises(ParseError, match="unparseable event stream"):
+        read_events(event_file("0.1 1_000 1 1\n"))
+
+
 def test_read_events_without_trailing_newline(event_file):
     events = read_events(event_file("0.1 1 2 1\n0.2 3 4 0"))
     assert columns(events) == ([0.1, 0.2], [1, 3], [2, 4], [1, -1])

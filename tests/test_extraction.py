@@ -354,6 +354,26 @@ def test_flows_csv_round_trip_keeps_microseconds_since_the_epoch(tmp_path):
     assert np.all(np.diff(back.t) > 0)
 
 
+def test_flows_csv_names_the_columns_it_lacks(tmp_path):
+    # an Observations without plane fits, as generate_dataset returns
+    path = tmp_path / "flows.csv"
+    bare = Observations(xy=np.zeros((2, 2)), n=np.ones((2, 2)), t=[0.0, 1.0])
+    with pytest.raises(ValueError, match="needs columns px, inliers, rms$"):
+        write_flows_csv(path, bare)
+    no_fit = Observations(xy=np.zeros((2, 2)), n=np.ones((2, 2)), t=[0.0, 1.0],
+                          px=[(10, 20), (11, 21)])
+    with pytest.raises(ValueError, match="needs columns inliers, rms$"):
+        write_flows_csv(path, no_fit)
+    assert not path.exists()
+
+
+def test_flows_csv_depths_must_match_the_flows(tmp_path):
+    path = tmp_path / "flows.csv"
+    with pytest.raises(ValueError, match="depths length"):
+        write_flows_csv(path, two_flows(), depths=np.array([1.5]))
+    assert not path.exists()
+
+
 def test_flows_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -225,6 +225,13 @@ def test_intrinsics_validation():
         Intrinsics(fx=1, fy=1, cx=20, cy=0, width=10, height=10)
 
 
+@pytest.mark.parametrize("nu, omega", [((np.inf, 0, 0), (0, 0, 0)),
+                                       ((0, 0, 0), (0, np.nan, 0))])
+def test_velocity_rejects_non_finite(nu, omega):
+    with pytest.raises(ValueError, match="velocity components must be finite"):
+        Velocity(nu=nu, omega=omega)
+
+
 def test_sample_identity_from_projected_flow():
     # n = (u . g) g satisfies the constraint identity exactly
     rng = np.random.default_rng(9)

@@ -135,6 +135,17 @@ def test_decompose_linear_solver_h_without_recovery_raises():
     assert len(decompose_hd(rec).candidates) == 2
 
 
+@pytest.mark.parametrize("function", [recover_true_hd, decompose_hd])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_homography_entries_refused(function, value):
+    # the check of DiffHomography itself, not a LinAlgError from the
+    # eigensolver
+    h = compose_hd((0.1, -0.2, 0.3), (0.2, 0.0, 0.1), (0.0, 0.0, 1.0)).h.copy()
+    h[1, 2] = value
+    with pytest.raises(ValueError, match="homography entries must be finite"):
+        function(h)
+
+
 def test_end_to_end_eps_range():
     rng = np.random.default_rng(53)
     for _ in range(100):

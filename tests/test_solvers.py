@@ -121,6 +121,11 @@ def test_stack_rank_deficient_raises():
         stack_and_solve(a, np.ones(5), min_rank=3)
 
 
+def test_stack_rhs_must_match_rows():
+    with pytest.raises(ValueError, match="matching rhs"):
+        stack_and_solve(np.zeros((3, 2)), np.zeros(4))
+
+
 def test_stack_minimum_norm_when_deficient():
     # one-dimensional row space: solution must lie along the row direction
     a = np.tile([1.0, 1.0], (4, 1))
@@ -525,8 +530,16 @@ def test_per_pixel_kinds_have_no_global_model(kind, solver):
             call()
 
 
+def test_flow_model_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind nope"):
+        _flow_model(np.zeros((3, 2)), "nope")
+
+
 # --------------------------------------------------------------------------
 # RANSAC
+
+def test_adaptive_iterations_without_inliers_never_stop():
+    assert solvers._adaptive_iterations(0.0, 3, 0.99) == math.inf
 
 def test_ransac_planted_outliers():
     v = Velocity(nu=(0, 0, 0), omega=(0.2, -0.1, 0.5))

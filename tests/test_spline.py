@@ -252,6 +252,25 @@ def test_problem_sorted_like_python_sort():
         check_sorted_like_python_sort(times, places, normals)
 
 
+@pytest.mark.parametrize("with_depths", [False, True])
+def test_problem_keeps_a_row_given_twice(with_depths):
+    # a row tied with its neighbour on every key of the order is a row of
+    # its own: both copies stay, in either order of the input
+    obs = Observations(xy=[(0.1, 0.2), (0.1, 0.2), (-0.1, 0.0)],
+                       n=[(0.5, 0.25), (0.5, 0.25), (0.3, 0.1)],
+                       t=[0.1, 0.1, 0.2])
+    depths = np.array([2.0, 2.0, 3.0]) if with_depths else None
+    kind = ModelKind.SIX_DOF if with_depths else ModelKind.ANGULAR_VELOCITY
+    for order in ([0, 1, 2], [2, 0, 1]):
+        problem = SplineFitProblem(
+            obs[order], kind, depths=None if depths is None else depths[order])
+        assert np.array_equal(problem.observations.t, obs.t)
+        assert np.array_equal(problem.observations.xy, obs.xy)
+        assert np.array_equal(problem.observations.n, obs.n)
+        assert (problem.depths is None if depths is None
+                else np.array_equal(problem.depths, depths))
+
+
 def check_sorted_like_python_sort(times, places, normals):
     rng = np.random.default_rng(76)
     k = 20_000

@@ -2,6 +2,7 @@
 dataset determinism, analytic time surfaces, the toy registration, and the
 noise sweep."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from evnormalflow import (
     ConstantMotion, DegenerateDepth, MovingEdge, NoiseSpec, PlaneScene,
     RandomPointsScene, RankDeficient, SplineMotion, SplineTrajectory,
-    StepMotion, TwoWallsScene, Velocity, generate_dataset,
+    StepMotion, TwoWallsScene, UnderDetermined, Velocity, generate_dataset,
     matrix_c, matrix_d, run_noise_sweep,
     surface_from_edges, toy_registration, ModelKind,
 )
@@ -404,6 +405,16 @@ def test_toy_registration_zero_flow():
     result = toy_registration(np.zeros((5, 2)))
     assert np.allclose(result.constraint, 0.0)
     assert np.allclose(result.naive, 0.0)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_toy_registration_needs_two_flows(count):
+    # no mean of an empty set, no rank from one row: the minimal-sample
+    # error, and no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnderDetermined, match=f"need >= 2 flows, got {count}$"):
+            toy_registration(np.full((count, 2), 0.5))
 
 
 def test_toy_registration_accepts_observations():
